@@ -11,8 +11,6 @@ The library is organized in five layers:
 - ``lemma_oracles``: executable verdicts for the supporting lemmas
 - ``survey``: seeded samplers, growth records, exhaustive desk-scale minima,
   CSV/JSON reporting
-
-See the demos/ directory for narrative walkthroughs of each capability.
 """
 
 from .errors import FqLabError
@@ -29,6 +27,7 @@ from .set_algebra import (
     FqSet,
     RepSpectrum,
     additive_energy,
+    coset_intersection_counts,
     coset_profile,
     dilate,
     multiplicative_energy,
@@ -75,6 +74,7 @@ __all__ = [
     "FqSet",
     "RepSpectrum",
     "additive_energy",
+    "coset_intersection_counts",
     "coset_profile",
     "dilate",
     "multiplicative_energy",

@@ -10,7 +10,7 @@ smallest canonical encoding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +27,7 @@ from .errors import (
 from .set_algebra import (
     FqSet,
     RepSpectrum,
+    coset_intersection_counts,
     dilate,
     quotient_set,
     representation_spectrum,
@@ -623,7 +624,6 @@ def run_proof_trace(A: FqSet, alpha: int, params: TraceParams = TraceParams()) -
 def _classify(A_input: FqSet, A2: FqSet, alpha: int, sl: DyadicSlice,
               pts: PopularPoints, params: TraceParams):
     from .finite_field import proper_subfields
-    from .set_algebra import _coset_intersection_sizes
 
     spec = A_input.spec
     kappa = params.kappa
@@ -688,8 +688,7 @@ def _classify(A_input: FqSet, A2: FqSet, alpha: int, sl: DyadicSlice,
              if G.size == len(R_A) and R_A == G.elements]
     assert match, "closure held but the quotient set is not a subfield (bug)"
     G0 = match[0]
-    reps, sizes = _coset_intersection_sizes(A_input, G0)
-    max_size = int(sizes.max()) if len(sizes) else 0
+    max_size = int(coset_intersection_counts(A_input, G0).max())
     sqrt_ok = max_size**2 <= kappa**2 * G0.size
     if sqrt_ok:
         return "4.2", {"subfield_degree": G0.d, "max_coset_intersection": max_size}, {

@@ -9,12 +9,9 @@ memory is what the construction cap is for.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
-from functools import reduce
 from itertools import product
-from typing import Iterator
 
 import numpy as np
 
@@ -151,10 +148,6 @@ def _digits(value: int, p: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _encode(digits, p: int) -> int:
-    return sum(int(d) * p**i for i, d in enumerate(digits))
-
-
 def _find_generator(p: int, m: int, q: int, modulus) -> int:
     """Smallest-encoded element of multiplicative order q-1."""
     if q == 2:
@@ -208,7 +201,8 @@ def _build_tables(p: int, m: int, q: int, modulus, generator: int):
         E = E[:, : q - 1]
         p_pows = np.array([p**i for i in range(m)], dtype=np.int64)
         enc = p_pows @ E
-    if np.unique(enc).size != q - 1:
+    hits = np.bincount(enc, minlength=q)
+    if hits.size != q or not (hits[1:] == 1).all():
         raise NoIrreducibleFound("generator power table is not a bijection (construction bug)")
     exp_table = np.concatenate([enc, np.array([1], dtype=np.int64)])
     log_table = np.zeros(q, dtype=np.int64)
@@ -350,12 +344,6 @@ class FieldSpec:
             out = np.where(a == 0, 1, out)
         return out
 
-    def elements(self) -> np.ndarray:
-        return np.arange(self.q, dtype=np.int64)
-
-    def element_digits(self, value: int) -> tuple[int, ...]:
-        return _digits(value, self.p, self.m)
-
     def to_json(self) -> dict:
         return {
             "descriptor": self.descriptor,
@@ -369,7 +357,7 @@ class FieldSpec:
 
 @dataclass(frozen=True, eq=False)
 class SubfieldHandle:
-    """The subfield of p^d elements, realized as Frobenius fixed points."""
+    """The subfield of p^d elements: 0 and the powers of generator^((q-1)/(p^d-1))."""
 
     d: int
     elements: "FqSet"  # noqa: F821 - set_algebra imports this module
@@ -451,19 +439,20 @@ def divisors(n: int) -> list[int]:
 
 
 def enumerate_subfields(spec: FieldSpec) -> list[SubfieldHandle]:
-    """One handle per divisor d of m (ascending): the fixed points of x -> x^(p^d)."""
+    """One handle per divisor d of m (ascending): {0} and the powers of
+    generator^((q-1)/(p^d-1))."""
     cached = spec._derived.get("subfields")
     if cached is not None:
         return cached
     from .set_algebra import FqSet  # deferred: set_algebra depends on this module
 
     handles = []
-    arr = spec.elements()
     for d in divisors(spec.m):
-        fixed = arr[spec.pow_arr(arr, spec.p**d) == arr]
-        if fixed.size != spec.p**d:
-            raise NoIrreducibleFound("Frobenius fixed-point count is wrong (construction bug)")
-        handles.append(SubfieldHandle(d=d, elements=FqSet.from_iterable(spec, fixed),
+        size = spec.p**d
+        members = np.sort(np.append(spec.exp_table[: spec.q - 1 : (spec.q - 1) // (size - 1)], 0))
+        if members.size != size or not (spec.pow_arr(members, size) == members).all():
+            raise NoIrreducibleFound("subfield is not fixed by x -> x^(p^d) (construction bug)")
+        handles.append(SubfieldHandle(d=d, elements=FqSet._from_sorted(spec, members),
                                       is_proper=d < spec.m))
     spec._derived["subfields"] = handles
     return handles
@@ -471,6 +460,11 @@ def enumerate_subfields(spec: FieldSpec) -> list[SubfieldHandle]:
 
 def proper_subfields(spec: FieldSpec) -> list[SubfieldHandle]:
     return [h for h in enumerate_subfields(spec) if h.is_proper]
+
+
+def coset_columns(spec: FieldSpec, G: SubfieldHandle) -> np.ndarray:
+    """Exp-table view whose column i is coset i: the x != 0 with log x = i mod (q-1)/(|G|-1)."""
+    return spec.exp_table[: spec.q - 1].reshape(G.size - 1, -1)
 
 
 def coset_representatives(spec: FieldSpec, G: SubfieldHandle) -> list[int]:
@@ -484,11 +478,6 @@ def coset_representatives(spec: FieldSpec, G: SubfieldHandle) -> list[int]:
     cached = spec._derived.setdefault("coset_reps", {}).get(G.d)
     if cached is not None:
         return cached
-    n = (spec.q - 1) // (G.size - 1)
-    nonzero = np.arange(1, spec.q, dtype=np.int64)
-    ids = spec.log_table[nonzero] % n
-    reps = np.full(n, spec.q, dtype=np.int64)
-    np.minimum.at(reps, ids, nonzero)
-    out = sorted(int(r) for r in reps)
+    out = np.sort(coset_columns(spec, G).min(axis=0)).tolist()
     spec._derived["coset_reps"][G.d] = out
     return out

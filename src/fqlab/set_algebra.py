@@ -8,7 +8,7 @@ FqSet values are immutable and all operations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -22,7 +22,7 @@ from .errors import (
     ZeroInDenominatorSet,
     ZeroShift,
 )
-from .finite_field import FieldSpec, coset_representatives, proper_subfields
+from .finite_field import FieldSpec, coset_columns, proper_subfields
 
 SET_OPS = ("sum", "diff", "prod", "ratio")
 
@@ -264,8 +264,10 @@ class ProfileReport:
     """Exact verdicts of |A ∩ cG| <= kappa * max(|G|^(1/2), |reference|^(num/den))
     over every proper subfield G and coset representative c.
 
-    Comparisons are done by big-integer cross-powering so verdicts are
-    bit-reproducible; kappa models the unknowable implied constant.
+    entries lists only the cosets that meet A minus {0}, ordered by (d, rep);
+    every other coset has size <= 1 and passes for kappa >= 1.  Comparisons
+    are done by big-integer cross-powering so verdicts are bit-reproducible;
+    kappa models the unknowable implied constant.
     """
 
     field: str
@@ -275,42 +277,47 @@ class ProfileReport:
     kappas: tuple[int, ...]
     entries: tuple[CosetIntersection, ...]
     overall: dict[int, bool]
-    vacuous: bool
+    vacuous: bool  # the field has no proper subfield
 
 
 DEFAULT_KAPPAS = (1, 2, 4)
 
 
-def _coset_intersection_sizes(A: FqSet, G) -> tuple[list[int], np.ndarray]:
-    """|A ∩ cG| for every coset representative c of the proper subfield G."""
+def coset_intersection_counts(A: FqSet, G) -> np.ndarray:
+    """|A ∩ cG| for every coset cG of the subfield G, indexed by
+    log c mod (q-1)/(|G|-1), the columns of ``coset_columns``."""
     spec = A.spec
-    reps = np.array(coset_representatives(spec, G), dtype=np.int64)
-    gstar = G.elements.members[G.elements.members != 0]
-    # c*g over the reps x G^* grid via the log tables (all operands nonzero)
-    prods = spec.exp_table[(spec.log_table[reps[:, None]] + spec.log_table[gstar[None, :]]) % (spec.q - 1)]
-    sizes = A.bitmask[prods].sum(axis=1) + int(0 in A)
-    return [int(c) for c in reps], sizes
+    n = (spec.q - 1) // (G.size - 1)
+    logs = spec.log_table[A.members[A.members != 0]]
+    return np.bincount(logs % n, minlength=n) + int(0 in A)
 
 
 def coset_profile(A: FqSet, exponent_num: int, exponent_den: int, reference: FqSet,
                   kappas: tuple[int, ...] = DEFAULT_KAPPAS) -> ProfileReport:
+    """overall[k] is the verdict on each subfield's largest count: the verdict
+    is monotone in the size, so the largest count decides every coset."""
     if len(reference) == 0:
         raise EmptySet("reference set must be nonempty")
     spec = A.spec
     ref = len(reference)
+
+    def verdicts(t: int, g_size: int) -> dict[int, bool]:
+        return {k: t**2 <= k**2 * g_size or t**exponent_den <= k**exponent_den * ref**exponent_num
+                for k in kappas}
+
+    subfields = proper_subfields(spec)
     entries: list[CosetIntersection] = []
     overall = {k: True for k in kappas}
-    for G in proper_subfields(spec):
-        reps, sizes = _coset_intersection_sizes(A, G)
-        g_size = G.size
-        for c, t in zip(reps, sizes):
-            t = int(t)
-            passes = {}
-            for k in kappas:
-                ok = t**2 <= k**2 * g_size or t**exponent_den <= k**exponent_den * ref**exponent_num
-                passes[k] = ok
-                overall[k] = overall[k] and ok
-            entries.append(CosetIntersection(d=G.d, rep=c, size=t, passes=passes))
+    for G in subfields:
+        counts = coset_intersection_counts(A, G)
+        worst = verdicts(int(counts.max()), G.size)
+        overall = {k: overall[k] and worst[k] for k in kappas}
+        hit = np.flatnonzero(counts > int(0 in A))
+        reps = coset_columns(spec, G)[:, hit].min(axis=0)
+        for i in np.argsort(reps):
+            t = int(counts[hit[i]])
+            entries.append(CosetIntersection(d=G.d, rep=int(reps[i]), size=t,
+                                             passes=verdicts(t, G.size)))
     return ProfileReport(
         field=spec.descriptor,
         exponent_num=exponent_num,
@@ -319,5 +326,5 @@ def coset_profile(A: FqSet, exponent_num: int, exponent_den: int, reference: FqS
         kappas=tuple(kappas),
         entries=tuple(entries),
         overall=overall,
-        vacuous=not entries,
+        vacuous=not subfields,
     )

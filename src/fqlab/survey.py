@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -25,7 +25,7 @@ from .errors import (
     SizeInfeasible,
     ZeroShift,
 )
-from .finite_field import FieldSpec, parse_descriptor, proper_subfields
+from .finite_field import FieldSpec, coset_representatives, parse_descriptor, proper_subfields
 from .set_algebra import (
     FqSet,
     additive_energy,
@@ -176,8 +176,6 @@ def sample_set(spec: FieldSpec, sampler: str, size: int, seed: int) -> FqSet:
     if size > q:
         raise SizeInfeasible(f"size {size} > q = {q}")
     G = subs[int(rng.integers(0, len(subs)))]
-    from .finite_field import coset_representatives
-
     reps = np.array(coset_representatives(spec, G), dtype=np.int64)
     needed = min(len(reps), max(1, math.ceil((size - 1) / (G.size - 1))))
     chosen = rng.choice(reps, size=needed, replace=False)

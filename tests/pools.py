@@ -85,6 +85,23 @@ def naive_quotient_set(spec: FieldSpec, X) -> list[int]:
     return sorted(out)
 
 
+def naive_coset_profile(spec: FieldSpec, A) -> list[tuple[int, int, int, int]]:
+    """(d, |G|, rep, |A ∩ cG|) for every distinct dilate cG of every proper
+    subfield G = {x : x^(p^d) = x}, rep the smallest c in F_q^* giving cG;
+    sorted by (d, rep)."""
+    members = set(A)
+    out = []
+    for d in range(1, spec.m):
+        if spec.m % d:
+            continue
+        G = [x for x in range(spec.q) if arith(spec, "pow", x, spec.p**d) == x]
+        reps: dict[frozenset, int] = {}
+        for c in range(1, spec.q):  # ascending, so the first c naming cG is its rep
+            reps.setdefault(frozenset(arith(spec, "mul", c, g) for g in G), c)
+        out.extend((d, len(G), c, len(cG & members)) for cG, c in reps.items())
+    return sorted(out)
+
+
 def naive_cover_min(spec: FieldSpec, target, tile, sign: int) -> int:
     """Exact minimum covering count by plain recursive search: branch on every
     translate hitting the first uncovered element (independent of the

@@ -24,6 +24,7 @@ from fqlab.finite_field import (
     proper_subfields,
 )
 from fqlab.set_algebra import FqSet
+from pools import naive_coset_profile
 
 SMALL_FIELDS = [(7, 1), (2, 2), (3, 2), (2, 4), (5, 2), (3, 3), (2, 6)]
 
@@ -193,6 +194,14 @@ def test_coset_representatives_cover_field_and_are_distinct():
             scaled = frozenset(int(v) for v in spec.mul_arr(
                 G.elements.members, np.int64(spec.mul(c, g))))
             assert scaled in set(dilates)
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (2, 4), (5, 2), (2, 6), (3, 4)])
+def test_coset_representatives_are_smallest_encodings(p, m):
+    spec = build_field(p, m)
+    naive = naive_coset_profile(spec, [])
+    for G in proper_subfields(spec):
+        assert coset_representatives(spec, G) == [c for d, _, c, _ in naive if d == G.d]
 
 
 def test_coset_representatives_rejects_full_field():

@@ -12,10 +12,11 @@ from fqlab.errors import (
     ZeroInDenominatorSet,
     ZeroShift,
 )
-from fqlab.finite_field import build_field, enumerate_subfields
+from fqlab.finite_field import build_field, enumerate_subfields, parse_descriptor, proper_subfields
 from fqlab.set_algebra import (
     FqSet,
     additive_energy,
+    coset_intersection_counts,
     coset_profile,
     dilate,
     intersection_shift_counts,
@@ -27,8 +28,11 @@ from fqlab.set_algebra import (
     translate,
 )
 from pools import (
+    LARGE_DESCRIPTOR,
+    POOL_DESCRIPTORS,
     draw_set,
     naive_additive_energy,
+    naive_coset_profile,
     naive_multiplicative_energy,
     naive_quotient_set,
     naive_set_op,
@@ -255,6 +259,34 @@ def test_coset_profile_exact_integer_comparisons():
         # verdicts are monotone in kappa
         assert (not prof.overall[1]) or prof.overall[2]
         assert (not prof.overall[2]) or prof.overall[4]
+
+
+@pytest.mark.parametrize("desc", POOL_DESCRIPTORS + (LARGE_DESCRIPTOR,))
+def test_coset_counting_matches_naive_oracle(desc):
+    spec = parse_descriptor(desc)
+    rng = np.random.default_rng([59, spec.q])
+    subfields = proper_subfields(spec)
+    sets = [fqset(spec, 0)]  # meets no coset outside {0}, yet not vacuous off prime fields
+    sets += [draw_set(rng, spec, k, nonzero=nz) for k in (2, 5, 12) for nz in (False, True)]
+    for G in subfields:  # a whole dilate, with and without 0, fails kappa = 1
+        sets += [dilate(G.elements, spec.q - 1), dilate(G.elements, spec.q - 1).nonzero()]
+    other = draw_set(rng, spec, 9)
+    for A in sets:
+        naive = naive_coset_profile(spec, A)
+        for G in subfields:
+            n = (spec.q - 1) // (G.size - 1)
+            rows = [(c, t) for d, _, c, t in naive if d == G.d]
+            counts = coset_intersection_counts(A, G)
+            assert counts.size == len(rows) == n
+            assert all(counts[spec.log_table[c] % n] == t for c, t in rows)
+        for num, den, ref in ((25, 26, A), (50, 53, other)):
+            passes = [(d, c, t, {k: t**2 <= k**2 * g or t**den <= k**den * len(ref)**num
+                                 for k in (1, 2, 4)}) for d, g, c, t in naive]
+            prof = coset_profile(A, num, den, ref, kappas=(1, 2, 4))
+            assert [(e.d, e.rep, e.size, e.passes) for e in prof.entries] == [
+                row for row in passes if row[2] > int(0 in A)]
+            assert prof.overall == {k: all(row[3][k] for row in passes) for k in (1, 2, 4)}
+            assert prof.vacuous == (spec.m == 1) == (not naive)
 
 
 @given(st.integers(2, 60), st.integers(0, 3), st.data())
