@@ -19,6 +19,7 @@ from .errors import (
     DegenerateSlice,
     EmptySet,
     EmptySpectrum,
+    InvariantViolated,
     SumBelowK,
     TraceDegenerate,
     ZeroInSet,
@@ -49,7 +50,8 @@ def _popularity(domain, f, K, M_cap=None):
 
     Returns (kept elements, threshold, kept mass).  The kept mass is always at
     least K/2, and when f <= M_cap the number of kept elements is at least
-    K/(2*M_cap); both guarantees are exact rational facts, asserted here.
+    K/(2*M_cap); both guarantees are exact rational facts, checked here (an
+    f above M_cap breaks the second and raises InvariantViolated).
     """
     elems = sorted(int(x) for x in domain)
     if any(f[x] <= 0 for x in elems):
@@ -60,10 +62,13 @@ def _popularity(domain, f, K, M_cap=None):
     threshold = Fraction(K, 2 * len(elems))
     kept = [x for x in elems if f[x] >= threshold]
     mass = sum(f[x] for x in kept)
-    assert 2 * mass >= K
+    if 2 * mass < K:
+        raise InvariantViolated(f"kept mass {mass} is below K/2 = {K}/2")
     if M_cap is not None:
-        assert all(f[x] <= M_cap for x in elems)
-        assert 2 * M_cap * len(kept) >= K
+        if any(f[x] > M_cap for x in elems):
+            raise InvariantViolated(f"f exceeds M_cap = {M_cap}")
+        if 2 * M_cap * len(kept) < K:
+            raise InvariantViolated(f"{len(kept)} kept elements are below K/(2*M_cap)")
     return kept, threshold, mass
 
 
@@ -233,13 +238,14 @@ def popular_points(sl: DyadicSlice) -> PopularPoints:
     line_x: dict[int, list[int]] = {xi: [] for xi in d_order}
     for x, y in pairs:
         line_x[spec.div(y, x)].append(x)
-    lines_mask = np.zeros((len(d_order), spec.q), dtype=bool)
+    # columns indexed by position in X, where every abscissa of P lies
+    lines_mask = np.zeros((len(d_order), len(sl.X)), dtype=bool)
     for xi, xs in line_x.items():
-        lines_mask[d_index[xi], xs] = True
+        lines_mask[d_index[xi], np.searchsorted(sl.X.members, xs)] = True
     y_order = [int(y) for y in y_popular.members]
-    cols_mask = np.zeros((spec.q, len(y_order)), dtype=bool)
+    cols_mask = np.zeros((len(sl.X), len(y_order)), dtype=bool)
     for j, y in enumerate(y_order):
-        cols_mask[list(by_y[y]), j] = True
+        cols_mask[np.searchsorted(sl.X.members, list(by_y[y])), j] = True
     C = lines_mask.astype(np.int64) @ cols_mask.astype(np.int64)
 
     # the double sum and its exact maximizing cell, smallest (x0, y0) on ties
@@ -337,29 +343,24 @@ def points_certificates(sl: DyadicSlice, pts: PopularPoints) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _greedy_cover(target: FqSet, shifted_tile: np.ndarray):
-    spec = target.spec
-    candidates = np.unique(spec.sub_arr(target.members[:, None], shifted_tile[None, :]).ravel())
-    hits = spec.add_arr(candidates[:, None], shifted_tile[None, :])
+def _greedy_cover(target: FqSet, candidates: np.ndarray, hits: np.ndarray):
     uncovered = target.bitmask.copy()
     shifts = []
     while uncovered.any():
         gains = uncovered[hits].sum(axis=1)
         best = int(np.argmax(gains))  # first maximum = smallest shift
-        assert gains[best] > 0
+        if gains[best] == 0:
+            raise InvariantViolated("no candidate shift covers an uncovered element")
         shifts.append(int(candidates[best]))
         uncovered[hits[best]] = False
     return len(shifts), shifts
 
 
-def _exact_cover(target: FqSet, shifted_tile: np.ndarray):
+def _exact_cover(target: FqSet, candidates: np.ndarray, hits: np.ndarray):
     """Branch-and-bound minimum cover; only used for |target| <= EXACT_SEARCH_LIMIT."""
-    spec = target.spec
     n = len(target)
     bit_of = {int(v): i for i, v in enumerate(target.members)}
     full = (1 << n) - 1
-    candidates = np.unique(spec.sub_arr(target.members[:, None], shifted_tile[None, :]).ravel())
-    hits = spec.add_arr(candidates[:, None], shifted_tile[None, :])
     mask_of: dict[int, int] = {}
     for t, row in zip(candidates, hits):
         mask = 0
@@ -372,7 +373,7 @@ def _exact_cover(target: FqSet, shifted_tile: np.ndarray):
     masks = sorted(mask_of)
     covers_elem = [[m for m in masks if (m >> i) & 1] for i in range(n)]
 
-    best_count, best_shifts = _greedy_cover(target, shifted_tile)
+    best_count, best_shifts = _greedy_cover(target, candidates, hits)
 
     def dfs(covered: int, chosen: list[int]):
         nonlocal best_count, best_shifts
@@ -418,11 +419,12 @@ def covering_number(target: FqSet, tile: FqSet, sign: int | str = +1,
         return 0, []
     spec = target.spec
     shifted_tile = tile.members if sign == 1 else np.sort(spec.neg_arr(tile.members))
-    if mode == "greedy":
-        return _greedy_cover(target, shifted_tile)
+    # every shift t whose translate meets the target, ascending, and its hits
+    candidates = np.unique(spec.sub_arr(target.members[:, None], shifted_tile[None, :]).ravel())
+    hits = spec.add_arr(candidates[:, None], shifted_tile[None, :])
     if mode == "exact" or (mode == "auto" and len(target) <= EXACT_SEARCH_LIMIT):
-        return _exact_cover(target, shifted_tile)
-    return _greedy_cover(target, shifted_tile)
+        return _exact_cover(target, candidates, hits)
+    return _greedy_cover(target, candidates, hits)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +688,8 @@ def _classify(A_input: FqSet, A2: FqSet, alpha: int, sl: DyadicSlice,
             "case4": {"full_field": True, "above_sqrt_q": False}}
     match = [G for G in proper_subfields(spec)
              if G.size == len(R_A) and R_A == G.elements]
-    assert match, "closure held but the quotient set is not a subfield (bug)"
+    if not match:
+        raise InvariantViolated("closure held but the quotient set is not a subfield")
     G0 = match[0]
     max_size = int(coset_intersection_counts(A_input, G0).max())
     sqrt_ok = max_size**2 <= kappa**2 * G0.size

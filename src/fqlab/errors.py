@@ -84,6 +84,11 @@ class ZeroInSet(FqLabError):
     pass
 
 
+class InvariantViolated(FqLabError):
+    """A proof-critical invariant failed; raised explicitly rather than
+    asserted, so the check still runs under python -O."""
+
+
 # lemma oracles
 class NotSubsets(FqLabError):
     pass

@@ -355,9 +355,10 @@ def check_sumset_inequalities(X: FqSet, Bs: list[FqSet], kind: str) -> LemmaRepo
 
 
 def refined_plunnecke_subset(X: FqSet, Bs: list[FqSet], eps) -> LemmaReport:
-    """Search a subset X' of proportion >= 1-eps minimizing |X' + B1 + ... + Bk|;
-    exhaustive up to 12 elements, worst-element removal above.  The achieved
-    ratio against the product bound is reported, never asserted (the constant
+    """Search a subset X' of proportion >= 1-eps minimizing |X' + S|, S = B1 +
+    ... + Bk; exhaustive up to 12 elements, above that greedy removal scored by
+    incremental representation counts, O(|X||S|) per step.  The achieved ratio
+    against the product bound is reported, never asserted (the constant
     depends on eps in an unspecified way)."""
     t0 = time.perf_counter()
     eps = Fraction(eps)
@@ -383,61 +384,60 @@ def refined_plunnecke_subset(X: FqSet, Bs: list[FqSet], eps) -> LemmaReport:
 
 
 def _min_sumset_subset(X: FqSet, S: FqSet, floor: int, mode: str = "auto"):
-    """Minimize |X' + S| over X' of size exactly floor (supersets only grow).
-
-    mode "auto" goes exhaustive at <= EXACT_SEARCH_LIMIT elements and falls
-    back to iterative worst-element removal above; "exhaustive"/"greedy" force
-    one strategy (the greedy result upper-bounds the exhaustive one).
-    """
-    spec = X.spec
-
-    def size_of(sub: np.ndarray) -> int:
-        return int(np.unique(spec.add_arr(sub[:, None], S.members[None, :])).size)
-
-    if mode == "exhaustive" or (mode == "auto" and len(X) <= EXACT_SEARCH_LIMIT):
-        best_sub, best = None, None
-        for comb in combinations(X.members.tolist(), floor):
-            sub = np.array(comb, dtype=np.int64)
-            size = size_of(sub)
-            if best is None or size < best:
-                best_sub, best = sub, size
-        return best_sub, best
-    current = X.members.copy()
-    while current.size > floor:
-        best_i, best_size = 0, None
-        for i in range(current.size):
-            size = size_of(np.delete(current, i))
-            if best_size is None or size < best_size:
-                best_i, best_size = i, size
-        current = np.delete(current, best_i)
-    return current, size_of(current)
+    """Minimize |X' + S| over X' of size exactly floor (supersets only grow); row
+    x + S of the grid X + S has distinct entries, so a greedy step is O(|X||S|)."""
+    grid = X.spec.add_arr(X.members[:, None], S.members[None, :])
+    return _min_subset(X, grid, floor, mode, square=False)
 
 
 def _min_diffset_subset(A: FqSet, floor: int, mode: str = "auto"):
-    """Minimize |A' - A'| over A' of size exactly floor; strategies as in
-    _min_sumset_subset."""
-    spec = A.spec
+    """Minimize |A' - A'| over A' of size exactly floor.  Removing a deletes
+    row and column a of the difference grid, 2|A'| - 1 cells whose values can
+    repeat (a - b = c - a for c = 2a - b, always in characteristic 2); sorting
+    them gives each value's multiplicity, O(|A'|^2 log |A'|) per greedy step."""
+    grid = A.spec.sub_arr(A.members[:, None], A.members[None, :])
+    return _min_subset(A, grid, floor, mode, square=True)
 
-    def diff_size(sub: np.ndarray) -> int:
-        return int(np.unique(spec.sub_arr(sub[:, None], sub[None, :])).size)
 
-    if mode == "exhaustive" or (mode == "auto" and len(A) <= EXACT_SEARCH_LIMIT):
-        best_sub, best = None, None
-        for comb in combinations(A.members.tolist(), floor):
-            sub = np.array(comb, dtype=np.int64)
-            size = diff_size(sub)
-            if best is None or size < best:
-                best_sub, best = sub, size
-        return best_sub, best
-    current = A.members.copy()
-    while current.size > floor:
-        best_i, best_size = 0, None
-        for i in range(current.size):
-            size = diff_size(np.delete(current, i))
-            if best_size is None or size < best_size:
-                best_i, best_size = i, size
-        current = np.delete(current, best_i)
-    return current, diff_size(current)
+def _min_subset(X: FqSet, grid: np.ndarray, floor: int, mode: str, square: bool):
+    """(X', size): the fewest distinct values of `grid` over the rows (and, if
+    square, the columns) of a subset X' of size exactly floor.  mode "auto" goes
+    exhaustive (first minimum in combinations order) at <= EXACT_SEARCH_LIMIT
+    elements, greedy above; "exhaustive"/"greedy" force one.  Greedy keeps each
+    value's representation count over the current subset, scores every removal
+    at once (a value is lost when its count equals its multiplicity among the
+    removed cells), removes the first best in ascending encoding and subtracts
+    its cells from the counts; its result upper-bounds the exhaustive one."""
+    present = np.bincount(grid.ravel(), minlength=X.spec.q) > 0
+    grid = (np.cumsum(present) - 1)[grid]  # dense value labels: counts span the grid only
+
+    def cells(rows):
+        return grid[np.ix_(rows, rows)] if square else grid[rows]
+    n = len(X)
+    if mode == "exhaustive" or (mode == "auto" and n <= EXACT_SEARCH_LIMIT):
+        size, rows = min(((int(np.count_nonzero(np.bincount(cells(list(c)).ravel()))), c)
+                          for c in combinations(range(n), floor)), key=lambda t: t[0])
+        return X.members[list(rows)], size
+    counts = np.bincount(grid.ravel())
+    alive = np.ones(n, dtype=bool)
+    for _ in range(n - floor):
+        rows = np.flatnonzero(alive)
+        killed = cells(rows)  # row k: the grid row of candidate rows[k]
+        if not square:  # distinct within a row: a value is lost when counted once
+            lost = (counts[killed] == 1).sum(axis=1)
+        else:  # add column k; a value is lost when its count equals its run length
+            column = killed.T[~np.eye(rows.size, dtype=bool)].reshape(rows.size, -1)
+            killed = np.sort(np.concatenate([killed, column], axis=1), axis=1)
+            width, flat = killed.shape[1], killed.ravel()
+            starts = np.r_[True, flat[1:] != flat[:-1]]
+            starts[::width] = True
+            pos = np.flatnonzero(starts)
+            lost = np.bincount(pos // width, minlength=rows.size,
+                               weights=counts[flat[pos]] == np.diff(pos, append=flat.size))
+        best = int(np.argmax(lost))  # first maximum = smallest encoding
+        np.subtract.at(counts, killed[best], 1)
+        alive[rows[best]] = False
+    return X.members[alive], int(np.count_nonzero(counts))
 
 
 def basic_shift_subset(A: FqSet, alpha: int = 1) -> LemmaReport:

@@ -134,6 +134,28 @@ def naive_cover_min(spec: FieldSpec, target, tile, sign: int) -> int:
     return best
 
 
+def naive_greedy_min_subset(spec: FieldSpec, members, floor: int, S=None):
+    """Greedy worst-element removal by literal recomputation: repeatedly drop
+    the element whose removal leaves the smallest X' + S (or X' - X' when S is
+    None), the first minimum in ascending encoding, until floor elements
+    remain.  Returns (subset, size)."""
+    current = sorted(members)
+    if S is None:
+        table = {(a, b): arith(spec, "sub", a, b) for a in current for b in current}
+
+        def size(sub):
+            return len({table[a, b] for a in sub for b in sub})
+    else:
+        table = {(x, s): arith(spec, "add", x, s) for x in current for s in S}
+
+        def size(sub):
+            return len({table[x, s] for x in sub for s in S})
+    while len(current) > floor:
+        sizes = [size(current[:i] + current[i + 1:]) for i in range(len(current))]
+        del current[sizes.index(min(sizes))]
+    return current, size(current)
+
+
 def naive_min_expander(spec: FieldSpec, k: int, alpha: int, nonzero: bool) -> int:
     universe = range(1, spec.q) if nonzero else range(spec.q)
     best = None

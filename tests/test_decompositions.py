@@ -362,3 +362,39 @@ def test_popularity_threshold_exactness(seed):
     K = sum(f.values())
     Y = popularity_subset(dom, f, K)
     assert 2 * sum(f[int(y)] for y in Y) >= K
+
+
+def test_trace_at_128_elements_reverifies():
+    from pools import verify_trace_case
+
+    spec = build_field(2, 12)
+    for draw in range(10):
+        rng = np.random.default_rng([128, draw])
+        A = FqSet.from_iterable(spec, rng.choice(np.arange(1, spec.q), 128, replace=False))
+        try:
+            tr = run_proof_trace(A, 1)
+        except TraceDegenerate:
+            continue
+        assert len(tr.a_prime) == 64 and len(tr.a_dprime) >= 47
+        verify_trace_case(tr, spec)
+        return
+    pytest.fail("ten degenerate draws in a row")
+
+
+def test_popularity_invariant_survives_python_O():
+    import os
+    import subprocess
+    import sys
+
+    import fqlab
+
+    script = ("from fqlab.decompositions import _popularity\n"
+              "from fqlab.errors import InvariantViolated\n"
+              "try:\n"
+              "    _popularity([1, 2, 3], {1: 4, 2: 1, 3: 1}, 6, M_cap=2)\n"
+              "except InvariantViolated as exc:\n"
+              "    print(type(exc).__name__, __debug__)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fqlab.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.stdout.split() == ["InvariantViolated", "False"], proc.stderr

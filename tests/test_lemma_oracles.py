@@ -9,7 +9,7 @@ from fqlab.errors import (
     NotSubsets,
     ZeroInSet,
 )
-from fqlab.finite_field import build_field, enumerate_subfields
+from fqlab.finite_field import build_field, enumerate_subfields, parse_descriptor
 from fqlab.lemma_oracles import (
     LEMMA_IDS,
     _min_diffset_subset,
@@ -33,7 +33,7 @@ from fqlab.lemma_oracles import (
     refined_plunnecke_subset,
 )
 from fqlab.set_algebra import FqSet, dilate, quotient_set, set_op, translate
-from pools import draw_set, naive_multiplicative_energy, pool_field
+from pools import draw_set, naive_greedy_min_subset, naive_multiplicative_energy, pool_field
 
 F5 = build_field(5, 1)
 F7 = build_field(7, 1)
@@ -193,6 +193,28 @@ def test_subset_search_modes_agree_small():
             _, exd = _min_diffset_subset(Xn, fl, mode="exhaustive")
             _, grd = _min_diffset_subset(Xn, fl, mode="greedy")
             assert exd <= grd
+
+
+@pytest.mark.parametrize("descriptor", ["2^4", "2^6", "2^10", "3^4", "5^3", "31", "127"])
+def test_greedy_subset_search_matches_naive(descriptor):
+    # the incremental counts against literal recomputation.  A removed
+    # difference x - a repeats as a' - x when a' = 2x - a is in the set: always
+    # in characteristic 2, sometimes for odd p.  In characteristic 3 a - a' is
+    # then a third representation, so only p = 2 and p >= 5 can lose a repeat.
+    spec = parse_descriptor(descriptor)
+    for trial in range(6):
+        rng = np.random.default_rng([31, spec.q, trial])
+        X = draw_set(rng, spec, int(rng.integers(13, min(40, spec.q - 1) + 1)),
+                     nonzero=trial == 0)
+        S = draw_set(rng, spec, int(rng.integers(1, min(30, spec.q) + 1)))
+        S = S.nonzero() if trial == 1 and len(S) > 1 else S.union(fqset(spec, 0))
+        floor = int(rng.integers(1, len(X)))
+        sub, size = _min_sumset_subset(X, S, floor, mode="greedy")
+        assert ([int(v) for v in sub], size) == naive_greedy_min_subset(
+            spec, X.members.tolist(), floor, S.members.tolist())
+        sub, size = _min_diffset_subset(X, floor, mode="greedy")
+        assert ([int(v) for v in sub], size) == naive_greedy_min_subset(
+            spec, X.members.tolist(), floor)
 
 
 def test_basic_shift_subset_small():
