@@ -106,6 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cover.add_argument("--sign", default="+", choices=("+", "-"))
     _common(p_cover)
 
+    for p in sub.choices.values():  # usage errors found after parsing exit 2 as well
+        p.set_defaults(usage_error=p.error)
     return parser
 
 
@@ -156,11 +158,11 @@ def _cmd_energy(args) -> int:
     spec = parse_descriptor(args.field)
     if args.kind == "add":
         if not args.set_:
-            raise SystemExit("energy add requires --set")
+            args.usage_error("energy add requires --set")
         value = additive_energy(FqSet.from_literal(spec, args.set_))
     else:
         if not (args.x and args.y):
-            raise SystemExit("energy mul requires --x and --y")
+            args.usage_error("energy mul requires --x and --y")
         value = multiplicative_energy(FqSet.from_literal(spec, args.x),
                                       FqSet.from_literal(spec, args.y))
     _emit(args, _dumps({"energy": value}) if args.format == "json" else str(value))
@@ -185,7 +187,7 @@ def _single_verify(args):
         return check_sumset_inequalities(one or sets[0], [], "RatioToShift")
     if lemma == "rbcard":
         if args.r is None or len(sets) != 3:
-            raise SystemExit("rbcard needs --r and --sets X;X1;X2")
+            args.usage_error("rbcard needs --r and --sets X;X1;X2")
         return check_rbcard(sets[0], args.r, sets[1], sets[2])
     if lemma == "ruzsa_triangle":
         return check_sumset_inequalities(sets[0], sets[1:], "RuzsaTriangle")
@@ -203,20 +205,20 @@ def _single_verify(args):
         return check_dyadic_energy(sets[0], sets[1])
     if lemma == "rudnev":
         return check_rudnev(sets[0], sets[1])
-    raise SystemExit(f"single-instance mode not supported for {lemma!r}")
+    args.usage_error(f"single-instance mode not supported for {lemma!r}")
 
 
 def _cmd_verify(args) -> int:
     single = args.set_ is not None or args.sets is not None
     if single:
         if not args.field:
-            raise SystemExit("single-instance verify requires --field")
+            args.usage_error("single-instance verify requires --field")
         reports = [_single_verify(args)]
     else:
         lemmas = LEMMA_IDS if args.lemma == "all" else (args.lemma,)
         for lemma in lemmas:
             if lemma not in LEMMA_IDS:
-                raise SystemExit(f"unknown lemma {lemma!r}")
+                args.usage_error(f"unknown lemma {lemma!r}")
         reports = []
         for lemma in lemmas:
             reports.extend(batch_verify(lemma, trials=args.trials, seed=args.seed))
@@ -242,7 +244,7 @@ def _cmd_trace(args) -> int:
     params = TraceParams(kappa=args.kappa)
     if args.set_ is not None:
         if not args.field:
-            raise SystemExit("trace with --set requires --field")
+            args.usage_error("trace with --set requires --field")
         spec = parse_descriptor(args.field)
         traces = [run_proof_trace(FqSet.from_literal(spec, args.set_),
                                   args.alpha, params)]

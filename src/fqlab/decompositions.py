@@ -418,10 +418,10 @@ def covering_number(target: FqSet, tile: FqSet, sign: int | str = +1,
     if len(target) == 0:
         return 0, []
     spec = target.spec
-    shifted_tile = tile.members if sign == 1 else np.sort(spec.neg_arr(tile.members))
+    shifted_tile = tile if sign == 1 else FqSet.from_iterable(spec, spec.neg_arr(tile.members))
     # every shift t whose translate meets the target, ascending, and its hits
-    candidates = np.unique(spec.sub_arr(target.members[:, None], shifted_tile[None, :]).ravel())
-    hits = spec.add_arr(candidates[:, None], shifted_tile[None, :])
+    candidates = set_op(target, shifted_tile, "diff").members
+    hits = spec.add_arr(candidates[:, None], shifted_tile.members[None, :])
     if mode == "exact" or (mode == "auto" and len(target) <= EXACT_SEARCH_LIMIT):
         return _exact_cover(target, candidates, hits)
     return _greedy_cover(target, candidates, hits)

@@ -174,33 +174,22 @@ def _find_generator(p: int, m: int, q: int, modulus) -> int:
 
 
 def _build_tables(p: int, m: int, q: int, modulus, generator: int):
-    """exp/log tables by repeated doubling of the power sequence."""
-    if m == 1:
-        powers = np.ones(1, dtype=np.int64)
-        cur = generator % p
-        while powers.size < q - 1:
-            powers = np.concatenate([powers, (powers * cur) % p])
-            cur = (cur * cur) % p
-        enc = powers[: q - 1]
-    else:
-        # columns of E are digit vectors of successive generator powers;
-        # mulmat is the F_p-linear map "multiply by generator^(current length)"
-        gd = _digits(generator, p, m)
-        cols = []
-        xi = (1,) + (0,) * (m - 1)
-        for _ in range(m):
-            cols.append(_poly_mulmod(gd, xi, modulus, p))
-            xi = _poly_mulmod(xi, (0, 1) + (0,) * (m - 2), modulus, p)
-        mulmat = np.array(cols, dtype=np.int64).T
-        E = np.zeros((m, 1), dtype=np.int64)
-        E[0, 0] = 1
-        block = mulmat
-        while E.shape[1] < q - 1:
-            E = np.concatenate([E, (block @ E) % p], axis=1)
-            block = (block @ block) % p
-        E = E[:, : q - 1]
-        p_pows = np.array([p**i for i in range(m)], dtype=np.int64)
-        enc = p_pows @ E
+    """exp/log tables by repeated doubling of the power sequence: the columns of
+    E are digit vectors of successive generator powers, and block is the F_p-linear
+    map "multiply by generator^(current length)"."""
+    gd = _digits(generator, p, m)
+    cols = []
+    xi = (1,) + (0,) * (m - 1)
+    for _ in range(m):
+        cols.append(_poly_mulmod(gd, xi, modulus, p))
+        xi = _poly_mulmod(xi, (0, 1) + (0,) * (m - 2), modulus, p)
+    block = np.array(cols, dtype=np.int64).T
+    E = np.zeros((m, 1), dtype=np.int64)
+    E[0, 0] = 1
+    while E.shape[1] < q - 1:
+        E = np.concatenate([E, (block @ E) % p], axis=1)
+        block = (block @ block) % p
+    enc = np.array([p**i for i in range(m)], dtype=np.int64) @ E[:, : q - 1]
     hits = np.bincount(enc, minlength=q)
     if hits.size != q or not (hits[1:] == 1).all():
         raise NoIrreducibleFound("generator power table is not a bijection (construction bug)")

@@ -36,6 +36,7 @@ from .decompositions import (
 )
 from .finite_field import FieldSpec, enumerate_subfields, parse_descriptor
 from .set_algebra import (
+    SET_OPS,
     FqSet,
     additive_energy,
     dilate,
@@ -214,19 +215,9 @@ def check_quotient_subfield(X: FqSet) -> LemmaReport:
 
 
 def _closed_under_field_ops(R: FqSet) -> bool:
-    spec = R.spec
-    a = R.members[:, None]
-    b = R.members[None, :]
-    if not R.bitmask[spec.add_arr(a, b)].all():
-        return False
-    if not R.bitmask[spec.sub_arr(a, b)].all():
-        return False
-    if not R.bitmask[spec.mul_arr(a, b)].all():
-        return False
-    nz = R.members[R.members != 0]
-    if nz.size and not R.bitmask[spec.div_arr(R.members[:, None], nz[None, :])].all():
-        return False
-    return True
+    nonzero = R.nonzero()
+    return all(set_op(R, nonzero if kind == "ratio" else R, kind).is_subset(R)
+               for kind in SET_OPS)
 
 
 def _generated_subfield(S: FqSet) -> np.ndarray:
@@ -259,20 +250,18 @@ def find_pivot_r(X: FqSet, threshold_c: Fraction = Fraction(1, 2),
     if len(R) < threshold_c * n * n:
         raise NotApplicable(f"|R(X)| = {len(R)} below {threshold_c} * |X|^2")
     floor = max(1, math.ceil(Fraction(3 * n, 4)))
-    if n <= 10:
-        subsets = [np.array(c, dtype=np.int64)
-                   for c in combinations(X.members.tolist(), floor)]
-    else:
-        rng = np.random.default_rng([seed, n, X.spec.q])
-        subsets = [np.sort(rng.choice(X.members, size=floor, replace=False))
-                   for _ in range(n_random_subsets)]
     spec = X.spec
+    if n <= 10:
+        subsets = [FqSet.from_iterable(spec, c) for c in combinations(X.members.tolist(), floor)]
+    else:
+        rng = np.random.default_rng([seed, n, spec.q])
+        subsets = [FqSet.from_iterable(spec, rng.choice(X.members, size=floor, replace=False))
+                   for _ in range(n_random_subsets)]
     best_r, best_min = None, -1
     for r in (int(v) for v in R.members):
         worst = None
         for sub in subsets:
-            size = np.unique(spec.add_arr(sub[:, None],
-                                          spec.mul_arr(sub, np.int64(r))[None, :])).size
+            size = len(set_op(sub, dilate(sub, r), "sum"))
             worst = size if worst is None else min(worst, size)
         if worst > best_min:
             best_min, best_r = worst, r
@@ -292,10 +281,9 @@ def find_pivot_xi(X1: FqSet, X2: FqSet) -> LemmaReport:
     q = spec.q
     best_xi, best = None, -1
     for xi in range(1, q):
-        size = np.unique(spec.add_arr(
-            X1.members[:, None], spec.mul_arr(X2.members, np.int64(xi))[None, :])).size
+        size = len(set_op(X1, dilate(X2, xi), "sum"))
         if size > best:
-            best, best_xi = int(size), xi
+            best, best_xi = size, xi
     bound = Fraction(len(X1) * len(X2) * (q - 1), len(X1) * len(X2) + q - 1)
     verdict = WITNESS_FOUND if best >= bound else FAIL
     inst = _instance(spec, X1=X1, X2=X2)

@@ -136,27 +136,39 @@ def dilate(A: FqSet, c: int) -> FqSet:
     return FqSet.from_iterable(A.spec, A.spec.mul_arr(A.members, np.int64(c)))
 
 
+def _pair_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
+    """counts[v] = #{(a, b) in A x B : a ∘ b = v} for ∘ = kind, length q.
+
+    sum and diff bincount the add_arr/sub_arr grid; prod and ratio bincount
+    log a ± log b mod (q-1) over the nonzero parts, scatter it into encodings
+    through exp_table[:q-1] and give 0 the closed form |A||B| - |A*||B*|."""
+    spec = A.spec
+    if kind in ("sum", "diff"):
+        op = spec.add_arr if kind == "sum" else spec.sub_arr
+        return np.bincount(op(A.members[:, None], B.members[None, :]).ravel(),
+                           minlength=spec.q)
+    if kind == "ratio" and 0 in B:
+        raise ZeroDivisorInRatio("ratio set needs 0 not in B")
+    a = spec.log_table[A.members[A.members != 0]]
+    b = spec.log_table[B.members[B.members != 0]]
+    logs = (np.add if kind == "prod" else np.subtract).outer(a, b)
+    logs %= spec.q - 1
+    counts = np.zeros(spec.q, dtype=np.int64)
+    counts[spec.exp_table[: spec.q - 1]] = np.bincount(logs.ravel(), minlength=spec.q - 1)
+    counts[0] = len(A) * len(B) - a.size * b.size
+    return counts
+
+
 def set_op(A: FqSet, B: FqSet, kind: str) -> FqSet:
-    """Exact pairwise sum/diff/prod/ratio set of A and B."""
+    """Exact pairwise sum/diff/prod/ratio set of A and B: the support, ascending,
+    of ``_pair_counts`` (a bincount of the grid for sum and diff, of the log
+    residues for prod and ratio).  An empty operand gives the empty set."""
     _require_same_field(A, B)
     if kind not in SET_OPS:
         raise ValueError(f"unknown set op {kind!r}, expected one of {SET_OPS}")
     if len(A) == 0 or len(B) == 0:
         return FqSet.from_iterable(A.spec, ())
-    a = A.members[:, None]
-    b = B.members[None, :]
-    spec = A.spec
-    if kind == "sum":
-        grid = spec.add_arr(a, b)
-    elif kind == "diff":
-        grid = spec.sub_arr(a, b)
-    elif kind == "prod":
-        grid = spec.mul_arr(a, b)
-    else:
-        if 0 in B:
-            raise ZeroDivisorInRatio("ratio set needs 0 not in B")
-        grid = spec.div_arr(a, b)
-    return FqSet._from_sorted(spec, np.unique(grid.ravel()))
+    return FqSet._from_sorted(A.spec, np.flatnonzero(_pair_counts(A, B, kind)))
 
 
 def shifted_product(A: FqSet, alpha: int) -> FqSet:
@@ -194,12 +206,8 @@ class RepSpectrum:
 def representation_spectrum(X: FqSet, Y: FqSet) -> RepSpectrum:
     if 0 in X:
         raise ZeroInDenominatorSet("denominator set must avoid 0")
-    if len(X) == 0 or len(Y) == 0:
-        return RepSpectrum(counts={}, total=0, energy=0)
-    ratios = X.spec.div_arr(Y.members[None, :], X.members[:, None]).ravel()
-    binned = np.bincount(ratios, minlength=X.spec.q)
-    support = np.flatnonzero(binned)
-    counts = {int(xi): int(binned[xi]) for xi in support}
+    binned = _pair_counts(Y, X, "ratio")
+    counts = {int(xi): int(binned[xi]) for xi in np.flatnonzero(binned)}
     # counts are <= q <= 2^20 and there are <= q of them, so int64 cannot overflow
     return RepSpectrum(counts=counts,
                        total=int(binned.sum()),
@@ -208,8 +216,7 @@ def representation_spectrum(X: FqSet, Y: FqSet) -> RepSpectrum:
 
 def sum_representation_counts(A: FqSet) -> np.ndarray:
     """counts[s] = #{(a1, a2) in A^2 : a1 + a2 = s}, length q."""
-    sums = A.spec.add_arr(A.members[:, None], A.members[None, :]).ravel()
-    return np.bincount(sums, minlength=A.spec.q)
+    return _pair_counts(A, A, "sum")
 
 
 def additive_energy(A: FqSet) -> int:
@@ -242,8 +249,7 @@ def intersection_shift_counts(A: FqSet) -> np.ndarray:
     Summed over the difference set this gives |A|^2, and the sum of squares
     gives the additive energy.
     """
-    diffs = A.spec.sub_arr(A.members[:, None], A.members[None, :]).ravel()
-    return np.bincount(diffs, minlength=A.spec.q)
+    return _pair_counts(A, A, "diff")
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
+    InvariantViolated,
     IoFailure,
     NoProperSubfield,
     SetTooSmall,
@@ -209,7 +210,7 @@ def corollary_record(A: FqSet, alpha: int, sampler: str = "explicit",
                      seed: int = 0) -> CorollaryRecord:
     """|A ∩ (A-alpha)|, |AA| and E+(A) with the intersection curve.
 
-    Two constant-free facts are asserted on every record: the energy is at most
+    Two constant-free facts are checked on every record: the energy is at most
     |A|^2 times the largest difference-representation count (the maximum runs
     over the whole difference set; restricted to nonzero shifts the statement
     only holds up to a constant and is reported as a ratio), and S = A ∩ (A-a)
@@ -226,7 +227,8 @@ def corollary_record(A: FqSet, alpha: int, sampler: str = "explicit",
     energy = additive_energy(A)
 
     max_all = int(counts.max())
-    assert energy <= len(A) ** 2 * max_all, "difference-count chain violated (bug)"
+    if energy > len(A) ** 2 * max_all:
+        raise InvariantViolated(f"energy {energy} exceeds |A|^2 * {max_all}")
     nonzero_max = int(np.delete(counts, 0).max()) if spec.q > 1 else 0
     restricted = (energy / (len(A) ** 2 * nonzero_max)) if nonzero_max else None
 
@@ -234,8 +236,10 @@ def corollary_record(A: FqSet, alpha: int, sampler: str = "explicit",
     chain_pass = True
     if len(S):
         S_shift = translate(S, alpha)
-        assert S.is_subset(A) and S_shift.is_subset(A)
-        assert len(set_op(S, S_shift, "prod")) <= len(prod), "subset product chain violated (bug)"
+        if not (S.is_subset(A) and S_shift.is_subset(A)):
+            raise InvariantViolated("A ∩ (A - alpha) or its shift by alpha leaves A")
+        if len(set_op(S, S_shift, "prod")) > len(prod):
+            raise InvariantViolated("the subset product S(S + alpha) outgrows AA")
 
     profile = coset_profile(A, 50, 53, prod)
     return CorollaryRecord(

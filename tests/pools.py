@@ -56,6 +56,16 @@ def naive_set_op(spec: FieldSpec, A, B, kind: str) -> list[int]:
     return sorted(out)
 
 
+def naive_pair_counts(spec: FieldSpec, A, B, kind: str) -> list[int]:
+    """counts[v] = #{(a, b) in A x B : a ∘ b = v} for ∘ = kind, length q."""
+    op = {"sum": "add", "diff": "sub", "prod": "mul", "ratio": "div"}[kind]
+    counts = [0] * spec.q
+    for a in A:
+        for b in B:
+            counts[arith(spec, op, a, b)] += 1
+    return counts
+
+
 def naive_shifted_product(spec: FieldSpec, A, alpha: int) -> list[int]:
     return sorted({arith(spec, "mul", a, arith(spec, "add", b, alpha))
                    for a in A for b in A})

@@ -121,6 +121,19 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("energy", "add", "--field", "7^1"),
+    ("verify", "rbcard", "--field", "7^1", "--sets", "1,2,3;1;2"),
+    ("trace", "--set", "1,2,4"),
+    ("verify", "rbfq", "--set", "0,1,2"),
+])
+def test_usage_errors_found_after_parsing_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     path = str(tmp_path / "dump.json")
     code, out, _ = run_cli(capsys, "field", "3^2", "--format", "json", "--out", path)

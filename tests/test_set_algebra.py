@@ -14,6 +14,7 @@ from fqlab.errors import (
 )
 from fqlab.finite_field import build_field, enumerate_subfields, parse_descriptor, proper_subfields
 from fqlab.set_algebra import (
+    SET_OPS,
     FqSet,
     additive_energy,
     coset_intersection_counts,
@@ -25,6 +26,7 @@ from fqlab.set_algebra import (
     representation_spectrum,
     set_op,
     shifted_product,
+    sum_representation_counts,
     translate,
 )
 from pools import (
@@ -34,6 +36,7 @@ from pools import (
     naive_additive_energy,
     naive_coset_profile,
     naive_multiplicative_energy,
+    naive_pair_counts,
     naive_quotient_set,
     naive_set_op,
     pool_field,
@@ -89,6 +92,40 @@ def test_set_op_matches_naive_oracle_randomized():
         assert list(got) == naive_set_op(spec, list(A), list(B), kind)
         checks += 1
     assert checks >= 900
+
+
+@pytest.mark.parametrize("desc", ("2^1",) + POOL_DESCRIPTORS + (LARGE_DESCRIPTOR,))
+def test_pair_counts_match_naive_oracle(desc):
+    spec = parse_descriptor(desc)
+    rng = np.random.default_rng([71, spec.q])
+    small, large = (draw_set(rng, spec, k, nonzero=True) for k in (2, 9))
+    zero = fqset(spec, 0)
+    sets = [zero, fqset(spec, 1), draw_set(rng, spec, 1, nonzero=True),
+            small, small.union(zero), large, large.union(zero)]
+    for A in sets:
+        assert list(sum_representation_counts(A)) == naive_pair_counts(spec, A, A, "sum")
+        assert list(intersection_shift_counts(A)) == naive_pair_counts(spec, A, A, "diff")
+        for B in sets:
+            for kind in SET_OPS:
+                if kind == "ratio" and 0 in B:
+                    with pytest.raises(ZeroDivisorInRatio):
+                        set_op(A, B, kind)
+                    continue
+                counts = naive_pair_counts(spec, A, B, kind)
+                assert list(set_op(A, B, kind)) == [v for v, c in enumerate(counts) if c]
+            if 0 not in A:  # r(xi) = #{(x, y) in A x B : y/x = xi}
+                counts = naive_pair_counts(spec, B, A, "ratio")
+                rep = representation_spectrum(A, B)
+                assert rep.counts == {v: c for v, c in enumerate(counts) if c}
+                assert (rep.total, rep.energy) == (sum(counts), sum(c * c for c in counts))
+
+
+def test_set_op_with_an_empty_operand_is_empty():
+    empty = FqSet.from_iterable(F7, ())
+    assert set_op(empty, fqset(F7, 0, 1), "ratio") == empty
+    for kind in SET_OPS:
+        assert set_op(fqset(F7, 1), empty, kind) == empty
+        assert set_op(empty, fqset(F7, 1), kind) == empty
 
 
 def test_shifted_product_examples():

@@ -118,6 +118,29 @@ def test_corollary_chain_randomized():
         assert rec.chain_pass
 
 
+def test_corollary_invariant_survives_python_O():
+    import os
+    import subprocess
+    import sys
+
+    import fqlab
+
+    # E+(A) <= |A|^2 * max_alpha |A ∩ (A - alpha)| <= |A|^3, so |A|^3 + 1 breaks it
+    script = ("import fqlab.survey as survey\n"
+              "from fqlab.errors import InvariantViolated\n"
+              "from fqlab.finite_field import build_field\n"
+              "from fqlab.set_algebra import FqSet\n"
+              "survey.additive_energy = lambda A: len(A) ** 3 + 1\n"
+              "try:\n"
+              "    survey.corollary_record(FqSet.from_iterable(build_field(7, 1), [1, 2, 4]), 1)\n"
+              "except InvariantViolated as exc:\n"
+              "    print(type(exc).__name__, __debug__)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fqlab.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.stdout.split() == ["InvariantViolated", "False"], proc.stderr
+
+
 def test_exhaustive_min_expander_small():
     best, argmins = exhaustive_min_expander(F5, 2, nonzero_only=True)
     assert best == 3 == naive_min_expander(F5, 2, 1, True)
