@@ -169,24 +169,40 @@ def _cmd_energy(args) -> int:
     return 0
 
 
+# how many sets each single-instance lemma takes: (fewest, most); --set gives one
+_SET_COUNTS = {
+    "rbfq": (1, 1), "quotient_subfield": (1, 1), "pivot": (1, 1),
+    "basic_shift_bound": (1, 1), "ratio_to_shift": (1, 1), "rbcard": (3, 3),
+    "ruzsa_triangle": (3, 3), "plunnecke": (2, None), "plunnecke_refined": (2, None),
+    "bou_glib_pivot": (2, 2), "energy_identities": (2, 2), "energy_cs": (2, 2),
+    "dyadic_energy": (2, 2), "rudnev": (2, 2),
+}
+
+
 def _single_verify(args):
-    spec = parse_descriptor(args.field)
     lemma = args.lemma
-    sets = [FqSet.from_literal(spec, lit) for lit in args.sets.split(";")] \
-        if args.sets else []
-    one = FqSet.from_literal(spec, args.set_) if args.set_ else None
+    if lemma not in _SET_COUNTS:
+        args.usage_error(f"single-instance mode not supported for {lemma!r}")
+    lits = [args.set_] if args.set_ else args.sets.split(";") if args.sets else []
+    fewest, most = _SET_COUNTS[lemma]
+    if len(lits) < fewest or (most is not None and len(lits) > most):
+        wanted = fewest if fewest == most else f"at least {fewest}"
+        args.usage_error(f"{lemma} takes {wanted} set(s) (--set X or --sets X;Y;...), "
+                         f"got {len(lits)}")
+    spec = parse_descriptor(args.field)
+    sets = [FqSet.from_literal(spec, lit) for lit in lits]
     if lemma == "rbfq":
-        return check_rbfq(one or sets[0])
+        return check_rbfq(sets[0])
     if lemma == "quotient_subfield":
-        return check_quotient_subfield(one or sets[0])
+        return check_quotient_subfield(sets[0])
     if lemma == "pivot":
-        return find_pivot_r(one or sets[0])
+        return find_pivot_r(sets[0])
     if lemma == "basic_shift_bound":
-        return basic_shift_subset(one or sets[0], alpha=args.alpha)
+        return basic_shift_subset(sets[0], alpha=args.alpha)
     if lemma == "ratio_to_shift":
-        return check_sumset_inequalities(one or sets[0], [], "RatioToShift")
+        return check_sumset_inequalities(sets[0], [], "RatioToShift")
     if lemma == "rbcard":
-        if args.r is None or len(sets) != 3:
+        if args.r is None:
             args.usage_error("rbcard needs --r and --sets X;X1;X2")
         return check_rbcard(sets[0], args.r, sets[1], sets[2])
     if lemma == "ruzsa_triangle":
@@ -203,9 +219,7 @@ def _single_verify(args):
         return check_energy_cs(sets[0], sets[1])
     if lemma == "dyadic_energy":
         return check_dyadic_energy(sets[0], sets[1])
-    if lemma == "rudnev":
-        return check_rudnev(sets[0], sets[1])
-    args.usage_error(f"single-instance mode not supported for {lemma!r}")
+    return check_rudnev(sets[0], sets[1])
 
 
 def _cmd_verify(args) -> int:

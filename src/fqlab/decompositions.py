@@ -45,39 +45,51 @@ EXACT_SEARCH_LIMIT = 12  # subset/cover searches go exhaustive at or below this 
 # ---------------------------------------------------------------------------
 
 
-def _popularity(domain, f, K, M_cap=None):
-    """Core of the popularity pigeonhole: keep x with f(x) >= K/(2|domain|).
+def _popularity(keys, counts, K, M_cap=None):
+    """Core of the popularity pigeonhole: keep the keys whose count f reaches
+    K/(2|domain|), compared exactly as 2*|domain|*f >= K.
 
-    Returns (kept elements, threshold, kept mass).  The kept mass is always at
-    least K/2, and when f <= M_cap the number of kept elements is at least
-    K/(2*M_cap); both guarantees are exact rational facts, checked here (an
-    f above M_cap breaks the second and raises InvariantViolated).
+    keys is the domain in ascending order and counts holds f on it.  Returns
+    (kept keys, threshold, kept mass).  The kept mass is always at least K/2,
+    and when f <= M_cap the number of kept keys is at least K/(2*M_cap); both
+    guarantees are exact integer facts, checked here (an f above M_cap breaks
+    the second and raises InvariantViolated).
     """
-    elems = sorted(int(x) for x in domain)
-    if any(f[x] <= 0 for x in elems):
+    keys, counts = np.asarray(keys), np.asarray(counts)
+    if (counts <= 0).any():
         raise ValueError("popularity requires f > 0 on the domain")
-    total = sum(f[x] for x in elems)
+    total = int(counts.sum())
     if total < K:
         raise SumBelowK(f"sum of f is {total} < K = {K}")
-    threshold = Fraction(K, 2 * len(elems))
-    kept = [x for x in elems if f[x] >= threshold]
-    mass = sum(f[x] for x in kept)
+    keep = 2 * len(keys) * counts >= K
+    mass = int(counts[keep].sum())
     if 2 * mass < K:
         raise InvariantViolated(f"kept mass {mass} is below K/2 = {K}/2")
     if M_cap is not None:
-        if any(f[x] > M_cap for x in elems):
+        if (counts > M_cap).any():
             raise InvariantViolated(f"f exceeds M_cap = {M_cap}")
-        if 2 * M_cap * len(kept) < K:
-            raise InvariantViolated(f"{len(kept)} kept elements are below K/(2*M_cap)")
-    return kept, threshold, mass
+        if 2 * M_cap * int(keep.sum()) < K:
+            raise InvariantViolated(f"{int(keep.sum())} kept elements are below K/(2*M_cap)")
+    return keys[keep], Fraction(K, 2 * len(keys)), mass
 
 
 def popularity_subset(domain: FqSet, f: dict[int, int], K: int,
                       M_cap: int | None = None) -> FqSet:
     """Subset of elements whose f-value reaches K/(2|domain|); keeps at least
-    half the total mass.  Threshold comparison is exact rational."""
-    kept, _, _ = _popularity(domain, f, K, M_cap)
+    half the total mass.  Threshold comparison is exact."""
+    counts = [f[x] for x in domain]
+    kept, _, _ = _popularity(domain.members, counts, K, M_cap)
     return FqSet.from_iterable(domain.spec, kept)
+
+
+def _pigeonhole(counts: np.ndarray, K: int, capped: bool = False):
+    """One pigeonhole step over the positions with a positive count.  Returns
+    (kept positions, threshold, kept mass, domain size, cap), the cap being the
+    largest count when `capped` (else None)."""
+    hit = np.flatnonzero(counts)
+    cap = int(counts.max()) if capped else None
+    kept, threshold, mass = _popularity(hit, counts[hit], K, M_cap=cap)
+    return kept, threshold, mass, len(hit), cap
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +184,9 @@ class PopularPoints:
     ordinates over x0 and B_y0 the abscissas under y0.  For every z in A_tilde
     the stored S[z] equals the line of slope z/x0 intersected with B_y0, and
     the thresholds in `constants` reproduce the inequality chain exactly: each
-    pigeonhole step keeps half the mass.
+    pigeonhole step keeps half the mass.  Every count behind them is a
+    bincount or a 0/1 matrix product over the slice's pairs (see
+    `popular_points`), never a list of the pairs per row, column or line.
     """
 
     x0: int
@@ -195,113 +209,81 @@ C_SLICE_SETS = Fraction(1, 8192)  # |S_z| >= c * L^2*N^3 / (|X|^2 |Y|^2)
 
 
 def popular_points(sl: DyadicSlice) -> PopularPoints:
+    """Popular-point extraction over the slice's pairs, by counting.
+
+    Each pair (x, y) gets three indices, computed once: its line (position of
+    y/x in D), column (position of x in X) and row (position of y in Y).  The
+    pigeonhole steps are bincounts over masks of pairs: rows count `row`;
+    columns count `col` over the pairs in popular rows; slopes count `line`
+    over the pairs in popular rows and columns.  With `lines` the 0/1
+    (line, x) incidence and `points` the 0/1 (x, y) incidence of the pairs,
+    C = lines @ points[:, popular rows] gives C[l, j] = |P_l ∩ X_(y_j)|, and
+    the double sum over (x, y) in x_popular × y_popular is lines[:, popular
+    columns].T @ C; its first row-major maximum is the smallest (x0, y0) on
+    ties.  The last step reads column y0 of C at the lines of the pairs over
+    x0: the number of pairs on each such line whose x lies in B_y0.
+    """
     if sl.L == 0 or sl.pairs.size == 0:
         raise DegenerateSlice("slice has no popular slopes")
     spec = sl.X.spec
-    pairs = [(int(x), int(y)) for x, y in sl.pairs]
-    p_size = len(pairs)
+    xs, ys = sl.pairs[:, 0], sl.pairs[:, 1]
+    line = np.searchsorted(sl.D.members, spec.div_arr(ys, xs))
+    col = np.searchsorted(sl.X.members, xs)
+    row = np.searchsorted(sl.Y.members, ys)
+    p_size = len(xs)
 
-    by_y: dict[int, set[int]] = {}
-    by_x: dict[int, set[int]] = {}
-    for x, y in pairs:
-        by_y.setdefault(y, set()).add(x)
-        by_x.setdefault(x, set()).add(y)
-
-    # rows: keep ordinates whose line count reaches half the average
-    ydom = FqSet.from_iterable(spec, by_y)
-    f_rows = {y: len(xs) for y, xs in by_y.items()}
-    rows_kept, t_rows, mass_rows = _popularity(ydom, f_rows, p_size)
-    y_popular = FqSet.from_iterable(spec, rows_kept)
+    # rows: keep ordinates whose pair count reaches half the average
+    rows, t_rows, mass_rows, row_domain, _ = _pigeonhole(
+        np.bincount(row, minlength=len(sl.Y)), p_size)
+    y_popular = FqSet.from_iterable(spec, sl.Y.members[rows])
+    in_rows = y_popular.bitmask[ys]
 
     # columns: restrict to the kept rows, then pigeonhole abscissas
-    f_cols = {x: sum(1 for y in ys if y in y_popular) for x, ys in by_x.items()}
-    f_cols = {x: c for x, c in f_cols.items() if c > 0}
-    xdom = FqSet.from_iterable(spec, f_cols)
-    cols_kept, t_cols, mass_cols = _popularity(xdom, f_cols, mass_rows)
-    x_popular = FqSet.from_iterable(spec, cols_kept)
+    cols, t_cols, mass_cols, col_domain, _ = _pigeonhole(
+        np.bincount(col[in_rows], minlength=len(sl.X)), mass_rows)
+    x_popular = FqSet.from_iterable(spec, sl.X.members[cols])
+    in_cols = x_popular.bitmask[xs]
 
     # slopes: pigeonhole the doubly-restricted point set by its lines
-    f_slopes: dict[int, int] = {}
-    for x, y in pairs:
-        if x in x_popular and y in y_popular:
-            xi = spec.div(y, x)
-            f_slopes[xi] = f_slopes.get(xi, 0) + 1
-    ddom = FqSet.from_iterable(spec, f_slopes)
-    mass_dd = sum(f_slopes.values())
-    slope_cap = max(f_slopes.values())
-    slopes_kept, t_slopes, _ = _popularity(ddom, f_slopes, mass_dd, M_cap=slope_cap)
-    d_popular = FqSet.from_iterable(spec, slopes_kept)
-
-    # line/column incidence counts: C[i, j] = |P_(xi_i) ∩ X_(y_j)|
-    d_order = [int(xi) for xi in sl.D.members]
-    d_index = {xi: i for i, xi in enumerate(d_order)}
-    line_x: dict[int, list[int]] = {xi: [] for xi in d_order}
-    for x, y in pairs:
-        line_x[spec.div(y, x)].append(x)
-    # columns indexed by position in X, where every abscissa of P lies
-    lines_mask = np.zeros((len(d_order), len(sl.X)), dtype=bool)
-    for xi, xs in line_x.items():
-        lines_mask[d_index[xi], np.searchsorted(sl.X.members, xs)] = True
-    y_order = [int(y) for y in y_popular.members]
-    cols_mask = np.zeros((len(sl.X), len(y_order)), dtype=bool)
-    for j, y in enumerate(y_order):
-        cols_mask[np.searchsorted(sl.X.members, list(by_y[y])), j] = True
-    C = lines_mask.astype(np.int64) @ cols_mask.astype(np.int64)
+    slope_counts = np.bincount(line[in_rows & in_cols], minlength=sl.L)
+    mass_dd = int(slope_counts.sum())
+    slopes, t_slopes, _, slope_domain, slope_cap = _pigeonhole(
+        slope_counts, mass_dd, capped=True)
+    d_popular = FqSet.from_iterable(spec, sl.D.members[slopes])
 
     # the double sum and its exact maximizing cell, smallest (x0, y0) on ties
-    sigma = 0
-    best = (-1, None, None)
-    for x in (int(v) for v in x_popular.members):
-        idxs = [d_index[spec.div(z, x)] for z in sorted(by_x[x])]
-        row = C[idxs, :].sum(axis=0)
-        sigma += int(row.sum())
-        j = int(np.argmax(row))
-        if int(row[j]) > best[0]:
-            best = (int(row[j]), x, y_order[j])
-    inner_max, x0, y0 = best
+    lines = np.zeros((sl.L, len(sl.X)), dtype=np.int64)
+    lines[line, col] = 1
+    points = np.zeros((len(sl.X), len(sl.Y)), dtype=np.int64)
+    points[col, row] = 1
+    C = lines @ points[:, rows]
+    sums = lines[:, cols].T @ C
+    i, j = np.unravel_index(int(np.argmax(sums)), sums.shape)
+    x0, y0 = int(sl.X.members[cols[i]]), int(sl.Y.members[rows[j]])
+    inner_max, sigma = int(sums[i, j]), int(sums.sum())
 
-    A_x0 = FqSet.from_iterable(spec, by_x[x0])
-    B_y0 = FqSet.from_iterable(spec, by_y[y0])
+    over_x0 = xs == x0
+    A_x0 = FqSet.from_iterable(spec, ys[over_x0])
+    B_y0 = FqSet.from_iterable(spec, xs[ys == y0])
 
     # final pigeonhole: ordinates over x0 whose slice set inside B_y0 is popular
-    f_z = {}
-    for z in sorted(by_x[x0]):
-        size = sum(1 for x in line_x[spec.div(z, x0)] if x in B_y0)
-        if size > 0:
-            f_z[z] = size
-    zdom = FqSet.from_iterable(spec, f_z)
-    z_cap = max(f_z.values())
-    z_kept, t_z, _ = _popularity(zdom, f_z, inner_max, M_cap=z_cap)
-    A_tilde = FqSet.from_iterable(spec, z_kept)
-    S = {
-        z: FqSet.from_iterable(spec, (x for x in line_x[spec.div(z, x0)] if x in B_y0))
-        for z in z_kept
-    }
+    z_lines = line[over_x0]
+    tilde, t_z, _, z_domain, z_cap = _pigeonhole(C[z_lines, j], inner_max, capped=True)
+    A_tilde = FqSet.from_iterable(spec, ys[over_x0][tilde])
+    on_B = B_y0.bitmask[xs]
+    S = {int(z): FqSet.from_iterable(spec, xs[on_B & (line == l)])
+         for z, l in zip(A_tilde.members, z_lines[tilde])}
 
     constants = {
         "p_size": p_size,
-        "row_threshold": t_rows,
-        "row_domain": len(ydom),
-        "row_mass": mass_rows,
-        "col_threshold": t_cols,
-        "col_domain": len(xdom),
-        "col_mass": mass_cols,
-        "slope_threshold": t_slopes,
-        "slope_domain": len(ddom),
-        "slope_cap": slope_cap,
-        "slope_mass": mass_dd,
-        "d_popular_size": len(d_popular),
-        "sigma": sigma,
-        "inner_max": inner_max,
-        "tilde_threshold": t_z,
-        "tilde_domain": len(zdom),
-        "tilde_cap": z_cap,
-        "pigeonhole_factor": Fraction(1, 2),
-        "pigeonhole_steps": 4,
-        "c_rows": C_ROWS,
-        "c_cols": C_COLS,
-        "c_tilde": C_TILDE,
-        "c_slice_sets": C_SLICE_SETS,
+        "row_threshold": t_rows, "row_domain": row_domain, "row_mass": mass_rows,
+        "col_threshold": t_cols, "col_domain": col_domain, "col_mass": mass_cols,
+        "slope_threshold": t_slopes, "slope_domain": slope_domain, "slope_cap": slope_cap,
+        "slope_mass": mass_dd, "d_popular_size": len(d_popular),
+        "sigma": sigma, "inner_max": inner_max,
+        "tilde_threshold": t_z, "tilde_domain": z_domain, "tilde_cap": z_cap,
+        "pigeonhole_factor": Fraction(1, 2), "pigeonhole_steps": 4,
+        "c_rows": C_ROWS, "c_cols": C_COLS, "c_tilde": C_TILDE, "c_slice_sets": C_SLICE_SETS,
     }
     return PopularPoints(x0=x0, y0=y0, A_x0=A_x0, B_y0=B_y0, A_tilde=A_tilde, S=S,
                          y_popular=y_popular, x_popular=x_popular, d_popular=d_popular,
@@ -603,7 +585,8 @@ def run_proof_trace(A: FqSet, alpha: int, params: TraceParams = TraceParams()) -
     certificates.update(case_certs)
 
     if params.measure_covers:
-        certificates["covers"] = _measure_covers(A2, alpha, sl, pts, gamma, case, witnesses)
+        certificates["covers"] = _measure_covers(A2, len(shifted), sl, pts, gamma, case,
+                                                   witnesses)
 
     return ProofTrace(
         field=spec.descriptor,
@@ -703,14 +686,14 @@ def _classify(A_input: FqSet, A2: FqSet, alpha: int, sl: DyadicSlice,
                   "exponent_condition": cond, "kappa": kappa}}
 
 
-def _measure_covers(A2: FqSet, alpha: int, sl: DyadicSlice, pts: PopularPoints,
+def _measure_covers(A2: FqSet, shifted_size: int, sl: DyadicSlice, pts: PopularPoints,
                     gamma: Fraction, case: str, witnesses: dict):
     """Measured covering counts for the translate families the active branch
-    uses; the asymptotic covering bound carries an unknown constant, so counts
-    and curves are reported side by side, never asserted."""
+    uses, with shifted_size = |A2(A2+alpha)|; the asymptotic covering bound
+    carries an unknown constant, so counts and curves are reported side by
+    side, never asserted."""
     spec = A2.spec
-    shifted = shifted_product(A2, alpha)
-    s4 = len(shifted) ** 4
+    s4 = shifted_size**4
     n2 = len(A2)
     L, N, M = sl.L, sl.N, sl.M
     tile_x = dilate(A2, pts.x0)
@@ -737,8 +720,7 @@ def _measure_covers(A2: FqSet, alpha: int, sl: DyadicSlice, pts: PopularPoints,
             sign = -1 if i == len(sample) - 1 else +1
             measure(f"w={w}*A_tilde", dilate(pts.A_tilde, w), tile_y, sign, gamma)
     elif case == "2":
-        _, b, c, d = witnesses["quadruple"]
-        a = witnesses["quadruple"][0]
+        a, b, c, d = witnesses["quadruple"]
         curve_b = Fraction(s4, L * N**3)
         measure(f"w={c}*B_y0", dilate(pts.B_y0, c), tile_x, +1, curve_b)
         measure(f"w={d}*B_y0", dilate(pts.B_y0, d), tile_x, +1, curve_b)
@@ -754,9 +736,8 @@ def _measure_covers(A2: FqSet, alpha: int, sl: DyadicSlice, pts: PopularPoints,
             if S_d is not None and len(S_d):
                 measure(f"w={e}*S_d", dilate(S_d, e), tile_x, +1,
                         Fraction(n2**3 * s4, L * M * N**3))
-            line = FqSet.from_iterable(
-                spec, (x for x, y in ((int(px), int(py)) for px, py in sl.pairs)
-                       if spec.div(y, x) == spec.div(c, pts.x0)))
+            slopes = spec.div_arr(sl.pairs[:, 1], sl.pairs[:, 0])
+            line = FqSet.from_iterable(spec, sl.pairs[slopes == spec.div(c, pts.x0), 0])
             if len(line):
                 measure(f"w={b}*P_line", dilate(line, b), tile_x, -1,
                         Fraction(s4, n2 * N**3))

@@ -22,6 +22,10 @@ class FieldTooLarge(FqLabError):
     pass
 
 
+class InvalidCap(FqLabError, ValueError):
+    """The FQLAB_CAP override is not a power of two in [2, 2^24]."""
+
+
 class NoIrreducibleFound(FqLabError):
     """Internal: the modulus search failed, which indicates a construction bug."""
 
@@ -35,6 +39,14 @@ class NotProperSubfield(FqLabError):
 
 
 # set algebra
+class MalformedLiteral(FqLabError, ValueError):
+    """A set literal holds a token that is not an integer encoding."""
+
+
+class ElementOutOfRange(FqLabError, ValueError):
+    """An element encoding lies outside [0, q)."""
+
+
 class MixedFields(FqLabError):
     pass
 

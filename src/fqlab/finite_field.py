@@ -19,6 +19,7 @@ from .errors import (
     DegreeZero,
     DivisionByZero,
     FieldTooLarge,
+    InvalidCap,
     NoIrreducibleFound,
     NotPrime,
     NotProperSubfield,
@@ -35,9 +36,12 @@ def field_cap() -> int:
     raw = os.environ.get(CAP_ENV_VAR)
     if raw is None:
         return DEFAULT_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0  # not an integer: rejected with the rest below
     if cap < 2 or cap > (1 << 24) or cap & (cap - 1):
-        raise ValueError(f"{CAP_ENV_VAR} must be a power of two <= 2^24, got {raw!r}")
+        raise InvalidCap(f"{CAP_ENV_VAR} must be a power of two <= 2^24, got {raw!r}")
     return cap
 
 

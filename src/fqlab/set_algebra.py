@@ -14,8 +14,10 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import (
+    ElementOutOfRange,
     EmptyAfterZeroStrip,
     EmptySet,
+    MalformedLiteral,
     MixedFields,
     SetTooSmall,
     ZeroDivisorInRatio,
@@ -41,7 +43,7 @@ class FqSet:
     def from_iterable(cls, spec: FieldSpec, values: Iterable[int]) -> "FqSet":
         members = np.unique(np.asarray(list(values), dtype=np.int64))
         if members.size and (members[0] < 0 or members[-1] >= spec.q):
-            raise ValueError(f"element out of range [0, {spec.q})")
+            raise ElementOutOfRange(f"element out of range [0, {spec.q})")
         return cls._from_sorted(spec, members)
 
     @classmethod
@@ -55,8 +57,11 @@ class FqSet:
     @classmethod
     def from_literal(cls, spec: FieldSpec, text: str) -> "FqSet":
         """Parse the comma-separated encoding literal, e.g. "0,1,5"."""
-        text = text.strip()
-        values = [int(tok) for tok in text.split(",") if tok.strip()] if text else []
+        tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+        try:
+            values = [int(tok) for tok in tokens]
+        except ValueError:
+            raise MalformedLiteral(f"set literal {text!r} is not a list of integers") from None
         return cls.from_iterable(spec, values)
 
     @classmethod

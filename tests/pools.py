@@ -2,6 +2,7 @@
 naive and separate from the library's computation paths) and deterministic
 instance pools."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -164,6 +165,73 @@ def naive_greedy_min_subset(spec: FieldSpec, members, floor: int, S=None):
         sizes = [size(current[:i] + current[i + 1:]) for i in range(len(current))]
         del current[sizes.index(min(sizes))]
     return current, size(current)
+
+
+def _naive_popularity(f: dict, K: int):
+    """Keys with f >= K/(2|domain|) by Fraction comparison, ascending; returns
+    (kept, threshold, kept mass)."""
+    threshold = Fraction(K, 2 * len(f))
+    kept = sorted(x for x, c in f.items() if c >= threshold)
+    return kept, threshold, sum(f[x] for x in kept)
+
+
+def naive_popular_points(spec: FieldSpec, pairs) -> dict:
+    """The popular-point chain over a slice's point pairs by literal
+    definition: rows, columns and lines as Python sets, slopes by scalar
+    division, the line/column incidence and the double sum by set
+    intersection, the first strict maximum over ascending (x, y).  Returns the
+    PopularPoints fields as ints, sorted lists, a dict S in ascending z and the
+    constants dict."""
+    pairs = [(int(x), int(y)) for x, y in pairs]
+    slope = {(x, y): arith(spec, "div", y, x) for x, y in pairs}
+    by_x: dict[int, set] = {}
+    by_y: dict[int, set] = {}
+    line_x: dict[int, set] = {}
+    for x, y in pairs:
+        by_x.setdefault(x, set()).add(y)
+        by_y.setdefault(y, set()).add(x)
+        line_x.setdefault(slope[x, y], set()).add(x)
+
+    f_rows = {y: len(xs) for y, xs in by_y.items()}
+    rows, t_rows, mass_rows = _naive_popularity(f_rows, len(pairs))
+    f_cols = {x: len(ys.intersection(rows)) for x, ys in by_x.items()}
+    f_cols = {x: c for x, c in f_cols.items() if c}
+    cols, t_cols, mass_cols = _naive_popularity(f_cols, mass_rows)
+    row_set, col_set = set(rows), set(cols)
+    f_slopes: dict[int, int] = {}
+    for x, y in pairs:
+        if x in col_set and y in row_set:
+            f_slopes[slope[x, y]] = f_slopes.get(slope[x, y], 0) + 1
+    mass_dd = sum(f_slopes.values())
+    slopes, t_slopes, _ = _naive_popularity(f_slopes, mass_dd)
+
+    C = {(xi, y): len(xs & by_y[y]) for xi, xs in line_x.items() for y in rows}
+    sigma, best = 0, (-1, None, None)
+    for x in cols:
+        for y in rows:
+            total = sum(C[slope[x, z], y] for z in by_x[x])
+            sigma += total
+            if total > best[0]:
+                best = (total, x, y)
+    inner_max, x0, y0 = best
+
+    f_z = {z: C[slope[x0, z], y0] for z in sorted(by_x[x0]) if C[slope[x0, z], y0]}
+    tilde, t_z, _ = _naive_popularity(f_z, inner_max)
+    S = {z: sorted(line_x[slope[x0, z]] & by_y[y0]) for z in tilde}
+    constants = {
+        "p_size": len(pairs), "row_threshold": t_rows, "row_domain": len(f_rows),
+        "row_mass": mass_rows, "col_threshold": t_cols, "col_domain": len(f_cols),
+        "col_mass": mass_cols, "slope_threshold": t_slopes, "slope_domain": len(f_slopes),
+        "slope_cap": max(f_slopes.values()), "slope_mass": mass_dd,
+        "d_popular_size": len(slopes), "sigma": sigma, "inner_max": inner_max,
+        "tilde_threshold": t_z, "tilde_domain": len(f_z), "tilde_cap": max(f_z.values()),
+        "pigeonhole_factor": Fraction(1, 2), "pigeonhole_steps": 4,
+        "c_rows": Fraction(1, 2), "c_cols": Fraction(1, 4),
+        "c_tilde": Fraction(1, 16384), "c_slice_sets": Fraction(1, 8192),
+    }
+    return {"x0": x0, "y0": y0, "A_x0": sorted(by_x[x0]), "B_y0": sorted(by_y[y0]),
+            "A_tilde": tilde, "S": S, "y_popular": rows, "x_popular": cols,
+            "d_popular": slopes, "constants": constants}
 
 
 def naive_min_expander(spec: FieldSpec, k: int, alpha: int, nonzero: bool) -> int:

@@ -134,6 +134,32 @@ def test_usage_errors_found_after_parsing_exit_2(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, cap, error", [
+    (("setop", "sum", "--field", "7", "--a", "1,x", "--b", "2"), None, "MalformedLiteral"),
+    (("setop", "sum", "--field", "7", "--a", "1,9", "--b", "2"), None, "ElementOutOfRange"),
+    (("field", "7"), "abc", "InvalidCap"),
+])
+def test_bad_input_is_a_domain_error(monkeypatch, capsys, argv, cap, error):
+    if cap is not None:
+        monkeypatch.setenv("FQLAB_CAP", cap)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"{error}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "energy_cs", "--field", "7", "--set", "1,2"),
+    ("verify", "ruzsa_triangle", "--field", "7", "--sets", "1;2"),
+    ("verify", "plunnecke", "--field", "7", "--sets", "1,2"),
+    ("verify", "rbfq", "--field", "7", "--sets", "1,2;3"),
+])
+def test_wrong_set_count_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     path = str(tmp_path / "dump.json")
     code, out, _ = run_cli(capsys, "field", "3^2", "--format", "json", "--out", path)

@@ -25,7 +25,7 @@ from fqlab.errors import (
     ZeroInSet,
     ZeroShift,
 )
-from fqlab.finite_field import build_field, enumerate_subfields
+from fqlab.finite_field import build_field, enumerate_subfields, parse_descriptor
 from fqlab.set_algebra import (
     FqSet,
     dilate,
@@ -33,7 +33,13 @@ from fqlab.set_algebra import (
     representation_spectrum,
     set_op,
 )
-from pools import draw_set, naive_cover_min, pool_field
+from pools import (
+    POOL_DESCRIPTORS,
+    draw_set,
+    naive_cover_min,
+    naive_popular_points,
+    pool_field,
+)
 
 F5 = build_field(5, 1)
 F7 = build_field(7, 1)
@@ -204,6 +210,31 @@ def test_popular_points_randomized_replay():
         assert points_certificates(sl, pts)["all"]
         done += 1
     assert done >= 230
+
+
+def test_popular_points_match_naive_oracle():
+    for fi, descriptor in enumerate(POOL_DESCRIPTORS + ("2^10", "2^12", "3^7")):
+        spec = parse_descriptor(descriptor)
+        for draw in range(4):
+            rng = np.random.default_rng([515, fi, draw])
+            X = draw_set(rng, spec, int(rng.integers(2, min(61, spec.q))), nonzero=True)
+            Y = draw_set(rng, spec, int(rng.integers(1, len(X) + 1)), nonzero=True)
+            if draw % 2:  # Y with 0 (the slope-zero line holds every x)
+                Y = FqSet.from_iterable(spec, [0, *list(Y)[1:]])
+            sl = dyadic_energy_slice(X, Y)
+            pts = popular_points(sl)
+            want = naive_popular_points(spec, sl.pairs)
+            got = {"x0": pts.x0, "y0": pts.y0, "A_x0": list(pts.A_x0),
+                   "B_y0": list(pts.B_y0), "A_tilde": list(pts.A_tilde),
+                   "S": {z: list(s) for z, s in pts.S.items()},
+                   "y_popular": list(pts.y_popular), "x_popular": list(pts.x_popular),
+                   "d_popular": list(pts.d_popular), "constants": pts.constants}
+            assert got == want, (descriptor, draw)
+            assert list(pts.S) == list(want["S"])  # ascending z
+            assert type(pts.x0) is int and type(pts.y0) is int
+            assert all(type(z) is int for z in pts.S)
+            assert ([(k, type(v)) for k, v in pts.constants.items()]
+                    == [(k, type(v)) for k, v in want["constants"].items()])
 
 
 def test_degenerate_slice_rejected():
@@ -391,7 +422,7 @@ def test_popularity_invariant_survives_python_O():
     script = ("from fqlab.decompositions import _popularity\n"
               "from fqlab.errors import InvariantViolated\n"
               "try:\n"
-              "    _popularity([1, 2, 3], {1: 4, 2: 1, 3: 1}, 6, M_cap=2)\n"
+              "    _popularity([1, 2, 3], [4, 1, 1], 6, M_cap=2)\n"
               "except InvariantViolated as exc:\n"
               "    print(type(exc).__name__, __debug__)\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fqlab.__file__)))

@@ -158,6 +158,21 @@ def test_exhaustive_minimizers_are_canonical_and_verified():
         assert len(naive_shifted_product(F7, A, 1)) == best
 
 
+@pytest.mark.parametrize("p, m, k", [(5, 1, 2), (7, 1, 3), (2, 3, 3), (3, 2, 3), (2, 4, 3),
+                                     (5, 2, 3)])
+def test_exhaustive_minimum_is_invariant_under_dilation(p, m, k):
+    """(cA)(cA + c*alpha) = c^2 * A(A + alpha), so the minimum of |A(A+alpha)|
+    is the same for every alpha != 0 and c*A attains it at alpha = c."""
+    spec = build_field(p, m)
+    for nonzero in (False, True):
+        best, minimizers = exhaustive_min_expander(spec, k, alpha=1, nonzero_only=nonzero)
+        for c in range(1, spec.q):
+            assert exhaustive_min_expander(spec, k, alpha=c, nonzero_only=nonzero)[0] == best
+            for A in minimizers:
+                cA = [spec.mul(c, a) for a in A]
+                assert len(naive_shifted_product(spec, cA, c)) == best
+
+
 def test_run_survey_deterministic_bytes(tmp_path):
     cfg = SurveyConfig(fields=("13^1", "3^2"), sizes=(3, 4),
                        samplers=("uniform", "gp"), trials=2, seed=9,
