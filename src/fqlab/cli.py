@@ -19,21 +19,7 @@ from .errors import FqLabError, TraceDegenerate
 from .decompositions import TraceParams, covering_number, run_proof_trace
 from .finite_field import parse_descriptor
 from .lemma_oracles import (
-    LEMMA_IDS,
-    batch_verify,
-    check_dyadic_energy,
-    check_energy_cs,
-    check_energy_identities,
-    check_quotient_subfield,
-    check_rbcard,
-    check_rbfq,
-    check_rudnev,
-    check_sumset_inequalities,
-    basic_shift_subset,
-    find_pivot_r,
-    find_pivot_xi,
-    refined_plunnecke_subset,
-)
+    EXACT_PASS, FAIL, LEMMA_IDS, LEMMAS, MEASURED, WITNESS_FOUND, batch_verify, run_lemma)
 from .set_algebra import FqSet, additive_energy, multiplicative_energy, set_op
 from .survey import SurveyConfig, run_survey
 
@@ -75,7 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--eps", default="1/4", help="proportion bound (plunnecke_refined)")
     p_verify.add_argument("--trials", type=int, default=20, help="batch instances per lemma")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--kappa", type=int, default=1)
     _common(p_verify)
 
     p_trace = sub.add_parser("trace", help="run the growth proof trace")
@@ -169,85 +154,61 @@ def _cmd_energy(args) -> int:
     return 0
 
 
-# how many sets each single-instance lemma takes: (fewest, most); --set gives one
-_SET_COUNTS = {
-    "rbfq": (1, 1), "quotient_subfield": (1, 1), "pivot": (1, 1),
-    "basic_shift_bound": (1, 1), "ratio_to_shift": (1, 1), "rbcard": (3, 3),
-    "ruzsa_triangle": (3, 3), "plunnecke": (2, None), "plunnecke_refined": (2, None),
-    "bou_glib_pivot": (2, 2), "energy_identities": (2, 2), "energy_cs": (2, 2),
-    "dyadic_energy": (2, 2), "rudnev": (2, 2),
-}
-
-
 def _single_verify(args):
     lemma = args.lemma
-    if lemma not in _SET_COUNTS:
+    params = LEMMAS[lemma][1] if lemma in LEMMAS else ()
+    if not params:
         args.usage_error(f"single-instance mode not supported for {lemma!r}")
     lits = [args.set_] if args.set_ else args.sets.split(";") if args.sets else []
-    fewest, most = _SET_COUNTS[lemma]
-    if len(lits) < fewest or (most is not None and len(lits) > most):
-        wanted = fewest if fewest == most else f"at least {fewest}"
+    rest = params[-1] == "Bs"  # takes the remaining sets, at least one
+    if len(lits) < len(params) or (not rest and len(lits) > len(params)):
+        wanted = f"at least {len(params)}" if rest else len(params)
         args.usage_error(f"{lemma} takes {wanted} set(s) (--set X or --sets X;Y;...), "
                          f"got {len(lits)}")
     spec = parse_descriptor(args.field)
     sets = [FqSet.from_literal(spec, lit) for lit in lits]
-    if lemma == "rbfq":
-        return check_rbfq(sets[0])
-    if lemma == "quotient_subfield":
-        return check_quotient_subfield(sets[0])
-    if lemma == "pivot":
-        return find_pivot_r(sets[0])
-    if lemma == "basic_shift_bound":
-        return basic_shift_subset(sets[0], alpha=args.alpha)
-    if lemma == "ratio_to_shift":
-        return check_sumset_inequalities(sets[0], [], "RatioToShift")
+    kwargs = dict(zip(params, sets))
+    if rest:
+        kwargs["Bs"] = sets[len(params) - 1:]
+    return run_lemma(lemma, **kwargs, **_lemma_options(args, lemma))
+
+
+def _lemma_options(args, lemma) -> dict:
+    """Checker keyword arguments taken from options: --r, --alpha, --eps."""
     if lemma == "rbcard":
         if args.r is None:
             args.usage_error("rbcard needs --r and --sets X;X1;X2")
-        return check_rbcard(sets[0], args.r, sets[1], sets[2])
-    if lemma == "ruzsa_triangle":
-        return check_sumset_inequalities(sets[0], sets[1:], "RuzsaTriangle")
-    if lemma == "plunnecke":
-        return check_sumset_inequalities(sets[0], sets[1:], "Plunnecke")
+        return {"r": args.r}
+    if lemma == "basic_shift_bound":
+        return {"alpha": args.alpha}
     if lemma == "plunnecke_refined":
-        return refined_plunnecke_subset(sets[0], sets[1:], Fraction(args.eps))
-    if lemma == "bou_glib_pivot":
-        return find_pivot_xi(sets[0], sets[1])
-    if lemma == "energy_identities":
-        return check_energy_identities(sets[0], sets[1])
-    if lemma == "energy_cs":
-        return check_energy_cs(sets[0], sets[1])
-    if lemma == "dyadic_energy":
-        return check_dyadic_energy(sets[0], sets[1])
-    return check_rudnev(sets[0], sets[1])
+        try:
+            return {"eps": Fraction(args.eps)}
+        except (ValueError, ZeroDivisionError):
+            args.usage_error(f"--eps must be a fraction such as 1/4, got {args.eps!r}")
+    return {}
 
 
 def _cmd_verify(args) -> int:
-    single = args.set_ is not None or args.sets is not None
-    if single:
+    if args.set_ is not None or args.sets is not None:
         if not args.field:
             args.usage_error("single-instance verify requires --field")
         reports = [_single_verify(args)]
     else:
+        if args.lemma != "all" and args.lemma not in LEMMAS:
+            args.usage_error(f"unknown lemma {args.lemma!r}")
         lemmas = LEMMA_IDS if args.lemma == "all" else (args.lemma,)
-        for lemma in lemmas:
-            if lemma not in LEMMA_IDS:
-                args.usage_error(f"unknown lemma {lemma!r}")
-        reports = []
-        for lemma in lemmas:
-            reports.extend(batch_verify(lemma, trials=args.trials, seed=args.seed))
+        reports = [r for lemma in lemmas
+                   for r in batch_verify(lemma, trials=args.trials, seed=args.seed)]
     if args.format == "csv":
         lines = ["lemma,instances,exact_pass,witness_found,measured,fail"]
         by_lemma: dict[str, list] = {}
         for r in reports:
             by_lemma.setdefault(r.lemma_id, []).append(r)
         for lemma in sorted(by_lemma):
-            group = by_lemma[lemma]
-            counts = {v: sum(1 for r in group if r.verdict == v)
-                      for v in ("ExactPass", "WitnessFound", "MeasuredRatio", "Fail")}
-            lines.append(f"{lemma},{len(group)},{counts['ExactPass']},"
-                         f"{counts['WitnessFound']},{counts['MeasuredRatio']},"
-                         f"{counts['Fail']}")
+            verdicts = [r.verdict for r in by_lemma[lemma]]
+            counts = [verdicts.count(v) for v in (EXACT_PASS, WITNESS_FOUND, MEASURED, FAIL)]
+            lines.append(",".join(map(str, [lemma, len(verdicts), *counts])))
         _emit(args, "\n".join(lines))
     else:
         _emit(args, "\n".join(_dumps(r.to_json()) for r in reports))
@@ -282,9 +243,13 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_survey(args) -> int:
+    try:
+        sizes = tuple(int(s) for s in args.sizes.split(",") if s.strip())
+    except ValueError:
+        args.usage_error(f"--sizes must be comma-separated integers, got {args.sizes!r}")
     config = SurveyConfig(
         fields=tuple(s.strip() for s in args.fields.split(",") if s.strip()),
-        sizes=tuple(int(s) for s in args.sizes.split(",") if s.strip()),
+        sizes=sizes,
         samplers=tuple(s.strip() for s in args.samplers.split(",") if s.strip()),
         trials=args.trials,
         seed=args.seed,

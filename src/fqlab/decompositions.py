@@ -20,6 +20,7 @@ from .errors import (
     EmptySet,
     EmptySpectrum,
     InvariantViolated,
+    SecondSetLarger,
     SumBelowK,
     TraceDegenerate,
     ZeroInSet,
@@ -133,7 +134,7 @@ def dyadic_energy_slice(X: FqSet, Y: FqSet) -> DyadicSlice:
     every certificate valid with room to spare.
     """
     if len(Y) > len(X):
-        raise ValueError("need |Y| <= |X|")
+        raise SecondSetLarger("need |Y| <= |X|")
     spectrum = representation_spectrum(X, Y)
     if not spectrum.counts:
         raise EmptySpectrum("no ratio pairs between X and Y")
@@ -149,8 +150,7 @@ def dyadic_energy_slice(X: FqSet, Y: FqSet) -> DyadicSlice:
     D = FqSet.from_iterable(X.spec, slopes)
     ratio_grid = X.spec.div_arr(Y.members[None, :], X.members[:, None])
     xi_idx, yi_idx = np.nonzero(D.bitmask[ratio_grid])
-    pairs = np.column_stack([X.members[xi_idx], Y.members[yi_idx]])
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    pairs = np.column_stack([X.members[xi_idx], Y.members[yi_idx]])  # row-major: (x, y) sorted
     L = len(D)
     return DyadicSlice(X=X, Y=Y, D=D, N=N, L=L, M=L * N * N, pairs=pairs,
                        spectrum=spectrum)

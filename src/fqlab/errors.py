@@ -26,6 +26,10 @@ class InvalidCap(FqLabError, ValueError):
     """The FQLAB_CAP override is not a power of two in [2, 2^24]."""
 
 
+class MalformedDescriptor(FqLabError, ValueError):
+    """A field descriptor is not of the form "p" or "p^m" with integers p, m."""
+
+
 class NoIrreducibleFound(FqLabError):
     """Internal: the modulus search failed, which indicates a construction bug."""
 
@@ -59,6 +63,10 @@ class ZeroShift(FqLabError):
     pass
 
 
+class ZeroElement(FqLabError, ValueError):
+    """An element the statement needs nonzero (a dilation factor) is 0 in the field."""
+
+
 class SetTooSmall(FqLabError):
     pass
 
@@ -88,6 +96,10 @@ class DegenerateSlice(FqLabError):
     pass
 
 
+class SecondSetLarger(FqLabError, ValueError):
+    """A dyadic slice of the ratios y/x was asked for with |Y| > |X|."""
+
+
 class TraceDegenerate(FqLabError):
     pass
 
@@ -115,6 +127,11 @@ class EpsilonOutOfRange(FqLabError):
 
 
 # survey
+class InvalidSurveyConfig(FqLabError, ValueError):
+    """A survey asks for fewer than one trial, a size below 2, or an unknown
+    sampler, alpha policy or kind."""
+
+
 class SizeInfeasible(FqLabError):
     pass
 

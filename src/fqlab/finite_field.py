@@ -20,6 +20,7 @@ from .errors import (
     DivisionByZero,
     FieldTooLarge,
     InvalidCap,
+    MalformedDescriptor,
     NoIrreducibleFound,
     NotPrime,
     NotProperSubfield,
@@ -390,11 +391,12 @@ def build_field(p: int, m: int) -> FieldSpec:
 
 def parse_descriptor(text: str) -> FieldSpec:
     """Build the field named by a descriptor like "7" or "3^2"."""
-    text = text.strip()
-    if "^" in text:
-        p_str, m_str = text.split("^", 1)
-        return build_field(int(p_str), int(m_str))
-    return build_field(int(text), 1)
+    p_str, caret, m_str = text.strip().partition("^")
+    try:
+        p, m = int(p_str), int(m_str) if caret else 1
+    except ValueError:
+        raise MalformedDescriptor(f"expected a field like 7 or 3^2, got {text!r}") from None
+    return build_field(p, m)
 
 
 def arith(spec: FieldSpec, op: str, a: int, b: int | None = None) -> int:
@@ -460,17 +462,17 @@ def coset_columns(spec: FieldSpec, G: SubfieldHandle) -> np.ndarray:
     return spec.exp_table[: spec.q - 1].reshape(G.size - 1, -1)
 
 
-def coset_representatives(spec: FieldSpec, G: SubfieldHandle) -> list[int]:
-    """Smallest-encoded representative of each distinct dilate cG, c in F_q^*.
+def coset_representatives(spec: FieldSpec, G: SubfieldHandle) -> np.ndarray:
+    """Smallest-encoded representative of each distinct dilate cG, c in F_q^*,
+    as a cached, read-only, sorted int64 array.
 
     The dilates correspond to cosets of G^* in the cyclic group F_q^*, so there
     are exactly (q-1)/(|G|-1) of them and their union covers F_q.
     """
     if not G.is_proper:
         raise NotProperSubfield(f"subfield of size {G.size} is the whole field")
-    cached = spec._derived.setdefault("coset_reps", {}).get(G.d)
-    if cached is not None:
-        return cached
-    out = np.sort(coset_columns(spec, G).min(axis=0)).tolist()
-    spec._derived["coset_reps"][G.d] = out
-    return out
+    cache = spec._derived.setdefault("coset_reps", {})
+    if G.d not in cache:
+        cache[G.d] = np.sort(coset_columns(spec, G).min(axis=0))
+        cache[G.d].flags.writeable = False
+    return cache[G.d]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,6 +23,7 @@ from .errors import (
     NotApplicable,
     NotSubsets,
     SetTooSmall,
+    ZeroElement,
     ZeroInSet,
 )
 from .decompositions import (
@@ -49,25 +50,6 @@ from .set_algebra import (
     translate,
 )
 
-LEMMA_IDS = (
-    "rbcard",
-    "rbfq",
-    "quotient_subfield",
-    "pivot",
-    "bou_glib_pivot",
-    "ruzsa_triangle",
-    "ratio_to_shift",
-    "plunnecke",
-    "plunnecke_refined",
-    "covering_by_shifts",
-    "basic_shift_bound",
-    "popularity",
-    "energy_identities",
-    "energy_cs",
-    "dyadic_energy",
-    "rudnev",
-)
-
 EXACT_PASS = "ExactPass"
 WITNESS_FOUND = "WitnessFound"
 MEASURED = "MeasuredRatio"
@@ -80,7 +62,8 @@ class LemmaReport:
 
     ExactPass/Fail are reserved for constant-free statements, MeasuredRatio
     for statements whose implied constant the library cannot know.  `timing`
-    is wall-clock seconds and is deliberately left out of serialized output so
+    is the checker's wall-clock seconds, set by `run_lemma` (a checker called
+    directly reports 0.0); it is deliberately left out of serialized output so
     seeded runs stay byte-identical.
     """
 
@@ -113,12 +96,11 @@ def _instance(spec: FieldSpec, **sets) -> dict:
     return out
 
 
-def _report(lemma_id, instance, verdict, value=None, witness=None, started=None):
-    timing = 0.0 if started is None else time.perf_counter() - started
+def _report(lemma_id, instance, verdict, value=None, witness=None):
     if value is not None:
         value = float(value)
     return LemmaReport(lemma_id=lemma_id, instance=instance, verdict=verdict,
-                       value=value, witness=witness, timing=timing)
+                       value=value, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -128,11 +110,10 @@ def _report(lemma_id, instance, verdict, value=None, witness=None, started=None)
 
 def check_rbcard(X: FqSet, r: int, X1: FqSet, X2: FqSet) -> LemmaReport:
     """|X1 - r*X2| = |X1||X2| whenever r avoids the quotient set of X."""
-    t0 = time.perf_counter()
     if len(X1) == 0 or len(X2) == 0 or not (X1.is_subset(X) and X2.is_subset(X)):
         raise NotSubsets("X1, X2 must be nonempty subsets of X")
     if r % X.spec.q == 0:
-        raise ValueError("r must be nonzero")
+        raise ZeroElement("r must be nonzero")
     inst = _instance(X.spec, X=X, X1=X1, X2=X2, r=int(r))
     in_quotient = len(X) >= 2 and r in quotient_set(X)
     size = len(set_op(X1, dilate(X2, r), "diff"))
@@ -140,15 +121,15 @@ def check_rbcard(X: FqSet, r: int, X1: FqSet, X2: FqSet) -> LemmaReport:
     if not in_quotient:
         verdict = EXACT_PASS if size == product else FAIL
         return _report("rbcard", inst, verdict,
-                       witness={"size": size, "product": product}, started=t0)
+                       witness={"size": size, "product": product})
     collision = _first_collision(X1, X2, r)
     if collision is None:
         return _report("rbcard", inst, EXACT_PASS,
                        witness={"size": size, "product": product,
-                                "r_in_quotient": True}, started=t0)
+                                "r_in_quotient": True})
     return _report("rbcard", inst, WITNESS_FOUND,
                    witness={"size": size, "product": product,
-                            "collision": collision}, started=t0)
+                            "collision": collision})
 
 
 def _first_collision(X1: FqSet, X2: FqSet, r: int):
@@ -165,7 +146,6 @@ def _first_collision(X1: FqSet, X2: FqSet, r: int):
 
 def check_rbfq(X: FqSet) -> LemmaReport:
     """|X| > sqrt(q) forces the quotient set of X to be the whole field."""
-    t0 = time.perf_counter()
     if len(X) < 2:
         raise SetTooSmall("need |X| >= 2")
     q = X.spec.q
@@ -173,15 +153,14 @@ def check_rbfq(X: FqSet) -> LemmaReport:
     inst = _instance(X.spec, X=X)
     if len(X) ** 2 > q:
         return _report("rbfq", inst, EXACT_PASS if len(R) == q else FAIL,
-                       witness={"quotient_size": len(R)}, started=t0)
+                       witness={"quotient_size": len(R)})
     return _report("rbfq", inst, MEASURED, value=Fraction(len(R), q),
-                   witness={"quotient_size": len(R)}, started=t0)
+                   witness={"quotient_size": len(R)})
 
 
 def check_quotient_subfield(X: FqSet) -> LemmaReport:
     """If 1 + R(X) and X*R(X) both stay inside R(X), then R(X) is exactly the
     smallest subfield containing X normalized by its smallest nonzero element."""
-    t0 = time.perf_counter()
     if len(X) < 2:
         raise SetTooSmall("need |X| >= 2")
     spec = X.spec
@@ -192,8 +171,7 @@ def check_quotient_subfield(X: FqSet) -> LemmaReport:
     bad = ~R.bitmask[shifted]
     if bad.any():
         return _report("quotient_subfield", inst, WITNESS_FOUND,
-                       witness={"hypothesis": "1+R", "violator": int(R.members[bad][0])},
-                       started=t0)
+                       witness={"hypothesis": "1+R", "violator": int(R.members[bad][0])})
     grid = spec.mul_arr(X.members[:, None], R.members[None, :])
     viol = ~R.bitmask[grid]
     if viol.any():
@@ -201,8 +179,7 @@ def check_quotient_subfield(X: FqSet) -> LemmaReport:
         return _report("quotient_subfield", inst, WITNESS_FOUND,
                        witness={"hypothesis": "X*R",
                                 "violator": int(grid[i, j]),
-                                "x": int(X.members[i]), "rho": int(R.members[j])},
-                       started=t0)
+                                "x": int(X.members[i]), "rho": int(R.members[j])})
 
     closed = _closed_under_field_ops(R)
     x0 = int(X.members[X.members != 0][0])
@@ -211,7 +188,7 @@ def check_quotient_subfield(X: FqSet) -> LemmaReport:
     ok = closed and np.array_equal(R.members, generated)
     return _report("quotient_subfield", inst, EXACT_PASS if ok else FAIL,
                    witness={"quotient_size": len(R), "closed": closed,
-                            "generated_size": int(generated.size)}, started=t0)
+                            "generated_size": int(generated.size)})
 
 
 def _closed_under_field_ops(R: FqSet) -> bool:
@@ -242,7 +219,6 @@ def find_pivot_r(X: FqSet, threshold_c: Fraction = Fraction(1, 2),
     Applies only when the quotient set is quadratically large (>= c|X|^2);
     the subset sweep is exhaustive at >= 3|X|/4 for |X| <= 10, sampled above.
     """
-    t0 = time.perf_counter()
     if len(X) < 2:
         raise SetTooSmall("need |X| >= 2")
     R = quotient_set(X)
@@ -268,13 +244,12 @@ def find_pivot_r(X: FqSet, threshold_c: Fraction = Fraction(1, 2),
     inst = _instance(spec, X=X)
     return _report("pivot", inst, MEASURED, value=Fraction(best_min, n * n),
                    witness={"r": best_r, "min_sumset": best_min,
-                            "subset_size": floor}, started=t0)
+                            "subset_size": floor})
 
 
 def find_pivot_xi(X1: FqSet, X2: FqSet) -> LemmaReport:
     """Exhaust xi over the nonzero field elements; some |X1 + xi*X2| always
     reaches |X1||X2|(q-1) / (|X1||X2| + q - 1), an exact unconditional bound."""
-    t0 = time.perf_counter()
     if len(X1) == 0 or len(X2) == 0:
         raise EmptySet("both sets must be nonempty")
     spec = X1.spec
@@ -289,8 +264,7 @@ def find_pivot_xi(X1: FqSet, X2: FqSet) -> LemmaReport:
     inst = _instance(spec, X1=X1, X2=X2)
     return _report("bou_glib_pivot", inst, verdict,
                    witness={"xi": best_xi, "max_sumset": best,
-                            "bound": f"{bound.numerator}/{bound.denominator}"},
-                   started=t0)
+                            "bound": f"{bound.numerator}/{bound.denominator}"})
 
 
 # ---------------------------------------------------------------------------
@@ -298,48 +272,51 @@ def find_pivot_xi(X1: FqSet, X2: FqSet) -> LemmaReport:
 # ---------------------------------------------------------------------------
 
 
-def check_sumset_inequalities(X: FqSet, Bs: list[FqSet], kind: str) -> LemmaReport:
-    """Exact rational comparison of both sides; these are constant-free and a
-    Fail signals an implementation bug, not a mathematical failure."""
-    t0 = time.perf_counter()
-    if kind == "RuzsaTriangle":
-        if len(Bs) != 2:
-            raise ValueError("Ruzsa triangle needs exactly two sets")
-        B1, B2 = Bs
-        if not (len(X) and len(B1) and len(B2)):
-            raise EmptySet("all sets must be nonempty")
-        lhs = len(set_op(B1, B2, "diff")) * len(X)
-        rhs = len(set_op(X, B1, "sum")) * len(set_op(X, B2, "sum"))
-        inst = _instance(X.spec, X=X, Bs=Bs, kind=kind)
-        return _report("ruzsa_triangle", inst, EXACT_PASS if lhs <= rhs else FAIL,
-                       witness={"lhs": lhs, "rhs": rhs}, started=t0)
-    if kind == "Plunnecke":
-        if not Bs:
-            raise ValueError("need at least one summand")
-        if not len(X) or any(len(B) == 0 for B in Bs):
-            raise EmptySet("all sets must be nonempty")
-        total = Bs[0]
-        for B in Bs[1:]:
-            total = set_op(total, B, "sum")
-        lhs = len(total) * len(X) ** (len(Bs) - 1)
-        rhs = 1
-        for B in Bs:
-            rhs *= len(set_op(X, B, "sum"))
-        inst = _instance(X.spec, X=X, Bs=Bs, kind=kind)
-        return _report("plunnecke", inst, EXACT_PASS if lhs <= rhs else FAIL,
-                       witness={"lhs": lhs, "rhs": rhs, "k": len(Bs)}, started=t0)
-    if kind == "RatioToShift":
-        A = X
-        if len(A) == 0:
-            raise EmptySet("A must be nonempty")
-        if 0 in A:
-            raise ZeroInSet("A must avoid 0")
-        lhs = len(set_op(A, A, "ratio")) * len(A)
-        rhs = len(shifted_product(A, 1)) ** 2
-        inst = _instance(A.spec, A=A, kind=kind)
-        return _report("ratio_to_shift", inst, EXACT_PASS if lhs <= rhs else FAIL,
-                       witness={"lhs": lhs, "rhs": rhs}, started=t0)
-    raise ValueError(f"unknown kind {kind!r}")
+def _plunnecke_terms(X: FqSet, Bs: list[FqSet]) -> tuple[FqSet, int]:
+    """(B1 + ... + Bk, |X + B1| ... |X + Bk|) for nonempty X, B1, ..., Bk."""
+    if not Bs:
+        raise ValueError("need at least one summand")
+    if not len(X) or any(len(B) == 0 for B in Bs):
+        raise EmptySet("all sets must be nonempty")
+    total = Bs[0]
+    for B in Bs[1:]:
+        total = set_op(total, B, "sum")
+    return total, math.prod(len(set_op(X, B, "sum")) for B in Bs)
+
+
+def check_ruzsa_triangle(X: FqSet, B1: FqSet, B2: FqSet) -> LemmaReport:
+    """|X||B1 - B2| <= |X + B1||X + B2|, compared exactly.  The sumset
+    inequalities are constant-free: a Fail signals an implementation bug, not
+    a mathematical failure."""
+    if not (len(X) and len(B1) and len(B2)):
+        raise EmptySet("all sets must be nonempty")
+    lhs = len(set_op(B1, B2, "diff")) * len(X)
+    rhs = len(set_op(X, B1, "sum")) * len(set_op(X, B2, "sum"))
+    inst = _instance(X.spec, X=X, Bs=[B1, B2], kind="RuzsaTriangle")
+    return _report("ruzsa_triangle", inst, EXACT_PASS if lhs <= rhs else FAIL,
+                   witness={"lhs": lhs, "rhs": rhs})
+
+
+def check_plunnecke(X: FqSet, Bs: list[FqSet]) -> LemmaReport:
+    """|B1 + ... + Bk| |X|^(k-1) <= |X + B1| ... |X + Bk|, compared exactly."""
+    total, rhs = _plunnecke_terms(X, Bs)
+    lhs = len(total) * len(X) ** (len(Bs) - 1)
+    inst = _instance(X.spec, X=X, Bs=Bs, kind="Plunnecke")
+    return _report("plunnecke", inst, EXACT_PASS if lhs <= rhs else FAIL,
+                   witness={"lhs": lhs, "rhs": rhs, "k": len(Bs)})
+
+
+def check_ratio_to_shift(A: FqSet) -> LemmaReport:
+    """|A/A||A| <= |A(A+1)|^2 for A avoiding 0, compared exactly."""
+    if len(A) == 0:
+        raise EmptySet("A must be nonempty")
+    if 0 in A:
+        raise ZeroInSet("A must avoid 0")
+    lhs = len(set_op(A, A, "ratio")) * len(A)
+    rhs = len(shifted_product(A, 1)) ** 2
+    inst = _instance(A.spec, A=A, kind="RatioToShift")
+    return _report("ratio_to_shift", inst, EXACT_PASS if lhs <= rhs else FAIL,
+                   witness={"lhs": lhs, "rhs": rhs})
 
 
 def refined_plunnecke_subset(X: FqSet, Bs: list[FqSet], eps) -> LemmaReport:
@@ -348,27 +325,17 @@ def refined_plunnecke_subset(X: FqSet, Bs: list[FqSet], eps) -> LemmaReport:
     incremental representation counts, O(|X||S|) per step.  The achieved ratio
     against the product bound is reported, never asserted (the constant
     depends on eps in an unspecified way)."""
-    t0 = time.perf_counter()
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise EpsilonOutOfRange(f"eps must be in (0, 1), got {eps}")
-    if not Bs:
-        raise ValueError("need at least one summand")
-    if not len(X) or any(len(B) == 0 for B in Bs):
-        raise EmptySet("all sets must be nonempty")
-    total = Bs[0]
-    for B in Bs[1:]:
-        total = set_op(total, B, "sum")
+    total, denom = _plunnecke_terms(X, Bs)
     floor = max(1, math.ceil((1 - eps) * len(X)))
     subset, best = _min_sumset_subset(X, total, floor)
-    denom = 1
-    for B in Bs:
-        denom *= len(set_op(X, B, "sum"))
     ratio = Fraction(best * len(X) ** (len(Bs) - 1), denom)
     inst = _instance(X.spec, X=X, Bs=Bs, eps=f"{eps.numerator}/{eps.denominator}")
     return _report("plunnecke_refined", inst, MEASURED, value=ratio,
                    witness={"subset": [int(v) for v in subset],
-                            "sumset_size": best, "floor": floor}, started=t0)
+                            "sumset_size": best, "floor": floor})
 
 
 def _min_sumset_subset(X: FqSet, S: FqSet, floor: int, mode: str = "auto"):
@@ -431,7 +398,6 @@ def _min_subset(X: FqSet, grid: np.ndarray, floor: int, mode: str, square: bool)
 def basic_shift_subset(A: FqSet, alpha: int = 1) -> LemmaReport:
     """Search A' of at least half size minimizing |A' - A'|; report the ratio
     against |A(A+alpha)|^4 |A/A|^2 / |A|^5 (the constant is unknown)."""
-    t0 = time.perf_counter()
     if len(A) == 0:
         raise EmptySet("A must be nonempty")
     if 0 in A:
@@ -445,7 +411,7 @@ def basic_shift_subset(A: FqSet, alpha: int = 1) -> LemmaReport:
     inst = _instance(spec, A=A, alpha=int(alpha))
     return _report("basic_shift_bound", inst, MEASURED, value=value,
                    witness={"subset": [int(v) for v in best_sub],
-                            "diff_size": best, "floor": floor}, started=t0)
+                            "diff_size": best, "floor": floor})
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +421,12 @@ def basic_shift_subset(A: FqSet, alpha: int = 1) -> LemmaReport:
 
 def check_popularity(domain: FqSet, f: dict[int, int], K: int,
                      M_cap: int | None = None) -> LemmaReport:
-    t0 = time.perf_counter()
     Y = popularity_subset(domain, f, K, M_cap)
     mass = sum(f[int(y)] for y in Y)
     ok = 2 * mass >= K and (M_cap is None or 2 * M_cap * len(Y) >= K)
     inst = _instance(domain.spec, domain=domain, K=K, M_cap=M_cap)
     return _report("popularity", inst, EXACT_PASS if ok else FAIL,
-                   witness={"kept": len(Y), "mass": mass}, started=t0)
+                   witness={"kept": len(Y), "mass": mass})
 
 
 def product_energy(X: FqSet, Y: FqSet) -> int:
@@ -476,7 +441,6 @@ def check_energy_identities(X: FqSet, Y: FqSet) -> LemmaReport:
     """First and second moment identities of the ratio counts, plus the two
     difference-count identities for X: sum |X ∩ (X-a)| = |X|^2 and
     sum |X ∩ (X-a)|^2 = E+(X)."""
-    t0 = time.perf_counter()
     spectrum = representation_spectrum(X, Y)
     first = spectrum.total == len(X) * len(Y)
     second = spectrum.energy == product_energy(X, Y)
@@ -487,38 +451,33 @@ def check_energy_identities(X: FqSet, Y: FqSet) -> LemmaReport:
     inst = _instance(X.spec, X=X, Y=Y)
     return _report("energy_identities", inst, EXACT_PASS if ok else FAIL,
                    witness={"first_moment": first, "second_moment": second,
-                            "difference_sum": sum_ok, "difference_energy": energy_ok},
-                   started=t0)
+                            "difference_sum": sum_ok, "difference_energy": energy_ok})
 
 
 def check_energy_cs(X: FqSet, Y: FqSet) -> LemmaReport:
     """E(X,Y) * |XY| >= |X|^2 |Y|^2 (Cauchy-Schwarz)."""
-    t0 = time.perf_counter()
     energy = multiplicative_energy(X, Y)
     prod = len(set_op(X, Y, "prod"))
     lhs = energy * prod
     rhs = (len(X) * len(Y)) ** 2
     inst = _instance(X.spec, X=X, Y=Y)
     return _report("energy_cs", inst, EXACT_PASS if lhs >= rhs else FAIL,
-                   witness={"energy": energy, "product_size": prod}, started=t0)
+                   witness={"energy": energy, "product_size": prod})
 
 
 def check_dyadic_energy(X: FqSet, Y: FqSet) -> LemmaReport:
-    t0 = time.perf_counter()
     sl = dyadic_energy_slice(X, Y)
     certs = slice_certificates(sl)
     ok = certs["level_band"] and certs["energy_ok"] and certs["mass_strict"]
     inst = _instance(X.spec, X=X, Y=Y)
     return _report("dyadic_energy", inst, EXACT_PASS if ok else FAIL,
                    witness={"L": sl.L, "N": sl.N, **{k: v for k, v in certs.items()
-                                                     if isinstance(v, bool)}},
-                   started=t0)
+                                                     if isinstance(v, bool)}})
 
 
 def check_rudnev(X: FqSet, Y: FqSet) -> LemmaReport:
     """Popular-point chain with tracked constants, plus independent
     recomputation of every stored slice set."""
-    t0 = time.perf_counter()
     sl = dyadic_energy_slice(X, Y)
     pts = popular_points(sl)
     chain = points_certificates(sl, pts)
@@ -534,19 +493,17 @@ def check_rudnev(X: FqSet, Y: FqSet) -> LemmaReport:
     inst = _instance(spec, X=X, Y=Y)
     return _report("rudnev", inst, EXACT_PASS if ok else FAIL,
                    witness={"x0": pts.x0, "y0": pts.y0,
-                            "chain": chain["all"], "recompute": recompute_ok},
-                   started=t0)
+                            "chain": chain["all"], "recompute": recompute_ok})
 
 
 def check_covering_by_shifts(Z: FqSet, x: int, y: int, X: FqSet, Y: FqSet) -> LemmaReport:
     """Measured covering counts of X by translates of Y and of -Y, reported
     against |Z(Z+1)|^2 |Z/Z| / (|X||Y|^2); the bound's constant is unknown."""
-    t0 = time.perf_counter()
     spec = Z.spec
     if 0 in Z:
         raise ZeroInSet("Z must avoid 0")
     if x % spec.q == 0:
-        raise ValueError("x must be nonzero")
+        raise ZeroElement("x must be nonzero")
     frame = translate(dilate(Z, x), y)
     if not (len(X) and len(Y) and X.is_subset(frame) and Y.is_subset(frame)):
         raise NotSubsets("X and Y must be nonempty subsets of x*Z + y")
@@ -558,8 +515,7 @@ def check_covering_by_shifts(Z: FqSet, x: int, y: int, X: FqSet, Y: FqSet) -> Le
     return _report("covering_by_shifts", inst, MEASURED,
                    value=Fraction(max(count_pos, count_neg)) / curve,
                    witness={"count_pos": count_pos, "count_neg": count_neg,
-                            "curve": f"{curve.numerator}/{curve.denominator}"},
-                   started=t0)
+                            "curve": f"{curve.numerator}/{curve.denominator}"})
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +552,7 @@ def _rand_size(rng, spec, lo=2, hi=12):
 
 def generate_instance(lemma_id: str, seed: int, index: int):
     """Deterministic instance for one lemma check; returns kwargs for the
-    corresponding check_* call (or None when the draw is inapplicable)."""
+    lemma's checker in LEMMAS (or None when the draw is inapplicable)."""
     rng = _rng_for(lemma_id, seed, index)
     spec = _field_for(index)
     if lemma_id == "rbcard":
@@ -625,18 +581,15 @@ def generate_instance(lemma_id: str, seed: int, index: int):
                 "Y": random_set(rng, spec, _rand_size(rng, spec))}
     if lemma_id == "ruzsa_triangle":
         return {"X": random_set(rng, spec, _rand_size(rng, spec, 2, 10)),
-                "Bs": [random_set(rng, spec, _rand_size(rng, spec, 2, 10)),
-                       random_set(rng, spec, _rand_size(rng, spec, 2, 10))],
-                "kind": "RuzsaTriangle"}
+                "B1": random_set(rng, spec, _rand_size(rng, spec, 2, 10)),
+                "B2": random_set(rng, spec, _rand_size(rng, spec, 2, 10))}
     if lemma_id == "plunnecke":
         k = int(rng.integers(2, 5))
         return {"X": random_set(rng, spec, _rand_size(rng, spec, 2, 8)),
                 "Bs": [random_set(rng, spec, _rand_size(rng, spec, 2, 8))
-                       for _ in range(k)],
-                "kind": "Plunnecke"}
+                       for _ in range(k)]}
     if lemma_id == "ratio_to_shift":
-        return {"X": random_set(rng, spec, _rand_size(rng, spec, 2, 10), nonzero=True),
-                "Bs": [], "kind": "RatioToShift"}
+        return {"A": random_set(rng, spec, _rand_size(rng, spec, 2, 10), nonzero=True)}
     if lemma_id == "dyadic_energy" or lemma_id == "rudnev":
         X = random_set(rng, spec, _rand_size(rng, spec, 2, 12), nonzero=True)
         Y = random_set(rng, spec, min(_rand_size(rng, spec, 2, 12), len(X)))
@@ -684,39 +637,47 @@ def generate_instance(lemma_id: str, seed: int, index: int):
     raise ValueError(f"unknown lemma id {lemma_id!r}")
 
 
-_CHECKERS = {
-    "rbcard": check_rbcard,
-    "rbfq": check_rbfq,
-    "quotient_subfield": check_quotient_subfield,
-    "pivot": find_pivot_r,
-    "bou_glib_pivot": find_pivot_xi,
-    "ruzsa_triangle": check_sumset_inequalities,
-    "ratio_to_shift": check_sumset_inequalities,
-    "plunnecke": check_sumset_inequalities,
-    "plunnecke_refined": refined_plunnecke_subset,
-    "covering_by_shifts": check_covering_by_shifts,
-    "basic_shift_bound": basic_shift_subset,
-    "popularity": check_popularity,
-    "energy_identities": check_energy_identities,
-    "energy_cs": check_energy_cs,
-    "dyadic_energy": check_dyadic_energy,
-    "rudnev": check_rudnev,
+# lemma id -> (checker, the checker parameters that `verify --sets X;Y;...`
+# fills in order; a trailing "Bs" takes the remaining sets, at least one; ()
+# marks a batch-only lemma).  The order fixes each lemma's seed stream.
+LEMMAS = {
+    "rbcard": (check_rbcard, ("X", "X1", "X2")),
+    "rbfq": (check_rbfq, ("X",)),
+    "quotient_subfield": (check_quotient_subfield, ("X",)),
+    "pivot": (find_pivot_r, ("X",)),
+    "bou_glib_pivot": (find_pivot_xi, ("X1", "X2")),
+    "ruzsa_triangle": (check_ruzsa_triangle, ("X", "B1", "B2")),
+    "ratio_to_shift": (check_ratio_to_shift, ("A",)),
+    "plunnecke": (check_plunnecke, ("X", "Bs")),
+    "plunnecke_refined": (refined_plunnecke_subset, ("X", "Bs")),
+    "covering_by_shifts": (check_covering_by_shifts, ()),
+    "basic_shift_bound": (basic_shift_subset, ("A",)),
+    "popularity": (check_popularity, ()),
+    "energy_identities": (check_energy_identities, ("X", "Y")),
+    "energy_cs": (check_energy_cs, ("X", "Y")),
+    "dyadic_energy": (check_dyadic_energy, ("X", "Y")),
+    "rudnev": (check_rudnev, ("X", "Y")),
 }
+LEMMA_IDS = tuple(LEMMAS)
+
+
+def run_lemma(lemma_id: str, **kwargs) -> LemmaReport:
+    """Run one lemma's checker on keyword arguments, timing it into the report."""
+    checker, _ = LEMMAS[lemma_id]
+    t0 = time.perf_counter()
+    report = checker(**kwargs)
+    return replace(report, timing=time.perf_counter() - t0)
 
 
 def batch_verify(lemma_id: str, trials: int, seed: int = 0) -> list[LemmaReport]:
     """Run `trials` seeded instances of one lemma check, deterministically."""
-    if lemma_id not in LEMMA_IDS:
+    if lemma_id not in LEMMAS:
         raise ValueError(f"unknown lemma id {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
-    checker = _CHECKERS[lemma_id]
     reports = []
     index = 0
-    produced = 0
-    while produced < trials:
+    while len(reports) < trials:
         kwargs = generate_instance(lemma_id, seed, index)
         index += 1
-        if kwargs is None:
-            continue
-        reports.append(checker(**kwargs))
-        produced += 1
+        if kwargs is not None:
+            reports.append(run_lemma(lemma_id, **kwargs))
     return reports

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import (
     BudgetExceeded,
     InvariantViolated,
+    InvalidSurveyConfig,
     IoFailure,
     NoProperSubfield,
     SetTooSmall,
@@ -128,16 +129,16 @@ class SurveyConfig:
 
     def validate(self) -> None:
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise InvalidSurveyConfig("trials must be >= 1")
         if any(s < 2 for s in self.sizes):
-            raise ValueError("sizes must be >= 2")
+            raise InvalidSurveyConfig("sizes must be >= 2")
         unknown = set(self.samplers) - set(SAMPLERS)
         if unknown:
-            raise ValueError(f"unknown samplers {sorted(unknown)}; known: {SAMPLERS}")
+            raise InvalidSurveyConfig(f"unknown samplers {sorted(unknown)}; known: {SAMPLERS}")
         if self.alpha_policy not in ALPHA_POLICIES:
-            raise ValueError(f"alpha policy must be one of {ALPHA_POLICIES}")
+            raise InvalidSurveyConfig(f"alpha policy must be one of {ALPHA_POLICIES}")
         if self.kind not in ("expander", "corollary"):
-            raise ValueError("kind must be 'expander' or 'corollary'")
+            raise InvalidSurveyConfig("kind must be 'expander' or 'corollary'")
 
 
 SAMPLER_TAGS = {name: i for i, name in enumerate(SAMPLERS)}
@@ -177,7 +178,7 @@ def sample_set(spec: FieldSpec, sampler: str, size: int, seed: int) -> FqSet:
     if size > q:
         raise SizeInfeasible(f"size {size} > q = {q}")
     G = subs[int(rng.integers(0, len(subs)))]
-    reps = np.array(coset_representatives(spec, G), dtype=np.int64)
+    reps = coset_representatives(spec, G)
     needed = min(len(reps), max(1, math.ceil((size - 1) / (G.size - 1))))
     chosen = rng.choice(reps, size=needed, replace=False)
     members: set[int] = set()
@@ -366,14 +367,10 @@ def _summarize_cell(field_desc: str, size: int, sampler: str, records, kind: str
         return out
     if kind == "expander":
         ratios = sorted(r.ratio for r in records)
-        out["min_ratio"] = _round6(ratios[0])
-        out["median_ratio"] = _round6(ratios[len(ratios) // 2])
-        out["structural_pass_fraction"] = _round6(
-            sum(r.structural_pass for r in records) / len(records))
     else:
-        curves = sorted(r.intersection / r.corollary_curve for r in records)
-        out["min_ratio"] = _round6(curves[0])
-        out["median_ratio"] = _round6(curves[len(curves) // 2])
-        out["structural_pass_fraction"] = _round6(
-            sum(r.structural_pass for r in records) / len(records))
+        ratios = sorted(r.intersection / r.corollary_curve for r in records)
+    out["min_ratio"] = _round6(ratios[0])
+    out["median_ratio"] = _round6(ratios[len(ratios) // 2])
+    out["structural_pass_fraction"] = _round6(
+        sum(r.structural_pass for r in records) / len(records))
     return out

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from fqlab.cli import main
+from fqlab.lemma_oracles import LEMMAS
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +127,9 @@ def test_usage_error_exit_code():
     ("verify", "rbcard", "--field", "7^1", "--sets", "1,2,3;1;2"),
     ("trace", "--set", "1,2,4"),
     ("verify", "rbfq", "--set", "0,1,2"),
+    ("verify", "plunnecke_refined", "--field", "13", "--sets", "1,2,3,4;1;2", "--eps", "abc"),
+    ("verify", "plunnecke_refined", "--field", "13", "--sets", "1,2,3,4;1;2", "--eps", "1/0"),
+    ("survey", "--fields", "7", "--sizes", "abc", "--out", "no-such-dir/s.csv"),
 ])
 def test_usage_errors_found_after_parsing_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -138,6 +142,17 @@ def test_usage_errors_found_after_parsing_exit_2(capsys, argv):
     (("setop", "sum", "--field", "7", "--a", "1,x", "--b", "2"), None, "MalformedLiteral"),
     (("setop", "sum", "--field", "7", "--a", "1,9", "--b", "2"), None, "ElementOutOfRange"),
     (("field", "7"), "abc", "InvalidCap"),
+    (("setop", "sum", "--field", "7^x", "--a", "1", "--b", "2"), None, "MalformedDescriptor"),
+    (("verify", "rbcard", "--field", "7", "--sets", "1,2;1;2", "--r", "0"), None, "ZeroElement"),
+    (("verify", "rbcard", "--field", "7", "--sets", "1,2;1;2", "--r", "14"), None, "ZeroElement"),
+    (("verify", "dyadic_energy", "--field", "7", "--sets", "1;1,2"), None, "SecondSetLarger"),
+    (("verify", "rudnev", "--field", "7", "--sets", "1;1,2"), None, "SecondSetLarger"),
+    (("survey", "--fields", "7", "--sizes", "1", "--out", "no-such-dir/s.csv"), None,
+     "InvalidSurveyConfig"),
+    (("survey", "--fields", "7", "--sizes", "3", "--trials", "0", "--out", "no-such-dir/s.csv"),
+     None, "InvalidSurveyConfig"),
+    (("survey", "--fields", "7", "--sizes", "3", "--samplers", "foo",
+      "--out", "no-such-dir/s.csv"), None, "InvalidSurveyConfig"),
 ])
 def test_bad_input_is_a_domain_error(monkeypatch, capsys, argv, cap, error):
     if cap is not None:
@@ -147,17 +162,28 @@ def test_bad_input_is_a_domain_error(monkeypatch, capsys, argv, cap, error):
     assert err.startswith(f"{error}: ") and len(err.splitlines()) == 1
 
 
+def _wrong_set_counts():
+    """One set too few for every single-instance lemma, one too many where no
+    trailing "Bs" takes the rest, and any set for the batch-only lemmas."""
+    for lemma, (_, set_params) in LEMMAS.items():
+        counts = [len(set_params) - 1] + ([] if "Bs" in set_params else [len(set_params) + 1])
+        for n in counts if set_params else [1]:
+            yield ("verify", lemma, "--field", "7", "--r", "1", "--sets", ";".join(["1"] * n))
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "energy_cs", "--field", "7", "--set", "1,2"),
     ("verify", "ruzsa_triangle", "--field", "7", "--sets", "1;2"),
     ("verify", "plunnecke", "--field", "7", "--sets", "1,2"),
     ("verify", "rbfq", "--field", "7", "--sets", "1,2;3"),
+    *_wrong_set_counts(),
 ])
 def test_wrong_set_count_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and ("set(s)" in err or "not supported" in err)
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -144,6 +144,8 @@ def test_slice_certificates_randomized():
         certs = slice_certificates(sl)
         assert certs["level_band"] and certs["energy_ok"] and certs["mass_strict"]
         assert sl.M == sl.L * sl.N ** 2
+        pairs = sl.pairs.tolist()
+        assert pairs == sorted(pairs)  # the documented lexicographic (x, y) order
         checked += 1
     assert checked >= 950
 

@@ -201,7 +201,15 @@ def test_coset_representatives_are_smallest_encodings(p, m):
     spec = build_field(p, m)
     naive = naive_coset_profile(spec, [])
     for G in proper_subfields(spec):
-        assert coset_representatives(spec, G) == [c for d, _, c, _ in naive if d == G.d]
+        assert coset_representatives(spec, G).tolist() == [c for d, _, c, _ in naive if d == G.d]
+
+
+def test_coset_representatives_is_a_cached_read_only_array():
+    spec = build_field(2, 6)
+    for G in proper_subfields(spec):
+        reps = coset_representatives(spec, G)
+        assert reps.dtype == np.int64 and not reps.flags.writeable
+        assert coset_representatives(spec, G) is reps
 
 
 def test_coset_representatives_rejects_full_field():

@@ -1,3 +1,6 @@
+import hashlib
+import inspect
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +15,7 @@ from fqlab.errors import (
 from fqlab.finite_field import build_field, enumerate_subfields, parse_descriptor
 from fqlab.lemma_oracles import (
     LEMMA_IDS,
+    LEMMAS,
     _min_diffset_subset,
     _min_sumset_subset,
     basic_shift_subset,
@@ -20,17 +24,20 @@ from fqlab.lemma_oracles import (
     check_dyadic_energy,
     check_energy_cs,
     check_energy_identities,
+    check_plunnecke,
     check_popularity,
     check_quotient_subfield,
     check_rbcard,
+    check_ratio_to_shift,
     check_rbfq,
     check_rudnev,
-    check_sumset_inequalities,
+    check_ruzsa_triangle,
     find_pivot_r,
     find_pivot_xi,
     generate_instance,
     product_energy,
     refined_plunnecke_subset,
+    run_lemma,
 )
 from fqlab.set_algebra import FqSet, dilate, quotient_set, set_op, translate
 from pools import draw_set, naive_greedy_min_subset, naive_multiplicative_energy, pool_field
@@ -141,24 +148,24 @@ def test_find_pivot_xi_examples():
 
 def test_ruzsa_triangle_example():
     X = fqset(F7, 0, 1)
-    rep = check_sumset_inequalities(X, [X, X], "RuzsaTriangle")
+    rep = check_ruzsa_triangle(X, X, X)
     assert rep.verdict == "ExactPass"
     assert rep.witness["lhs"] == 3 * 2 and rep.witness["rhs"] == 9
 
 
 def test_plunnecke_ap_example():
     ap = fqset(build_field(13, 1), 0, 1, 2)
-    rep = check_sumset_inequalities(ap, [ap, ap], "Plunnecke")
+    rep = check_plunnecke(ap, [ap, ap])
     assert rep.verdict == "ExactPass"
     assert rep.witness["lhs"] == 5 * 3 and rep.witness["rhs"] == 25
 
 
 def test_ratio_to_shift_example():
     A = fqset(F7, 1, 2, 4)
-    rep = check_sumset_inequalities(A, [], "RatioToShift")
+    rep = check_ratio_to_shift(A)
     assert rep.verdict == "ExactPass"
     with pytest.raises(ZeroInSet):
-        check_sumset_inequalities(fqset(F7, 0, 1), [], "RatioToShift")
+        check_ratio_to_shift(fqset(F7, 0, 1))
 
 
 def test_refined_plunnecke_singleton_translates():
@@ -284,10 +291,45 @@ def test_batch_verify_covers_every_lemma():
 def test_generate_instance_deterministic():
     a = generate_instance("ruzsa_triangle", 7, 3)
     b = generate_instance("ruzsa_triangle", 7, 3)
-    assert a["X"] == b["X"] and a["Bs"][0] == b["Bs"][0]
+    assert a["X"] == b["X"] and a["B1"] == b["B1"]
 
 
 def test_report_json_has_no_timing():
     rep = check_rbfq(fqset(F5, 0, 1, 2))
     data = rep.to_json()
     assert "timing" not in data and rep.timing >= 0.0
+
+
+def test_run_lemma_times_the_check_and_leaves_output_alone():
+    X = fqset(F5, 0, 1, 2)
+    direct = check_rbfq(X)
+    timed = run_lemma("rbfq", X=X)
+    assert direct.timing == 0.0 and timed.timing > 0.0  # the check takes microseconds at least
+    assert "timing" not in timed.to_json() and timed.to_json() == direct.to_json()
+
+
+def test_lemma_table_matches_the_checkers():
+    # the order seeds each lemma's instance stream, so it is part of the output
+    assert LEMMA_IDS == tuple(LEMMAS) == (
+        "rbcard", "rbfq", "quotient_subfield", "pivot", "bou_glib_pivot",
+        "ruzsa_triangle", "ratio_to_shift", "plunnecke", "plunnecke_refined",
+        "covering_by_shifts", "basic_shift_bound", "popularity", "energy_identities",
+        "energy_cs", "dyadic_energy", "rudnev")
+    for lemma, (checker, set_params) in LEMMAS.items():
+        params = inspect.signature(checker).parameters
+        assert all(name in params for name in set_params), lemma
+        assert "Bs" not in set_params[:-1], lemma  # only a trailing "Bs" takes the rest
+    batch_only = sorted(lemma for lemma, (_, set_params) in LEMMAS.items() if not set_params)
+    assert batch_only == ["covering_by_shifts", "popularity"]
+
+
+# sha256 of the JSON lines of batch_verify(lemma, trials=10, seed=3) for every
+# lemma in LEMMA_IDS order, as the CLI prints them
+BATCH_DIGEST = "b7095fd12a0cce1fd67dac7dbf3bb7e4bd690801bc03261609f4d6508ca8ddb7"
+
+
+def test_batch_verify_output_is_frozen():
+    lines = [json.dumps(r.to_json(), sort_keys=True, separators=(",", ":"))
+             for lemma in LEMMA_IDS for r in batch_verify(lemma, trials=10, seed=3)]
+    assert len(lines) == 10 * len(LEMMA_IDS)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == BATCH_DIGEST
