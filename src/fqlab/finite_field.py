@@ -5,6 +5,16 @@ are the coefficients of the residue polynomial (digit i = coefficient of X^i),
 so prime fields encode elements as themselves.  Multiplication runs on full
 discrete exp/log tables with respect to a fixed generator; the O(q) table
 memory is what the construction cap is for.
+
+Addition is digit-wise mod p.  Prime fields add mod p and p = 2 adds by XOR.
+Every other field adds through a ``DigitPacking``: a q-length table of packed
+digits, so that one integer addition adds all m digits at once, and 2-3
+lookups in small tables that reduce each digit mod p and unpack the sum.
+
+The exp table is the power sequence of the generator, built by doubling:
+"multiply by g^L" is F_p-linear, so it is applied to the first L powers
+through chunk tables over a few base-p digits of the encoding, whose images
+are combined with the field addition.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from .errors import (
     DivisionByZero,
     FieldTooLarge,
     InvalidCap,
+    InvariantViolated,
     MalformedDescriptor,
     NoIrreducibleFound,
     NotPrime,
@@ -30,6 +41,7 @@ DEFAULT_CAP = 1 << 20
 CAP_ENV_VAR = "FQLAB_CAP"
 
 ARITH_OPS = ("add", "sub", "mul", "div", "neg", "inv", "pow")
+TABLE_BITS = 12  # index bits of a chunk table (one digit or packed field may need more)
 
 
 def field_cap() -> int:
@@ -178,23 +190,101 @@ def _find_generator(p: int, m: int, q: int, modulus) -> int:
     raise NoIrreducibleFound(f"no generator found for GF({p}^{m})")  # unreachable
 
 
-def _build_tables(p: int, m: int, q: int, modulus, generator: int):
-    """exp/log tables by repeated doubling of the power sequence: the columns of
-    E are digit vectors of successive generator powers, and block is the F_p-linear
-    map "multiply by generator^(current length)"."""
+@dataclass(frozen=True, eq=False)
+class DigitPacking:
+    """Addition tables of GF(p^m) for odd p and m > 1.
+
+    digits[x] holds the base-p digits of x packed w = bit_length(2p-1) bits
+    each, so the fields of digits[a] + digits[b], and of digits[a] + (fill -
+    digits[b]) with p in every field of fill, stay below 2^w without carries.
+    A packed sum is reduced chunk by chunk: tables[j] maps the bits of chunk j
+    to its digits mod p, already scaled to the encoding.
+    """
+
+    digits: np.ndarray  # length q, read-only
+    fill: int  # p in every w-bit field
+    chunk_bits: int
+    tables: tuple[np.ndarray, ...]
+    table_lists: tuple[list[int], ...]  # the same tables, for scalar reductions
+
+    @classmethod
+    def build(cls, p: int, m: int) -> "DigitPacking":
+        w = (2 * p - 1).bit_length()
+        if m * w > 62:
+            raise InvariantViolated(f"packed digits of GF({p}^{m}) need {m * w} bits, over 62")
+        digits = np.zeros(1, dtype=np.int64)
+        for i in range(m):  # digits of [0, p^(i+1)): digit i major, the lower digits minor
+            digits = np.add.outer(np.arange(p, dtype=np.int64) << (w * i), digits).ravel()
+        digits.setflags(write=False)
+        k = max(1, TABLE_BITS // w)  # fields per chunk
+        chunk = np.arange(1 << (k * w), dtype=np.int64)
+        base = sum((chunk >> (w * i) & ((1 << w) - 1)) % p * p**i for i in range(k))
+        tables = tuple(base * p ** (k * j) for j in range(-(-m // k)))
+        for t in tables:
+            t.setflags(write=False)
+        return cls(digits=digits, fill=sum(p << (w * i) for i in range(m)), chunk_bits=k * w,
+                   tables=tables, table_lists=tuple(t.tolist() for t in tables))
+
+    def reduce(self, s: np.ndarray) -> np.ndarray:
+        """Encodings of packed sums s (every field below 2^w)."""
+        mask = (1 << self.chunk_bits) - 1
+        out = self.tables[0][s & mask]
+        for j, t in enumerate(self.tables[1:], 1):
+            out += t[(s >> (j * self.chunk_bits)) & mask]
+        return out
+
+    def reduce_int(self, s: int) -> int:
+        mask = (1 << self.chunk_bits) - 1
+        return sum(t[(s >> (j * self.chunk_bits)) & mask] for j, t in enumerate(self.table_lists))
+
+    def add(self, a, b):
+        return self.reduce(self.digits[a] + self.digits[b])
+
+
+def _build_tables(p: int, m: int, q: int, modulus, generator: int, add):
+    """exp/log tables by repeated doubling of the power sequence.  cols holds
+    the encodings of g^L, g^L X, ..., g^L X^(m-1): the columns of the
+    F_p-linear map "multiply by g^L", L the current length.  The map is
+    applied through chunk tables over k base-p digits whose images are
+    combined by ``add``, and squared by applying it to its own columns.  The
+    tables are rebuilt at every doubling, so k is at most half the digits
+    (and p^k <= 2^TABLE_BITS): two tables of about sqrt(q) entries where
+    they fit.  Prime fields multiply by g^L mod p instead."""
+    k = 1
+    while 2 * k < m and p ** (k + 1) <= 1 << TABLE_BITS:
+        k += 1
+    starts = range(0, m, k)
+    powers = p ** np.arange(m, dtype=np.int64)
+
+    def mapper(cols: np.ndarray):
+        if m == 1:
+            return lambda x: x * cols[0] % p
+        col_digits = cols[:, None] // powers % p
+        tables = []
+        for s in starts:  # the last chunk may have fewer than k digits
+            n = min(k, m - s)
+            values = np.arange(p**n, dtype=np.int64)[:, None] // powers[:n] % p
+            tables.append(values @ col_digits[s: s + n] % p @ powers)
+
+        def apply(x: np.ndarray) -> np.ndarray:
+            out = tables[0][x % p**k]
+            for s, t in zip(starts[1:], tables[1:]):
+                out = add(out, t[x // p**s % p**k])
+            return out
+        return apply
+
     gd = _digits(generator, p, m)
-    cols = []
     xi = (1,) + (0,) * (m - 1)
+    cols = []
     for _ in range(m):
-        cols.append(_poly_mulmod(gd, xi, modulus, p))
+        cols.append(int(np.dot(_poly_mulmod(gd, xi, modulus, p), powers)))
         xi = _poly_mulmod(xi, (0, 1) + (0,) * (m - 2), modulus, p)
-    block = np.array(cols, dtype=np.int64).T
-    E = np.zeros((m, 1), dtype=np.int64)
-    E[0, 0] = 1
-    while E.shape[1] < q - 1:
-        E = np.concatenate([E, (block @ E) % p], axis=1)
-        block = (block @ block) % p
-    enc = np.array([p**i for i in range(m)], dtype=np.int64) @ E[:, : q - 1]
+    cols = np.array(cols, dtype=np.int64)
+    enc = np.ones(1, dtype=np.int64)
+    while enc.size < q - 1:
+        apply = mapper(cols)
+        enc = np.concatenate([enc, apply(enc[: q - 1 - enc.size])])
+        cols = apply(cols)
     hits = np.bincount(enc, minlength=q)
     if hits.size != q or not (hits[1:] == 1).all():
         raise NoIrreducibleFound("generator power table is not a bijection (construction bug)")
@@ -210,8 +300,11 @@ def _build_tables(p: int, m: int, q: int, modulus, generator: int):
 class FieldSpec:
     """A concrete GF(p^m) with fixed modulus and precomputed exp/log tables.
 
-    Immutable after construction; every operation below is pure, so a spec can
-    be shared freely across threads.
+    Addition is mod p in prime fields, XOR for p = 2 and, for every other
+    field, one integer addition of packed digits reduced through the small
+    tables of ``packing`` (subtraction adds ``packing.fill - digits[b]``, so
+    no negation table is needed).  Immutable after construction; every
+    operation below is pure, so a spec can be shared freely across threads.
     """
 
     p: int
@@ -221,6 +314,7 @@ class FieldSpec:
     generator: int
     exp_table: np.ndarray  # exp_table[k] = generator^k, period q-1, length q
     log_table: np.ndarray  # log_table[x] for x in [1, q); index 0 is a sentinel
+    packing: DigitPacking | None = None  # odd p and m > 1 only
     _derived: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -237,25 +331,22 @@ class FieldSpec:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        out, pk = 0, 1
-        for _ in range(self.m):
-            out += (((a // pk) + (b // pk)) % self.p) * pk
-            pk *= self.p
-        return out
+        pk = self.packing
+        return pk.reduce_int(int(pk.digits[a]) + int(pk.digits[b]))
 
     def neg(self, a: int) -> int:
         if self.m == 1:
             return (-a) % self.p
         if self.p == 2:
             return a
-        out, pk = 0, 1
-        for _ in range(self.m):
-            out += ((-(a // pk)) % self.p) * pk
-            pk *= self.p
-        return out
+        pk = self.packing
+        return pk.reduce_int(pk.fill - int(pk.digits[a]))
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        pk = self.packing
+        if pk is None:
+            return self.add(a, self.neg(b))
+        return pk.reduce_int(int(pk.digits[a]) + pk.fill - int(pk.digits[b]))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -291,27 +382,21 @@ class FieldSpec:
             return (a + b) % self.p
         if self.p == 2:
             return a ^ b
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        pk = 1
-        for _ in range(self.m):
-            out += (((a // pk) + (b // pk)) % self.p) * pk
-            pk *= self.p
-        return out
+        return self.packing.add(a, b)
 
     def neg_arr(self, a: np.ndarray) -> np.ndarray:
         if self.m == 1:
             return (-a) % self.p
         if self.p == 2:
             return np.array(a, copy=True)
-        out = np.zeros(np.shape(a), dtype=np.int64)
-        pk = 1
-        for _ in range(self.m):
-            out += ((-(a // pk)) % self.p) * pk
-            pk *= self.p
-        return out
+        pk = self.packing
+        return pk.reduce(pk.fill - pk.digits[a])
 
     def sub_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.add_arr(a, self.neg_arr(b))
+        pk = self.packing
+        if pk is None:
+            return self.add_arr(a, self.neg_arr(b))
+        return pk.reduce(pk.digits[a] + (pk.fill - pk.digits[b]))
 
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         zero = (a == 0) | (b == 0)
@@ -382,9 +467,11 @@ def build_field(p: int, m: int) -> FieldSpec:
         raise FieldTooLarge(f"q = {p}^{m} = {q} exceeds cap {cap}")
     modulus = _smallest_irreducible(p, m)
     generator = _find_generator(p, m, q, modulus)
-    exp_table, log_table = _build_tables(p, m, q, modulus, generator)
+    packing = DigitPacking.build(p, m) if p > 2 and m > 1 else None
+    exp_table, log_table = _build_tables(p, m, q, modulus, generator,
+                                         np.bitwise_xor if packing is None else packing.add)
     spec = FieldSpec(p=p, m=m, q=q, modulus=modulus, generator=generator,
-                     exp_table=exp_table, log_table=log_table)
+                     exp_table=exp_table, log_table=log_table, packing=packing)
     _FIELD_CACHE[key] = spec
     return spec
 

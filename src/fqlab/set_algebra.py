@@ -27,6 +27,7 @@ from .errors import (
 from .finite_field import FieldSpec, coset_columns, proper_subfields
 
 SET_OPS = ("sum", "diff", "prod", "ratio")
+PAIR_BLOCK_CELLS = 1 << 20  # grid cells per block of a pairwise count: bounds its memory
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,29 +145,42 @@ def dilate(A: FqSet, c: int) -> FqSet:
 def _pair_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
     """counts[v] = #{(a, b) in A x B : a ∘ b = v} for ∘ = kind, length q.
 
-    sum and diff bincount the add_arr/sub_arr grid; prod and ratio bincount
-    log a ± log b mod (q-1) over the nonzero parts, scatter it into encodings
-    through exp_table[:q-1] and give 0 the closed form |A||B| - |A*||B*|."""
+    sum and diff count the add_arr/sub_arr grid; prod and ratio count
+    log a ± log b mod (q-1) over the nonzero parts, scatter that into encodings
+    through exp_table[:q-1] and give 0 the closed form |A||B| - |A*||B*|.
+    The grid is never held whole: the counts accumulate (``np.add.at``, no
+    q-length array per block) over blocks of rows of A of about
+    PAIR_BLOCK_CELLS cells each."""
     spec = A.spec
     if kind in ("sum", "diff"):
+        a, b, n = A.members, B.members, spec.q
         op = spec.add_arr if kind == "sum" else spec.sub_arr
-        return np.bincount(op(A.members[:, None], B.members[None, :]).ravel(),
-                           minlength=spec.q)
-    if kind == "ratio" and 0 in B:
-        raise ZeroDivisorInRatio("ratio set needs 0 not in B")
-    a = spec.log_table[A.members[A.members != 0]]
-    b = spec.log_table[B.members[B.members != 0]]
-    logs = (np.add if kind == "prod" else np.subtract).outer(a, b)
-    logs %= spec.q - 1
-    counts = np.zeros(spec.q, dtype=np.int64)
-    counts[spec.exp_table[: spec.q - 1]] = np.bincount(logs.ravel(), minlength=spec.q - 1)
-    counts[0] = len(A) * len(B) - a.size * b.size
-    return counts
+    else:
+        if kind == "ratio" and 0 in B:
+            raise ZeroDivisorInRatio("ratio set needs 0 not in B")
+        # q <= 2^24, so int32 holds the residues and their sums at half the bytes a cell
+        a = spec.log_table[A.members[A.members != 0]].astype(np.int32)
+        b = spec.log_table[B.members[B.members != 0]].astype(np.int32)
+        n = spec.q - 1
+        combine = np.add if kind == "prod" else np.subtract
+
+        def op(x, y):
+            return combine(x, y) % n
+    counts = np.zeros(n, dtype=np.int64)
+    rows = max(1, PAIR_BLOCK_CELLS // max(1, b.size))
+    for i in range(0, a.size, rows):
+        np.add.at(counts, op(a[i: i + rows, None], b[None, :]).ravel(), 1)
+    if kind in ("sum", "diff"):
+        return counts
+    out = np.zeros(spec.q, dtype=np.int64)
+    out[spec.exp_table[: spec.q - 1]] = counts
+    out[0] = len(A) * len(B) - a.size * b.size
+    return out
 
 
 def set_op(A: FqSet, B: FqSet, kind: str) -> FqSet:
     """Exact pairwise sum/diff/prod/ratio set of A and B: the support, ascending,
-    of ``_pair_counts`` (a bincount of the grid for sum and diff, of the log
+    of ``_pair_counts`` (counts over the grid for sum and diff, over the log
     residues for prod and ratio).  An empty operand gives the empty set."""
     _require_same_field(A, B)
     if kind not in SET_OPS:

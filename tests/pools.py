@@ -42,14 +42,31 @@ def draw_set(rng, spec, size, nonzero=False) -> FqSet:
 # ---------------------------------------------------------------------------
 
 
+def naive_add(spec: FieldSpec, a: int, b: int, sign: int = 1) -> int:
+    """a + sign*b digit by digit in base p, without the library's addition tables."""
+    out, pk = 0, 1
+    for _ in range(spec.m):
+        out += (a // pk % spec.p + sign * (b // pk % spec.p)) % spec.p * pk
+        pk *= spec.p
+    return out
+
+
+def naive_sub(spec: FieldSpec, a: int, b: int) -> int:
+    return naive_add(spec, a, b, -1)
+
+
+def naive_neg(spec: FieldSpec, a: int) -> int:
+    return naive_add(spec, 0, a, -1)
+
+
 def naive_set_op(spec: FieldSpec, A, B, kind: str) -> list[int]:
     out = set()
     for a in A:
         for b in B:
             if kind == "sum":
-                out.add(arith(spec, "add", a, b))
+                out.add(naive_add(spec, a, b))
             elif kind == "diff":
-                out.add(arith(spec, "sub", a, b))
+                out.add(naive_sub(spec, a, b))
             elif kind == "prod":
                 out.add(arith(spec, "mul", a, b))
             elif kind == "ratio":
@@ -59,22 +76,24 @@ def naive_set_op(spec: FieldSpec, A, B, kind: str) -> list[int]:
 
 def naive_pair_counts(spec: FieldSpec, A, B, kind: str) -> list[int]:
     """counts[v] = #{(a, b) in A x B : a ∘ b = v} for ∘ = kind, length q."""
-    op = {"sum": "add", "diff": "sub", "prod": "mul", "ratio": "div"}[kind]
+    op = {"sum": naive_add, "diff": naive_sub,
+          "prod": lambda spec, a, b: arith(spec, "mul", a, b),
+          "ratio": lambda spec, a, b: arith(spec, "div", a, b)}[kind]
     counts = [0] * spec.q
     for a in A:
         for b in B:
-            counts[arith(spec, op, a, b)] += 1
+            counts[op(spec, a, b)] += 1
     return counts
 
 
 def naive_shifted_product(spec: FieldSpec, A, alpha: int) -> list[int]:
-    return sorted({arith(spec, "mul", a, arith(spec, "add", b, alpha))
+    return sorted({arith(spec, "mul", a, naive_add(spec, b, alpha))
                    for a in A for b in A})
 
 
 def naive_additive_energy(spec: FieldSpec, A) -> int:
     """Literal quadruple count a1 + a2 = a3 + a4 (broadcast equality)."""
-    sums = np.array([arith(spec, "add", a, b) for a in A for b in A])
+    sums = np.array([naive_add(spec, a, b) for a in A for b in A])
     return int((sums[:, None] == sums[None, :]).sum())
 
 
@@ -91,8 +110,8 @@ def naive_quotient_set(spec: FieldSpec, X) -> list[int]:
             for x3 in X:
                 for x4 in X:
                     if x3 != x4:
-                        out.add(arith(spec, "div", arith(spec, "sub", x1, x2),
-                                      arith(spec, "sub", x3, x4)))
+                        out.add(arith(spec, "div", naive_sub(spec, x1, x2),
+                                      naive_sub(spec, x3, x4)))
     return sorted(out)
 
 
@@ -118,11 +137,11 @@ def naive_cover_min(spec: FieldSpec, target, tile, sign: int) -> int:
     translate hitting the first uncovered element (independent of the
     library's branch-and-bound: no greedy seed, no coverage bounds, no
     dominated-mask pruning)."""
-    tile_eff = [arith(spec, "neg", t) for t in tile] if sign < 0 else list(tile)
+    tile_eff = [naive_neg(spec, t) for t in tile] if sign < 0 else list(tile)
     target = list(target)
     universe = frozenset(target)
-    candidates = sorted({arith(spec, "sub", e, t) for e in target for t in tile_eff})
-    masks = [frozenset(arith(spec, "add", c, t) for t in tile_eff) & universe
+    candidates = sorted({naive_sub(spec, e, t) for e in target for t in tile_eff})
+    masks = [frozenset(naive_add(spec, c, t) for t in tile_eff) & universe
              for c in candidates]
     masks = [m for m in masks if m]
 
@@ -152,12 +171,12 @@ def naive_greedy_min_subset(spec: FieldSpec, members, floor: int, S=None):
     remain.  Returns (subset, size)."""
     current = sorted(members)
     if S is None:
-        table = {(a, b): arith(spec, "sub", a, b) for a in current for b in current}
+        table = {(a, b): naive_sub(spec, a, b) for a in current for b in current}
 
         def size(sub):
             return len({table[a, b] for a in sub for b in sub})
     else:
-        table = {(x, s): arith(spec, "add", x, s) for x in current for s in S}
+        table = {(x, s): naive_add(spec, x, s) for x in current for s in S}
 
         def size(sub):
             return len({table[x, s] for x in sub for s in S})

@@ -10,10 +10,14 @@ from fqlab.errors import (
     DegreeZero,
     DivisionByZero,
     FieldTooLarge,
+    InvariantViolated,
     NotPrime,
     NotProperSubfield,
 )
 from fqlab.finite_field import (
+    DigitPacking,
+    _digits,
+    _poly_mulmod,
     arith,
     build_field,
     coset_representatives,
@@ -24,7 +28,7 @@ from fqlab.finite_field import (
     proper_subfields,
 )
 from fqlab.set_algebra import FqSet
-from pools import naive_coset_profile
+from pools import POOL_DESCRIPTORS, naive_add, naive_coset_profile, naive_neg, naive_sub
 
 SMALL_FIELDS = [(7, 1), (2, 2), (3, 2), (2, 4), (5, 2), (3, 3), (2, 6)]
 
@@ -103,6 +107,43 @@ def test_exp_log_tables_roundtrip():
         xs = np.arange(1, spec.q)
         assert np.array_equal(spec.exp_table[spec.log_table[xs]], xs)
         assert spec.exp_table[spec.q - 1] == spec.exp_table[0] == 1
+
+
+@pytest.mark.parametrize("desc", POOL_DESCRIPTORS)
+def test_exp_table_is_the_power_sequence_of_the_generator(desc):
+    spec = parse_descriptor(desc)
+    g = _digits(spec.generator, spec.p, spec.m)
+    power = _digits(1, spec.p, spec.m)
+    for k in range(spec.q):
+        assert spec.exp_table[k] == sum(d * spec.p**i for i, d in enumerate(power)), k
+        power = _poly_mulmod(power, g, spec.modulus, spec.p)
+
+
+# 1021^2 packs 11 bits a digit, so each reduction chunk holds a single digit
+@pytest.mark.parametrize("desc", POOL_DESCRIPTORS + ("3^7", "5^8", "7^7", "1021^2"))
+def test_addition_matches_the_digitwise_oracle(desc):
+    spec = parse_descriptor(desc)
+    if spec.q <= 128:  # every pair
+        a, b = (v.ravel() for v in np.meshgrid(np.arange(spec.q), np.arange(spec.q)))
+    else:  # the largest element against itself and 0, then random pairs
+        rng = np.random.default_rng([37, spec.q])
+        a = np.concatenate([[0, spec.q - 1, spec.q - 1], rng.integers(0, spec.q, 3000)])
+        b = np.concatenate([[spec.q - 1, 0, spec.q - 1], rng.integers(0, spec.q, 3000)])
+    pairs = list(zip(a.tolist(), b.tolist()))
+    sums = [naive_add(spec, x, y) for x, y in pairs]
+    diffs = [naive_sub(spec, x, y) for x, y in pairs]
+    negs = [naive_neg(spec, x) for x, _ in pairs]
+    assert spec.add_arr(a, b).tolist() == sums
+    assert spec.sub_arr(a, b).tolist() == diffs
+    assert spec.neg_arr(a).tolist() == negs
+    assert [spec.add(x, y) for x, y in pairs] == sums
+    assert [spec.sub(x, y) for x, y in pairs] == diffs
+    assert [spec.neg(x) for x, _ in pairs] == negs
+
+
+def test_digit_packing_refuses_more_than_62_bits():
+    with pytest.raises(InvariantViolated):
+        DigitPacking.build(3, 21)  # 3 bits a digit; refused before any table is built
 
 
 @pytest.mark.parametrize("p,m", SMALL_FIELDS)

@@ -1,12 +1,15 @@
 import hashlib
 import inspect
 import json
+import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from fqlab.errors import (
+    EmptySet,
     EpsilonOutOfRange,
     NotApplicable,
     NotSubsets,
@@ -40,7 +43,14 @@ from fqlab.lemma_oracles import (
     run_lemma,
 )
 from fqlab.set_algebra import FqSet, dilate, quotient_set, set_op, translate
-from pools import draw_set, naive_greedy_min_subset, naive_multiplicative_energy, pool_field
+from pools import (
+    draw_set,
+    naive_greedy_min_subset,
+    naive_multiplicative_energy,
+    naive_quotient_set,
+    naive_set_op,
+    pool_field,
+)
 
 F5 = build_field(5, 1)
 F7 = build_field(7, 1)
@@ -144,6 +154,41 @@ def test_find_pivot_xi_examples():
     full = FqSet.full(F7)
     rep = find_pivot_xi(full, full)
     assert rep.witness["max_sumset"] == 7
+
+
+def _naive_dilated_sumset_size(spec, X, Y, c):
+    return len(naive_set_op(spec, X, [spec.mul(c, y) for y in Y], "sum"))
+
+
+@pytest.mark.parametrize("descriptor", ["7^1", "2^4", "3^3", "11^2"])
+def test_find_pivot_xi_matches_a_per_candidate_loop(descriptor):
+    spec = parse_descriptor(descriptor)
+    rng = np.random.default_rng([29, spec.q])
+    X1, X2 = draw_set(rng, spec, 4), draw_set(rng, spec, 3)
+    sizes = [_naive_dilated_sumset_size(spec, X1, X2, xi) for xi in range(1, spec.q)]
+    rep = find_pivot_xi(X1, X2)
+    assert rep.witness["max_sumset"] == max(sizes)
+    assert rep.witness["xi"] == 1 + sizes.index(max(sizes))  # the first maximiser
+
+
+@pytest.mark.parametrize("descriptor", ["2^6", "3^4", "11^2", "5^3"])
+def test_find_pivot_r_matches_a_per_candidate_loop(descriptor):
+    spec = parse_descriptor(descriptor)
+    X = draw_set(np.random.default_rng([31, spec.q]), spec, 5)
+    floor = math.ceil(Fraction(3 * len(X), 4))
+    R = naive_quotient_set(spec, list(X))
+    worst = [min(_naive_dilated_sumset_size(spec, S, S, r) for S in combinations(list(X), floor))
+             for r in R]
+    rep = find_pivot_r(X)
+    assert rep.witness["min_sumset"] == max(worst)
+    assert rep.witness["r"] == R[worst.index(max(worst))]  # the first maximiser
+
+
+def test_plunnecke_with_no_summands_is_a_domain_error():
+    with pytest.raises(EmptySet):
+        check_plunnecke(fqset(F7, 1, 2), [])
+    with pytest.raises(EmptySet):
+        refined_plunnecke_subset(fqset(F7, 1, 2), [], Fraction(1, 2))
 
 
 def test_ruzsa_triangle_example():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,9 +15,11 @@ from fqlab.errors import (
     ZeroShift,
 )
 from fqlab.finite_field import build_field, enumerate_subfields, parse_descriptor, proper_subfields
+from fqlab import set_algebra
 from fqlab.set_algebra import (
     SET_OPS,
     FqSet,
+    _pair_counts,
     additive_energy,
     coset_intersection_counts,
     coset_profile,
@@ -118,6 +122,32 @@ def test_pair_counts_match_naive_oracle(desc):
                 rep = representation_spectrum(A, B)
                 assert rep.counts == {v: c for v, c in enumerate(counts) if c}
                 assert (rep.total, rep.energy) == (sum(counts), sum(c * c for c in counts))
+
+
+@pytest.mark.parametrize("desc", ("13^1", "2^4", "3^3", "11^2"))
+def test_pair_counts_accumulate_over_blocks(desc, monkeypatch):
+    spec = parse_descriptor(desc)
+    rng = np.random.default_rng([72, spec.q])
+    A = draw_set(rng, spec, 7, nonzero=True).union(fqset(spec, 0))
+    B = draw_set(rng, spec, 4, nonzero=True)
+    # blocks of 3 rows: 3 + 3 + 2 rows of A for sum and diff, 3 + 3 + 1 of A* for prod and ratio
+    monkeypatch.setattr(set_algebra, "PAIR_BLOCK_CELLS", 3 * len(B))
+    for kind in SET_OPS:
+        assert list(_pair_counts(A, B, kind)) == naive_pair_counts(spec, A, B, kind)
+
+
+def test_pair_counts_stay_well_below_one_grid_of_memory():
+    spec = build_field(3, 12)
+    A = FqSet.from_iterable(spec, np.random.default_rng(5).choice(spec.q, 3000, replace=False))
+    grid = len(A) ** 2 * 8  # one int64 |A| x |A| grid: 72 MB
+    for count in (lambda: sum_representation_counts(A), lambda: set_op(A, A, "prod")):
+        tracemalloc.start()
+        try:
+            count()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40_000_000 < grid
 
 
 def test_set_op_with_an_empty_operand_is_empty():
