@@ -5,7 +5,8 @@ The library is organized in five layers:
 
 - ``finite_field``: field construction, element arithmetic, subfields, cosets
 - ``set_algebra``: canonical subsets, sumset/product algebra, energies,
-  the structural coset-intersection profile
+  the structural condition, decided from each proper subfield's largest
+  coset-intersection count
 - ``decompositions``: popularity pigeonholing, dyadic energy slices,
   popular-point extraction, covering by translates, the growth proof trace
 - ``lemma_oracles``: executable verdicts for the supporting lemmas

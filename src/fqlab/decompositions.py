@@ -500,25 +500,24 @@ def _jsonable(obj):
 
 
 def _first_ratio_quadruple(S: FqSet, r: int):
-    """Lexicographically first (a, b, c, d) in S^4 with (a-b)/(c-d) = r (r != 0)."""
-    spec = S.spec
-    first_cd: dict[int, tuple[int, int]] = {}
-    for c in S:
-        for d in S:
-            if c == d:
-                continue
-            delta = spec.sub(c, d)
-            if delta not in first_cd:
-                first_cd[delta] = (c, d)
-    for a in S:
-        for b in S:
-            if a == b:
-                continue
-            need = spec.div(spec.sub(a, b), r)
-            if need in first_cd:
-                c, d = first_cd[need]
-                return a, b, c, d
-    return None
+    """Lexicographically first (a, b, c, d) in S^4 with (a-b)/(c-d) = r (r != 0).
+
+    Over the row-major S x S grid of differences, the first pair (c, d) giving
+    each nonzero difference is its first index in ``np.unique``; the answer is
+    the first (a, b) whose (a-b)/r is one of those differences.  A difference
+    is 0 exactly on the diagonal, so dropping 0 drops c = d and a = b."""
+    spec, members = S.spec, S.members
+    n = members.size
+    diffs = spec.sub_arr(members[:, None], members[None, :]).ravel()
+    seen, first = np.unique(diffs, return_index=True)
+    seen, first = seen[1:], first[1:]  # seen[0] is 0, the diagonal
+    need = spec.div_arr(diffs, np.int64(r))
+    hits = np.flatnonzero(np.isin(need, seen))
+    if not hits.size:
+        return None
+    i = int(hits[0])
+    j = int(first[np.searchsorted(seen, need[i])])
+    return tuple(int(members[k]) for k in (i // n, i % n, j // n, j % n))
 
 
 def run_proof_trace(A: FqSet, alpha: int, params: TraceParams = TraceParams()) -> ProofTrace:
@@ -674,12 +673,14 @@ def _classify(A_input: FqSet, A2: FqSet, alpha: int, sl: DyadicSlice,
     if not match:
         raise InvariantViolated("closure held but the quotient set is not a subfield")
     G0 = match[0]
-    max_size = int(coset_intersection_counts(A_input, G0).max())
+    counts = coset_intersection_counts(A_input, G0)
+    max_size = int(counts.max())
     sqrt_ok = max_size**2 <= kappa**2 * G0.size
     if sqrt_ok:
         return "4.2", {"subfield_degree": G0.d, "max_coset_intersection": max_size}, {
             "case4": {"full_field": False, "sqrt_condition": True, "kappa": kappa}}
-    inter = len(A_input.intersect(dilate(G0.elements, pts.x0)))
+    # x0 != 0 (-alpha was removed from A''), so x0*G0 is the coset at log x0
+    inter = int(counts[spec.log_table[pts.x0] % counts.size])
     cond = inter**26 <= kappa**26 * len(A_input) ** 25
     return "4.3", {"subfield_degree": G0.d, "x0_coset_intersection": inter}, {
         "case4": {"full_field": False, "sqrt_condition": False,

@@ -544,11 +544,6 @@ def proper_subfields(spec: FieldSpec) -> list[SubfieldHandle]:
     return [h for h in enumerate_subfields(spec) if h.is_proper]
 
 
-def coset_columns(spec: FieldSpec, G: SubfieldHandle) -> np.ndarray:
-    """Exp-table view whose column i is coset i: the x != 0 with log x = i mod (q-1)/(|G|-1)."""
-    return spec.exp_table[: spec.q - 1].reshape(G.size - 1, -1)
-
-
 def coset_representatives(spec: FieldSpec, G: SubfieldHandle) -> np.ndarray:
     """Smallest-encoded representative of each distinct dilate cG, c in F_q^*,
     as a cached, read-only, sorted int64 array.
@@ -560,6 +555,8 @@ def coset_representatives(spec: FieldSpec, G: SubfieldHandle) -> np.ndarray:
         raise NotProperSubfield(f"subfield of size {G.size} is the whole field")
     cache = spec._derived.setdefault("coset_reps", {})
     if G.d not in cache:
-        cache[G.d] = np.sort(coset_columns(spec, G).min(axis=0))
+        # column i of this exp-table view is coset i: the x != 0 with log x = i mod (q-1)/(|G|-1)
+        columns = spec.exp_table[: spec.q - 1].reshape(G.size - 1, -1)
+        cache[G.d] = np.sort(columns.min(axis=0))
         cache[G.d].flags.writeable = False
     return cache[G.d]

@@ -229,27 +229,31 @@ def _dilated_sumset_sizes(X: FqSet, Y: FqSet, cs: np.ndarray) -> np.ndarray:
     return sizes
 
 
-def find_pivot_r(X: FqSet, threshold_c: Fraction = Fraction(1, 2),
-                 n_random_subsets: int = 20, seed: int = 0) -> LemmaReport:
+PIVOT_THRESHOLD = Fraction(1, 2)  # find_pivot_r needs |R(X)| >= this * |X|^2
+PIVOT_SAMPLES = 20  # subsets find_pivot_r draws when |X| > 10
+
+
+def find_pivot_r(X: FqSet) -> LemmaReport:
     """Search for r in R(X) keeping |X' + r*X'| large over large subsets X'.
 
-    Applies only when the quotient set is quadratically large (>= c|X|^2);
-    the subset sweep is exhaustive at >= 3|X|/4 for |X| <= 10, sampled above.
+    Applies only when the quotient set is quadratically large (>= PIVOT_THRESHOLD * |X|^2);
+    the subset sweep is exhaustive at >= 3|X|/4 for |X| <= 10, and takes
+    PIVOT_SAMPLES seeded draws above.
     """
     if len(X) < 2:
         raise SetTooSmall("need |X| >= 2")
     R = quotient_set(X)
     n = len(X)
-    if len(R) < threshold_c * n * n:
-        raise NotApplicable(f"|R(X)| = {len(R)} below {threshold_c} * |X|^2")
+    if len(R) < PIVOT_THRESHOLD * n * n:
+        raise NotApplicable(f"|R(X)| = {len(R)} below {PIVOT_THRESHOLD} * |X|^2")
     floor = max(1, math.ceil(Fraction(3 * n, 4)))
     spec = X.spec
     if n <= 10:
         subsets = [FqSet.from_iterable(spec, c) for c in combinations(X.members.tolist(), floor)]
     else:
-        rng = np.random.default_rng([seed, n, spec.q])
+        rng = np.random.default_rng([0, n, spec.q])
         subsets = [FqSet.from_iterable(spec, rng.choice(X.members, size=floor, replace=False))
-                   for _ in range(n_random_subsets)]
+                   for _ in range(PIVOT_SAMPLES)]
     worst = _dilated_sumset_sizes(subsets[0], subsets[0], R.members)
     for sub in subsets[1:]:
         np.minimum(worst, _dilated_sumset_sizes(sub, sub, R.members), out=worst)

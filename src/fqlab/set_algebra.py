@@ -1,7 +1,8 @@
 """Canonical subsets of GF(q) and the set-theoretic quantities built on them:
 sum/product/difference/ratio sets, shifted products, the quotient set of a set,
 ratio representation counts, additive and multiplicative energies, and the
-coset-intersection profile used as the structural growth condition.
+structural growth condition, decided from each proper subfield's largest
+coset-intersection count.
 
 FqSet values are immutable and all operations are pure.
 """
@@ -24,7 +25,7 @@ from .errors import (
     ZeroInDenominatorSet,
     ZeroShift,
 )
-from .finite_field import FieldSpec, coset_columns, proper_subfields
+from .finite_field import FieldSpec, proper_subfields
 
 SET_OPS = ("sum", "diff", "prod", "ratio")
 PAIR_BLOCK_CELLS = 1 << 20  # grid cells per block of a pairwise count: bounds its memory
@@ -272,45 +273,13 @@ def intersection_shift_counts(A: FqSet) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# structural condition: coset-intersection profile
+# structural condition: coset-intersection counts
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CosetIntersection:
-    d: int  # subfield degree divisor
-    rep: int  # coset representative c
-    size: int  # |A ∩ cG|
-    passes: dict[int, bool]  # per-kappa verdict of  size <= kappa*max(|G|^(1/2), |ref|^(num/den))
-
-
-@dataclass(frozen=True)
-class ProfileReport:
-    """Exact verdicts of |A ∩ cG| <= kappa * max(|G|^(1/2), |reference|^(num/den))
-    over every proper subfield G and coset representative c.
-
-    entries lists only the cosets that meet A minus {0}, ordered by (d, rep);
-    every other coset has size <= 1 and passes for kappa >= 1.  Comparisons
-    are done by big-integer cross-powering so verdicts are bit-reproducible;
-    kappa models the unknowable implied constant.
-    """
-
-    field: str
-    exponent_num: int
-    exponent_den: int
-    reference_size: int
-    kappas: tuple[int, ...]
-    entries: tuple[CosetIntersection, ...]
-    overall: dict[int, bool]
-    vacuous: bool  # the field has no proper subfield
-
-
-DEFAULT_KAPPAS = (1, 2, 4)
 
 
 def coset_intersection_counts(A: FqSet, G) -> np.ndarray:
     """|A ∩ cG| for every coset cG of the subfield G, indexed by
-    log c mod (q-1)/(|G|-1), the columns of ``coset_columns``."""
+    log c mod (q-1)/(|G|-1)."""
     spec = A.spec
     n = (spec.q - 1) // (G.size - 1)
     logs = spec.log_table[A.members[A.members != 0]]
@@ -318,38 +287,22 @@ def coset_intersection_counts(A: FqSet, G) -> np.ndarray:
 
 
 def coset_profile(A: FqSet, exponent_num: int, exponent_den: int, reference: FqSet,
-                  kappas: tuple[int, ...] = DEFAULT_KAPPAS) -> ProfileReport:
-    """overall[k] is the verdict on each subfield's largest count: the verdict
-    is monotone in the size, so the largest count decides every coset."""
+                  kappa: int = 1) -> bool:
+    """The structural condition: |A ∩ cG| <= kappa * max(|G|^(1/2),
+    |reference|^(num/den)) for every proper subfield G and every c.
+
+    The bound grows with the count, so each subfield's largest count decides
+    all of its cosets: one exact comparison per subfield, by big-integer
+    cross-powering, so the verdict is bit-reproducible.  kappa models the
+    unknowable implied constant.  A prime field has no proper subfield and
+    passes vacuously.
+    """
     if len(reference) == 0:
         raise EmptySet("reference set must be nonempty")
-    spec = A.spec
     ref = len(reference)
-
-    def verdicts(t: int, g_size: int) -> dict[int, bool]:
-        return {k: t**2 <= k**2 * g_size or t**exponent_den <= k**exponent_den * ref**exponent_num
-                for k in kappas}
-
-    subfields = proper_subfields(spec)
-    entries: list[CosetIntersection] = []
-    overall = {k: True for k in kappas}
-    for G in subfields:
-        counts = coset_intersection_counts(A, G)
-        worst = verdicts(int(counts.max()), G.size)
-        overall = {k: overall[k] and worst[k] for k in kappas}
-        hit = np.flatnonzero(counts > int(0 in A))
-        reps = coset_columns(spec, G)[:, hit].min(axis=0)
-        for i in np.argsort(reps):
-            t = int(counts[hit[i]])
-            entries.append(CosetIntersection(d=G.d, rep=int(reps[i]), size=t,
-                                             passes=verdicts(t, G.size)))
-    return ProfileReport(
-        field=spec.descriptor,
-        exponent_num=exponent_num,
-        exponent_den=exponent_den,
-        reference_size=ref,
-        kappas=tuple(kappas),
-        entries=tuple(entries),
-        overall=overall,
-        vacuous=not subfields,
-    )
+    for G in proper_subfields(A.spec):
+        t = int(coset_intersection_counts(A, G).max())
+        if not (t**2 <= kappa**2 * G.size
+                or t**exponent_den <= kappa**exponent_den * ref**exponent_num):
+            return False
+    return True

@@ -198,12 +198,11 @@ def expander_record(A: FqSet, alpha: int, sampler: str = "explicit",
     spec = A.spec
     value = len(shifted_product(A, alpha))
     curve = growth_curve(len(A), spec.q)
-    profile = coset_profile(A, 25, 26, A)
     return SurveyRecord(
         field=spec.descriptor, p=spec.p, m=spec.m, size=len(A), alpha=int(alpha),
         sampler=sampler, seed=int(seed), shifted_product=value,
         theorem_curve=curve, gs_curve=garaev_shen_curve(len(A), spec.q),
-        ratio=value / curve, structural_pass=profile.overall[1],
+        ratio=value / curve, structural_pass=coset_profile(A, 25, 26, A),
     )
 
 
@@ -242,24 +241,24 @@ def corollary_record(A: FqSet, alpha: int, sampler: str = "explicit",
         if len(set_op(S, S_shift, "prod")) > len(prod):
             raise InvariantViolated("the subset product S(S + alpha) outgrows AA")
 
-    profile = coset_profile(A, 50, 53, prod)
     return CorollaryRecord(
         field=spec.descriptor, p=spec.p, m=spec.m, size=len(A), alpha=int(alpha),
         sampler=sampler, seed=int(seed), intersection=inter, prod_size=len(prod),
         energy=energy, corollary_curve=intersection_curve(len(prod), spec.q),
-        chain_pass=chain_pass, structural_pass=profile.overall[1],
+        chain_pass=chain_pass, structural_pass=coset_profile(A, 50, 53, prod),
         restricted_energy_ratio=restricted,
     )
 
 
 ENUMERATION_BUDGET = 10**7
+MAX_MINIMIZERS = 100
 
 
 def exhaustive_min_expander(spec: FieldSpec, k: int, alpha: int = 1,
-                            nonzero_only: bool = False, max_minimizers: int = 100):
+                            nonzero_only: bool = False):
     """Exact minimum of |A(A+alpha)| over every k-subset of F_q (or F_q^*).
 
-    Returns (minimum, minimizers) with at most max_minimizers canonically first
+    Returns (minimum, minimizers) with at most MAX_MINIMIZERS canonically first
     witnesses; refuses instances beyond the enumeration budget.
     """
     if alpha % spec.q == 0:
@@ -280,7 +279,7 @@ def exhaustive_min_expander(spec: FieldSpec, k: int, alpha: int = 1,
         if best is None or size < best:
             best = size
             minimizers = [A]
-        elif size == best and len(minimizers) < max_minimizers:
+        elif size == best and len(minimizers) < MAX_MINIMIZERS:
             minimizers.append(A)
     return best, minimizers
 

@@ -298,34 +298,32 @@ def test_difference_count_identities_always():
 
 
 def test_coset_profile_prime_field_vacuous():
-    prof = coset_profile(fqset(F7, 1, 2, 4), 25, 26, fqset(F7, 1, 2, 4))
-    assert prof.vacuous and all(prof.overall.values())
+    A = fqset(F7, 1, 2, 4)
+    assert all(coset_profile(A, 25, 26, A, kappa=k) for k in (1, 2, 4))
 
 
 def test_coset_profile_embedded_subfield_fails_exactly():
-    G = enumerate_subfields(F16)[1].elements  # F_4 embedded in F_16
-    prof = coset_profile(G, 25, 26, G)
-    # |A ∩ 1*F_4| = 4: 4^2 > |F_4| = 4 and 4^26 > 4^25, so kappa = 1 fails
-    assert not prof.overall[1]
+    F4 = enumerate_subfields(F16)[1]  # F_4 embedded in F_16
+    G = F4.elements
+    # |A ∩ 1*F_4| = 4 (the coset of 1 sits at log 1 = 0): 4^2 > |F_4| = 4 and
+    # 4^26 > 4^25, so kappa = 1 fails
+    assert coset_intersection_counts(G, F4)[0] == 4
     assert 4 ** 2 > 4 and 4 ** 26 > 4 ** 25
-    entry = next(e for e in prof.entries if e.d == 2 and e.size == 4)
-    assert not entry.passes[1]
+    assert not coset_profile(G, 25, 26, G)
 
 
 def test_coset_profile_exact_integer_comparisons():
     rng = np.random.default_rng(53)
     for _ in range(50):
         A = draw_set(rng, F16, int(rng.integers(2, 12)))
-        prof = coset_profile(A, 25, 26, A, kappas=(1, 2, 4))
-        for e in prof.entries:
-            G_size = 2 ** e.d
-            for k in (1, 2, 4):
-                expected = (e.size ** 2 <= k ** 2 * G_size
-                            or e.size ** 26 <= k ** 26 * len(A) ** 25)
-                assert e.passes[k] == expected
+        verdicts = [coset_profile(A, 25, 26, A, kappa=k) for k in (1, 2, 4)]
+        # the verdict on each subfield's largest count is the verdict on every coset
+        assert verdicts == [all(t ** 2 <= k ** 2 * G.size or t ** 26 <= k ** 26 * len(A) ** 25
+                                for G in proper_subfields(F16)
+                                for t in coset_intersection_counts(A, G).tolist())
+                            for k in (1, 2, 4)]
         # verdicts are monotone in kappa
-        assert (not prof.overall[1]) or prof.overall[2]
-        assert (not prof.overall[2]) or prof.overall[4]
+        assert verdicts == sorted(verdicts)
 
 
 @pytest.mark.parametrize("desc", POOL_DESCRIPTORS + (LARGE_DESCRIPTOR,))
@@ -340,6 +338,7 @@ def test_coset_counting_matches_naive_oracle(desc):
     other = draw_set(rng, spec, 9)
     for A in sets:
         naive = naive_coset_profile(spec, A)
+        assert (not naive) == (spec.m == 1)
         for G in subfields:
             n = (spec.q - 1) // (G.size - 1)
             rows = [(c, t) for d, _, c, t in naive if d == G.d]
@@ -347,13 +346,10 @@ def test_coset_counting_matches_naive_oracle(desc):
             assert counts.size == len(rows) == n
             assert all(counts[spec.log_table[c] % n] == t for c, t in rows)
         for num, den, ref in ((25, 26, A), (50, 53, other)):
-            passes = [(d, c, t, {k: t**2 <= k**2 * g or t**den <= k**den * len(ref)**num
-                                 for k in (1, 2, 4)}) for d, g, c, t in naive]
-            prof = coset_profile(A, num, den, ref, kappas=(1, 2, 4))
-            assert [(e.d, e.rep, e.size, e.passes) for e in prof.entries] == [
-                row for row in passes if row[2] > int(0 in A)]
-            assert prof.overall == {k: all(row[3][k] for row in passes) for k in (1, 2, 4)}
-            assert prof.vacuous == (spec.m == 1) == (not naive)
+            verdicts = [coset_profile(A, num, den, ref, kappa=k) for k in (1, 2, 4)]
+            assert verdicts == [all(t**2 <= k**2 * g or t**den <= k**den * len(ref)**num
+                                    for _, g, _, t in naive) for k in (1, 2, 4)]
+            assert verdicts == sorted(verdicts)  # monotone in kappa
 
 
 @given(st.integers(2, 60), st.integers(0, 3), st.data())

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -186,6 +187,29 @@ def test_run_survey_deterministic_bytes(tmp_path):
     s2 = json.load(open(p2 + ".summary.json"))
     s1["config"].pop("seed"), s2["config"].pop("seed")
     assert s1["cells"] == s2["cells"]
+
+
+# sha256 of the CSV and of its summary; 47 rows pass the structural condition
+# and 7 fail for each kind, so both verdicts are frozen
+FROZEN_SURVEY_DIGESTS = {
+    "expander": ("ae7bd9732159f93e8af6df7b7b0b48982d1eb1a83202ac2682f0a513000940a8",
+                 "dbfaef44e310e1387f5aa185b17d8b40e3d83962966a4f5c3eddd4f05b9fc2dc"),
+    "corollary": ("214b646aa3bfeb252d1456366fc2ce2345a65b541e678d3d8cb8fd80465c5fd7",
+                  "f05f74c9900d4fbd1cb23237259333413d4816d192836a704c0b26c8eaa50aff"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN_SURVEY_DIGESTS))
+def test_run_survey_bytes_are_frozen(tmp_path, kind):
+    out = str(tmp_path / "frozen.csv")
+    run_survey(SurveyConfig(fields=("2^6", "3^4", "2^8"), sizes=(4, 9, 16),
+                            samplers=("uniform", "gp", "coset"), trials=2, seed=4,
+                            out=out, kind=kind))
+    rows = [line.split(",") for line in open(out).read().splitlines()[2:]]
+    assert [sum(row[-1] == flag for row in rows) for flag in ("1", "0")] == [47, 7]
+    digests = tuple(hashlib.sha256(open(path, "rb").read()).hexdigest()
+                    for path in (out, out + ".summary.json"))
+    assert digests == FROZEN_SURVEY_DIGESTS[kind]
 
 
 def test_run_survey_schema_and_summary(tmp_path):
