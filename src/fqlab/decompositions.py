@@ -500,24 +500,25 @@ def _jsonable(obj):
 
 
 def _first_ratio_quadruple(S: FqSet, r: int):
-    """Lexicographically first (a, b, c, d) in S^4 with (a-b)/(c-d) = r (r != 0).
-
-    Over the row-major S x S grid of differences, the first pair (c, d) giving
-    each nonzero difference is its first index in ``np.unique``; the answer is
-    the first (a, b) whose (a-b)/r is one of those differences.  A difference
-    is 0 exactly on the diagonal, so dropping 0 drops c = d and a = b."""
-    spec, members = S.spec, S.members
-    n = members.size
-    diffs = spec.sub_arr(members[:, None], members[None, :]).ravel()
-    seen, first = np.unique(diffs, return_index=True)
-    seen, first = seen[1:], first[1:]  # seen[0] is 0, the diagonal
-    need = spec.div_arr(diffs, np.int64(r))
-    hits = np.flatnonzero(np.isin(need, seen))
-    if not hits.size:
-        return None
-    i = int(hits[0])
-    j = int(first[np.searchsorted(seen, need[i])])
-    return tuple(int(members[k]) for k in (i // n, i % n, j // n, j % n))
+    """Lexicographically first (a, b, c, d) in S^4 with (a-b)/(c-d) = r (r != 0)."""
+    spec = S.spec
+    first_cd: dict[int, tuple[int, int]] = {}
+    for c in S:
+        for d in S:
+            if c == d:
+                continue
+            delta = spec.sub(c, d)
+            if delta not in first_cd:
+                first_cd[delta] = (c, d)
+    for a in S:
+        for b in S:
+            if a == b:
+                continue
+            need = spec.div(spec.sub(a, b), r)
+            if need in first_cd:
+                c, d = first_cd[need]
+                return a, b, c, d
+    return None
 
 
 def run_proof_trace(A: FqSet, alpha: int, params: TraceParams = TraceParams()) -> ProofTrace:

@@ -132,26 +132,6 @@ def naive_coset_profile(spec: FieldSpec, A) -> list[tuple[int, int, int, int]]:
     return sorted(out)
 
 
-def naive_first_ratio_quadruple(spec: FieldSpec, S, r: int):
-    """Lexicographically first (a, b, c, d) in S^4 with (a-b)/(c-d) = r, by two
-    scalar sweeps: the first (c, d) for each difference, then the first (a, b)
-    whose (a-b)/r is one of them; None when r is no such ratio."""
-    S = sorted(int(v) for v in S)
-    first_cd: dict[int, tuple[int, int]] = {}
-    for c in S:
-        for d in S:
-            if c != d:
-                first_cd.setdefault(naive_sub(spec, c, d), (c, d))
-    for a in S:
-        for b in S:
-            if a == b:
-                continue
-            need = arith(spec, "div", naive_sub(spec, a, b), r)
-            if need in first_cd:
-                return (a, b) + first_cd[need]
-    return None
-
-
 def naive_cover_min(spec: FieldSpec, target, tile, sign: int) -> int:
     """Exact minimum covering count by plain recursive search: branch on every
     translate hitting the first uncovered element (independent of the

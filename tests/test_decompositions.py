@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from fqlab.decompositions import (
     DyadicSlice,
     TraceParams,
-    _first_ratio_quadruple,
     covering_number,
     dyadic_energy_slice,
     points_certificates,
@@ -38,7 +37,6 @@ from pools import (
     POOL_DESCRIPTORS,
     draw_set,
     naive_cover_min,
-    naive_first_ratio_quadruple,
     naive_popular_points,
     pool_field,
 )
@@ -239,27 +237,6 @@ def test_popular_points_match_naive_oracle():
             assert all(type(z) is int for z in pts.S)
             assert ([(k, type(v)) for k, v in pts.constants.items()]
                     == [(k, type(v)) for k, v in want["constants"].items()])
-
-
-def test_first_ratio_quadruple_matches_naive_oracle():
-    misses = 0
-    for fi, descriptor in enumerate(POOL_DESCRIPTORS):
-        spec = parse_descriptor(descriptor)
-        rng = np.random.default_rng([507, fi])
-        for size in (1, 2, 3, 5, 8):
-            S = draw_set(rng, spec, size, nonzero=bool(size % 2))
-            R = set(quotient_set(S)) if len(S) >= 2 else {0}
-            outside = [r for r in range(1, spec.q) if r not in R]
-            rs = [int(r) for r in rng.choice(np.arange(1, spec.q), size=min(6, spec.q - 1),
-                                             replace=False)]
-            rs += outside[:1]  # an r with no quadruple, where the quotient set leaves one
-            for r in rs:
-                want = naive_first_ratio_quadruple(spec, S, r)
-                got = _first_ratio_quadruple(S, r)
-                assert got == want, (descriptor, list(S), r)
-                assert got is None or all(type(v) is int for v in got)
-                misses += got is None
-    assert misses > len(POOL_DESCRIPTORS)
 
 
 def test_degenerate_slice_rejected():
