@@ -149,8 +149,10 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
 
 def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m, coefficients
-    compared low-degree-first."""
-    for low in product(range(p), repeat=m):
+    compared low-degree-first.  For m >= 2 the scan starts at constant term 1:
+    X divides every candidate with constant term 0."""
+    constant = range(p) if m == 1 else range(1, p)
+    for low in product(constant, *[range(p)] * (m - 1)):
         cand = low + (1,)
         if _is_irreducible(cand, p):
             return cand

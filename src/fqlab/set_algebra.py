@@ -4,11 +4,21 @@ ratio representation counts, additive and multiplicative energies, and the
 structural growth condition, decided from each proper subfield's largest
 coset-intersection count.
 
+Every pairwise set and count comes from ``_pair_counts``, which has two
+backends.  The grid scores all |A||B| pairs, block by block.  For sum and diff
+over GF(p^m), m > 1, the character transform of (Z/p)^m turns the count into
+pointwise products of q-length transforms; it runs when |A||B| exceeds
+TRANSFORM_CELLS grid cells per q-length transform, and only where its
+worst-case float64 error (``_transform_error_bound``) is below 1/4, so that
+rounding recovers every count exactly.  The rounded counts are checked
+(residual, sign, total) and any failure falls back to the grid.
+
 FqSet values are immutable and all operations are pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -29,6 +39,10 @@ from .finite_field import FieldSpec, proper_subfields
 
 SET_OPS = ("sum", "diff", "prod", "ratio")
 PAIR_BLOCK_CELLS = 1 << 20  # grid cells per block of a pairwise count: bounds its memory
+# cost model: one q-length transform costs about as much as this many grid cells per element
+# (measured 1-2.4 on 2^12-2^20, 3^7-3^12, 5^8 and 7^7, single-threaded BLAS)
+TRANSFORM_CELLS = 2
+TRANSFORM_CHUNK = 32  # largest side p^k of a chunk matrix of the transform
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,14 +160,28 @@ def dilate(A: FqSet, c: int) -> FqSet:
 def _pair_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
     """counts[v] = #{(a, b) in A x B : a ∘ b = v} for ∘ = kind, length q.
 
-    sum and diff count the add_arr/sub_arr grid; prod and ratio count
-    log a ± log b mod (q-1) over the nonzero parts, scatter that into encodings
-    through exp_table[:q-1] and give 0 the closed form |A||B| - |A*||B*|.
-    The grid is never held whole: the counts accumulate (``np.add.at``, no
-    q-length array per block) over blocks of rows of A of about
-    PAIR_BLOCK_CELLS cells each."""
+    Two backends, picked by one cost model.  Sum and diff over GF(p^m), m > 1,
+    use the character transform of (Z/p)^m (``_transform_counts``: two
+    q-length transforms when B is A, three otherwise) when |A||B| exceeds
+    TRANSFORM_CELLS * q cells per transform and the worst-case error bound
+    ``_transform_error_bound`` is below 1/4.  Its rounded counts must also
+    pass ``_exact_counts``; if they do not, the grid recounts.
+
+    Otherwise the grid: sum and diff count the add_arr/sub_arr grid; prod and
+    ratio count log a ± log b mod (q-1) over the nonzero parts, scatter that
+    into encodings through exp_table[:q-1] and give 0 the closed form
+    |A||B| - |A*||B*|.  The grid is never held whole: the counts accumulate
+    (``np.add.at``, no q-length array per block) over blocks of rows of A of
+    about PAIR_BLOCK_CELLS cells each."""
     spec = A.spec
     if kind in ("sum", "diff"):
+        cells = len(A) * len(B)
+        transforms = 2 if B is A else 3
+        if (spec.m > 1 and cells > TRANSFORM_CELLS * transforms * spec.q
+                and _transform_error_bound(spec, cells) < 0.25):
+            counts = _exact_counts(_transform_counts(A, B, kind), cells)
+            if counts is not None:
+                return counts
         a, b, n = A.members, B.members, spec.q
         op = spec.add_arr if kind == "sum" else spec.sub_arr
     else:
@@ -179,10 +207,94 @@ def _pair_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
     return out
 
 
+# ---------------------------------------------------------------------------
+# the transform backend: characters of (Z/p)^m
+# ---------------------------------------------------------------------------
+
+
+def _chunk_matrices(spec: FieldSpec) -> list[np.ndarray]:
+    """DFT matrices of (Z/p)^k for the chunks of the m base-p digits of an
+    encoding, most significant chunk first, cached in ``spec._derived``.
+
+    The m digits are split into as few chunks as keep p^k <= TRANSFORM_CHUNK
+    (one digit at least), as evenly as possible.  Entry [u, x] is
+    w^(-<u, x>), w = exp(2 pi i / p), with u and x read as the k digits of
+    their index; it is real (a +-1 Hadamard block) for p = 2.  Each matrix is
+    symmetric."""
+    mats = spec._derived.get("transform_chunks")
+    if mats is None:
+        p, m = spec.p, spec.m
+        k = 1
+        while p ** (k + 1) <= TRANSFORM_CHUNK:
+            k += 1
+        passes = -(-m // k)
+        roots = np.array([1.0, -1.0]) if p == 2 else np.exp(-2j * np.pi * np.arange(p) / p)
+        mats = []
+        for n in (m // passes + (i < m % passes) for i in range(passes)):
+            digits = np.arange(p**n)[:, None] // p ** np.arange(n) % p
+            mats.append(roots[digits @ digits.T % p])
+            mats[-1].setflags(write=False)
+        spec._derived["transform_chunks"] = mats
+    return mats
+
+
+def _transform(x: np.ndarray, mats: list[np.ndarray], inverse: bool = False) -> np.ndarray:
+    """The (unnormalised) character transform of a q-length array, or its
+    conjugate for ``inverse``.  Each pass multiplies the leading chunk axis by
+    its matrix and rotates that axis to the end, so after the last pass the
+    axes are back in encoding order."""
+    for W in mats:
+        x = x.reshape(W.shape[0], -1).T @ (W.conj() if inverse else W)
+    return x.ravel()
+
+
+def _transform_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
+    """Unrounded sum or diff counts: the inverse transform of F_A * F_B (sum)
+    or of F_A * conj(F_B) (diff), F the transform of a set's indicator.  When
+    B is A its transform is taken once."""
+    mats = _chunk_matrices(A.spec)
+    fa = _transform(A.bitmask, mats)
+    fb = fa if B is A else _transform(B.bitmask, mats)
+    fa *= fb if kind == "sum" else fb.conj()
+    del fb  # free F_B before the inverse transform allocates
+    return _transform(fa, mats, inverse=True).real / A.spec.q
+
+
+def _transform_error_bound(spec: FieldSpec, cells: int) -> float:
+    """Worst-case absolute error of any count from ``_transform_counts`` when
+    |A||B| = cells.
+
+    A pass over a chunk of side L computes each entry as a complex inner
+    product of length L against rounded roots of unity, so it adds at most
+    delta = sqrt(2)(L + 2) eps times the sum of the moduli it combines
+    (eps = 2^-52, twice the unit roundoff, also covers the rounded matrix
+    entries).  Every entry of the full transform has modulus 1, so after P
+    passes each entry of F_A is off by at most about P delta |A|, and the
+    product F_A * F_B by about 2 P delta |A||B|.  The inverse, scaled by
+    1/q, passes that error on at most unchanged (q entries of modulus 1 per
+    row) and adds its own P delta |A||B|: in all 3 P delta |A||B|, with L the
+    largest chunk side.  The second-order terms, the rounding of the product
+    and of the scaling fit in the slack that eps leaves."""
+    mats = _chunk_matrices(spec)
+    side = max(W.shape[0] for W in mats)
+    return 3 * len(mats) * math.sqrt(2) * (side + 2) * np.finfo(np.float64).eps * cells
+
+
+def _exact_counts(values: np.ndarray, total: int) -> np.ndarray | None:
+    """values rounded to int64 counts, or None unless every value lies within
+    1/4 of its integer, none is negative and they add up to total."""
+    counts = np.rint(values)
+    if (np.abs(values - counts).max() < 0.25 and counts.min() >= 0
+            and int(counts.sum()) == total):
+        return counts.astype(np.int64)
+    return None
+
+
 def set_op(A: FqSet, B: FqSet, kind: str) -> FqSet:
     """Exact pairwise sum/diff/prod/ratio set of A and B: the support, ascending,
-    of ``_pair_counts`` (counts over the grid for sum and diff, over the log
-    residues for prod and ratio).  An empty operand gives the empty set."""
+    of ``_pair_counts`` (by the grid or the transform for sum and diff, over
+    the log residues for prod and ratio).  An empty operand gives the empty
+    set."""
     _require_same_field(A, B)
     if kind not in SET_OPS:
         raise ValueError(f"unknown set op {kind!r}, expected one of {SET_OPS}")
@@ -228,10 +340,20 @@ def representation_spectrum(X: FqSet, Y: FqSet) -> RepSpectrum:
         raise ZeroInDenominatorSet("denominator set must avoid 0")
     binned = _pair_counts(Y, X, "ratio")
     counts = {int(xi): int(binned[xi]) for xi in np.flatnonzero(binned)}
-    # counts are <= q <= 2^20 and there are <= q of them, so int64 cannot overflow
-    return RepSpectrum(counts=counts,
-                       total=int(binned.sum()),
-                       energy=int(np.sum(binned * binned)))
+    return RepSpectrum(counts=counts, total=int(binned.sum()), energy=_sum_of_squares(binned))
+
+
+def _sum_of_squares(counts: np.ndarray) -> int:
+    """sum(c^2) over a nonnegative int64 count array, exactly.
+
+    The sum is at most sum(c) * max(c) (|A||B| times the largest count for
+    pair counts, |A|^3 for an energy), which passes 2^63 once q nears the
+    2^24 cap; from there it is summed in Python integers."""
+    if counts.size == 0:
+        return 0
+    if int(counts.sum()) * int(counts.max()) < 1 << 63:
+        return int(np.dot(counts, counts))
+    return sum(c * c for c in counts.tolist())
 
 
 def sum_representation_counts(A: FqSet) -> np.ndarray:
@@ -243,8 +365,7 @@ def additive_energy(A: FqSet) -> int:
     """Number of quadruples with a1 + a2 = a3 + a4, via sum-representation counts."""
     if len(A) == 0:
         raise EmptySet("additive energy of the empty set")
-    counts = sum_representation_counts(A)
-    return int(np.sum(counts * counts))
+    return _sum_of_squares(sum_representation_counts(A))
 
 
 def multiplicative_energy(X: FqSet, Y: FqSet) -> int:

@@ -3,11 +3,11 @@ naive and separate from the library's computation paths) and deterministic
 instance pools."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
-from fqlab.finite_field import FieldSpec, arith, build_field, parse_descriptor
+from fqlab.finite_field import FieldSpec, _is_irreducible, arith, build_field, parse_descriptor
 from fqlab.set_algebra import FqSet
 
 # the acceptance field list; the largest field participates at a reduced rate
@@ -57,6 +57,15 @@ def naive_sub(spec: FieldSpec, a: int, b: int) -> int:
 
 def naive_neg(spec: FieldSpec, a: int) -> int:
     return naive_add(spec, 0, a, -1)
+
+
+def naive_smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
+    """The full scan: every monic candidate of degree m in lexicographic order
+    of its low-degree-first coefficients, constant term 0 included."""
+    for low in product(range(p), repeat=m):
+        if _is_irreducible(low + (1,), p):
+            return low + (1,)
+    raise AssertionError(f"no monic irreducible of degree {m} over F_{p}")
 
 
 def naive_set_op(spec: FieldSpec, A, B, kind: str) -> list[int]:

@@ -18,6 +18,7 @@ from fqlab.finite_field import (
     DigitPacking,
     _digits,
     _poly_mulmod,
+    _smallest_irreducible,
     arith,
     build_field,
     coset_representatives,
@@ -28,7 +29,15 @@ from fqlab.finite_field import (
     proper_subfields,
 )
 from fqlab.set_algebra import FqSet
-from pools import POOL_DESCRIPTORS, naive_add, naive_coset_profile, naive_neg, naive_sub
+from pools import (
+    LARGE_DESCRIPTOR,
+    POOL_DESCRIPTORS,
+    naive_add,
+    naive_coset_profile,
+    naive_neg,
+    naive_smallest_irreducible,
+    naive_sub,
+)
 
 SMALL_FIELDS = [(7, 1), (2, 2), (3, 2), (2, 4), (5, 2), (3, 3), (2, 6)]
 
@@ -49,6 +58,20 @@ def test_f4_modulus_is_the_unique_irreducible_quadratic():
                    if not brute_poly_has_root(low + (1,), 2)]
     assert irreducible == [(1, 1, 1)]
     assert build_field(2, 2).modulus == (1, 1, 1)
+
+
+@pytest.mark.parametrize("desc", POOL_DESCRIPTORS + (LARGE_DESCRIPTOR,))
+def test_smallest_irreducible_matches_the_full_scan(desc):
+    p, _, m = desc.partition("^")
+    p, m = int(p), int(m)
+    expected = naive_smallest_irreducible(p, m)
+    assert _smallest_irreducible(p, m) == parse_descriptor(desc).modulus == expected
+
+
+def test_bench_field_moduli_are_frozen():
+    # 2^20: X^20 + X^17 + 1; 3^12: X^12 + X^11 + X^8 + 1
+    assert _smallest_irreducible(2, 20) == (1,) + (0,) * 16 + (1, 0, 0, 1)
+    assert _smallest_irreducible(3, 12) == (1,) + (0,) * 7 + (1, 0, 0, 1, 1)
 
 
 def test_f9_generator_order_is_eight():

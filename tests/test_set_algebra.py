@@ -20,6 +20,7 @@ from fqlab.set_algebra import (
     SET_OPS,
     FqSet,
     _pair_counts,
+    _sum_of_squares,
     additive_energy,
     coset_intersection_counts,
     coset_profile,
@@ -136,18 +137,86 @@ def test_pair_counts_accumulate_over_blocks(desc, monkeypatch):
         assert list(_pair_counts(A, B, kind)) == naive_pair_counts(spec, A, B, kind)
 
 
-def test_pair_counts_stay_well_below_one_grid_of_memory():
+def test_pair_counts_stay_well_below_one_grid_of_memory(monkeypatch):
     spec = build_field(3, 12)
     A = FqSet.from_iterable(spec, np.random.default_rng(5).choice(spec.q, 3000, replace=False))
     grid = len(A) ** 2 * 8  # one int64 |A| x |A| grid: 72 MB
-    for count in (lambda: sum_representation_counts(A), lambda: set_op(A, A, "prod")):
-        tracemalloc.start()
-        try:
-            count()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40_000_000 < grid
+    counts = (lambda: sum_representation_counts(A), lambda: intersection_shift_counts(A),
+              lambda: set_op(A, A, "prod"))
+    # TRANSFORM_CELLS = 0 sends sum and diff to the transform; infinity keeps them on the grid
+    for cells_per_element in (float("inf"), 0):
+        monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", cells_per_element)
+        for count in counts:
+            tracemalloc.start()
+            try:
+                count()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 40_000_000 < grid
+
+
+def _forced_transform(monkeypatch):
+    """Send every nonempty sum and diff over an extension field to the
+    transform, and return the list of the kinds it served."""
+    served = []
+    transform = set_algebra._transform_counts
+
+    def spy(A, B, kind):
+        served.append(kind)
+        return transform(A, B, kind)
+    monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", 0)
+    monkeypatch.setattr(set_algebra, "_transform_counts", spy)
+    return served
+
+
+@pytest.mark.parametrize("desc", tuple(d for d in POOL_DESCRIPTORS if not d.endswith("^1"))
+                         + (LARGE_DESCRIPTOR, "3^7"))
+def test_transform_pair_counts_match_naive_oracle(desc, monkeypatch):
+    spec = parse_descriptor(desc)
+    served = _forced_transform(monkeypatch)
+    rng = np.random.default_rng([73, spec.q])
+    zero = fqset(spec, 0)
+    small, large = (draw_set(rng, spec, k, nonzero=True) for k in (2, min(40, spec.q - 1)))
+    sets = [zero, fqset(spec, 1), draw_set(rng, spec, 1, nonzero=True),
+            small, small.union(zero), large, large.union(zero)]
+    for A in sets:
+        for B in sets + [A]:  # the last one is A itself, transformed once
+            for kind in ("sum", "diff"):
+                assert list(_pair_counts(A, B, kind)) == naive_pair_counts(spec, A, B, kind)
+    assert len(served) == 2 * len(sets) * (len(sets) + 1)
+
+
+def _off_by_half(values):
+    return values + 0.5
+
+
+def _moved_between_two_counts(values):  # the total stays |A||B|, the residuals are 0.4
+    values[np.argmax(values)] -= 0.6
+    values[np.argmin(values)] += 0.6
+    return values
+
+
+@pytest.mark.parametrize("perturb", (_off_by_half, _moved_between_two_counts))
+@pytest.mark.parametrize("desc", ("2^4", "3^3", "5^3"))
+def test_transform_falls_back_to_the_grid_when_its_counts_are_off(desc, perturb, monkeypatch):
+    spec = parse_descriptor(desc)
+    transform = set_algebra._transform_counts
+    monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", 0)
+    monkeypatch.setattr(set_algebra, "_transform_counts",
+                        lambda A, B, kind: perturb(transform(A, B, kind)))
+    rng = np.random.default_rng([74, spec.q])
+    A, B = draw_set(rng, spec, 9), draw_set(rng, spec, 6)
+    for X, Y in ((A, A), (A, B)):
+        for kind in ("sum", "diff"):
+            assert list(_pair_counts(X, Y, kind)) == naive_pair_counts(spec, X, Y, kind)
+
+
+def test_sum_of_squares_is_exact_past_int64():
+    counts = np.full(4, 1 << 31, dtype=np.int64)  # squares 2^62 each: the sum is 2^64
+    assert int(np.sum(counts * counts)) == 0  # what int64 makes of it
+    assert _sum_of_squares(counts) == 1 << 64
+    assert _sum_of_squares(np.array([3, 0, 4], dtype=np.int64)) == 25
 
 
 def test_set_op_with_an_empty_operand_is_empty():
