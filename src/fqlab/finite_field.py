@@ -533,11 +533,14 @@ def enumerate_subfields(spec: FieldSpec) -> list[SubfieldHandle]:
     handles = []
     for d in divisors(spec.m):
         size = spec.p**d
-        members = np.sort(np.append(spec.exp_table[: spec.q - 1 : (spec.q - 1) // (size - 1)], 0))
+        bitmask = np.zeros(spec.q, dtype=bool)
+        bitmask[spec.exp_table[: spec.q - 1 : (spec.q - 1) // (size - 1)]] = True
+        bitmask[0] = True
+        elements = FqSet._from_bitmask(spec, bitmask)
+        members = elements.members
         if members.size != size or not (spec.pow_arr(members, size) == members).all():
             raise NoIrreducibleFound("subfield is not fixed by x -> x^(p^d) (construction bug)")
-        handles.append(SubfieldHandle(d=d, elements=FqSet._from_sorted(spec, members),
-                                      is_proper=d < spec.m))
+        handles.append(SubfieldHandle(d=d, elements=elements, is_proper=d < spec.m))
     spec._derived["subfields"] = handles
     return handles
 

@@ -40,6 +40,7 @@ from .set_algebra import (
     PAIR_BLOCK_CELLS,
     SET_OPS,
     FqSet,
+    _sum_of_squares,
     additive_energy,
     dilate,
     intersection_shift_counts,
@@ -450,7 +451,7 @@ def product_energy(X: FqSet, Y: FqSet) -> int:
     route from the ratio spectrum (used for the second-moment cross-check)."""
     prods = X.spec.mul_arr(X.members[:, None], Y.members[None, :]).ravel()
     counts = np.bincount(prods, minlength=X.spec.q)
-    return int(np.sum(counts * counts))
+    return _sum_of_squares(counts)
 
 
 def check_energy_identities(X: FqSet, Y: FqSet) -> LemmaReport:
@@ -462,7 +463,7 @@ def check_energy_identities(X: FqSet, Y: FqSet) -> LemmaReport:
     second = spectrum.energy == product_energy(X, Y)
     counts = intersection_shift_counts(X)
     sum_ok = int(counts.sum()) == len(X) ** 2
-    energy_ok = int(np.sum(counts * counts)) == additive_energy(X)
+    energy_ok = _sum_of_squares(counts) == additive_energy(X)
     ok = first and second and sum_ok and energy_ok
     inst = _instance(X.spec, X=X, Y=Y)
     return _report("energy_identities", inst, EXACT_PASS if ok else FAIL,

@@ -4,14 +4,18 @@ ratio representation counts, additive and multiplicative energies, and the
 structural growth condition, decided from each proper subfield's largest
 coset-intersection count.
 
-Every pairwise set and count comes from ``_pair_counts``, which has two
-backends.  The grid scores all |A||B| pairs, block by block.  For sum and diff
-over GF(p^m), m > 1, the character transform of (Z/p)^m turns the count into
-pointwise products of q-length transforms; it runs when |A||B| exceeds
-TRANSFORM_CELLS grid cells per q-length transform, and only where its
-worst-case float64 error (``_transform_error_bound``) is below 1/4, so that
-rounding recovers every count exactly.  The rounded counts are checked
-(residual, sign, total) and any failure falls back to the grid.
+Pairwise sets are marked (``_pair_support``, a q-length bitmask) and
+pairwise counts are counted (``_pair_counts``); both take their operands from
+``_grid``, score it in ``_blocks`` and pick the backend by ``_use_transform``.
+The grid scores the |A||B| pairs block by block (one triangle of them for the
+sum or product set of a set with itself).  For sum and diff over GF(p^m),
+m > 1, the character transform of (Z/p)^m turns the count into pointwise
+products of q-length transforms; it runs when |A||B| exceeds TRANSFORM_CELLS
+grid cells per q-length transform, and only where its worst-case float64
+error (``_transform_error_bound``) is below 1/4, so that rounding recovers
+every count exactly.  The rounded counts are checked (residual, sign, total)
+and any failure falls back to the grid; a set served by the transform is the
+support of its checked counts.
 
 FqSet values are immutable and all operations are pure.
 """
@@ -66,6 +70,14 @@ class FqSet:
     def _from_sorted(cls, spec: FieldSpec, members: np.ndarray) -> "FqSet":
         bitmask = np.zeros(spec.q, dtype=bool)
         bitmask[members] = True
+        members.setflags(write=False)
+        bitmask.setflags(write=False)
+        return cls(spec=spec, members=members, bitmask=bitmask)
+
+    @classmethod
+    def _from_bitmask(cls, spec: FieldSpec, bitmask: np.ndarray) -> "FqSet":
+        """The set whose q-length bool bitmask this is; it takes the array over."""
+        members = np.flatnonzero(bitmask)
         members.setflags(write=False)
         bitmask.setflags(write=False)
         return cls(spec=spec, members=members, bitmask=bitmask)
@@ -157,54 +169,115 @@ def dilate(A: FqSet, c: int) -> FqSet:
     return FqSet.from_iterable(A.spec, A.spec.mul_arr(A.members, np.int64(c)))
 
 
+def _use_transform(A: FqSet, B: FqSet) -> bool:
+    """The cost model for sum and diff: the transform (two q-length transforms
+    when B is A, three otherwise) runs over GF(p^m), m > 1, when |A||B|
+    exceeds TRANSFORM_CELLS * q cells per transform and the worst-case error
+    bound ``_transform_error_bound`` is below 1/4."""
+    spec, cells = A.spec, len(A) * len(B)
+    transforms = 2 if B is A else 3
+    return (spec.m > 1 and cells > TRANSFORM_CELLS * transforms * spec.q
+            and _transform_error_bound(spec, cells) < 0.25)
+
+
+def _grid(A: FqSet, B: FqSet, kind: str):
+    """(a, b, op, size): the grid op(a[i], b[j]) names the value of each pair
+    of A x B as an index below size.
+
+    Sum and diff combine encodings by add_arr/sub_arr (size q).  Prod and
+    ratio combine the int32 logs of the nonzero parts by np.add, ratio with
+    q-1 - log b, so the values lie below 2(q-1) and a value and its
+    reduction mod q-1 name the same element: no % (q-1) per cell."""
+    spec = A.spec
+    if kind in ("sum", "diff"):
+        return A.members, B.members, spec.add_arr if kind == "sum" else spec.sub_arr, spec.q
+    if kind == "ratio" and 0 in B:
+        raise ZeroDivisorInRatio("ratio set needs 0 not in B")
+    n = spec.q - 1
+    # q <= 2^24, so int32 holds the logs and their sums at half the bytes a cell
+    a = spec.log_table[A.members[A.members != 0]].astype(np.int32)
+    b = spec.log_table[B.members[B.members != 0]].astype(np.int32)
+    return a, (n - b if kind == "ratio" else b), np.add, 2 * n
+
+
+def _blocks(a: np.ndarray, b: np.ndarray, op, triangle: bool = False) -> Iterator[np.ndarray]:
+    """The grid op(a[i], b[j]) in blocks of rows of about PAIR_BLOCK_CELLS
+    cells each, so it is never held whole.  With ``triangle`` (a is b and op
+    symmetric) a block skips the columns before its first row: every pair
+    still appears once in some order.  Its blocks also hold at most
+    sqrt(|a|) rows: about sqrt(|a|) blocks then score about |a|^1.5 / 2
+    cells left of the diagonal, a 1/(2 sqrt(|a|)) share of the grid.  A
+    consumer drops each block before it asks for the next, or two blocks
+    are alive at once."""
+    i = 0
+    while i < a.size:
+        j = i if triangle else 0
+        rows = max(1, PAIR_BLOCK_CELLS // max(1, b.size - j))
+        if triangle:
+            rows = min(rows, math.isqrt(a.size))
+        yield op(a[i: i + rows, None], b[None, j:])
+        i += rows
+
+
+def _by_encoding(spec: FieldSpec, by_log: np.ndarray, zero) -> np.ndarray:
+    """A length-q array from one indexed by log mod (q-1), with ``zero`` at 0:
+    one gather through the log table."""
+    out = np.empty(spec.q, dtype=by_log.dtype)
+    out[0] = zero
+    out[1:] = by_log[spec.log_table[1:]]
+    return out
+
+
 def _pair_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
     """counts[v] = #{(a, b) in A x B : a ∘ b = v} for ∘ = kind, length q.
 
-    Two backends, picked by one cost model.  Sum and diff over GF(p^m), m > 1,
-    use the character transform of (Z/p)^m (``_transform_counts``: two
-    q-length transforms when B is A, three otherwise) when |A||B| exceeds
-    TRANSFORM_CELLS * q cells per transform and the worst-case error bound
-    ``_transform_error_bound`` is below 1/4.  Its rounded counts must also
-    pass ``_exact_counts``; if they do not, the grid recounts.
-
-    Otherwise the grid: sum and diff count the add_arr/sub_arr grid; prod and
-    ratio count log a ± log b mod (q-1) over the nonzero parts, scatter that
-    into encodings through exp_table[:q-1] and give 0 the closed form
-    |A||B| - |A*||B*|.  The grid is never held whole: the counts accumulate
-    (``np.add.at``, no q-length array per block) over blocks of rows of A of
-    about PAIR_BLOCK_CELLS cells each."""
-    spec = A.spec
-    if kind in ("sum", "diff"):
-        cells = len(A) * len(B)
-        transforms = 2 if B is A else 3
-        if (spec.m > 1 and cells > TRANSFORM_CELLS * transforms * spec.q
-                and _transform_error_bound(spec, cells) < 0.25):
-            counts = _exact_counts(_transform_counts(A, B, kind), cells)
-            if counts is not None:
-                return counts
-        a, b, n = A.members, B.members, spec.q
-        op = spec.add_arr if kind == "sum" else spec.sub_arr
-    else:
-        if kind == "ratio" and 0 in B:
-            raise ZeroDivisorInRatio("ratio set needs 0 not in B")
-        # q <= 2^24, so int32 holds the residues and their sums at half the bytes a cell
-        a = spec.log_table[A.members[A.members != 0]].astype(np.int32)
-        b = spec.log_table[B.members[B.members != 0]].astype(np.int32)
-        n = spec.q - 1
-        combine = np.add if kind == "prod" else np.subtract
-
-        def op(x, y):
-            return combine(x, y) % n
-    counts = np.zeros(n, dtype=np.int64)
-    rows = max(1, PAIR_BLOCK_CELLS // max(1, b.size))
-    for i in range(0, a.size, rows):
-        np.add.at(counts, op(a[i: i + rows, None], b[None, :]).ravel(), 1)
+    Counted, where ``_pair_support`` only marks; both share ``_grid``,
+    ``_blocks`` and ``_use_transform``.  Sum and diff that ``_use_transform``
+    admits come from the transform; its rounded counts must pass
+    ``_exact_counts``, and if they do not, the grid recounts.  Otherwise the
+    counts accumulate (``np.add.at``, no q-length array per block) over the
+    ``_blocks`` of the ``_grid``; for prod and ratio the log sums are folded
+    mod q-1 once, mapped to encodings by one gather, and 0 gets the closed
+    form |A||B| - |A*||B*|."""
+    cells = len(A) * len(B)
+    if kind in ("sum", "diff") and _use_transform(A, B):
+        counts = _exact_counts(_transform_counts(A, B, kind), cells)
+        if counts is not None:
+            return counts
+    a, b, op, size = _grid(A, B, kind)
+    counts = np.zeros(size, dtype=np.int64)
+    for values in _blocks(a, b, op):
+        np.add.at(counts, values.ravel(), 1)
+        del values
     if kind in ("sum", "diff"):
         return counts
-    out = np.zeros(spec.q, dtype=np.int64)
-    out[spec.exp_table[: spec.q - 1]] = counts
-    out[0] = len(A) * len(B) - a.size * b.size
-    return out
+    n = A.spec.q - 1
+    counts[:n] += counts[n:]
+    return _by_encoding(A.spec, counts[:n], cells - a.size * b.size)
+
+
+def _pair_support(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
+    """The length-q bool bitmask of {a ∘ b : a in A, b in B}, ∘ = kind.
+
+    Supports are marked, not counted: each block of the ``_grid`` sets
+    ``seen[values]``, and for prod and ratio the log sums are folded mod q-1
+    with | and mapped to encodings by one gather; 0 is in the set iff
+    |A||B| > |A*||B*|.  For sum and prod of a set with itself only one
+    triangle of the grid is scored.  Sum and diff that ``_use_transform``
+    sends to the transform take the support of the checked
+    ``_pair_counts``."""
+    if kind in ("sum", "diff") and _use_transform(A, B):
+        return _pair_counts(A, B, kind) > 0
+    a, b, op, size = _grid(A, B, kind)
+    seen = np.zeros(size, dtype=bool)
+    for values in _blocks(a, b, op, triangle=B is A and kind in ("sum", "prod")):
+        seen[values] = True
+        del values
+    if kind in ("sum", "diff"):
+        return seen
+    n = A.spec.q - 1
+    seen[:n] |= seen[n:]
+    return _by_encoding(A.spec, seen[:n], len(A) * len(B) > a.size * b.size)
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +364,16 @@ def _exact_counts(values: np.ndarray, total: int) -> np.ndarray | None:
 
 
 def set_op(A: FqSet, B: FqSet, kind: str) -> FqSet:
-    """Exact pairwise sum/diff/prod/ratio set of A and B: the support, ascending,
-    of ``_pair_counts`` (by the grid or the transform for sum and diff, over
-    the log residues for prod and ratio).  An empty operand gives the empty
-    set."""
+    """Exact pairwise sum/diff/prod/ratio set of A and B, built from the
+    bitmask ``_pair_support`` marks (by the grid, or by the transform's
+    counts for sum and diff, over the log residues for prod and ratio).  An
+    empty operand gives the empty set."""
     _require_same_field(A, B)
     if kind not in SET_OPS:
         raise ValueError(f"unknown set op {kind!r}, expected one of {SET_OPS}")
     if len(A) == 0 or len(B) == 0:
         return FqSet.from_iterable(A.spec, ())
-    return FqSet._from_sorted(A.spec, np.flatnonzero(_pair_counts(A, B, kind)))
+    return FqSet._from_bitmask(A.spec, _pair_support(A, B, kind))
 
 
 def shifted_product(A: FqSet, alpha: int) -> FqSet:

@@ -131,10 +131,29 @@ def test_pair_counts_accumulate_over_blocks(desc, monkeypatch):
     rng = np.random.default_rng([72, spec.q])
     A = draw_set(rng, spec, 7, nonzero=True).union(fqset(spec, 0))
     B = draw_set(rng, spec, 4, nonzero=True)
-    # blocks of 3 rows: 3 + 3 + 2 rows of A for sum and diff, 3 + 3 + 1 of A* for prod and ratio
+    # blocks of 3 rows: 3 + 3 + 2 rows of A for sum and diff, 3 + 3 + 1 of A* for prod and ratio;
+    # a set with itself is marked in blocks of 1-2 rows as its triangle narrows
     monkeypatch.setattr(set_algebra, "PAIR_BLOCK_CELLS", 3 * len(B))
     for kind in SET_OPS:
         assert list(_pair_counts(A, B, kind)) == naive_pair_counts(spec, A, B, kind)
+        assert list(set_op(A, B, kind)) == naive_set_op(spec, list(A), list(B), kind)
+        X = A.nonzero() if kind == "ratio" else A
+        assert list(set_op(X, X, kind)) == naive_set_op(spec, list(X), list(X), kind)
+
+
+@pytest.mark.parametrize("desc", POOL_DESCRIPTORS)
+def test_set_op_of_a_set_with_itself_matches_naive_oracle(desc, monkeypatch):
+    spec = parse_descriptor(desc)
+    rng = np.random.default_rng([75, spec.q])
+    sets = [draw_set(rng, spec, k, nonzero=True) for k in (1, 3, 12, 64)]
+    sets += [A.union(FqSet.from_iterable(spec, [0])) for A in sets]
+    # the default cost model, then the grid alone (its triangle for sum and prod)
+    for cells_per_element in (set_algebra.TRANSFORM_CELLS, float("inf")):
+        monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", cells_per_element)
+        for A in sets:
+            for kind in SET_OPS:
+                X = A.nonzero() if kind == "ratio" else A
+                assert list(set_op(X, X, kind)) == naive_set_op(spec, list(X), list(X), kind)
 
 
 def test_pair_counts_stay_well_below_one_grid_of_memory(monkeypatch):
@@ -142,7 +161,8 @@ def test_pair_counts_stay_well_below_one_grid_of_memory(monkeypatch):
     A = FqSet.from_iterable(spec, np.random.default_rng(5).choice(spec.q, 3000, replace=False))
     grid = len(A) ** 2 * 8  # one int64 |A| x |A| grid: 72 MB
     counts = (lambda: sum_representation_counts(A), lambda: intersection_shift_counts(A),
-              lambda: set_op(A, A, "prod"))
+              lambda: set_op(A, A, "prod"), lambda: set_op(A, A, "sum"),
+              lambda: set_op(A, A, "diff"), lambda: set_op(A, A.nonzero(), "ratio"))
     # TRANSFORM_CELLS = 0 sends sum and diff to the transform; infinity keeps them on the grid
     for cells_per_element in (float("inf"), 0):
         monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", cells_per_element)
