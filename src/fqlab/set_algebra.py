@@ -42,7 +42,9 @@ from .errors import (
 from .finite_field import FieldSpec, proper_subfields
 
 SET_OPS = ("sum", "diff", "prod", "ratio")
-PAIR_BLOCK_CELLS = 1 << 20  # grid cells per block of a pairwise count: bounds its memory
+# grid cells per block of a pairwise count: bounds its memory, and keeps the int64
+# temporaries of an odd-p block (DigitPacking's packed sums and gathered chunks) in cache
+PAIR_BLOCK_CELLS = 1 << 16
 # cost model: one q-length transform costs about as much as this many grid cells per element
 # (measured 1-2.4 on 2^12-2^20, 3^7-3^12, 5^8 and 7^7, single-threaded BLAS)
 TRANSFORM_CELLS = 2
@@ -138,9 +140,9 @@ class FqSet:
         return FqSet._from_sorted(self.spec, np.union1d(self.members, other.members))
 
     def without(self, values: Iterable[int]) -> "FqSet":
-        drop = set(int(v) for v in values)
-        keep = np.array([v for v in self.members if int(v) not in drop], dtype=np.int64)
-        return FqSet._from_sorted(self.spec, keep)
+        """The set less the given values; values not in it, in [0, q) or not, are ignored."""
+        drop = np.array([v for v in values if 0 <= v < self.spec.q], dtype=np.int64)
+        return FqSet._from_sorted(self.spec, self.members[~np.isin(self.members, drop)])
 
     def nonzero(self) -> "FqSet":
         return FqSet._from_sorted(self.spec, self.members[self.members != 0])

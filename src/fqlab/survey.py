@@ -30,7 +30,7 @@ from .errors import (
 from .finite_field import FieldSpec, coset_representatives, parse_descriptor, proper_subfields
 from .set_algebra import (
     FqSet,
-    additive_energy,
+    _sum_of_squares,
     coset_profile,
     intersection_shift_counts,
     set_op,
@@ -105,7 +105,6 @@ class CorollaryRecord:
     corollary_curve: float
     chain_pass: bool  # exact chain: always true, asserted at construction
     structural_pass: bool
-    restricted_energy_ratio: float | None  # E+ / (|A|^2 max_{a!=0}), measured only
 
     def csv_row(self) -> list[str]:
         return [self.field, str(self.p), str(self.m), str(self.size),
@@ -210,11 +209,13 @@ def corollary_record(A: FqSet, alpha: int, sampler: str = "explicit",
                      seed: int = 0) -> CorollaryRecord:
     """|A ∩ (A-alpha)|, |AA| and E+(A) with the intersection curve.
 
+    One pair count of A serves both: the shift counts |A ∩ (A-d)| give the
+    intersection at d = alpha, and E+(A) is the sum of their squares.
+
     Two constant-free facts are checked on every record: the energy is at most
     |A|^2 times the largest difference-representation count (the maximum runs
-    over the whole difference set; restricted to nonzero shifts the statement
-    only holds up to a constant and is reported as a ratio), and S = A ∩ (A-a)
-    satisfies S, S+a ⊆ A, hence |S(S+a)| <= |AA|.
+    over the whole difference set), and S = A ∩ (A-a) satisfies S, S+a ⊆ A,
+    hence |S(S+a)| <= |AA|.
     """
     spec = A.spec
     if alpha % spec.q == 0:
@@ -224,13 +225,11 @@ def corollary_record(A: FqSet, alpha: int, sampler: str = "explicit",
     counts = intersection_shift_counts(A)
     inter = int(counts[alpha % spec.q])
     prod = set_op(A, A, "prod")
-    energy = additive_energy(A)
+    energy = _sum_of_squares(counts)
 
     max_all = int(counts.max())
     if energy > len(A) ** 2 * max_all:
         raise InvariantViolated(f"energy {energy} exceeds |A|^2 * {max_all}")
-    nonzero_max = int(np.delete(counts, 0).max()) if spec.q > 1 else 0
-    restricted = (energy / (len(A) ** 2 * nonzero_max)) if nonzero_max else None
 
     S = A.intersect(translate(A, spec.neg(alpha % spec.q)))
     chain_pass = True
@@ -246,7 +245,6 @@ def corollary_record(A: FqSet, alpha: int, sampler: str = "explicit",
         sampler=sampler, seed=int(seed), intersection=inter, prod_size=len(prod),
         energy=energy, corollary_curve=intersection_curve(len(prod), spec.q),
         chain_pass=chain_pass, structural_pass=coset_profile(A, 50, 53, prod),
-        restricted_energy_ratio=restricted,
     )
 
 

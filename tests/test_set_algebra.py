@@ -65,6 +65,17 @@ def test_set_literals_and_json_roundtrip():
     assert FqSet.from_literal(F7, "") .to_literal() == ""
 
 
+@pytest.mark.parametrize("desc", ("7^1", "2^4", "3^3"))
+def test_without_matches_the_plain_filter(desc):
+    spec = parse_descriptor(desc)
+    rng = np.random.default_rng([76, spec.q])
+    A = draw_set(rng, spec, spec.q // 2)
+    outside = [-1, -spec.q, spec.q, spec.q + 7, 1 << 70]  # ignored, like values not in A
+    for drop in ([], [int(A.members[0])], list(rng.choice(spec.q, 5)) + outside, outside,
+                 list(range(spec.q))):
+        assert list(A.without(iter(drop))) == [v for v in A if v not in set(drop)]
+
+
 def test_set_op_examples():
     assert set_op(fqset(F7, 1, 2), fqset(F7, 3), "sum").to_literal() == "4,5"
     out = set_op(fqset(F7, 1, 2, 4), fqset(F7, 1, 2, 4), "sum")

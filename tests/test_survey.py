@@ -11,8 +11,9 @@ from fqlab.errors import (
     SizeInfeasible,
     ZeroShift,
 )
-from fqlab.finite_field import build_field
-from fqlab.set_algebra import FqSet, dilate, set_op, shifted_product, translate
+from fqlab import set_algebra
+from fqlab.finite_field import build_field, parse_descriptor
+from fqlab.set_algebra import FqSet, additive_energy, dilate, set_op, shifted_product, translate
 from fqlab.survey import (
     SurveyConfig,
     corollary_record,
@@ -23,7 +24,14 @@ from fqlab.survey import (
     run_survey,
     sample_set,
 )
-from pools import naive_min_expander, naive_shifted_product
+from pools import (
+    LARGE_DESCRIPTOR,
+    POOL_DESCRIPTORS,
+    draw_set,
+    naive_additive_energy,
+    naive_min_expander,
+    naive_shifted_product,
+)
 
 F5 = build_field(5, 1)
 F7 = build_field(7, 1)
@@ -119,6 +127,22 @@ def test_corollary_chain_randomized():
         assert rec.chain_pass
 
 
+@pytest.mark.parametrize("desc", POOL_DESCRIPTORS + (LARGE_DESCRIPTOR,))
+@pytest.mark.parametrize("backend", ("grid", "transform", "small grid blocks"))
+def test_corollary_energy_matches_additive_energy_and_naive_oracle(desc, backend, monkeypatch):
+    spec = parse_descriptor(desc)
+    # TRANSFORM_CELLS = 0 sends sum and diff to the transform; infinity keeps them on the grid
+    monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", 0 if backend == "transform" else float("inf"))
+    rng = np.random.default_rng([77, spec.q])
+    for size in (2, 5, min(30, spec.q)):
+        A = draw_set(rng, spec, size)
+        if backend == "small grid blocks":  # blocks of 3 rows: the counts span several
+            monkeypatch.setattr(set_algebra, "PAIR_BLOCK_CELLS", 3 * len(A))
+        alpha = int(rng.integers(1, spec.q))
+        energy = corollary_record(A, alpha).energy
+        assert energy == additive_energy(A) == naive_additive_energy(spec, list(A))
+
+
 def test_corollary_invariant_survives_python_O():
     import os
     import subprocess
@@ -131,9 +155,10 @@ def test_corollary_invariant_survives_python_O():
               "from fqlab.errors import InvariantViolated\n"
               "from fqlab.finite_field import build_field\n"
               "from fqlab.set_algebra import FqSet\n"
-              "survey.additive_energy = lambda A: len(A) ** 3 + 1\n"
+              "A = FqSet.from_iterable(build_field(7, 1), [1, 2, 4])\n"
+              "survey._sum_of_squares = lambda counts: len(A) ** 3 + 1\n"
               "try:\n"
-              "    survey.corollary_record(FqSet.from_iterable(build_field(7, 1), [1, 2, 4]), 1)\n"
+              "    survey.corollary_record(A, 1)\n"
               "except InvariantViolated as exc:\n"
               "    print(type(exc).__name__, __debug__)\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fqlab.__file__)))
