@@ -4,6 +4,10 @@ verification, proof tracing, surveys and covering numbers.
 Exit codes: 0 on success, 1 on a domain error (the error class name goes to
 stderr), 2 on usage errors.  Machine output (json/csv) is deterministic for a
 fixed seed; timings never appear in it.
+
+--format offers only what a command writes (the first is the default):
+field, setop, energy and cover text or json; verify json lines or a csv
+summary; trace json lines.  survey writes CSV and a JSON summary to --out.
 """
 
 from __future__ import annotations
@@ -15,15 +19,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import FqLabError, TraceDegenerate
+from .errors import FqLabError, SizeInfeasible, TraceDegenerate
 from .decompositions import TraceParams, covering_number, run_proof_trace
 from .finite_field import parse_descriptor
 from .lemma_oracles import (
     EXACT_PASS, FAIL, LEMMA_IDS, LEMMAS, MEASURED, WITNESS_FOUND, batch_verify, run_lemma)
 from .set_algebra import FqSet, additive_energy, multiplicative_energy, set_op
-from .survey import SurveyConfig, run_survey
+from .survey import KINDS, SurveyConfig, run_survey
 
 TRACE_FIELDS = ("7^1", "2^3", "3^2", "11^1", "13^1", "2^4", "5^2")
+TRACE_MIN_SIZE = 4  # a trace batch draws 4..10 nonzero elements
+# degenerate draws in a row after which a trace batch gives up; seeded batches
+# over TRACE_FIELDS and 2^6, 3^4 at alpha 1-3 see at most 17
+TRACE_DEGENERATE_LIMIT = 100
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--eps", default="1/4", help="proportion bound (plunnecke_refined)")
     p_verify.add_argument("--trials", type=int, default=20, help="batch instances per lemma")
     p_verify.add_argument("--seed", type=int, default=0)
-    _common(p_verify)
+    _common(p_verify, ("json", "csv"))
 
     p_trace = sub.add_parser("trace", help="run the growth proof trace")
     p_trace.add_argument("--field", help="field descriptor")
@@ -70,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--trials", type=int, default=5, help="batch size when no --set")
     p_trace.add_argument("--seed", type=int, default=0)
     p_trace.add_argument("--kappa", type=int, default=1)
-    _common(p_trace)
+    _common(p_trace, ("json",))
 
     p_survey = sub.add_parser("survey", help="run an expander survey to CSV/JSON")
     p_survey.add_argument("--fields", required=True, help="comma-separated descriptors")
@@ -81,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_survey.add_argument("--seed", type=int, default=0)
     p_survey.add_argument("--alpha-policy", default="fixed1",
                           choices=("fixed1", "sweep", "random"))
-    p_survey.add_argument("--kind", default="expander", choices=("expander", "corollary"))
+    p_survey.add_argument("--kind", default="expander", choices=tuple(KINDS))
     p_survey.add_argument("--out", required=True, help="CSV output path")
 
     p_cover = sub.add_parser("cover", help="covering number by translates")
@@ -96,8 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", default="text", choices=("json", "csv", "text"))
+def _common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
+    """--format with the formats the command writes (the first is the default), and --out."""
+    p.add_argument("--format", default=formats[0], choices=formats)
     p.add_argument("--out", help="write output to this path instead of stdout")
 
 
@@ -225,19 +234,26 @@ def _cmd_trace(args) -> int:
                                   args.alpha, params)]
     else:
         traces = []
-        index = 0
+        index = degenerate = 0
         while len(traces) < args.trials:
             rng = np.random.default_rng([args.seed, index])
             desc = args.field or TRACE_FIELDS[index % len(TRACE_FIELDS)]
             spec = parse_descriptor(desc)
-            size = int(rng.integers(4, min(11, spec.q)))
+            if spec.q - 1 < TRACE_MIN_SIZE:
+                raise SizeInfeasible(f"a trace batch draws at least {TRACE_MIN_SIZE} "
+                                     f"nonzero elements; {desc} has {spec.q - 1}")
+            size = int(rng.integers(TRACE_MIN_SIZE, min(11, spec.q)))
             members = rng.choice(np.arange(1, spec.q), size=size, replace=False)
             index += 1
             try:
                 traces.append(run_proof_trace(FqSet.from_iterable(spec, members),
                                               args.alpha, params))
+                degenerate = 0
             except TraceDegenerate:
-                continue
+                degenerate += 1
+                if degenerate == TRACE_DEGENERATE_LIMIT:
+                    raise TraceDegenerate(f"{degenerate} degenerate draws in a row "
+                                          f"on {desc} at alpha = {args.alpha}") from None
     _emit(args, "\n".join(_dumps(t.to_json()) for t in traces))
     return 0
 

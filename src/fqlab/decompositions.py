@@ -26,11 +26,13 @@ from .errors import (
     ZeroInSet,
     ZeroShift,
 )
+from .finite_field import proper_subfields
 from .set_algebra import (
     FqSet,
     RepSpectrum,
     coset_intersection_counts,
     dilate,
+    quotient_closure_failure,
     quotient_set,
     representation_spectrum,
     set_op,
@@ -393,10 +395,9 @@ def covering_number(target: FqSet, tile: FqSet, sign: int | str = +1,
     |target| <= 12.  Returns (count, shifts)."""
     if len(tile) == 0:
         raise EmptySet("covering tile must be nonempty")
-    if isinstance(sign, str):
-        sign = {"+": 1, "-": -1}[sign]
+    sign = {"+": 1, "-": -1}.get(sign, sign)
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise ValueError(f"sign must be +1, -1, '+' or '-', got {sign!r}")
     if len(target) == 0:
         return 0, []
     spec = target.spec
@@ -448,44 +449,24 @@ class ProofTrace:
     certificates: dict
 
     def to_json(self) -> dict:
-        return {
-            "field": self.field,
-            "input": list(self.input_set),
-            "alpha": self.alpha,
-            "a_prime": list(self.a_prime),
-            "a_dprime": list(self.a_dprime),
+        sl, pts = self.slice, self.points
+        return _jsonable({
+            "field": self.field, "input": self.input_set, "alpha": self.alpha,
+            "a_prime": self.a_prime, "a_dprime": self.a_dprime,
             "removed_minus_alpha": self.removed_minus_alpha,
-            "diff_ratio": _frac(self.diff_ratio),
-            "iterated_ratio": _frac(self.iterated_ratio),
-            "gamma": _frac(self.gamma),
-            "slice": {
-                "D": [int(v) for v in self.slice.D.members],
-                "N": self.slice.N,
-                "L": self.slice.L,
-                "M": self.slice.M,
-                "pair_count": int(self.slice.pairs.shape[0]),
-            },
-            "points": {
-                "x0": self.points.x0,
-                "y0": self.points.y0,
-                "A_x0": [int(v) for v in self.points.A_x0.members],
-                "B_y0": [int(v) for v in self.points.B_y0.members],
-                "A_tilde": [int(v) for v in self.points.A_tilde.members],
-                "S": {str(z): [int(v) for v in s.members] for z, s in self.points.S.items()},
-            },
-            "case": self.case,
-            "witnesses": _jsonable(self.witnesses),
-            "certificates": _jsonable(self.certificates),
-        }
-
-
-def _frac(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
+            "diff_ratio": self.diff_ratio, "iterated_ratio": self.iterated_ratio,
+            "gamma": self.gamma,
+            "slice": {"D": sl.D, "N": sl.N, "L": sl.L, "M": sl.M,
+                      "pair_count": sl.pairs.shape[0]},
+            "points": {"x0": pts.x0, "y0": pts.y0, "A_x0": pts.A_x0, "B_y0": pts.B_y0,
+                       "A_tilde": pts.A_tilde, "S": pts.S},
+            "case": self.case, "witnesses": self.witnesses, "certificates": self.certificates,
+        })
 
 
 def _jsonable(obj):
     if isinstance(obj, Fraction):
-        return _frac(obj)
+        return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, FqSet):
         return [int(v) for v in obj.members]
     if isinstance(obj, dict):
@@ -608,59 +589,41 @@ def run_proof_trace(A: FqSet, alpha: int, params: TraceParams = TraceParams()) -
 
 def _classify(A_input: FqSet, A2: FqSet, alpha: int, sl: DyadicSlice,
               pts: PopularPoints, params: TraceParams):
-    from .finite_field import proper_subfields
-
     spec = A_input.spec
     kappa = params.kappa
     At, B = pts.A_tilde, pts.B_y0
     R_A = quotient_set(At)
-    R_B = quotient_set(B)
+    named = {"A_tilde": (At, R_A), "B_y0": (B, quotient_set(B))}
 
-    # case 1: the two quotient sets differ
-    extra_a = np.setdiff1d(R_A.members, R_B.members)
-    extra_b = np.setdiff1d(R_B.members, R_A.members)
-    if extra_a.size:
-        r = int(extra_a[0])
-        quad = _first_ratio_quadruple(At, r)
-        eq = len(set_op(B, dilate(B, r), "diff")) == len(B) ** 2
-        return "1.1", {"r": r, "quadruple": quad, "side": "A_tilde"}, {
-            "rbcard_equality": {"set": "B_y0", "r": r, "ok": eq}}
-    if extra_b.size:
-        r = int(extra_b[0])
-        quad = _first_ratio_quadruple(B, r)
-        eq = len(set_op(At, dilate(At, r), "diff")) == len(At) ** 2
-        return "1.2", {"r": r, "quadruple": quad, "side": "B_y0"}, {
-            "rbcard_equality": {"set": "A_tilde", "r": r, "ok": eq}}
+    # case 1: the quotient sets differ; 1.1 when R(A_tilde) has a ratio R(B_y0) lacks
+    for case, side, other in (("1.1", "A_tilde", "B_y0"), ("1.2", "B_y0", "A_tilde")):
+        (S, R_S), (T, R_T) = named[side], named[other]
+        extra = np.setdiff1d(R_S.members, R_T.members)
+        if extra.size:
+            r = int(extra[0])
+            eq = len(set_op(T, dilate(T, r), "diff")) == len(T) ** 2
+            return case, {"r": r, "quadruple": _first_ratio_quadruple(S, r), "side": side}, {
+                "rbcard_equality": {"set": other, "r": r, "ok": eq}}
 
-    # case 2: 1 + R not contained in R
-    shifted_ratios = spec.add_arr(R_A.members, np.int64(1))
-    bad = ~R_A.bitmask[shifted_ratios]
-    if bad.any():
-        rho = int(R_A.members[bad][0])
-        r = spec.add(1, rho)
-        quad = _first_ratio_quadruple(At, rho)
-        a = quad[0]
-        S_a = pts.S.get(a)
-        cert = {"rho": rho, "r": r}
-        if S_a is not None and len(S_a):
-            cert["rbcard_equality"] = {
-                "set": "B_y0 - r*S_a", "r": r,
-                "ok": len(set_op(B, dilate(S_a, r), "diff")) == len(B) * len(S_a)}
-        return "2", {"rho": rho, "r": r, "quadruple": quad}, {"case2": cert}
-
-    # case 3: (A_tilde / x0) * R not contained in R
-    scaled = spec.div_arr(At.members, np.int64(pts.x0))
-    grid = spec.mul_arr(scaled[:, None], R_A.members[None, :])
-    viol = ~R_A.bitmask[grid]
-    if viol.any():
-        i, j = map(int, np.argwhere(viol)[0])
-        a = int(At.members[i])
+    # case 2: 1 + R not contained in R; case 3: (A_tilde / x0) * R not contained in R
+    failure = quotient_closure_failure(R_A, spec.div_arr(At.members, np.int64(pts.x0)))
+    if failure is not None:
+        i, j = failure
         rho = int(R_A.members[j])
+        quad = _first_ratio_quadruple(At, rho)
+        if i is None:
+            r = spec.add(1, rho)
+            S_a = pts.S.get(quad[0])
+            cert = {"rho": rho, "r": r}
+            if S_a is not None and len(S_a):
+                cert["rbcard_equality"] = {
+                    "set": "B_y0 - r*S_a", "r": r,
+                    "ok": len(set_op(B, dilate(S_a, r), "diff")) == len(B) * len(S_a)}
+            return "2", {"rho": rho, "r": r, "quadruple": quad}, {"case2": cert}
+        a = int(At.members[i])
         r = spec.mul(spec.div(a, pts.x0), rho)
-        quad = _first_ratio_quadruple(At, rho) if rho != 0 else None
-        witness = {"a": a, "rho": rho, "r": r, "quadruple": quad}
-        cert = {"case3": {"r": r, "not_in_quotient": r not in R_A}}
-        return "3", witness, cert
+        return "3", {"a": a, "rho": rho, "r": r, "quadruple": quad}, {
+            "case3": {"r": r, "not_in_quotient": r not in R_A}}
 
     # case 4: R(A_tilde) is the subfield generated by A_tilde / x0
     if len(R_A) == spec.q:
@@ -669,11 +632,9 @@ def _classify(A_input: FqSet, A2: FqSet, alpha: int, sl: DyadicSlice,
                 "case4": {"full_field": True, "above_sqrt_q": True}}
         return "4.2", {"quotient": "full field", "a_tilde_size": len(At)}, {
             "case4": {"full_field": True, "above_sqrt_q": False}}
-    match = [G for G in proper_subfields(spec)
-             if G.size == len(R_A) and R_A == G.elements]
-    if not match:
+    G0 = next((G for G in proper_subfields(spec) if R_A == G.elements), None)
+    if G0 is None:
         raise InvariantViolated("closure held but the quotient set is not a subfield")
-    G0 = match[0]
     counts = coset_intersection_counts(A_input, G0)
     max_size = int(counts.max())
     sqrt_ok = max_size**2 <= kappa**2 * G0.size
@@ -730,17 +691,15 @@ def _measure_covers(A2: FqSet, shifted_size: int, sl: DyadicSlice, pts: PopularP
         if S_a is not None and len(S_a):
             measure(f"w={b}*S_a", dilate(S_a, b), tile_x, -1,
                     Fraction(n2**3 * s4, L * M * N**3))
-    elif case == "3":
-        quad = witnesses.get("quadruple")
-        if quad:
-            b, c, d, e = quad
-            S_d = pts.S.get(d)
-            if S_d is not None and len(S_d):
-                measure(f"w={e}*S_d", dilate(S_d, e), tile_x, +1,
-                        Fraction(n2**3 * s4, L * M * N**3))
-            slopes = spec.div_arr(sl.pairs[:, 1], sl.pairs[:, 0])
-            line = FqSet.from_iterable(spec, sl.pairs[slopes == spec.div(c, pts.x0), 0])
-            if len(line):
-                measure(f"w={b}*P_line", dilate(line, b), tile_x, -1,
-                        Fraction(s4, n2 * N**3))
+    elif case == "3":  # rho != 0 (0 * rows stays in R), so the quadruple exists
+        b, c, d, e = witnesses["quadruple"]
+        S_d = pts.S.get(d)
+        if S_d is not None and len(S_d):
+            measure(f"w={e}*S_d", dilate(S_d, e), tile_x, +1,
+                    Fraction(n2**3 * s4, L * M * N**3))
+        slopes = spec.div_arr(sl.pairs[:, 1], sl.pairs[:, 0])
+        line = FqSet.from_iterable(spec, sl.pairs[slopes == spec.div(c, pts.x0), 0])
+        if len(line):
+            measure(f"w={b}*P_line", dilate(line, b), tile_x, -1,
+                    Fraction(s4, n2 * N**3))
     return out

@@ -200,14 +200,14 @@ class DigitPacking:
     each, so the fields of digits[a] + digits[b], and of digits[a] + (fill -
     digits[b]) with p in every field of fill, stay below 2^w without carries.
     A packed sum is reduced chunk by chunk: tables[j] maps the bits of chunk j
-    to its digits mod p, already scaled to the encoding.
+    to its digits mod p, already scaled to the encoding.  ``reduce`` is the one
+    reduction path: it takes an array or a single packed sum alike.
     """
 
     digits: np.ndarray  # length q, read-only
     fill: int  # p in every w-bit field
     chunk_bits: int
     tables: tuple[np.ndarray, ...]
-    table_lists: tuple[list[int], ...]  # the same tables, for scalar reductions
 
     @classmethod
     def build(cls, p: int, m: int) -> "DigitPacking":
@@ -225,7 +225,7 @@ class DigitPacking:
         for t in tables:
             t.setflags(write=False)
         return cls(digits=digits, fill=sum(p << (w * i) for i in range(m)), chunk_bits=k * w,
-                   tables=tables, table_lists=tuple(t.tolist() for t in tables))
+                   tables=tables)
 
     def reduce(self, s: np.ndarray) -> np.ndarray:
         """Encodings of packed sums s (every field below 2^w)."""
@@ -234,10 +234,6 @@ class DigitPacking:
         for j, t in enumerate(self.tables[1:], 1):
             out += t[(s >> (j * self.chunk_bits)) & mask]
         return out
-
-    def reduce_int(self, s: int) -> int:
-        mask = (1 << self.chunk_bits) - 1
-        return sum(t[(s >> (j * self.chunk_bits)) & mask] for j, t in enumerate(self.table_lists))
 
     def add(self, a, b):
         return self.reduce(self.digits[a] + self.digits[b])
@@ -305,8 +301,11 @@ class FieldSpec:
     Addition is mod p in prime fields, XOR for p = 2 and, for every other
     field, one integer addition of packed digits reduced through the small
     tables of ``packing`` (subtraction adds ``packing.fill - digits[b]``, so
-    no negation table is needed).  Immutable after construction; every
-    operation below is pure, so a spec can be shared freely across threads.
+    no negation table is needed).  Scalar add, neg and sub are the array
+    operations on single encodings; mul, div, inv and pow keep scalar forms,
+    which are several times faster on one element than the array forms.
+    Immutable after construction; every operation below is pure, so a spec
+    can be shared freely across threads.
     """
 
     p: int
@@ -329,26 +328,13 @@ class FieldSpec:
     # -- scalar operations -------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        pk = self.packing
-        return pk.reduce_int(int(pk.digits[a]) + int(pk.digits[b]))
+        return int(self.add_arr(a, b))
 
     def neg(self, a: int) -> int:
-        if self.m == 1:
-            return (-a) % self.p
-        if self.p == 2:
-            return a
-        pk = self.packing
-        return pk.reduce_int(pk.fill - int(pk.digits[a]))
+        return int(self.neg_arr(a))
 
     def sub(self, a: int, b: int) -> int:
-        pk = self.packing
-        if pk is None:
-            return self.add(a, self.neg(b))
-        return pk.reduce_int(int(pk.digits[a]) + pk.fill - int(pk.digits[b]))
+        return int(self.sub_arr(a, b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -377,7 +363,7 @@ class FieldSpec:
             return 0
         return int(self.exp_table[(int(self.log_table[a]) * e) % (self.q - 1)])
 
-    # -- vectorized operations on int64 arrays of encodings ----------------
+    # -- vectorized operations on int64 arrays (add, neg, sub: or ints) ----
 
     def add_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.m == 1:
@@ -390,7 +376,7 @@ class FieldSpec:
         if self.m == 1:
             return (-a) % self.p
         if self.p == 2:
-            return np.array(a, copy=True)
+            return a ^ 0  # a copy that keeps an int an int
         pk = self.packing
         return pk.reduce(pk.fill - pk.digits[a])
 
@@ -500,22 +486,7 @@ def arith(spec: FieldSpec, op: str, a: int, b: int | None = None) -> int:
             raise ValueError(f"op {op!r} needs a second operand")
         if op != "pow" and not 0 <= b < spec.q:
             raise ValueError(f"operand {b} out of range [0, {spec.q})")
-    match op:
-        case "add":
-            return spec.add(a, b)
-        case "sub":
-            return spec.sub(a, b)
-        case "mul":
-            return spec.mul(a, b)
-        case "div":
-            return spec.div(a, b)
-        case "neg":
-            return spec.neg(a)
-        case "inv":
-            return spec.inv(a)
-        case "pow":
-            return spec.pow(a, b)
-    raise AssertionError("unreachable")
+    return getattr(spec, op)(a) if unary else getattr(spec, op)(a, b)
 
 
 def divisors(n: int) -> list[int]:

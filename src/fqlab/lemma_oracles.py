@@ -45,6 +45,7 @@ from .set_algebra import (
     dilate,
     intersection_shift_counts,
     multiplicative_energy,
+    quotient_closure_failure,
     quotient_set,
     representation_spectrum,
     set_op,
@@ -169,19 +170,16 @@ def check_quotient_subfield(X: FqSet) -> LemmaReport:
     R = quotient_set(X)
     inst = _instance(spec, X=X)
 
-    shifted = spec.add_arr(R.members, np.int64(1))
-    bad = ~R.bitmask[shifted]
-    if bad.any():
-        return _report("quotient_subfield", inst, WITNESS_FOUND,
-                       witness={"hypothesis": "1+R", "violator": int(R.members[bad][0])})
-    grid = spec.mul_arr(X.members[:, None], R.members[None, :])
-    viol = ~R.bitmask[grid]
-    if viol.any():
-        i, j = map(int, np.argwhere(viol)[0])
-        return _report("quotient_subfield", inst, WITNESS_FOUND,
-                       witness={"hypothesis": "X*R",
-                                "violator": int(grid[i, j]),
-                                "x": int(X.members[i]), "rho": int(R.members[j])})
+    failure = quotient_closure_failure(R, X.members)
+    if failure is not None:
+        i, j = failure
+        rho = int(R.members[j])
+        if i is None:
+            witness = {"hypothesis": "1+R", "violator": rho}
+        else:
+            x = int(X.members[i])
+            witness = {"hypothesis": "X*R", "violator": spec.mul(x, rho), "x": x, "rho": rho}
+        return _report("quotient_subfield", inst, WITNESS_FOUND, witness=witness)
 
     closed = _closed_under_field_ops(R)
     x0 = int(X.members[X.members != 0][0])
@@ -200,13 +198,12 @@ def _closed_under_field_ops(R: FqSet) -> bool:
 
 
 def _generated_subfield(S: FqSet) -> np.ndarray:
-    """Elements of the intersection of all subfields containing S."""
-    containing = [h.elements.members for h in enumerate_subfields(S.spec)
-                  if S.is_subset(h.elements)]
-    out = containing[0]
-    for other in containing[1:]:
-        out = np.intersect1d(out, other)
-    return out
+    """Elements of the intersection of all subfields containing S: the first
+    of them in ascending degree.  The subfields containing S are closed under
+    intersection, since GF(p^a) ∩ GF(p^b) = GF(p^gcd(a,b)), so the smallest
+    one lies inside every other."""
+    return next(h.elements.members for h in enumerate_subfields(S.spec)
+                if S.is_subset(h.elements))
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,18 @@ def quotient_set(X: FqSet) -> FqSet:
     return set_op(diffs, diffs.nonzero(), "ratio")
 
 
+def quotient_closure_failure(R: FqSet, rows: np.ndarray) -> tuple[int | None, int] | None:
+    """First failure of the two closure tests on a quotient set R: (None, j)
+    for the smallest R[j] with 1 + R[j] not in R, else (i, j) for the first
+    row-major cell with rows[i] * R[j] not in R, else None.  rows is taken in
+    the caller's order."""
+    bad = np.flatnonzero(~R.bitmask[R.spec.add_arr(R.members, np.int64(1))])
+    if bad.size:
+        return None, int(bad[0])
+    viol = np.flatnonzero(~R.bitmask[R.spec.mul_arr(rows[:, None], R.members[None, :])])
+    return divmod(int(viol[0]), len(R)) if viol.size else None
+
+
 @dataclass(frozen=True)
 class RepSpectrum:
     """Ratio representation counts r(xi) = #{(x, y) in X x Y : y/x = xi}.

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -153,6 +154,10 @@ def test_usage_errors_found_after_parsing_exit_2(capsys, argv):
      None, "InvalidSurveyConfig"),
     (("survey", "--fields", "7", "--sizes", "3", "--samplers", "foo",
       "--out", "no-such-dir/s.csv"), None, "InvalidSurveyConfig"),
+    # every draw from F_5^* is {1,2,3,4}, degenerate at alpha = 2
+    (("trace", "--field", "5", "--alpha", "2", "--trials", "1"), None, "TraceDegenerate"),
+    (("trace", "--field", "2^2"), None, "SizeInfeasible"),
+    (("trace", "--field", "3"), None, "SizeInfeasible"),
 ])
 def test_bad_input_is_a_domain_error(monkeypatch, capsys, argv, cap, error):
     if cap is not None:
@@ -160,6 +165,22 @@ def test_bad_input_is_a_domain_error(monkeypatch, capsys, argv, cap, error):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"{error}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("field", "7", "--format", "csv"),
+    ("setop", "sum", "--field", "7", "--a", "1", "--b", "2", "--format", "csv"),
+    ("energy", "add", "--field", "7", "--set", "1,2", "--format", "csv"),
+    ("cover", "--field", "7", "--target", "1", "--tile", "1", "--format", "csv"),
+    ("verify", "rbfq", "--trials", "1", "--format", "text"),
+    ("trace", "--trials", "1", "--format", "text"),
+    ("trace", "--trials", "1", "--format", "csv"),
+])
+def test_format_a_command_does_not_write_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def _wrong_set_counts():
@@ -197,3 +218,47 @@ def test_emitted_json_reparses(capsys):
     _, out, _ = run_cli(capsys, "verify", "all", "--trials", "1", "--seed", "0")
     for line in out.strip().splitlines():
         json.loads(line)
+
+
+def test_trace_batch_output_is_frozen(capsys):
+    code, out, _ = run_cli(capsys, "trace", "--trials", "20", "--seed", "5")
+    cases = {json.loads(line)["case"] for line in out.splitlines()}
+    assert code == 0 and cases == {"1.1", "2", "3", "4.1"}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "38f66146f50b8a98234541772563578e82182b7e48ba7dd1a8235d8ad873305c")
+
+
+# (field, set, alpha, kappa) -> (case, sha256 of the trace's stdout), for the
+# branches the seeded batch above does not reach; 4.2 once with R(A~) the whole
+# field and once with R(A~) = F_5 inside 5^2, where kappa = 1 gives 4.3 instead
+FROZEN_TRACES = {
+    ("2^4", "1,5,6,8,9,10,11,12,14", 3, 1):
+        ("1.2", "79ec80d470dbfbd0a85cb2c28dcfc2f6e8fe233c041a86cf5b6601b8e9c1efd9"),
+    ("2^4", "1,2,3,4,7,10,11,13,15", 10, 1):
+        ("4.2", "34e363dc34f4c5c5074cede6d64b468eba5ed3f9197ecde7485254216a8410e0"),
+    ("5^2", "1,2,3,4,9", 1, 2):
+        ("4.2", "3ab2e556d8b77e166b6a103baaf899e89abcd84eb820ca47d3736dfc3a8bbe0e"),
+    ("5^2", "1,2,3,4,9", 1, 1):
+        ("4.3", "b337b34b3bfea3d77674530558ed600033e7fcea52dde60cd100d23b01fd0319"),
+}
+
+
+@pytest.mark.parametrize("field, members, alpha, kappa", sorted(FROZEN_TRACES))
+def test_explicit_trace_output_is_frozen(capsys, field, members, alpha, kappa):
+    argv = ("trace", "--field", field, "--set", members,
+            "--alpha", str(alpha), "--kappa", str(kappa))
+    code, out, _ = run_cli(capsys, *argv)
+    case, digest = FROZEN_TRACES[field, members, alpha, kappa]
+    assert code == 0 and json.loads(out)["case"] == case
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_quotient_subfield_batch_is_frozen(capsys):
+    # forty trials reach both the 1+R and the X*R witness
+    argv = ("verify", "quotient_subfield", "--trials", "40", "--seed", "3")
+    code, out, _ = run_cli(capsys, *argv)
+    hypotheses = {(json.loads(line)["witness"] or {}).get("hypothesis")
+                  for line in out.splitlines()}
+    assert code == 0 and {"1+R", "X*R"} <= hypotheses
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c476a91b2e7068904cd780d58e1eddb2c014af1f99deba3c4dd86e6a366678f3")

@@ -293,6 +293,12 @@ def test_covering_negative_tile():
     assert count == 1  # -tile = {1, 2}, shift 0 covers
 
 
+@pytest.mark.parametrize("sign", [0, 2, "x", "+1"])
+def test_covering_bad_sign_is_a_value_error(sign):
+    with pytest.raises(ValueError, match="sign must be"):
+        covering_number(fqset(F7, 1, 2), fqset(F7, 5, 6), sign)
+
+
 # -- proof trace -------------------------------------------------------------
 
 
