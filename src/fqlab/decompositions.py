@@ -30,6 +30,8 @@ from .finite_field import proper_subfields
 from .set_algebra import (
     FqSet,
     RepSpectrum,
+    _pair_counts,
+    _require_same_field,
     coset_intersection_counts,
     dilate,
     quotient_closure_failure,
@@ -222,8 +224,10 @@ def popular_points(sl: DyadicSlice) -> PopularPoints:
     C = lines @ points[:, popular rows] gives C[l, j] = |P_l ∩ X_(y_j)|, and
     the double sum over (x, y) in x_popular × y_popular is lines[:, popular
     columns].T @ C; its first row-major maximum is the smallest (x0, y0) on
-    ties.  The last step reads column y0 of C at the lines of the pairs over
-    x0: the number of pairs on each such line whose x lies in B_y0.
+    ties.  Both products run in float64 through BLAS and are exact: an entry
+    of either counts at most |X||Y| pairs, far below 2^53.  The last step
+    reads column y0 of C at the lines of the pairs over x0: the number of
+    pairs on each such line whose x lies in B_y0.
     """
     if sl.L == 0 or sl.pairs.size == 0:
         raise DegenerateSlice("slice has no popular slopes")
@@ -254,12 +258,14 @@ def popular_points(sl: DyadicSlice) -> PopularPoints:
     d_popular = FqSet.from_iterable(spec, sl.D.members[slopes])
 
     # the double sum and its exact maximizing cell, smallest (x0, y0) on ties
-    lines = np.zeros((sl.L, len(sl.X)), dtype=np.int64)
+    # float64 for BLAS; exact, as every entry counts at most |X||Y| pairs
+    lines = np.zeros((sl.L, len(sl.X)))
     lines[line, col] = 1
-    points = np.zeros((len(sl.X), len(sl.Y)), dtype=np.int64)
+    points = np.zeros((len(sl.X), len(sl.Y)))
     points[col, row] = 1
     C = lines @ points[:, rows]
-    sums = lines[:, cols].T @ C
+    sums = (lines[:, cols].T @ C).astype(np.int64)
+    C = C.astype(np.int64)
     i, j = np.unravel_index(int(np.argmax(sums)), sums.shape)
     x0, y0 = int(sl.X.members[cols[i]]), int(sl.Y.members[rows[j]])
     inner_max, sigma = int(sums[i, j]), int(sums.sum())
@@ -327,22 +333,37 @@ def points_certificates(sl: DyadicSlice, pts: PopularPoints) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _greedy_cover(target: FqSet, candidates: np.ndarray, hits: np.ndarray):
+def _greedy_cover(target: FqSet, tile: FqSet, counts: np.ndarray):
+    """Greedy cover of target by translates t + tile, the first (= smallest)
+    t of largest gain each step.  Gains only fall: a t starts at
+    counts[t] = |(t + tile) ∩ target|, the pair counts of target - tile, and
+    when the chosen translate covers the set E, every t loses
+    |(t + tile) ∩ E|.  The whole run is O(|candidates| |target|); no step
+    rescans a hit grid."""
+    spec = target.spec
+    candidates = np.flatnonzero(counts)  # every shift whose translate meets the target
+    gains = counts[candidates]
     uncovered = target.bitmask.copy()
-    shifts = []
-    while uncovered.any():
-        gains = uncovered[hits].sum(axis=1)
+    remaining, shifts = len(target), []
+    while remaining:
         best = int(np.argmax(gains))  # first maximum = smallest shift
         if gains[best] == 0:
             raise InvariantViolated("no candidate shift covers an uncovered element")
+        hit = spec.add_arr(candidates[best], tile.members)
+        covered = hit[uncovered[hit]]
+        uncovered[covered] = False
+        remaining -= covered.size
+        gains -= tile.bitmask[spec.sub_arr(covered[:, None], candidates[None, :])].sum(axis=0)
         shifts.append(int(candidates[best]))
-        uncovered[hits[best]] = False
     return len(shifts), shifts
 
 
-def _exact_cover(target: FqSet, candidates: np.ndarray, hits: np.ndarray):
-    """Branch-and-bound minimum cover; only used for |target| <= EXACT_SEARCH_LIMIT."""
-    n = len(target)
+def _exact_cover(target: FqSet, tile: FqSet, counts: np.ndarray):
+    """Branch-and-bound minimum cover by translates t + tile, seeded by the
+    greedy cover; only used for |target| <= EXACT_SEARCH_LIMIT."""
+    spec, n = target.spec, len(target)
+    candidates = np.flatnonzero(counts)
+    hits = spec.add_arr(candidates[:, None], tile.members[None, :])
     bit_of = {int(v): i for i, v in enumerate(target.members)}
     full = (1 << n) - 1
     mask_of: dict[int, int] = {}
@@ -357,7 +378,7 @@ def _exact_cover(target: FqSet, candidates: np.ndarray, hits: np.ndarray):
     masks = sorted(mask_of)
     covers_elem = [[m for m in masks if (m >> i) & 1] for i in range(n)]
 
-    best_count, best_shifts = _greedy_cover(target, candidates, hits)
+    best_count, best_shifts = _greedy_cover(target, tile, counts)
 
     def dfs(covered: int, chosen: list[int]):
         nonlocal best_count, best_shifts
@@ -392,7 +413,8 @@ def covering_number(target: FqSet, tile: FqSet, sign: int | str = +1,
                     mode: str = "auto"):
     """Fewest translates t + sign*tile covering target: greedy with the
     smallest-shift tie-break, or the exact minimum (branch and bound) when
-    |target| <= 12.  Returns (count, shifts)."""
+    |target| <= EXACT_SEARCH_LIMIT.  Returns (count, shifts)."""
+    _require_same_field(target, tile)
     if len(tile) == 0:
         raise EmptySet("covering tile must be nonempty")
     sign = {"+": 1, "-": -1}.get(sign, sign)
@@ -402,12 +424,10 @@ def covering_number(target: FqSet, tile: FqSet, sign: int | str = +1,
         return 0, []
     spec = target.spec
     shifted_tile = tile if sign == 1 else FqSet.from_iterable(spec, spec.neg_arr(tile.members))
-    # every shift t whose translate meets the target, ascending, and its hits
-    candidates = set_op(target, shifted_tile, "diff").members
-    hits = spec.add_arr(candidates[:, None], shifted_tile.members[None, :])
+    counts = _pair_counts(target, shifted_tile, "diff")
     if mode == "exact" or (mode == "auto" and len(target) <= EXACT_SEARCH_LIMIT):
-        return _exact_cover(target, candidates, hits)
-    return _greedy_cover(target, candidates, hits)
+        return _exact_cover(target, shifted_tile, counts)
+    return _greedy_cover(target, shifted_tile, counts)
 
 
 # ---------------------------------------------------------------------------

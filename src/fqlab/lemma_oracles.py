@@ -335,10 +335,11 @@ def check_ratio_to_shift(A: FqSet) -> LemmaReport:
 
 def refined_plunnecke_subset(X: FqSet, Bs: list[FqSet], eps) -> LemmaReport:
     """Search a subset X' of proportion >= 1-eps minimizing |X' + S|, S = B1 +
-    ... + Bk; exhaustive up to 12 elements, above that greedy removal scored by
-    incremental representation counts, O(|X||S|) per step.  The achieved ratio
-    against the product bound is reported, never asserted (the constant
-    depends on eps in an unspecified way)."""
+    ... + Bk; exhaustive up to EXACT_SEARCH_LIMIT elements, greedy above (one
+    O(|X||S|) scoring pass, then per removal a check of the values whose count
+    fell to 1; see `_min_sumset_subset`).  The achieved ratio against the
+    product bound is reported, never asserted (the constant depends on eps in
+    an unspecified way)."""
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise EpsilonOutOfRange(f"eps must be in (0, 1), got {eps}")
@@ -353,60 +354,88 @@ def refined_plunnecke_subset(X: FqSet, Bs: list[FqSet], eps) -> LemmaReport:
 
 
 def _min_sumset_subset(X: FqSet, S: FqSet, floor: int, mode: str = "auto"):
-    """Minimize |X' + S| over X' of size exactly floor (supersets only grow); row
-    x + S of the grid X + S has distinct entries, so a greedy step is O(|X||S|)."""
-    grid = X.spec.add_arr(X.members[:, None], S.members[None, :])
-    return _min_subset(X, grid, floor, mode, square=False)
+    """Minimize |X' + S| over X' of size exactly floor (supersets only grow).
+
+    Row x + S of the grid X + S holds distinct values, so removing x loses the
+    values its row holds once.  The greedy search scores every row once,
+    O(|X||S|).  Removing x* then changes the loss of another row only through
+    the values of x* + S whose count falls to 1: each such v is charged to
+    its one remaining owner x, the x with v - x in S.  That is one
+    |V| x |X'| membership check per step, where V are the values that fell;
+    no step rescans the grid."""
+    spec = X.spec
+    grid = spec.add_arr(X.members[:, None], S.members[None, :])
+    if mode == "exhaustive" or (mode == "auto" and len(X) <= EXACT_SEARCH_LIMIT):
+        labels = _dense_labels(grid, spec.q)
+        return _exhaustive_min_subset(X, lambda rows: labels[rows], floor)
+    counts = np.bincount(grid.ravel(), minlength=spec.q)
+    lost = (counts[grid] == 1).sum(axis=1)
+    alive = np.ones(len(X), dtype=bool)
+    for _ in range(len(X) - floor):
+        best = int(np.argmax(np.where(alive, lost, -1)))  # first maximum = smallest encoding
+        alive[best] = False
+        row = grid[best]
+        counts[row] -= 1  # the row's values are distinct
+        fell = row[counts[row] == 1]
+        owned = S.bitmask[spec.sub_arr(fell[:, None], X.members[alive][None, :])]
+        lost[alive] += owned.sum(axis=0)
+    return X.members[alive], int(np.count_nonzero(counts))
 
 
 def _min_diffset_subset(A: FqSet, floor: int, mode: str = "auto"):
-    """Minimize |A' - A'| over A' of size exactly floor.  Removing a deletes
-    row and column a of the difference grid, 2|A'| - 1 cells whose values can
-    repeat (a - b = c - a for c = 2a - b, always in characteristic 2); sorting
-    them gives each value's multiplicity, O(|A'|^2 log |A'|) per greedy step."""
-    grid = A.spec.sub_arr(A.members[:, None], A.members[None, :])
-    return _min_subset(A, grid, floor, mode, square=True)
+    """Minimize |A' - A'| over A' of size exactly floor.
 
-
-def _min_subset(X: FqSet, grid: np.ndarray, floor: int, mode: str, square: bool):
-    """(X', size): the fewest distinct values of `grid` over the rows (and, if
-    square, the columns) of a subset X' of size exactly floor.  mode "auto" goes
-    exhaustive (first minimum in combinations order) at <= EXACT_SEARCH_LIMIT
-    elements, greedy above; "exhaustive"/"greedy" force one.  Greedy keeps each
-    value's representation count over the current subset, scores every removal
-    at once (a value is lost when its count equals its multiplicity among the
-    removed cells), removes the first best in ascending encoding and subtracts
-    its cells from the counts; its result upper-bounds the exhaustive one."""
-    present = np.bincount(grid.ravel(), minlength=X.spec.q) > 0
-    grid = (np.cumsum(present) - 1)[grid]  # dense value labels: counts span the grid only
-
-    def cells(rows):
-        return grid[np.ix_(rows, rows)] if square else grid[rows]
-    n = len(X)
+    Removing x deletes row x (the values x - y) and column x (the values
+    y - x) of the difference grid.  Each of the two holds distinct values, and
+    the row value x - y, y != x, recurs in column x exactly when 2x - y is in
+    A' (always in characteristic 2, where 2x - y = y); the column value y - x
+    recurs in row x under the same test.  With partner[x, y] the index of
+    2x - y in A (none on the diagonal), x loses a row value when its count is
+    1 + [partner[x, y] alive] and a column value when its count is 1 and
+    partner[x, y] is not alive.  A greedy step is O(|A'|^2) gathers and
+    comparisons, no sort."""
+    spec, n = A.spec, len(A)
+    labels = _dense_labels(spec.sub_arr(A.members[:, None], A.members[None, :]), spec.q)
     if mode == "exhaustive" or (mode == "auto" and n <= EXACT_SEARCH_LIMIT):
-        size, rows = min(((int(np.count_nonzero(np.bincount(cells(list(c)).ravel()))), c)
-                          for c in combinations(range(n), floor)), key=lambda t: t[0])
-        return X.members[list(rows)], size
-    counts = np.bincount(grid.ravel())
-    alive = np.ones(n, dtype=bool)
+        return _exhaustive_min_subset(A, lambda rows: labels[np.ix_(rows, rows)], floor)
+    reflected = spec.sub_arr(spec.add_arr(A.members, A.members)[:, None], A.members[None, :])
+    partner = np.where(A.bitmask[reflected], np.searchsorted(A.members, reflected), n)
+    np.fill_diagonal(partner, n)
+    labels, partner_t = labels.ravel(), partner.T.ravel()  # flat, gathered per step
+    counts = np.bincount(labels)
+    alive = np.ones(n + 1, dtype=bool)
+    alive[n] = False  # index n stands for "2x - y is not in A"
     for _ in range(n - floor):
         rows = np.flatnonzero(alive)
-        killed = cells(rows)  # row k: the grid row of candidate rows[k]
-        if not square:  # distinct within a row: a value is lost when counted once
-            lost = (counts[killed] == 1).sum(axis=1)
-        else:  # add column k; a value is lost when its count equals its run length
-            column = killed.T[~np.eye(rows.size, dtype=bool)].reshape(rows.size, -1)
-            killed = np.sort(np.concatenate([killed, column], axis=1), axis=1)
-            width, flat = killed.shape[1], killed.ravel()
-            starts = np.r_[True, flat[1:] != flat[:-1]]
-            starts[::width] = True
-            pos = np.flatnonzero(starts)
-            lost = np.bincount(pos // width, minlength=rows.size,
-                               weights=counts[flat[pos]] == np.diff(pos, append=flat.size))
+        flat = (rows * n)[:, None] + rows  # the alive subgrid
+        cells = labels[flat]
+        held = counts[cells]
+        mirrored = alive[partner_t[flat]]  # [y, x]: 2x - y is alive
+        # the diagonal holds 0, counted |A'| >= 2 times, so it is never a column loss
+        lost = (held - mirrored.T == 1).sum(axis=1) + ((held == 1) & ~mirrored).sum(axis=0)
         best = int(np.argmax(lost))  # first maximum = smallest encoding
-        np.subtract.at(counts, killed[best], 1)
+        np.subtract.at(counts, cells[best], 1)
+        np.subtract.at(counts, cells[:, best], 1)
+        counts[cells[best, best]] += 1  # the diagonal cell is in both
         alive[rows[best]] = False
-    return X.members[alive], int(np.count_nonzero(counts))
+    return A.members[alive[:n]], int(np.count_nonzero(counts))
+
+
+def _dense_labels(grid: np.ndarray, q: int) -> np.ndarray:
+    """grid with each value replaced by its rank among the grid's distinct
+    values, so a bincount of any part of it spans the grid, not the field."""
+    present = np.bincount(grid.ravel(), minlength=q) > 0
+    return (np.cumsum(present) - 1)[grid]
+
+
+def _exhaustive_min_subset(X: FqSet, cells, floor: int):
+    """(X', size) over every X' of size floor, cells(rows) giving its labels:
+    the first minimum in combinations order.  Both searches take this path
+    for mode "exhaustive", or "auto" at <= EXACT_SEARCH_LIMIT elements;
+    "greedy" forces their greedy removal, whose size bounds this one above."""
+    size, rows = min(((int(np.count_nonzero(np.bincount(cells(list(c)).ravel()))), c)
+                      for c in combinations(range(len(X)), floor)), key=lambda t: t[0])
+    return X.members[list(rows)], size
 
 
 def basic_shift_subset(A: FqSet, alpha: int = 1) -> LemmaReport:

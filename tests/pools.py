@@ -173,6 +173,23 @@ def naive_cover_min(spec: FieldSpec, target, tile, sign: int) -> int:
     return best
 
 
+def naive_greedy_cover(spec: FieldSpec, target, tile, sign: int):
+    """Greedy cover by literal recomputation: every step scores each shift t
+    whose translate t + sign*tile meets the target, in ascending t, by the
+    number of still uncovered elements that translate holds, counted afresh,
+    and takes the first maximum.  Returns (count, shifts)."""
+    tile_eff = [naive_neg(spec, t) for t in tile] if sign < 0 else list(tile)
+    candidates = sorted({naive_sub(spec, e, t) for e in target for t in tile_eff})
+    translate = {c: {naive_add(spec, c, t) for t in tile_eff} for c in candidates}
+    uncovered, shifts = set(target), []
+    while uncovered:
+        gains = [len(translate[c] & uncovered) for c in candidates]
+        best = candidates[gains.index(max(gains))]
+        shifts.append(best)
+        uncovered -= translate[best]
+    return len(shifts), shifts
+
+
 def naive_greedy_min_subset(spec: FieldSpec, members, floor: int, S=None):
     """Greedy worst-element removal by literal recomputation: repeatedly drop
     the element whose removal leaves the smallest X' + S (or X' - X' when S is

@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from fqlab.cli import main
@@ -251,6 +252,17 @@ def test_explicit_trace_output_is_frozen(capsys, field, members, alpha, kappa):
     case, digest = FROZEN_TRACES[field, members, alpha, kappa]
     assert code == 0 and json.loads(out)["case"] == case
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_large_explicit_trace_output_is_frozen(capsys):
+    # 160 uniform elements of 2^12: large enough that the subset searches and
+    # covers run their greedy paths over many steps
+    rng = np.random.default_rng([4096, 160])
+    members = sorted(int(v) for v in rng.choice(np.arange(1, 4096), 160, replace=False))
+    code, out, _ = run_cli(capsys, "trace", "--field", "2^12", "--set", ",".join(map(str, members)))
+    assert code == 0 and json.loads(out)["case"] == "4.2"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "78801c59c46d9bb67f4a200e005be620921d9b5ed87984583aa8c445e6910e38")
 
 
 def test_quotient_subfield_batch_is_frozen(capsys):

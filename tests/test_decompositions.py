@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fqlab.decompositions import (
+    EXACT_SEARCH_LIMIT,
     DyadicSlice,
     TraceParams,
     covering_number,
@@ -20,6 +21,7 @@ from fqlab.decompositions import (
 from fqlab.errors import (
     DegenerateSlice,
     EmptySpectrum,
+    MixedFields,
     SumBelowK,
     TraceDegenerate,
     ZeroInSet,
@@ -37,6 +39,7 @@ from pools import (
     POOL_DESCRIPTORS,
     draw_set,
     naive_cover_min,
+    naive_greedy_cover,
     naive_popular_points,
     pool_field,
 )
@@ -286,11 +289,37 @@ def test_covering_greedy_vs_exact_and_oracle():
             assert count == len(shifts)
 
 
+@pytest.mark.parametrize("descriptor", POOL_DESCRIPTORS)
+def test_greedy_cover_matches_naive(descriptor):
+    # the falling gains against gains recomputed at every step: same count
+    # and the same shifts in the same order, past the exact-search limit
+    spec = parse_descriptor(descriptor)
+    for trial in range(4):
+        rng = np.random.default_rng([47, spec.q, trial])
+        low = 1 if trial % 2 else min(EXACT_SEARCH_LIMIT + 1, spec.q)
+        target = draw_set(rng, spec, int(rng.integers(low, min(60, spec.q) + 1)))
+        tile = draw_set(rng, spec, int(rng.integers(1, min(50, spec.q) + 1)))
+        for sign in (1, -1):
+            assert covering_number(target, tile, sign, mode="greedy") == naive_greedy_cover(
+                spec, target.members.tolist(), tile.members.tolist(), sign)
+
+
 def test_covering_negative_tile():
     target = fqset(F7, 1, 2)
     tile = fqset(F7, 5, 6)
     count, shifts = covering_number(target, tile, "-")
     assert count == 1  # -tile = {1, 2}, shift 0 covers
+
+
+@pytest.mark.parametrize("mode", ["auto", "exact", "greedy"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_covering_mixed_fields_raise(mode, sign):
+    # F_13 and F_16 encodings overlap, so only the field check can catch this;
+    # an empty target is refused too
+    tile = fqset(F16, 1, 2, 3)
+    for target in (fqset(F13, *range(1, 13)), fqset(F13)):
+        with pytest.raises(MixedFields):
+            covering_number(target, tile, sign, mode=mode)
 
 
 @pytest.mark.parametrize("sign", [0, 2, "x", "+1"])

@@ -247,12 +247,14 @@ def test_subset_search_modes_agree_small():
             assert exd <= grd
 
 
-@pytest.mark.parametrize("descriptor", ["2^4", "2^6", "2^10", "3^4", "5^3", "31", "127"])
+@pytest.mark.parametrize("descriptor", ["2^4", "2^6", "2^8", "2^10", "3^4", "5^3", "7^2",
+                                        "31", "127"])
 def test_greedy_subset_search_matches_naive(descriptor):
     # the incremental counts against literal recomputation.  A removed
     # difference x - a repeats as a' - x when a' = 2x - a is in the set: always
     # in characteristic 2, sometimes for odd p.  In characteristic 3 a - a' is
     # then a third representation, so only p = 2 and p >= 5 can lose a repeat.
+    # The first two trials search down to one element and remove one element.
     spec = parse_descriptor(descriptor)
     for trial in range(6):
         rng = np.random.default_rng([31, spec.q, trial])
@@ -260,13 +262,39 @@ def test_greedy_subset_search_matches_naive(descriptor):
                      nonzero=trial == 0)
         S = draw_set(rng, spec, int(rng.integers(1, min(30, spec.q) + 1)))
         S = S.nonzero() if trial == 1 and len(S) > 1 else S.union(fqset(spec, 0))
-        floor = int(rng.integers(1, len(X)))
+        floor = {0: 1, 1: len(X) - 1}.get(trial, int(rng.integers(1, len(X))))
         sub, size = _min_sumset_subset(X, S, floor, mode="greedy")
         assert ([int(v) for v in sub], size) == naive_greedy_min_subset(
             spec, X.members.tolist(), floor, S.members.tolist())
         sub, size = _min_diffset_subset(X, floor, mode="greedy")
         assert ([int(v) for v in sub], size) == naive_greedy_min_subset(
             spec, X.members.tolist(), floor)
+
+
+# (field, |X|) -> sha256 of both greedy searches' (subset, size) on a uniform
+# X in F*, with S of |X|/8 elements: the sumset search down to 3|X|/4, the
+# difference-set search down to |X|/2.  Frozen from the per-step rescans these
+# searches replaced; F_101 has no 160 nonzero elements, so it takes 100.
+FROZEN_SEARCHES = {
+    ("2^12", 96): "a06df46f4791881766613eb617981dcb1a07c39cf492ef3daaf0237923e3f241",
+    ("2^12", 160): "b2fca4ef3741fc7fb50aa3fc8e615672ac2866f6d17ed6c8a62667951968f120",
+    ("3^7", 96): "ea965b5146ebd9da541215232c8b2b0bf71cbaa834d7e1ba9ae9c87051035cf9",
+    ("3^7", 160): "341b071939b0d6476e086581447479a6628d319dd1c81b1f5f3285066d18b61c",
+    ("101", 96): "688fa11f68e287b754534c3cfd5356c0296deee98e8bf2b74994eeaa11832d6e",
+    ("101", 100): "b35434ba3a3e973390b21c1ddc73f1742f94e3d687f9270cc3c4bbdd3b8aaaa0",
+}
+
+
+@pytest.mark.parametrize("descriptor, n", sorted(FROZEN_SEARCHES))
+def test_greedy_subset_searches_are_frozen(descriptor, n):
+    spec = parse_descriptor(descriptor)
+    rng = np.random.default_rng([spec.q, n])
+    X = FqSet.from_iterable(spec, rng.choice(np.arange(1, spec.q), n, replace=False))
+    S = FqSet.from_iterable(spec, rng.choice(spec.q, n // 8, replace=False))
+    sub, size = _min_sumset_subset(X, S, math.ceil(3 * n / 4), mode="greedy")
+    dsub, dsize = _min_diffset_subset(X, math.ceil(n / 2), mode="greedy")
+    found = json.dumps([sub.tolist(), size, dsub.tolist(), dsize])
+    assert hashlib.sha256(found.encode()).hexdigest() == FROZEN_SEARCHES[descriptor, n]
 
 
 def test_basic_shift_subset_small():
