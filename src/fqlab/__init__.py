@@ -1,17 +1,20 @@
 """fqlab: exact set algebra over GF(p^m) and an empirical lab for
 shifted-product growth.
 
-The library is organized in five layers:
+The library is organized in layers, each importing only from the layers
+listed before it:
 
 - ``finite_field``: field construction, element arithmetic, subfields, cosets
 - ``set_algebra``: canonical subsets, sumset/product algebra, energies,
   the structural condition, decided from each proper subfield's largest
   coset-intersection count
 - ``decompositions``: popularity pigeonholing, dyadic energy slices,
-  popular-point extraction, covering by translates, the growth proof trace
+  popular-point extraction, covering by translates, the two refinement
+  stages (the subset searches), the growth proof trace
 - ``lemma_oracles``: executable verdicts for the supporting lemmas
 - ``survey``: seeded samplers, growth records, exhaustive desk-scale minima,
   CSV/JSON reporting
+- ``cli``: the ``fqlab`` command line
 """
 
 from .errors import FqLabError
@@ -42,7 +45,6 @@ from .decompositions import (
     DyadicSlice,
     PopularPoints,
     ProofTrace,
-    TraceParams,
     covering_number,
     dyadic_energy_slice,
     popular_points,
@@ -87,7 +89,6 @@ __all__ = [
     "DyadicSlice",
     "PopularPoints",
     "ProofTrace",
-    "TraceParams",
     "covering_number",
     "dyadic_energy_slice",
     "popular_points",

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FqLabError, SizeInfeasible, TraceDegenerate
-from .decompositions import TraceParams, covering_number, run_proof_trace
+from .decompositions import covering_number, run_proof_trace
 from .finite_field import parse_descriptor
 from .lemma_oracles import (
     EXACT_PASS, FAIL, LEMMA_IDS, LEMMAS, MEASURED, WITNESS_FOUND, batch_verify, run_lemma)
@@ -225,13 +225,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    params = TraceParams(kappa=args.kappa)
     if args.set_ is not None:
         if not args.field:
             args.usage_error("trace with --set requires --field")
         spec = parse_descriptor(args.field)
         traces = [run_proof_trace(FqSet.from_literal(spec, args.set_),
-                                  args.alpha, params)]
+                                  args.alpha, kappa=args.kappa)]
     else:
         traces = []
         index = degenerate = 0
@@ -247,7 +246,7 @@ def _cmd_trace(args) -> int:
             index += 1
             try:
                 traces.append(run_proof_trace(FqSet.from_iterable(spec, members),
-                                              args.alpha, params))
+                                              args.alpha, kappa=args.kappa))
                 degenerate = 0
             except TraceDegenerate:
                 degenerate += 1

@@ -1,10 +1,11 @@
 """Constructive combinatorial engines: popularity pigeonholing, dyadic energy
 slicing, popular-point extraction with an explicit tracked constant chain,
-covering by translates (greedy plus exact branch-and-bound for small targets),
+the searches (covering by translates and the two refinement stages' subsets,
+each exhaustive at or below EXACT_SEARCH_LIMIT elements and greedy above),
 and the full shifted-product proof trace with case classification.
 
-Everything here is pure and deterministic; ties always break toward the
-smallest canonical encoding.
+Everything here is pure and deterministic and imports no layer above it;
+ties always break toward the smallest canonical encoding.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .finite_field import proper_subfields
 from .set_algebra import (
     FqSet,
     RepSpectrum,
+    _blocks,
     _pair_counts,
     _require_same_field,
     coset_intersection_counts,
@@ -329,7 +332,7 @@ def points_certificates(sl: DyadicSlice, pts: PopularPoints) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# covering by translates
+# searches: covering by translates, then the refinement stages' subsets
 # ---------------------------------------------------------------------------
 
 
@@ -430,16 +433,129 @@ def covering_number(target: FqSet, tile: FqSet, sign: int | str = +1,
     return _greedy_cover(target, shifted_tile, counts)
 
 
+def _plunnecke_terms(X: FqSet, Bs: list[FqSet]) -> tuple[FqSet, int]:
+    """(B1 + ... + Bk, |X + B1| ... |X + Bk|) for nonempty X, B1, ..., Bk."""
+    if not Bs:
+        raise EmptySet("need at least one summand set")
+    if not len(X) or any(len(B) == 0 for B in Bs):
+        raise EmptySet("all sets must be nonempty")
+    total = Bs[0]
+    for B in Bs[1:]:
+        total = set_op(total, B, "sum")
+    return total, math.prod(len(set_op(X, B, "sum")) for B in Bs)
+
+
+def _min_sumset_subset(X: FqSet, S: FqSet, floor: int, mode: str = "auto"):
+    """Minimize |X' + S| over X' of size exactly floor (supersets only grow).
+
+    Row x + S of the grid X + S holds distinct values, so removing x loses the
+    values its row holds once.  The greedy search counts by ``_pair_counts``
+    and scores every row once in ``_blocks``, O(|X||S|), never holding the
+    grid.  Removing x* then changes the loss of another row only through the
+    values of x* + S whose count falls to 1: each such v is charged to its
+    one remaining owner x, the x with v - x in S.  That is one |V| x |X'|
+    membership check per step, V the values that fell; no rescan."""
+    spec = X.spec
+    if mode == "exhaustive" or (mode == "auto" and len(X) <= EXACT_SEARCH_LIMIT):
+        labels = _dense_labels(spec.add_arr(X.members[:, None], S.members[None, :]), spec.q)
+        return _exhaustive_min_subset(X, lambda rows: labels[rows], floor)
+    counts = _pair_counts(X, S, "sum")
+    lost = np.concatenate([(counts[values] == 1).sum(axis=1)
+                           for values in _blocks(X.members, S.members, spec.add_arr)])
+    alive = np.ones(len(X), dtype=bool)
+    for _ in range(len(X) - floor):
+        best = int(np.argmax(np.where(alive, lost, -1)))  # first maximum = smallest encoding
+        alive[best] = False
+        row = spec.add_arr(X.members[best], S.members)
+        counts[row] -= 1  # the row's values are distinct
+        fell = row[counts[row] == 1]
+        owned = S.bitmask[spec.sub_arr(fell[:, None], X.members[alive][None, :])]
+        lost[alive] += owned.sum(axis=0)
+    return X.members[alive], int(np.count_nonzero(counts))
+
+
+def _min_diffset_subset(A: FqSet, floor: int, mode: str = "auto"):
+    """Minimize |A' - A'| over A' of size exactly floor.
+
+    Removing x deletes row x (the values x - y) and column x (the values
+    y - x) of the difference grid.  Each of the two holds distinct values, and
+    the row value x - y, y != x, recurs in column x exactly when 2x - y is in
+    A' (always in characteristic 2, where 2x - y = y); the column value y - x
+    recurs in row x under the same test.  With partner[x, y] the index of
+    2x - y in A (none on the diagonal), x loses a row value when its count is
+    1 + [partner[x, y] alive] and a column value when its count is 1 and
+    partner[x, y] is not alive.  A greedy step is O(|A'|^2) gathers and
+    comparisons, no sort."""
+    spec, n = A.spec, len(A)
+    labels = _dense_labels(spec.sub_arr(A.members[:, None], A.members[None, :]), spec.q)
+    if mode == "exhaustive" or (mode == "auto" and n <= EXACT_SEARCH_LIMIT):
+        return _exhaustive_min_subset(A, lambda rows: labels[np.ix_(rows, rows)], floor)
+    reflected = spec.sub_arr(spec.add_arr(A.members, A.members)[:, None], A.members[None, :])
+    partner = np.where(A.bitmask[reflected], np.searchsorted(A.members, reflected), n)
+    np.fill_diagonal(partner, n)
+    labels, partner_t = labels.ravel(), partner.T.ravel()  # flat, gathered per step
+    counts = np.bincount(labels)
+    alive = np.ones(n + 1, dtype=bool)
+    alive[n] = False  # index n stands for "2x - y is not in A"
+    for _ in range(n - floor):
+        rows = np.flatnonzero(alive)
+        flat = (rows * n)[:, None] + rows  # the alive subgrid
+        cells = labels[flat]
+        held = counts[cells]
+        mirrored = alive[partner_t[flat]]  # [y, x]: 2x - y is alive
+        # the diagonal holds 0, counted |A'| >= 2 times, so it is never a column loss
+        lost = (held - mirrored.T == 1).sum(axis=1) + ((held == 1) & ~mirrored).sum(axis=0)
+        best = int(np.argmax(lost))  # first maximum = smallest encoding
+        np.subtract.at(counts, cells[best], 1)
+        np.subtract.at(counts, cells[:, best], 1)
+        counts[cells[best, best]] += 1  # the diagonal cell is in both
+        alive[rows[best]] = False
+    return A.members[alive[:n]], int(np.count_nonzero(counts))
+
+
+def _dense_labels(grid: np.ndarray, q: int) -> np.ndarray:
+    """grid with each value replaced by its rank among the grid's distinct
+    values, so a bincount of any part of it spans the grid, not the field."""
+    present = np.bincount(grid.ravel(), minlength=q) > 0
+    return (np.cumsum(present) - 1)[grid]
+
+
+def _exhaustive_min_subset(X: FqSet, cells, floor: int):
+    """(X', size) over every X' of size floor, cells(rows) giving its labels:
+    the first minimum in combinations order.  Both searches take this path
+    for mode "exhaustive", or "auto" at <= EXACT_SEARCH_LIMIT elements;
+    "greedy" forces their greedy removal, whose size bounds this one above."""
+    size, rows = min(((int(np.count_nonzero(np.bincount(cells(list(c)).ravel()))), c)
+                      for c in combinations(range(len(X)), floor)), key=lambda t: t[0])
+    return X.members[list(rows)], size
+
+
+def shift_stage(A: FqSet, alpha: int) -> tuple[FqSet, int, Fraction]:
+    """The first refinement, for nonempty A avoiding 0 and alpha != 0: A' of
+    ceil(|A|/2) elements minimizing |A' - A'|.  Returns (A', |A' - A'|, the
+    ratio |A' - A'| |A|^5 / (|A(A+alpha)|^4 |A/A|^2), of unknown constant)."""
+    members, size = _min_diffset_subset(A, math.ceil(len(A) / 2))
+    bound = len(shifted_product(A, alpha)) ** 4 * len(set_op(A, A, "ratio")) ** 2
+    return FqSet._from_sorted(A.spec, members), size, Fraction(size * len(A) ** 5, bound)
+
+
+def refine_stage(X: FqSet, Bs: list[FqSet], eps: Fraction) -> tuple[FqSet, int, Fraction]:
+    """The second refinement, for 0 < eps < 1: X' of max(1, ceil((1-eps)|X|))
+    elements minimizing |X' + S|, S = B1 + ... + Bk.  Returns (X', |X' + S|,
+    the ratio |X' + S| |X|^(k-1) / (|X + B1| ... |X + Bk|), of a constant
+    that depends on eps in an unspecified way)."""
+    total, denom = _plunnecke_terms(X, Bs)
+    members, size = _min_sumset_subset(X, total, max(1, math.ceil((1 - eps) * len(X))))
+    return (FqSet._from_sorted(X.spec, members), size,
+            Fraction(size * len(X) ** (len(Bs) - 1), denom))
+
+
 # ---------------------------------------------------------------------------
 # proof trace
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TraceParams:
-    epsilon: Fraction = Fraction(1, 4)  # proportion dropped by the refinement stage
-    kappa: int = 1  # implied-constant slack for the structural comparisons
-    measure_covers: bool = True
+REFINE_EPSILON = Fraction(1, 4)  # proportion the refine stage may drop
 
 
 @dataclass(frozen=True)
@@ -493,10 +609,8 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj
 
 
@@ -522,16 +636,16 @@ def _first_ratio_quadruple(S: FqSet, r: int):
     return None
 
 
-def run_proof_trace(A: FqSet, alpha: int, params: TraceParams = TraceParams()) -> ProofTrace:
+def run_proof_trace(A: FqSet, alpha: int, *, kappa: int = 1,
+                    measure_covers: bool = True) -> ProofTrace:
     """Run the whole growth pipeline on (A, alpha) and classify the branch.
 
     Requires alpha != 0, 0 not in A and |A| >= 4; the derived popular sets must
     carry at least two elements each for the quotient-set machinery, otherwise
     the input is rejected as degenerate.  Structural comparisons in the case-4
-    family are evaluated against the original input set.
+    family are evaluated against the original input set, with kappa the slack
+    for their implied constant; measure_covers=False skips the cover counts.
     """
-    from .lemma_oracles import basic_shift_subset, refined_plunnecke_subset
-
     spec = A.spec
     if alpha % spec.q == 0:
         raise ZeroShift("alpha must be nonzero")
@@ -540,11 +654,9 @@ def run_proof_trace(A: FqSet, alpha: int, params: TraceParams = TraceParams()) -
     if len(A) < 4:
         raise TraceDegenerate("need |A| >= 4")
 
-    shift_report = basic_shift_subset(A, alpha=alpha)
-    A1 = FqSet.from_iterable(spec, shift_report.witness["subset"])
+    A1, _, shift_ratio = shift_stage(A, alpha)
     neg_A1 = FqSet.from_iterable(spec, spec.neg_arr(A1.members))
-    refine_report = refined_plunnecke_subset(A1, [neg_A1, neg_A1, neg_A1], params.epsilon)
-    A2 = FqSet.from_iterable(spec, refine_report.witness["subset"])
+    A2, _, refine_ratio = refine_stage(A1, [neg_A1, neg_A1, neg_A1], REFINE_EPSILON)
 
     minus_alpha = spec.neg(alpha % spec.q)
     removed = minus_alpha in A2
@@ -560,32 +672,26 @@ def run_proof_trace(A: FqSet, alpha: int, params: TraceParams = TraceParams()) -
     diff_ratio = Fraction(len(diff2) * n2**7, len(shifted) ** 8)
     iterated_ratio = Fraction(len(diff4) * n2**23, len(shifted) ** 24)
 
-    X = translate(A2, alpha)
-    Y = A2
-    sl = dyadic_energy_slice(X, Y)
+    sl = dyadic_energy_slice(translate(A2, alpha), A2)
     pts = popular_points(sl)
     gamma = Fraction(n2**2 * len(shifted) ** 4, sl.M**2)
 
     if len(pts.A_tilde) < 2 or len(pts.B_y0) < 2:
         raise TraceDegenerate("popular sets too small for quotient machinery")
 
-    ratio_set = set_op(A2, A2, "ratio")
+    lhs, rhs = len(set_op(A2, A2, "ratio")) * n2, len(shifted) ** 2
     certificates = {
         "slice": slice_certificates(sl),
         "points_chain": points_certificates(sl, pts),
-        "ratio_to_shift": {
-            "lhs": len(ratio_set) * n2,
-            "rhs": len(shifted) ** 2,
-            "ok": len(ratio_set) * n2 <= len(shifted) ** 2,
-        },
-        "shift_stage_ratio": shift_report.value,
-        "refine_stage_ratio": refine_report.value,
+        "ratio_to_shift": {"lhs": lhs, "rhs": rhs, "ok": lhs <= rhs},
+        "shift_stage_ratio": float(shift_ratio),
+        "refine_stage_ratio": float(refine_ratio),
     }
 
-    case, witnesses, case_certs = _classify(A, A2, alpha, sl, pts, params)
+    case, witnesses, case_certs = _classify(A, pts, kappa)
     certificates.update(case_certs)
 
-    if params.measure_covers:
+    if measure_covers:
         certificates["covers"] = _measure_covers(A2, len(shifted), sl, pts, gamma, case,
                                                    witnesses)
 
@@ -607,10 +713,8 @@ def run_proof_trace(A: FqSet, alpha: int, params: TraceParams = TraceParams()) -
     )
 
 
-def _classify(A_input: FqSet, A2: FqSet, alpha: int, sl: DyadicSlice,
-              pts: PopularPoints, params: TraceParams):
+def _classify(A_input: FqSet, pts: PopularPoints, kappa: int):
     spec = A_input.spec
-    kappa = params.kappa
     At, B = pts.A_tilde, pts.B_y0
     R_A = quotient_set(At)
     named = {"A_tilde": (At, R_A), "B_y0": (B, quotient_set(B))}

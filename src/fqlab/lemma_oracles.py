@@ -4,7 +4,8 @@ Constant-free statements (cardinality identities, Cauchy-Schwarz, sumset
 triangle inequalities) are asserted outright and report ExactPass or Fail;
 existence statements are resolved by explicit witness search (WitnessFound);
 statements with an unknowable implied constant are measured and reported as
-MeasuredRatio so the constants can be studied empirically.
+MeasuredRatio so the constants can be studied empirically.  The subset
+searches are the proof trace's refinement stages, run from `decompositions`.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ from .errors import (
     ZeroInSet,
 )
 from .decompositions import (
-    EXACT_SEARCH_LIMIT,
+    _plunnecke_terms,
     covering_number,
     dyadic_energy_slice,
     points_certificates,
     popular_points,
     popularity_subset,
+    refine_stage,
+    shift_stage,
     slice_certificates,
 )
 from .finite_field import FieldSpec, enumerate_subfields, parse_descriptor
@@ -100,10 +103,8 @@ def _instance(spec: FieldSpec, **sets) -> dict:
 
 
 def _report(lemma_id, instance, verdict, value=None, witness=None):
-    if value is not None:
-        value = float(value)
     return LemmaReport(lemma_id=lemma_id, instance=instance, verdict=verdict,
-                       value=value, witness=witness)
+                       value=None if value is None else float(value), witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +287,6 @@ def find_pivot_xi(X1: FqSet, X2: FqSet) -> LemmaReport:
 # ---------------------------------------------------------------------------
 
 
-def _plunnecke_terms(X: FqSet, Bs: list[FqSet]) -> tuple[FqSet, int]:
-    """(B1 + ... + Bk, |X + B1| ... |X + Bk|) for nonempty X, B1, ..., Bk."""
-    if not Bs:
-        raise EmptySet("need at least one summand set")
-    if not len(X) or any(len(B) == 0 for B in Bs):
-        raise EmptySet("all sets must be nonempty")
-    total = Bs[0]
-    for B in Bs[1:]:
-        total = set_op(total, B, "sum")
-    return total, math.prod(len(set_op(X, B, "sum")) for B in Bs)
-
-
 def check_ruzsa_triangle(X: FqSet, B1: FqSet, B2: FqSet) -> LemmaReport:
     """|X||B1 - B2| <= |X + B1||X + B2|, compared exactly.  The sumset
     inequalities are constant-free: a Fail signals an implementation bug, not
@@ -334,127 +323,32 @@ def check_ratio_to_shift(A: FqSet) -> LemmaReport:
 
 
 def refined_plunnecke_subset(X: FqSet, Bs: list[FqSet], eps) -> LemmaReport:
-    """Search a subset X' of proportion >= 1-eps minimizing |X' + S|, S = B1 +
-    ... + Bk; exhaustive up to EXACT_SEARCH_LIMIT elements, greedy above (one
-    O(|X||S|) scoring pass, then per removal a check of the values whose count
-    fell to 1; see `_min_sumset_subset`).  The achieved ratio against the
-    product bound is reported, never asserted (the constant depends on eps in
-    an unspecified way)."""
+    """X' of proportion >= 1-eps minimizing |X' + S|, S = B1 + ... + Bk, found
+    by `decompositions.refine_stage`; the ratio against the product bound is
+    reported, never asserted (its constant depends on eps)."""
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise EpsilonOutOfRange(f"eps must be in (0, 1), got {eps}")
-    total, denom = _plunnecke_terms(X, Bs)
-    floor = max(1, math.ceil((1 - eps) * len(X)))
-    subset, best = _min_sumset_subset(X, total, floor)
-    ratio = Fraction(best * len(X) ** (len(Bs) - 1), denom)
+    subset, size, ratio = refine_stage(X, Bs, eps)
     inst = _instance(X.spec, X=X, Bs=Bs, eps=f"{eps.numerator}/{eps.denominator}")
     return _report("plunnecke_refined", inst, MEASURED, value=ratio,
-                   witness={"subset": [int(v) for v in subset],
-                            "sumset_size": best, "floor": floor})
-
-
-def _min_sumset_subset(X: FqSet, S: FqSet, floor: int, mode: str = "auto"):
-    """Minimize |X' + S| over X' of size exactly floor (supersets only grow).
-
-    Row x + S of the grid X + S holds distinct values, so removing x loses the
-    values its row holds once.  The greedy search scores every row once,
-    O(|X||S|).  Removing x* then changes the loss of another row only through
-    the values of x* + S whose count falls to 1: each such v is charged to
-    its one remaining owner x, the x with v - x in S.  That is one
-    |V| x |X'| membership check per step, where V are the values that fell;
-    no step rescans the grid."""
-    spec = X.spec
-    grid = spec.add_arr(X.members[:, None], S.members[None, :])
-    if mode == "exhaustive" or (mode == "auto" and len(X) <= EXACT_SEARCH_LIMIT):
-        labels = _dense_labels(grid, spec.q)
-        return _exhaustive_min_subset(X, lambda rows: labels[rows], floor)
-    counts = np.bincount(grid.ravel(), minlength=spec.q)
-    lost = (counts[grid] == 1).sum(axis=1)
-    alive = np.ones(len(X), dtype=bool)
-    for _ in range(len(X) - floor):
-        best = int(np.argmax(np.where(alive, lost, -1)))  # first maximum = smallest encoding
-        alive[best] = False
-        row = grid[best]
-        counts[row] -= 1  # the row's values are distinct
-        fell = row[counts[row] == 1]
-        owned = S.bitmask[spec.sub_arr(fell[:, None], X.members[alive][None, :])]
-        lost[alive] += owned.sum(axis=0)
-    return X.members[alive], int(np.count_nonzero(counts))
-
-
-def _min_diffset_subset(A: FqSet, floor: int, mode: str = "auto"):
-    """Minimize |A' - A'| over A' of size exactly floor.
-
-    Removing x deletes row x (the values x - y) and column x (the values
-    y - x) of the difference grid.  Each of the two holds distinct values, and
-    the row value x - y, y != x, recurs in column x exactly when 2x - y is in
-    A' (always in characteristic 2, where 2x - y = y); the column value y - x
-    recurs in row x under the same test.  With partner[x, y] the index of
-    2x - y in A (none on the diagonal), x loses a row value when its count is
-    1 + [partner[x, y] alive] and a column value when its count is 1 and
-    partner[x, y] is not alive.  A greedy step is O(|A'|^2) gathers and
-    comparisons, no sort."""
-    spec, n = A.spec, len(A)
-    labels = _dense_labels(spec.sub_arr(A.members[:, None], A.members[None, :]), spec.q)
-    if mode == "exhaustive" or (mode == "auto" and n <= EXACT_SEARCH_LIMIT):
-        return _exhaustive_min_subset(A, lambda rows: labels[np.ix_(rows, rows)], floor)
-    reflected = spec.sub_arr(spec.add_arr(A.members, A.members)[:, None], A.members[None, :])
-    partner = np.where(A.bitmask[reflected], np.searchsorted(A.members, reflected), n)
-    np.fill_diagonal(partner, n)
-    labels, partner_t = labels.ravel(), partner.T.ravel()  # flat, gathered per step
-    counts = np.bincount(labels)
-    alive = np.ones(n + 1, dtype=bool)
-    alive[n] = False  # index n stands for "2x - y is not in A"
-    for _ in range(n - floor):
-        rows = np.flatnonzero(alive)
-        flat = (rows * n)[:, None] + rows  # the alive subgrid
-        cells = labels[flat]
-        held = counts[cells]
-        mirrored = alive[partner_t[flat]]  # [y, x]: 2x - y is alive
-        # the diagonal holds 0, counted |A'| >= 2 times, so it is never a column loss
-        lost = (held - mirrored.T == 1).sum(axis=1) + ((held == 1) & ~mirrored).sum(axis=0)
-        best = int(np.argmax(lost))  # first maximum = smallest encoding
-        np.subtract.at(counts, cells[best], 1)
-        np.subtract.at(counts, cells[:, best], 1)
-        counts[cells[best, best]] += 1  # the diagonal cell is in both
-        alive[rows[best]] = False
-    return A.members[alive[:n]], int(np.count_nonzero(counts))
-
-
-def _dense_labels(grid: np.ndarray, q: int) -> np.ndarray:
-    """grid with each value replaced by its rank among the grid's distinct
-    values, so a bincount of any part of it spans the grid, not the field."""
-    present = np.bincount(grid.ravel(), minlength=q) > 0
-    return (np.cumsum(present) - 1)[grid]
-
-
-def _exhaustive_min_subset(X: FqSet, cells, floor: int):
-    """(X', size) over every X' of size floor, cells(rows) giving its labels:
-    the first minimum in combinations order.  Both searches take this path
-    for mode "exhaustive", or "auto" at <= EXACT_SEARCH_LIMIT elements;
-    "greedy" forces their greedy removal, whose size bounds this one above."""
-    size, rows = min(((int(np.count_nonzero(np.bincount(cells(list(c)).ravel()))), c)
-                      for c in combinations(range(len(X)), floor)), key=lambda t: t[0])
-    return X.members[list(rows)], size
+                   witness={"subset": [int(v) for v in subset.members],
+                            "sumset_size": size, "floor": len(subset)})
 
 
 def basic_shift_subset(A: FqSet, alpha: int = 1) -> LemmaReport:
-    """Search A' of at least half size minimizing |A' - A'|; report the ratio
-    against |A(A+alpha)|^4 |A/A|^2 / |A|^5 (the constant is unknown)."""
+    """A' of at least half size minimizing |A' - A'|, found by
+    `decompositions.shift_stage`; the ratio against |A(A+alpha)|^4 |A/A|^2 /
+    |A|^5 is measured (the constant is unknown)."""
     if len(A) == 0:
         raise EmptySet("A must be nonempty")
     if 0 in A:
         raise ZeroInSet("A must avoid 0")
-    spec = A.spec
-    floor = math.ceil(len(A) / 2)
-    best_sub, best = _min_diffset_subset(A, floor)
-    shifted = len(shifted_product(A, alpha))
-    ratios = len(set_op(A, A, "ratio"))
-    value = Fraction(best * len(A) ** 5, shifted**4 * ratios**2)
-    inst = _instance(spec, A=A, alpha=int(alpha))
+    subset, size, value = shift_stage(A, alpha)
+    inst = _instance(A.spec, A=A, alpha=int(alpha))
     return _report("basic_shift_bound", inst, MEASURED, value=value,
-                   witness={"subset": [int(v) for v in best_sub],
-                            "diff_size": best, "floor": floor})
+                   witness={"subset": [int(v) for v in subset.members],
+                            "diff_size": size, "floor": len(subset)})
 
 
 # ---------------------------------------------------------------------------

@@ -401,12 +401,15 @@ def quotient_closure_failure(R: FqSet, rows: np.ndarray) -> tuple[int | None, in
     """First failure of the two closure tests on a quotient set R: (None, j)
     for the smallest R[j] with 1 + R[j] not in R, else (i, j) for the first
     row-major cell with rows[i] * R[j] not in R, else None.  rows is taken in
-    the caller's order."""
+    the caller's order and scored one row at a time, never as a rows x R grid."""
     bad = np.flatnonzero(~R.bitmask[R.spec.add_arr(R.members, np.int64(1))])
     if bad.size:
         return None, int(bad[0])
-    viol = np.flatnonzero(~R.bitmask[R.spec.mul_arr(rows[:, None], R.members[None, :])])
-    return divmod(int(viol[0]), len(R)) if viol.size else None
+    for i, x in enumerate(rows):
+        viol = np.flatnonzero(~R.bitmask[R.spec.mul_arr(x, R.members)])
+        if viol.size:
+            return i, int(viol[0])
+    return None
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,20 @@ def naive_quotient_set(spec: FieldSpec, X) -> list[int]:
     return sorted(out)
 
 
+def naive_quotient_closure_failure(spec: FieldSpec, R, rows):
+    """The literal row-major scan: (None, j) for the first R[j] with 1 + R[j]
+    outside R, else (i, j) for the first rows[i] * R[j] outside R, else None."""
+    members = set(R)
+    for j, rho in enumerate(R):
+        if naive_add(spec, 1, rho) not in members:
+            return None, j
+    for i, x in enumerate(rows):
+        for j, rho in enumerate(R):
+            if arith(spec, "mul", x, rho) not in members:
+                return i, j
+    return None
+
+
 def naive_coset_profile(spec: FieldSpec, A) -> list[tuple[int, int, int, int]]:
     """(d, |G|, rep, |A ∩ cG|) for every distinct dilate cG of every proper
     subfield G = {x : x^(p^d) = x}, rep the smallest c in F_q^* giving cG;

@@ -15,7 +15,8 @@ import pytest
 
 from fqlab.cli import main as cli_main
 from fqlab.decompositions import (
-    TraceParams,
+    _min_diffset_subset,
+    _min_sumset_subset,
     covering_number,
     dyadic_energy_slice,
     points_certificates,
@@ -25,12 +26,7 @@ from fqlab.decompositions import (
 )
 from fqlab.errors import TraceDegenerate
 from fqlab.finite_field import build_field, parse_descriptor
-from fqlab.lemma_oracles import (
-    _min_diffset_subset,
-    _min_sumset_subset,
-    batch_verify,
-    generate_instance,
-)
+from fqlab.lemma_oracles import batch_verify, generate_instance
 from fqlab.set_algebra import (
     FqSet,
     additive_energy,
@@ -269,7 +265,6 @@ def test_criterion_7_proof_trace_totality():
     t0 = time.time()
     done = degenerate = big_quotient = 0
     index = 0
-    params = TraceParams(measure_covers=False)
     while done < 500:
         rng = np.random.default_rng([SEED, 7, index])
         spec = parse_descriptor(TRACE_POOL_FIELDS[index % len(TRACE_POOL_FIELDS)])
@@ -279,7 +274,7 @@ def test_criterion_7_proof_trace_totality():
         index += 1
         A = FqSet.from_iterable(spec, members)
         try:
-            tr = run_proof_trace(A, alpha, params)
+            tr = run_proof_trace(A, alpha, measure_covers=False)
         except TraceDegenerate:
             degenerate += 1
             continue

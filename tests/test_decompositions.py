@@ -1,4 +1,6 @@
+import ast
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -6,10 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fqlab import decompositions
 from fqlab.decompositions import (
     EXACT_SEARCH_LIMIT,
     DyadicSlice,
-    TraceParams,
+    _min_sumset_subset,
     covering_number,
     dyadic_energy_slice,
     points_certificates,
@@ -331,6 +334,41 @@ def test_covering_bad_sign_is_a_value_error(sign):
 # -- proof trace -------------------------------------------------------------
 
 
+# -- refinement stages --------------------------------------------------------
+
+
+def test_sumset_search_stays_well_below_one_grid_of_memory():
+    # the |A| = 300 trace's refine stage on 2^16: X' of 150, S nearly the field
+    spec = build_field(2, 16)
+    rng = np.random.default_rng(150)
+    X = FqSet.from_iterable(spec, rng.choice(np.arange(1, spec.q), 150, replace=False))
+    S = FqSet.from_iterable(spec, rng.choice(spec.q, 65_500, replace=False))
+    grid = len(X) * len(S) * 8  # one int64 X + S grid: 79 MB
+    tracemalloc.start()
+    try:
+        sub, _ = _min_sumset_subset(X, S, math.ceil(3 * len(X) / 4), mode="greedy")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sub) == 113
+    assert peak < 40_000_000 < grid
+
+
+def test_decompositions_imports_no_higher_layer():
+    # every import statement, those nested inside functions too
+    with open(decompositions.__file__) as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+    parts = {part for name in imported for part in name.split(".")}
+    assert not parts & {"lemma_oracles", "survey", "cli"}, sorted(imported)
+
+
 def test_trace_preconditions():
     A = fqset(F13, 1, 2, 4, 8)
     with pytest.raises(ZeroShift):
@@ -359,7 +397,7 @@ def test_trace_subfield_input_lands_in_case_4_family():
     G = next(h for h in enumerate_subfields(spec) if h.size == 32)
     A = G.elements.nonzero()
     alpha = int(A.members[0])
-    tr = run_proof_trace(A, alpha, TraceParams(measure_covers=False))
+    tr = run_proof_trace(A, alpha, measure_covers=False)
     assert tr.case.startswith("4")
     assert quotient_set(tr.points.A_tilde).is_subset(G.elements)
     assert len(tr.points.A_tilde) ** 2 > G.size
@@ -372,7 +410,7 @@ def test_trace_small_subfield_group_stays_inside_subfield():
     G = next(h for h in enumerate_subfields(spec) if h.size == 16)
     A = G.elements.nonzero()
     alpha = int(A.members[0])
-    tr = run_proof_trace(A, alpha, TraceParams(measure_covers=False))
+    tr = run_proof_trace(A, alpha, measure_covers=False)
     assert quotient_set(tr.points.A_tilde).is_subset(G.elements)
 
 
@@ -385,7 +423,7 @@ def test_trace_large_quotient_forces_11_or_41():
         members = rng.choice(np.arange(1, spec.q), size=size, replace=False)
         try:
             tr = run_proof_trace(FqSet.from_iterable(spec, members), 1,
-                                 TraceParams(measure_covers=False))
+                                 measure_covers=False)
         except TraceDegenerate:
             continue
         if len(tr.points.A_tilde) ** 2 > spec.q:
@@ -405,7 +443,7 @@ def test_trace_witnesses_reverify():
         members = rng.choice(np.arange(1, spec.q), size=size, replace=False)
         try:
             tr = run_proof_trace(FqSet.from_iterable(spec, members), 1,
-                                 TraceParams(measure_covers=False))
+                                 measure_covers=False)
         except TraceDegenerate:
             continue
         verify_trace_case(tr, spec)

@@ -8,6 +8,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from fqlab.decompositions import _min_diffset_subset, _min_sumset_subset
 from fqlab.errors import (
     EmptySet,
     EpsilonOutOfRange,
@@ -19,8 +20,6 @@ from fqlab.finite_field import build_field, enumerate_subfields, parse_descripto
 from fqlab.lemma_oracles import (
     LEMMA_IDS,
     LEMMAS,
-    _min_diffset_subset,
-    _min_sumset_subset,
     basic_shift_subset,
     batch_verify,
     check_covering_by_shifts,

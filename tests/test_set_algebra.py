@@ -27,6 +27,7 @@ from fqlab.set_algebra import (
     dilate,
     intersection_shift_counts,
     multiplicative_energy,
+    quotient_closure_failure,
     quotient_set,
     representation_spectrum,
     set_op,
@@ -42,6 +43,7 @@ from pools import (
     naive_coset_profile,
     naive_multiplicative_energy,
     naive_pair_counts,
+    naive_quotient_closure_failure,
     naive_quotient_set,
     naive_set_op,
     pool_field,
@@ -286,6 +288,52 @@ def test_quotient_set_of_coset_lands_in_subfield():
     G = enumerate_subfields(F16)[1].elements
     X = dilate(G, 7)
     assert quotient_set(X).is_subset(G)
+
+
+@pytest.mark.parametrize("desc", POOL_DESCRIPTORS)
+def test_quotient_closure_failure_matches_naive_scan(desc):
+    # quotient sets of random X (mostly failing 1 + R, or the whole field),
+    # and each subfield against rows drawn from the field in the caller's
+    # order: rows inside it pass, a row outside fails at its first cell
+    spec = parse_descriptor(desc)
+    rng = np.random.default_rng([77, spec.q])
+    cases = [(quotient_set(draw_set(rng, spec, int(rng.integers(2, min(6, spec.q) + 1)))),
+              rng.integers(0, spec.q, size=5)) for _ in range(4)]
+    for h in enumerate_subfields(spec):
+        inside = rng.choice(h.elements.members, size=6)
+        cases += [(h.elements, inside), (h.elements, rng.integers(0, spec.q, size=6))]
+        if h.is_proper:
+            outside = np.setdiff1d(np.arange(spec.q), h.elements.members)
+            cases.append((h.elements, np.append(inside, rng.choice(outside, size=2))))
+    for R, rows in cases:
+        rows = rows.astype(np.int64)
+        assert quotient_closure_failure(R, rows) == naive_quotient_closure_failure(
+            spec, R.members.tolist(), rows.tolist())
+
+
+def test_quotient_closure_failure_stays_well_below_one_grid_of_memory():
+    # the whole field passes both closure tests, so every cell is scored
+    spec = build_field(2, 16)
+    R = FqSet.full(spec)
+    rows = np.random.default_rng(9).choice(np.arange(1, spec.q), 300, replace=False)
+    grid = rows.size * spec.q * 8  # one int64 rows x R grid: 157 MB
+    tracemalloc.start()
+    try:
+        assert quotient_closure_failure(R, rows) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40_000_000 < grid
+
+
+def test_quotient_closure_failure_finds_a_late_failing_row():
+    # 700 rows in the 2^8 subfield G of 2^16 but row 650, which leaves G at
+    # its first nonzero column, G[1] = 1
+    spec = build_field(2, 16)
+    G = next(h for h in enumerate_subfields(spec) if h.d == 8).elements
+    rows = np.random.default_rng(8).choice(G.members, 700)
+    rows[650] = int(np.setdiff1d(np.arange(spec.q), G.members)[0])
+    assert quotient_closure_failure(G, rows) == (650, 1)
 
 
 def test_quotient_set_closure_properties_exhaustive_small():
