@@ -11,10 +11,14 @@ Every other field adds through a ``DigitPacking``: a q-length table of packed
 digits, so that one integer addition adds all m digits at once, and 2-3
 lookups in small tables that reduce each digit mod p and unpack the sum.
 
-The exp table is the power sequence of the generator, built by doubling:
-"multiply by g^L" is F_p-linear, so it is applied to the first L powers
-through chunk tables over a few base-p digits of the encoding, whose images
-are combined with the field addition.
+The modulus is the smallest monic irreducible that passes Ben-Or's gcd test.
+The exp table, the power sequence of the generator, is written in place: each
+block of L powers is "multiply by g^L" applied to the L powers before it, L
+doubling up to BUILD_BLOCK.  The map is F_p-linear, so it runs through chunk
+tables over a few base-p digits of the encoding, whose images are combined
+with the field addition.  The log table is one blocked scatter of the exp
+table into an array prefilled with -1, which then shows whether the powers
+are a bijection onto [1, q).
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ CAP_ENV_VAR = "FQLAB_CAP"
 
 ARITH_OPS = ("add", "sub", "mul", "div", "neg", "inv", "pow")
 TABLE_BITS = 12  # index bits of a chunk table (one digit or packed field may need more)
+BUILD_BLOCK = 1 << 16  # powers mapped, or scattered into the log table, per step of the build
 
 
 def field_cap() -> int:
@@ -59,19 +64,8 @@ def field_cap() -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; enough for p below the construction cap."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic: n is its own only prime factor.  Fast for p <= the cap."""
+    return prime_factors(n) == [n]
 
 
 def prime_factors(n: int) -> list[int]:
@@ -120,37 +114,53 @@ def _poly_mulmod(a, b, modulus, p):
     return tuple(prod_[:m]) + (0,) * (m - len(prod_))
 
 
-def _poly_divisible(num, den, p):
-    """True if den divides num over F_p (den monic, low-degree-first)."""
-    rem = list(num)
-    dd = len(den) - 1
-    while len(_poly_trim(tuple(rem))) - 1 >= dd:
-        rem = list(_poly_trim(tuple(rem)))
-        lead = rem[-1]
-        shift = len(rem) - 1 - dd
-        for i in range(dd + 1):
-            rem[shift + i] = (rem[shift + i] - lead * den[i]) % p
-    return not _poly_trim(tuple(rem))
+def _poly_powmod(base, e, modulus, p):
+    """base**e mod modulus by squaring, all low-degree-first tuples over F_p."""
+    result = (1,) + (0,) * (len(modulus) - 2)
+    while e:
+        if e & 1:
+            result = _poly_mulmod(result, base, modulus, p)
+        base = _poly_mulmod(base, base, modulus, p)
+        e >>= 1
+    return result
+
+
+def _poly_gcd(a, b, p):
+    """A gcd of a and b over F_p (not made monic: only its degree is read)."""
+    a, b = _poly_trim(a), _poly_trim(b)
+    while b:
+        rem, inv = list(a), pow(b[-1], -1, p)
+        for k in range(len(a) - len(b), -1, -1):
+            c = rem[k + len(b) - 1] * inv % p
+            if c:
+                for i, bi in enumerate(b):
+                    rem[k + i] = (rem[k + i] - c * bi) % p
+        a, b = b, _poly_trim(tuple(rem))
+    return a
 
 
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(poly)/2."""
-    deg = len(poly) - 1
-    if deg == 1:
+    """Ben-Or's test: a monic f of degree m with f(0) != 0 is irreducible iff
+    gcd(X^(p^i) - X mod f, f) = 1 for i = 1..m//2, since X^(p^i) - X is the
+    product of the monic irreducibles whose degree divides i."""
+    m = len(poly) - 1
+    if m == 1:
         return True
     if poly[0] == 0:  # divisible by X
         return False
-    for d in range(1, deg // 2 + 1):
-        for low in product(range(p), repeat=d):
-            if _poly_divisible(poly, low + (1,), p):
-                return False
+    h = (0, 1) + (0,) * (m - 2)  # X^(p^i) mod f, starting at i = 0
+    for _ in range(m // 2):
+        h = _poly_powmod(h, p, poly, p)
+        if len(_poly_gcd(h[:1] + ((h[1] - 1) % p,) + h[2:], poly, p)) > 1:
+            return False
     return True
 
 
 def _smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree m, coefficients
-    compared low-degree-first.  For m >= 2 the scan starts at constant term 1:
-    X divides every candidate with constant term 0."""
+    compared low-degree-first, by Ben-Or's test on each candidate in order.
+    For m >= 2 the scan starts at constant term 1: X divides every candidate
+    with constant term 0."""
     constant = range(p) if m == 1 else range(1, p)
     for low in product(constant, *[range(p)] * (m - 1)):
         cand = low + (1,)
@@ -171,23 +181,11 @@ def _find_generator(p: int, m: int, q: int, modulus) -> int:
     """Smallest-encoded element of multiplicative order q-1."""
     if q == 2:
         return 1
-    factors = prime_factors(q - 1)
-    cofactors = [(q - 1) // f for f in factors]
-
-    def powmod(base_digits, e):
-        result = (1,) + (0,) * (m - 1)
-        cur = base_digits
-        while e:
-            if e & 1:
-                result = _poly_mulmod(result, cur, modulus, p)
-            cur = _poly_mulmod(cur, cur, modulus, p)
-            e >>= 1
-        return result
-
+    cofactors = [(q - 1) // f for f in prime_factors(q - 1)]
     one = (1,) + (0,) * (m - 1)
     for cand in range(2, q):
         cd = _digits(cand, p, m)
-        if all(powmod(cd, e) != one for e in cofactors):
+        if all(_poly_powmod(cd, e, modulus, p) != one for e in cofactors):
             return cand
     raise NoIrreducibleFound(f"no generator found for GF({p}^{m})")  # unreachable
 
@@ -240,18 +238,24 @@ class DigitPacking:
 
 
 def _build_tables(p: int, m: int, q: int, modulus, generator: int, add):
-    """exp/log tables by repeated doubling of the power sequence.  cols holds
-    the encodings of g^L, g^L X, ..., g^L X^(m-1): the columns of the
-    F_p-linear map "multiply by g^L", L the current length.  The map is
-    applied through chunk tables over k base-p digits whose images are
-    combined by ``add``, and squared by applying it to its own columns.  The
-    tables are rebuilt at every doubling, so k is at most half the digits
-    (and p^k <= 2^TABLE_BITS): two tables of about sqrt(q) entries where
-    they fit.  Prime fields multiply by g^L mod p instead."""
+    """exp/log tables, the power sequence written in place into one q-length
+    exp array.  cols holds the encodings of g^L, g^L X, ..., g^L X^(m-1): the
+    columns of the F_p-linear map "multiply by g^L", which maps the L powers
+    before each block of L to the block.  L doubles, the map squared by
+    applying it to its own columns, until it reaches BUILD_BLOCK.  The map is
+    applied through chunk tables over k base-p digits, taken by floor
+    division, whose images are combined by ``add``; k is at most half the
+    digits (and p^k <= 2^TABLE_BITS): two tables of about sqrt(q) entries
+    where they fit.  Prime fields multiply by g^L mod p instead.
+
+    The log table is one blocked scatter into an array prefilled with -1.  The
+    powers are a bijection onto [1, q) iff all lie in [1, q), checked before
+    the scatter (a negative index would wrap), and no slot of [1, q) is left
+    at -1; slot 0 is then untouched and becomes the sentinel 0."""
     k = 1
     while 2 * k < m and p ** (k + 1) <= 1 << TABLE_BITS:
         k += 1
-    starts = range(0, m, k)
+    pk = p**k
     powers = p ** np.arange(m, dtype=np.int64)
 
     def mapper(cols: np.ndarray):
@@ -259,16 +263,18 @@ def _build_tables(p: int, m: int, q: int, modulus, generator: int, add):
             return lambda x: x * cols[0] % p
         col_digits = cols[:, None] // powers % p
         tables = []
-        for s in starts:  # the last chunk may have fewer than k digits
+        for s in range(0, m, k):  # m >= 2 gives at least two chunks; the last may be short
             n = min(k, m - s)
             values = np.arange(p**n, dtype=np.int64)[:, None] // powers[:n] % p
             tables.append(values @ col_digits[s: s + n] % p @ powers)
 
         def apply(x: np.ndarray) -> np.ndarray:
-            out = tables[0][x % p**k]
-            for s, t in zip(starts[1:], tables[1:]):
-                out = add(out, t[x // p**s % p**k])
-            return out
+            rest = x // pk
+            out = tables[0][x - rest * pk]
+            for t in tables[1:-1]:
+                x, rest = rest, rest // pk
+                out = add(out, t[x - rest * pk])
+            return add(out, tables[-1][rest])
         return apply
 
     gd = _digits(generator, p, m)
@@ -278,17 +284,25 @@ def _build_tables(p: int, m: int, q: int, modulus, generator: int, add):
         cols.append(int(np.dot(_poly_mulmod(gd, xi, modulus, p), powers)))
         xi = _poly_mulmod(xi, (0, 1) + (0,) * (m - 2), modulus, p)
     cols = np.array(cols, dtype=np.int64)
-    enc = np.ones(1, dtype=np.int64)
-    while enc.size < q - 1:
-        apply = mapper(cols)
-        enc = np.concatenate([enc, apply(enc[: q - 1 - enc.size])])
-        cols = apply(cols)
-    hits = np.bincount(enc, minlength=q)
-    if hits.size != q or not (hits[1:] == 1).all():
+    exp_table = np.empty(q, dtype=np.int64)
+    exp_table[0] = exp_table[q - 1] = 1
+    size = L = 1
+    apply = mapper(cols)
+    while size < q - 1:
+        n = min(L, q - 1 - size)
+        exp_table[size: size + n] = apply(exp_table[size - L: size - L + n])
+        size += n
+        if L < BUILD_BLOCK:
+            cols, L = apply(cols), 2 * L
+            apply = mapper(cols)
+    enc = exp_table[: q - 1]
+    log_table = np.full(q, -1, dtype=np.int64)
+    if enc.min() >= 1 and enc.max() < q:
+        for i in range(0, q - 1, BUILD_BLOCK):
+            log_table[enc[i: i + BUILD_BLOCK]] = np.arange(i, min(i + BUILD_BLOCK, q - 1))
+    if log_table[1:].min() < 0:
         raise NoIrreducibleFound("generator power table is not a bijection (construction bug)")
-    exp_table = np.concatenate([enc, np.array([1], dtype=np.int64)])
-    log_table = np.zeros(q, dtype=np.int64)
-    log_table[enc] = np.arange(q - 1, dtype=np.int64)
+    log_table[0] = 0
     exp_table.setflags(write=False)
     log_table.setflags(write=False)
     return exp_table, log_table
@@ -448,11 +462,16 @@ def build_field(p: int, m: int) -> FieldSpec:
         return cached
     if m < 1:
         raise DegreeZero(f"extension degree must be >= 1, got {m}")
+    # refused before is_prime or p**m can run long; no message formats q
+    if p > cap:
+        raise FieldTooLarge(f"the characteristic p exceeds cap {cap}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
+    bits = cap.bit_length()
+    if m >= bits or p**m > cap:  # p >= 2, so m >= bits alone puts q over the cap
+        raise FieldTooLarge(f"q = {p}^{m} exceeds cap {cap}" if m <= bits
+                            else f"q = {p}^m exceeds cap {cap} for every m >= {bits}")
     q = p**m
-    if q > cap:
-        raise FieldTooLarge(f"q = {p}^{m} = {q} exceeds cap {cap}")
     modulus = _smallest_irreducible(p, m)
     generator = _find_generator(p, m, q, modulus)
     packing = DigitPacking.build(p, m) if p > 2 and m > 1 else None
@@ -524,7 +543,8 @@ def coset_representatives(spec: FieldSpec, G: SubfieldHandle) -> np.ndarray:
     as a cached, read-only, sorted int64 array.
 
     The dilates correspond to cosets of G^* in the cyclic group F_q^*, so there
-    are exactly (q-1)/(|G|-1) of them and their union covers F_q.
+    are exactly (q-1)/(|G|-1) of them and their union covers F_q.  Marking each
+    coset's minimum in a q-length bool array lists them in order, without a sort.
     """
     if not G.is_proper:
         raise NotProperSubfield(f"subfield of size {G.size} is the whole field")
@@ -532,6 +552,8 @@ def coset_representatives(spec: FieldSpec, G: SubfieldHandle) -> np.ndarray:
     if G.d not in cache:
         # column i of this exp-table view is coset i: the x != 0 with log x = i mod (q-1)/(|G|-1)
         columns = spec.exp_table[: spec.q - 1].reshape(G.size - 1, -1)
-        cache[G.d] = np.sort(columns.min(axis=0))
+        marks = np.zeros(spec.q, dtype=bool)
+        marks[columns.min(axis=0)] = True
+        cache[G.d] = np.flatnonzero(marks)
         cache[G.d].flags.writeable = False
     return cache[G.d]

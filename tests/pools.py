@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from fqlab.finite_field import FieldSpec, _is_irreducible, arith, build_field, parse_descriptor
+from fqlab.finite_field import FieldSpec, arith, build_field, parse_descriptor
 from fqlab.set_algebra import FqSet
 
 # the acceptance field list; the largest field participates at a reduced rate
@@ -59,11 +59,30 @@ def naive_neg(spec: FieldSpec, a: int) -> int:
     return naive_add(spec, 0, a, -1)
 
 
+def _naive_divisible(num, den, p) -> bool:
+    """True if the monic den divides num over F_p, by schoolbook long division
+    (low-degree-first coefficient tuples)."""
+    rem = list(num)
+    for shift in range(len(num) - len(den), -1, -1):
+        lead = rem[shift + len(den) - 1]
+        for i, d in enumerate(den):
+            rem[shift + i] = (rem[shift + i] - lead * d) % p
+    return not any(rem)
+
+
+def naive_is_irreducible(poly: tuple[int, ...], p: int) -> bool:
+    """Trial division of the monic poly by every monic polynomial of degree
+    1..deg(poly)/2."""
+    return not any(_naive_divisible(poly, low + (1,), p)
+                   for d in range(1, (len(poly) - 1) // 2 + 1)
+                   for low in product(range(p), repeat=d))
+
+
 def naive_smallest_irreducible(p: int, m: int) -> tuple[int, ...]:
     """The full scan: every monic candidate of degree m in lexicographic order
     of its low-degree-first coefficients, constant term 0 included."""
     for low in product(range(p), repeat=m):
-        if _is_irreducible(low + (1,), p):
+        if naive_is_irreducible(low + (1,), p):
             return low + (1,)
     raise AssertionError(f"no monic irreducible of degree {m} over F_{p}")
 

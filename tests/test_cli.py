@@ -159,6 +159,8 @@ def test_usage_errors_found_after_parsing_exit_2(capsys, argv):
     (("trace", "--field", "5", "--alpha", "2", "--trials", "1"), None, "TraceDegenerate"),
     (("trace", "--field", "2^2"), None, "SizeInfeasible"),
     (("trace", "--field", "3"), None, "SizeInfeasible"),
+    (("field", "1000000000000000003"), None, "FieldTooLarge"),
+    (("field", "2^100000000"), None, "FieldTooLarge"),
 ])
 def test_bad_input_is_a_domain_error(monkeypatch, capsys, argv, cap, error):
     if cap is not None:

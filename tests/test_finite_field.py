@@ -1,4 +1,9 @@
+import hashlib
 import os
+import subprocess
+import sys
+import time
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -11,12 +16,15 @@ from fqlab.errors import (
     DivisionByZero,
     FieldTooLarge,
     InvariantViolated,
+    NoIrreducibleFound,
     NotPrime,
     NotProperSubfield,
 )
 from fqlab.finite_field import (
     DigitPacking,
+    _build_tables,
     _digits,
+    _is_irreducible,
     _poly_mulmod,
     _smallest_irreducible,
     arith,
@@ -34,6 +42,7 @@ from pools import (
     POOL_DESCRIPTORS,
     naive_add,
     naive_coset_profile,
+    naive_is_irreducible,
     naive_neg,
     naive_smallest_irreducible,
     naive_sub,
@@ -74,6 +83,152 @@ def test_bench_field_moduli_are_frozen():
     assert _smallest_irreducible(3, 12) == (1,) + (0,) * 7 + (1, 0, 0, 1, 1)
 
 
+# every monic candidate of degree 1..max_m over F_p
+CANDIDATE_RANGES = [(2, 10), (3, 6), (5, 4), (7, 3), (13, 2)]
+
+
+@pytest.mark.parametrize("p,max_m", CANDIDATE_RANGES)
+def test_ben_or_agrees_with_trial_division(p, max_m):
+    for m in range(1, max_m + 1):
+        for low in product(range(p), repeat=m):
+            assert _is_irreducible(low + (1,), p) == naive_is_irreducible(low + (1,), p), low
+
+
+def mobius(n: int) -> int:
+    mu, f = 1, 2
+    while n > 1:
+        if n % f == 0:
+            n //= f
+            if n % f == 0:
+                return 0
+            mu = -mu
+        f += 1
+    return mu
+
+
+@pytest.mark.parametrize("p,max_m", CANDIDATE_RANGES)
+def test_irreducible_counts_follow_gauss_formula(p, max_m):
+    for m in range(1, max_m + 1):
+        count = sum(_is_irreducible(low + (1,), p) for low in product(range(p), repeat=m))
+        assert m * count == sum(mobius(d) * p ** (m // d) for d in divisors(m)), m
+
+
+def test_smallest_irreducible_at_the_largest_cap_is_fast():
+    start = time.perf_counter()
+    _smallest_irreducible(2, 24)
+    assert time.perf_counter() - start < 0.05
+
+
+# descriptor -> (sha256 of the exp_table and log_table bytes, sha256 of every
+# coset_representatives array in proper_subfields order)
+FROZEN_TABLES = {
+    "2^20": ("43f087c2c2daf8538fbfa335f16cb93d7355d40464111a7076cfa5cfa6f377da",
+            "e59d0cf5cf669b289e454e972ba76d741417d0452a1e34458f3fbd8719fa2929"),
+    "3^12": ("6ca624181930be1273f0b50f2fcbc1867aacf96427d203529167d22c50c17f0d",
+            "ec84e7896d80daf17261e18e444a16fdadaf85f6a6b168207aba57d5bad8efd4"),
+    "7^7": ("684e6c01dedd3a85d40bfeb09cb7aa4aeafc01eb5a21cc9caa859fa97c792415",
+           "a4309cc535b1ca9fd12d39168e483effaa305e940b2606a3e220d8e9072e4c83"),
+    "5^8": ("a2f7f2c809c5061e41e1ad4074136500a0fbe7be9359da02fb751beb4d97bc03",
+           "71ac8bef664092fc38079c2ff2416ea9eee8826e7dea213dadb5d50f3cb96f80"),
+    "2^12": ("7361f8acdc78fe89a67a94e929971baf81ce968e59cf5f2cf15845696d208fb0",
+            "e1a6a7e6534bacde74a12e3987791c1c796f10e5627c3a60f608d15774e76e7a"),
+    "3^7": ("24e91c7348ba84f70e38749a78e63b1956c2d9860a5cea0a8faf5813490e1ac4",
+           "7e93777586ec1be1508f7d909b05aa9f2927cfca05c0978616ae307d2d49327e"),
+    "2^2": ("dc55d42940fb2283da3744bf8d6dee0021f82cd43bd612a86624908dcd6550b7",
+           "e2e2033ae7e19d680599d4eb0a1359a2b48ec5baac75066c317fbf85159c54ef"),
+    "5^1": ("d58988aba7dfcb1df6bc3b2dec3d029b57d36695ea535bc2eca4045e43e915a2",
+           "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "7^1": ("7d6eb9b8c245c210cdbf896f36b950228a1c61c4bd551dc672a732e2b4c3981b",
+           "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "2^3": ("9b80598d6273edb7ceba872b67a4aa8ef0f31a1575c510df3324df6e50fadb32",
+           "bca8b15e214f1957bbe2ab312dffa6660d09b86731e2dd43d123d7b1b2172b56"),
+    "3^2": ("15e9ad8c95fd51e11d455b75c859c8f1e5b590c72e1bee0987a79c6bd3944d06",
+           "142da22154106757ba159eaa2b27c829152bba0c988568ca43dd40bf3947e32b"),
+    "11^1": ("8ebf28f2268b42fed55fe18ff53f2ecc6ac27ab926343328e6d761a986d4e10a",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "13^1": ("190b057df7b56416089fb48437471d338f87e2038fedcc0ab9fa1d913e63a5b3",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "2^4": ("db6ac2e209595c8c6cf94874fd5914c577850537b62b269400804b37aeeb7ee8",
+           "82a1408347040cd1de7feba0b42c316fd6922bd7ab5c80e2da12e61689a3c004"),
+    "5^2": ("9938f7fd7665fa4b0542549c378528a059eb25b516f32b8aafb1b3d2e99d1dad",
+           "ef0f78a81709cf16101cc3a6e77e4ee30e082f1eda6ddbfd4e0f5a5fc1bc0a0e"),
+    "3^3": ("32187b07e74f2368935eaaefe3aa23def8252330b9dcd975fee064d298c12ff7",
+           "e2c779709eb00f0a0a80629502bbec4b46213828990aef580668924195c6efd2"),
+    "2^6": ("62ea8440b96348aa3cedde62458f91bb83da8f40d7693f8ff6b2c15be4f8eed4",
+           "bc155dc9eba9e91f0640c44a7398f7d79eb7f983701c4cc0d2940aa1274b93ba"),
+    "3^4": ("d31faec116c54ef9a12c4ba9552a776f5d7b714d6b0fde12f946714aa5560738",
+           "50f71ff029c8958eac4ba28fe7d94e75ae1fe99e1ede756aa8370bf3f6a397a1"),
+    "11^2": ("f652212f236056a28dec58c1ec29d6ecbf913a83a38f2db7504c3e127f82dd9b",
+            "684555f897c478338ae51f0c8b6ab58b7d174814b695376f5cbda51293c480a2"),
+    "5^3": ("17ba68a6ff69b80e5f9dbff25793c53cd88e2acdb2eb400c72194984e30ebe76",
+           "1fb20b7fbfbdf6f529ba3e2a3bcd94204367436f579bf862639bc6817a89647c"),
+    "2^10": ("0edfdf7ca8c82c32adaaccbd171726ca71f39f5507dd611a6dcabfc42dc18c5f",
+            "89cff5e095314175e6ae087e665d2f5dd5998d348b943dec22ae96d39c30d5ee"),
+}
+
+
+@pytest.mark.parametrize("desc", list(FROZEN_TABLES))
+def test_tables_and_coset_representatives_are_frozen(desc):
+    spec = parse_descriptor(desc)
+    reps = hashlib.sha256()
+    for G in proper_subfields(spec):
+        reps.update(coset_representatives(spec, G).tobytes())
+    tables = hashlib.sha256(spec.exp_table.tobytes() + spec.log_table.tobytes()).hexdigest()
+    assert (tables, reps.hexdigest()) == FROZEN_TABLES[desc]
+
+
+def _rebuild_tables(spec, add=None):
+    """Run the table build again on a built field's modulus and generator (the
+    field cache would otherwise hide it)."""
+    if add is None:
+        add = np.bitwise_xor if spec.packing is None else spec.packing.add
+    return _build_tables(spec.p, spec.m, spec.q, spec.modulus, spec.generator, add)
+
+
+@pytest.mark.parametrize("p,m", [(2, 20), (3, 12)])
+def test_table_build_peaks_near_the_tables_own_bytes(p, m):
+    spec = build_field(p, m)
+    tracemalloc.start()
+    try:
+        exp_table, log_table = _rebuild_tables(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (exp_table.nbytes + log_table.nbytes)
+    assert np.array_equal(exp_table, spec.exp_table) and np.array_equal(log_table, spec.log_table)
+
+
+# GF(2^4) additions that break the power table: every sum 1, so powers repeat;
+# the sum 15 = q - 1 as -1, which as an index wraps to slot 15 and, unchecked,
+# would fill the log table as if the powers were a bijection
+BROKEN_ADDS = {"repeated": lambda a, b: np.ones_like(a),
+               "wrapped": lambda a, b: np.where((a ^ b) == 15, -1, a ^ b)}
+
+
+@pytest.mark.parametrize("kind", list(BROKEN_ADDS))
+def test_table_build_refuses_a_power_table_that_is_not_a_bijection(kind):
+    with pytest.raises(NoIrreducibleFound):
+        _rebuild_tables(build_field(2, 4), add=BROKEN_ADDS[kind])
+
+
+def test_table_bijection_check_survives_python_O():
+    import fqlab
+
+    script = ("import numpy as np\n"
+              "from fqlab.errors import NoIrreducibleFound\n"
+              "from fqlab.finite_field import _build_tables, build_field\n"
+              "s = build_field(2, 4)\n"
+              "try:\n"
+              "    _build_tables(2, 4, 16, s.modulus, s.generator,\n"
+              "                  lambda a, b: np.where((a ^ b) == 15, -1, a ^ b))\n"
+              "except NoIrreducibleFound as exc:\n"
+              "    print(type(exc).__name__, __debug__)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fqlab.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.stdout.split() == ["NoIrreducibleFound", "False"], proc.stderr
+
+
 def test_f9_generator_order_is_eight():
     spec = build_field(3, 2)
     g = spec.generator
@@ -94,6 +249,8 @@ def test_generator_is_smallest_primitive():
 def test_build_field_errors():
     with pytest.raises(NotPrime):
         build_field(6, 1)
+    with pytest.raises(FieldTooLarge):  # composite, but over the cap: refused before is_prime
+        build_field(10**18, 1)
     with pytest.raises(DegreeZero):
         build_field(5, 0)
     with pytest.raises(FieldTooLarge):
