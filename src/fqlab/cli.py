@@ -13,6 +13,7 @@ summary; trace json lines.  survey writes CSV and a JSON summary to --out.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -34,6 +35,7 @@ TRACE_MIN_SIZE = 4  # a trace batch draws 4..10 nonzero elements
 TRACE_DEGENERATE_LIMIT = 100
 
 
+@functools.cache  # built once per process: no default or choice reads state a run changes
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fqlab",

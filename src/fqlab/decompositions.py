@@ -722,7 +722,7 @@ def _classify(A_input: FqSet, pts: PopularPoints, kappa: int):
     # case 1: the quotient sets differ; 1.1 when R(A_tilde) has a ratio R(B_y0) lacks
     for case, side, other in (("1.1", "A_tilde", "B_y0"), ("1.2", "B_y0", "A_tilde")):
         (S, R_S), (T, R_T) = named[side], named[other]
-        extra = np.setdiff1d(R_S.members, R_T.members)
+        extra = np.flatnonzero(R_S.bitmask & ~R_T.bitmask)
         if extra.size:
             r = int(extra[0])
             eq = len(set_op(T, dilate(T, r), "diff")) == len(T) ** 2

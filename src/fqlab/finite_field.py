@@ -42,11 +42,13 @@ from .errors import (
 )
 
 DEFAULT_CAP = 1 << 20
+MAX_CAP = 1 << 24  # the largest cap the environment may set
 CAP_ENV_VAR = "FQLAB_CAP"
 
 ARITH_OPS = ("add", "sub", "mul", "div", "neg", "inv", "pow")
 TABLE_BITS = 12  # index bits of a chunk table (one digit or packed field may need more)
 BUILD_BLOCK = 1 << 16  # powers mapped, or scattered into the log table, per step of the build
+ECHO_CHARS = 40  # longest descriptor, p or m an error message repeats whole
 
 
 def field_cap() -> int:
@@ -58,7 +60,7 @@ def field_cap() -> int:
         cap = int(raw)
     except ValueError:
         cap = 0  # not an integer: rejected with the rest below
-    if cap < 2 or cap > (1 << 24) or cap & (cap - 1):
+    if cap < 2 or cap > MAX_CAP or cap & (cap - 1):
         raise InvalidCap(f"{CAP_ENV_VAR} must be a power of two <= 2^24, got {raw!r}")
     return cap
 
@@ -461,12 +463,12 @@ def build_field(p: int, m: int) -> FieldSpec:
     if cached is not None:
         return cached
     if m < 1:
-        raise DegreeZero(f"extension degree must be >= 1, got {m}")
+        raise DegreeZero(f"extension degree must be >= 1, got {_clip(str(m))}")
     # refused before is_prime or p**m can run long; no message formats q
     if p > cap:
         raise FieldTooLarge(f"the characteristic p exceeds cap {cap}")
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise NotPrime(f"{_clip(str(p))} is not prime")
     bits = cap.bit_length()
     if m >= bits or p**m > cap:  # p >= 2, so m >= bits alone puts q over the cap
         raise FieldTooLarge(f"q = {p}^{m} exceeds cap {cap}" if m <= bits
@@ -487,10 +489,29 @@ def parse_descriptor(text: str) -> FieldSpec:
     """Build the field named by a descriptor like "7" or "3^2"."""
     p_str, caret, m_str = text.strip().partition("^")
     try:
-        p, m = int(p_str), int(m_str) if caret else 1
+        p, m = _descriptor_int(p_str), _descriptor_int(m_str) if caret else 1
     except ValueError:
-        raise MalformedDescriptor(f"expected a field like 7 or 3^2, got {text!r}") from None
+        raise MalformedDescriptor(
+            f"expected a field like 7 or 3^2, got {_clip(repr(text))}") from None
     return build_field(p, m)
+
+
+def _descriptor_int(token: str) -> int:
+    """int(token), except that a decimal with more digits than the largest
+    cap, which int() refuses past 4300 digits, reads as MAX_CAP + 1:
+    build_field reports that p or m as over the cap either way, in the same
+    words."""
+    digits = token.strip().removeprefix("+").lstrip("0")
+    if digits.isdecimal() and len(digits) > len(str(MAX_CAP)):
+        return MAX_CAP + 1
+    return int(token)
+
+
+def _clip(text: str) -> str:
+    """text for an error message, cut to ECHO_CHARS characters."""
+    if len(text) <= ECHO_CHARS:
+        return text
+    return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
 
 
 def arith(spec: FieldSpec, op: str, a: int, b: int | None = None) -> int:

@@ -496,7 +496,7 @@ def generate_instance(lemma_id: str, seed: int, index: int):
         for _ in range(8):
             X = random_set(rng, spec, _rand_size(rng, spec, 2, 8))
             R = quotient_set(X)
-            outside = np.setdiff1d(np.arange(1, spec.q, dtype=np.int64), R.members)
+            outside = np.flatnonzero(~R.bitmask[1:]) + 1
             if outside.size:
                 r = int(rng.choice(outside))
                 k1 = int(rng.integers(1, len(X) + 1))

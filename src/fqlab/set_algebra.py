@@ -10,7 +10,8 @@ pairwise counts are counted (``_pair_counts``); both take their operands from
 The grid scores the |A||B| pairs block by block (one triangle of them for the
 sum or product set of a set with itself).  For sum and diff over GF(p^m),
 m > 1, the character transform of (Z/p)^m turns the count into pointwise
-products of q-length transforms; it runs when |A||B| exceeds TRANSFORM_CELLS
+products of transforms, each kept at one character of every conjugate pair
+(``_chunk_matrices``); it runs when |A||B| exceeds TRANSFORM_CELLS
 grid cells per q-length transform, and only where its worst-case float64
 error (``_transform_error_bound``) is below 1/4, so that rounding recovers
 every count exactly.  The rounded counts are checked (residual, sign, total)
@@ -287,72 +288,136 @@ def _pair_support(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_matrices(spec: FieldSpec) -> list[np.ndarray]:
-    """DFT matrices of (Z/p)^k for the chunks of the m base-p digits of an
-    encoding, most significant chunk first, cached in ``spec._derived``.
+def _chunk_matrices(spec: FieldSpec) -> tuple[int, np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """The plan (h, first, mats, final) of the character transform of
+    (Z/p)^m, cached in ``spec._derived``.
 
-    The m digits are split into as few chunks as keep p^k <= TRANSFORM_CHUNK
-    (one digit at least), as evenly as possible.  Entry [u, x] is
-    w^(-<u, x>), w = exp(2 pi i / p), with u and x read as the k digits of
-    their index; it is real (a +-1 Hadamard block) for p = 2.  Each matrix is
-    symmetric."""
-    mats = spec._derived.get("transform_chunks")
-    if mats is None:
+    The m base-p digits of an encoding are split into chunks, most
+    significant first, as few as keep p^k <= TRANSFORM_CHUNK (one digit at
+    least) and as evenly as possible.  Chunk i has the DFT matrix W_i of
+    (Z/p)^k: entry [u, x] is w^(-<u, x>), w = exp(2 pi i / p), with u and x
+    read as the k digits of their index.  Each W_i is symmetric, and real (a
+    +-1 Hadamard block) for p = 2; ``mats`` holds W_2..W_P.
+
+    The transform F of a real array is Hermitian, F(-u) = conj F(u) with -u
+    the digit-wise negation, so the characters whose first chunk is one
+    representative of each pair {u, -u} determine it.  H holds the
+    representatives u <= -u of the L first-chunk indices: h = (L+1)/2 of
+    them for odd p (0 is its own pair), all L for p = 2, where every
+    character is real.  ``first`` is W_1[:, H] (L x h).  ``final`` adds each
+    representative's conjugate back: once the later chunks are inverted,
+    entry x of the inverse is sum_{u in H} w_u Re(conj(W_1[u, x]) g_u) / q,
+    w_u = 1 if u = -u and 2 otherwise, so it is the real matrix
+    [w Re W_1[:, H] | w Im W_1[:, H]] / q (L x 2h; L x h for p = 2)
+    against [Re g; Im g]."""
+    plan = spec._derived.get("transform_plan")
+    if plan is None:
         p, m = spec.p, spec.m
         k = 1
         while p ** (k + 1) <= TRANSFORM_CHUNK:
             k += 1
         passes = -(-m // k)
         roots = np.array([1.0, -1.0]) if p == 2 else np.exp(-2j * np.pi * np.arange(p) / p)
+        sizes = [m // passes + (i < m % passes) for i in range(passes)]
         mats = []
-        for n in (m // passes + (i < m % passes) for i in range(passes)):
+        for n in sizes:
             digits = np.arange(p**n)[:, None] // p ** np.arange(n) % p
             mats.append(roots[digits @ digits.T % p])
-            mats[-1].setflags(write=False)
-        spec._derived["transform_chunks"] = mats
-    return mats
+        place = p ** np.arange(sizes[0])
+        index = np.arange(p * place[-1])
+        neg = -(index[:, None] // place) % p @ place
+        half = np.flatnonzero(index <= neg)
+        weight = np.where(half == neg[half], 1.0, 2.0)
+        W = np.ascontiguousarray(mats.pop(0)[:, half])
+        final = weight * W if p == 2 else np.hstack((weight * W.real, weight * W.imag))
+        final /= spec.q
+        plan = (half.size, W, tuple(mats), final)
+        for a in (W, final, *mats):
+            a.setflags(write=False)
+        spec._derived["transform_plan"] = plan
+    return plan
 
 
-def _transform(x: np.ndarray, mats: list[np.ndarray], inverse: bool = False) -> np.ndarray:
-    """The (unnormalised) character transform of a q-length array, or its
-    conjugate for ``inverse``.  Each pass multiplies the leading chunk axis by
-    its matrix and rotates that axis to the end, so after the last pass the
-    axes are back in encoding order."""
+def _times(x: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """x @ W.  A real x times a complex W is one real GEMM against W's Re
+    and Im columns interleaved (W's own memory), whose product is already
+    complex128 in memory: half the work of a complex GEMM, and no complex
+    copy of x."""
+    if np.iscomplexobj(W) and not np.iscomplexobj(x):
+        return (x @ W.view(np.float64)).view(np.complex128)
+    return x @ W
+
+
+def _half_transform(spec: FieldSpec, bitmask: np.ndarray) -> np.ndarray:
+    """The (unnormalised) character transform of a q-length bool array at
+    the characters whose first chunk lies in H, as an h x q/L array
+    (complex for odd p).  Each pass multiplies the leading chunk axis by its
+    matrix and rotates it to the end: after the first pass (``first``, on
+    the real indicator) the H axis leads and the later chunks follow in
+    encoding order."""
+    h, first, mats, _ = _chunk_matrices(spec)
+    x = _times(bitmask.reshape(first.shape[0], -1).T, first)
     for W in mats:
-        x = x.reshape(W.shape[0], -1).T @ (W.conj() if inverse else W)
-    return x.ravel()
+        x = x.reshape(W.shape[0], -1).T @ W
+    return x.reshape(h, -1)
 
 
 def _transform_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
     """Unrounded sum or diff counts: the inverse transform of F_A * F_B (sum)
-    or of F_A * conj(F_B) (diff), F the transform of a set's indicator.  When
-    B is A its transform is taken once."""
-    mats = _chunk_matrices(A.spec)
-    fa = _transform(A.bitmask, mats)
-    fb = fa if B is A else _transform(B.bitmask, mats)
-    fa *= fb if kind == "sum" else fb.conj()
-    del fb  # free F_B before the inverse transform allocates
-    return _transform(fa, mats, inverse=True).real / A.spec.q
+    or of F_A * conj(F_B) (diff), with F the ``_half_transform`` of a set's
+    indicator.  When B is A its transform is taken once, and for diff the
+    product is the real |F_A|^2.  The inverse runs the later chunks'
+    conjugate passes on each of the h rows, an (h, L_i, rest) matmul that
+    leaves each row's chunks in encoding order, and then the one real GEMM
+    of ``final``, whose output is in encoding order with no transpose."""
+    spec = A.spec
+    h, _, mats, final = _chunk_matrices(spec)
+    f = _half_transform(spec, A.bitmask)
+    if B is A and kind == "diff" and np.iscomplexobj(f):
+        parts = f.view(np.float64)  # |F_A|^2 = Re^2 + Im^2, squared in place
+        parts *= parts
+        f = parts[:, 0::2] + parts[:, 1::2]
+    else:
+        fb = f if B is A else _half_transform(spec, B.bitmask)
+        if kind == "diff":
+            np.conjugate(fb, out=fb)
+        f *= fb
+        del fb  # free F_B before the inverse allocates
+    for W in mats:
+        f = _times(f.reshape(h, W.shape[0], -1).transpose(0, 2, 1), W.conj())
+    g = f.reshape(h, -1)
+    if np.iscomplexobj(g):
+        g = np.concatenate((g.real, g.imag))
+    # a real g (p = 2, or |F_A|^2 with one chunk) has no imaginary block
+    return (final[:, : g.shape[0]] @ g).ravel()
 
 
 def _transform_error_bound(spec: FieldSpec, cells: int) -> float:
     """Worst-case absolute error of any count from ``_transform_counts`` when
     |A||B| = cells.
 
-    A pass over a chunk of side L computes each entry as a complex inner
-    product of length L against rounded roots of unity, so it adds at most
-    delta = sqrt(2)(L + 2) eps times the sum of the moduli it combines
-    (eps = 2^-52, twice the unit roundoff, also covers the rounded matrix
-    entries).  Every entry of the full transform has modulus 1, so after P
-    passes each entry of F_A is off by at most about P delta |A|, and the
-    product F_A * F_B by about 2 P delta |A||B|.  The inverse, scaled by
-    1/q, passes that error on at most unchanged (q entries of modulus 1 per
-    row) and adds its own P delta |A||B|: in all 3 P delta |A||B|, with L the
-    largest chunk side.  The second-order terms, the rounding of the product
-    and of the scaling fit in the slack that eps leaves."""
-    mats = _chunk_matrices(spec)
-    side = max(W.shape[0] for W in mats)
-    return 3 * len(mats) * math.sqrt(2) * (side + 2) * np.finfo(np.float64).eps * cells
+    A pass over a chunk of side L computes each entry as an inner product of
+    length L against rounded roots of unity, so it adds at most delta =
+    sqrt(2)(L + 2) eps times the sum of the moduli it combines (eps = 2^-52,
+    twice the unit roundoff, also covers the rounded matrix entries and the
+    1/q folded into ``final``); a pass on real data, as real inner products
+    against Re W and Im W, stays inside delta.  Each kept entry of the half
+    transform is an entry of the full one, of modulus 1 per element, so
+    after P passes it is off by at most about P delta |A|, and the product
+    F_A * F_B by about 2 P delta |A||B|.  The inverse passes that error on
+    at most unchanged and adds its own P delta |A||B|.  Its later passes are
+    the full transform's on h of the L rows.  ``final`` sums L + 1 real
+    terms w_u (Re W Re g_u + Im W Im g_u) / q, w_u <= 2, each at most
+    w_u |g_u| / q, and sum_{u in H} w_u |x_u| = sum_u |x_u| because the
+    dropped half is the conjugate of the kept one, errors included: so it
+    too errs by at most delta times the sum over all q characters / q.  In
+    all 3 P delta |A||B|, with L the largest chunk side, the first's.  The
+    second-order terms and the rounding of the product fit in the slack
+    that eps leaves."""
+    _, first, mats, _ = _chunk_matrices(spec)
+    side = first.shape[0]  # the first chunk is the largest
+    passes = 1 + len(mats)
+    return 3 * passes * math.sqrt(2) * (side + 2) * np.finfo(np.float64).eps * cells
 
 
 def _exact_counts(values: np.ndarray, total: int) -> np.ndarray | None:
@@ -401,7 +466,10 @@ def quotient_closure_failure(R: FqSet, rows: np.ndarray) -> tuple[int | None, in
     """First failure of the two closure tests on a quotient set R: (None, j)
     for the smallest R[j] with 1 + R[j] not in R, else (i, j) for the first
     row-major cell with rows[i] * R[j] not in R, else None.  rows is taken in
-    the caller's order and scored one row at a time, never as a rows x R grid."""
+    the caller's order and scored one row at a time, never as a rows x R grid.
+    R = F_q passes both at once."""
+    if len(R) == R.spec.q:
+        return None
     bad = np.flatnonzero(~R.bitmask[R.spec.add_arr(R.members, np.int64(1))])
     if bad.size:
         return None, int(bad[0])

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from fqlab import cli
 from fqlab.cli import main
 from fqlab.lemma_oracles import LEMMAS
 
@@ -161,6 +162,7 @@ def test_usage_errors_found_after_parsing_exit_2(capsys, argv):
     (("trace", "--field", "3"), None, "SizeInfeasible"),
     (("field", "1000000000000000003"), None, "FieldTooLarge"),
     (("field", "2^100000000"), None, "FieldTooLarge"),
+    (("field", "2^" + "1" * 5000), None, "FieldTooLarge"),  # past int()'s 4300 digits
 ])
 def test_bad_input_is_a_domain_error(monkeypatch, capsys, argv, cap, error):
     if cap is not None:
@@ -168,6 +170,37 @@ def test_bad_input_is_a_domain_error(monkeypatch, capsys, argv, cap, error):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"{error}: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("descriptor, error", [
+    pytest.param("2^" + "1" * 5000, "FieldTooLarge: q = 2^m exceeds cap 1048576 for every m >= 21",
+                 id="huge m"),
+    pytest.param("1" * 5000, "FieldTooLarge: the characteristic p exceeds cap 1048576",
+                 id="huge p"),
+    # build_field checks p before m
+    pytest.param("4^" + "1" * 5000, "NotPrime: 4 is not prime", id="composite p, huge m"),
+    pytest.param("3^-" + "1" * 4000, "DegreeZero: extension degree must be >= 1, got -111",
+                 id="long negative m"),
+    pytest.param("-" + "1" * 4000, "NotPrime: -111", id="long negative p"),
+    pytest.param("x" * 5000, "MalformedDescriptor: expected a field like 7 or 3^2, got 'xxx",
+                 id="long malformed"),
+])
+def test_a_huge_descriptor_is_judged_by_its_value_and_echoed_short(capsys, descriptor, error):
+    code, out, err = run_cli(capsys, "field", descriptor)
+    assert code == 1 and out == ""
+    assert err.startswith(error) and len(err) < 150
+
+
+def test_one_parser_serves_every_run(capsys):
+    usage = ("setop", "sum", "--field", "7", "--a", "1")
+    with pytest.raises(SystemExit):
+        main(list(usage))
+    first = capsys.readouterr()
+    assert run_cli(capsys, *usage, "--b", "2") == (0, "3\n", "")
+    with pytest.raises(SystemExit):
+        main(list(usage))
+    assert capsys.readouterr() == first and first.err.startswith("usage: fqlab setop")
+    assert cli._build_parser() is cli._build_parser()
 
 
 @pytest.mark.parametrize("argv", [

@@ -189,6 +189,40 @@ def test_pair_counts_stay_well_below_one_grid_of_memory(monkeypatch):
             assert peak < 40_000_000 < grid
 
 
+def test_half_spectrum_transform_matches_the_grid_at_survey_size(monkeypatch):
+    # the survey's size on 3^12: four chunks of 27, 14 representatives each
+    spec = build_field(3, 12)
+    rng = np.random.default_rng(76)
+    A, B = (FqSet.from_iterable(spec, rng.choice(spec.q, 3000, replace=False)) for _ in "AB")
+    for X, Y, kind in ((A, A, "diff"), (A, B, "sum")):
+        # TRANSFORM_CELLS = infinity keeps the count on the grid; 0 sends it to the transform
+        monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", float("inf"))
+        grid = _pair_counts(X, Y, kind)
+        monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", 0)
+        assert set_algebra._use_transform(X, Y)
+        served = set_algebra._exact_counts(set_algebra._transform_counts(X, Y, kind),
+                                           len(X) * len(Y))
+        assert served is not None and np.array_equal(served, grid)
+        assert np.array_equal(_pair_counts(X, Y, kind), grid)
+
+
+@pytest.mark.parametrize("desc", ("3^12", "7^7"))
+def test_shift_counts_by_transform_peak_near_two_q_length_complex_arrays(desc):
+    # the half spectrum holds about half a complex array per transform; a full
+    # complex spectrum and its product peaked at 3.0x
+    spec = parse_descriptor(desc)
+    A = FqSet.from_iterable(spec, np.random.default_rng(6).choice(spec.q, 3000, replace=False))
+    assert set_algebra._use_transform(A, A)
+    intersection_shift_counts(A)  # the cached plan is not part of a count's peak
+    tracemalloc.start()
+    try:
+        intersection_shift_counts(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * spec.q * 16
+
+
 def _forced_transform(monkeypatch):
     """Send every nonempty sum and diff over an extension field to the
     transform, and return the list of the kinds it served."""
@@ -312,11 +346,13 @@ def test_quotient_closure_failure_matches_naive_scan(desc):
 
 
 def test_quotient_closure_failure_stays_well_below_one_grid_of_memory():
-    # the whole field passes both closure tests, so every cell is scored
+    # R, the complement of the 2^8 subfield G of 2^16, is closed under x -> 1 + x
+    # and under multiplication by G^*, so with rows in G^* every cell is scored
     spec = build_field(2, 16)
-    R = FqSet.full(spec)
-    rows = np.random.default_rng(9).choice(np.arange(1, spec.q), 300, replace=False)
-    grid = rows.size * spec.q * 8  # one int64 rows x R grid: 157 MB
+    G = next(h for h in enumerate_subfields(spec) if h.d == 8).elements
+    R = FqSet._from_bitmask(spec, ~G.bitmask)
+    rows = np.random.default_rng(9).choice(G.members[1:], 300)
+    grid = rows.size * len(R) * 8  # one int64 rows x R grid: 157 MB
     tracemalloc.start()
     try:
         assert quotient_closure_failure(R, rows) is None
@@ -324,6 +360,13 @@ def test_quotient_closure_failure_stays_well_below_one_grid_of_memory():
     finally:
         tracemalloc.stop()
     assert peak < 40_000_000 < grid
+
+
+def test_quotient_closure_failure_passes_the_whole_field_at_once():
+    spec = build_field(2, 16)
+    rows = np.arange(1, spec.q, dtype=np.int64)
+    assert quotient_closure_failure(FqSet.full(spec), rows) is None
+    assert quotient_closure_failure(FqSet.full(F7), rows[:6]) is None
 
 
 def test_quotient_closure_failure_finds_a_late_failing_row():
