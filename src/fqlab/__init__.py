@@ -29,7 +29,6 @@ from .finite_field import (
 )
 from .set_algebra import (
     FqSet,
-    RepSpectrum,
     additive_energy,
     coset_intersection_counts,
     coset_profile,
@@ -75,7 +74,6 @@ __all__ = [
     "enumerate_subfields",
     "parse_descriptor",
     "FqSet",
-    "RepSpectrum",
     "additive_energy",
     "coset_intersection_counts",
     "coset_profile",

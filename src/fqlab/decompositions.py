@@ -30,11 +30,12 @@ from .errors import (
 )
 from .finite_field import proper_subfields
 from .set_algebra import (
+    PAIR_BLOCK_CELLS,
     FqSet,
-    RepSpectrum,
     _blocks,
     _pair_counts,
     _require_same_field,
+    _sum_of_squares,
     coset_intersection_counts,
     dilate,
     quotient_closure_failure,
@@ -107,14 +108,16 @@ def _pigeonhole(counts: np.ndarray, K: int, capped: bool = False):
 
 @dataclass(frozen=True)
 class DyadicSlice:
-    """Dominant dyadic level of the ratio spectrum between X and Y.
+    """Dominant dyadic level of the ratio spectrum between X and Y: the
+    length-q counts r(xi) of ``representation_spectrum``, not kept.
 
     D holds the popular slopes, every one carrying between N and 2N-1 point
-    pairs; P is the set of pairs supported on those slopes.  The certificates
-    r(xi) in [N, 2N), multiplicative energy <= (floor(log2 |X|)+1)*4*L*N^2 and
-    L*N < |X||Y| hold whenever |X||Y| >= 2 and Y contains a nonzero element:
-    the two excluded shapes (a 1x1 instance, and Y = {0} whose pairs all sit
-    on the slope-zero line) concentrate the whole first moment on a single
+    pairs; P is the set of pairs supported on those slopes, and line[k] is
+    the position in D of the slope of pairs[k].  The certificates r(xi) in
+    [N, 2N), multiplicative energy <= (floor(log2 |X|)+1)*4*L*N^2 and L*N <
+    |X||Y| hold whenever |X||Y| >= 2 and Y contains a nonzero element: the
+    two excluded shapes (a 1x1 instance, and Y = {0} whose pairs all sit on
+    the slope-zero line) concentrate the whole first moment on a single
     slope, where nothing can be dropped below it.
     """
 
@@ -124,54 +127,53 @@ class DyadicSlice:
     N: int
     L: int
     M: int
+    energy: int  # the multiplicative energy between X and Y, sum of r(xi)^2
     pairs: np.ndarray  # (k, 2) int64 rows (x, y), lexicographically sorted
-    spectrum: RepSpectrum
-
-    @property
-    def energy(self) -> int:
-        return self.spectrum.energy
+    line: np.ndarray  # (k,) int64: the position of y/x in D for each pair
 
 
 def dyadic_energy_slice(X: FqSet, Y: FqSet) -> DyadicSlice:
     """Bucket the ratio counts by powers of two and keep the level with the
     largest squared mass (smallest level on ties).
 
-    A perfectly flat spectrum at a power of two would make L*N equal |X||Y|
-    exactly; in that case the largest-encoded slope is dropped, which keeps
-    every certificate valid with room to spare.
+    A count's level is its place among the powers of two, and the masses add
+    up in int64, exactly: each is at most the energy, below (|X||Y|)^(3/2),
+    with the whole |X| x |Y| ratio grid in memory.  A perfectly flat spectrum
+    at a power of two would make L*N equal |X||Y| exactly; in that case the
+    largest-encoded slope is dropped, which keeps every certificate valid.
     """
     if len(Y) > len(X):
         raise SecondSetLarger("need |Y| <= |X|")
     spectrum = representation_spectrum(X, Y)
-    if not spectrum.counts:
+    counts = spectrum[spectrum > 0]
+    if not counts.size:
         raise EmptySpectrum("no ratio pairs between X and Y")
-    levels: dict[int, int] = {}
-    for count in spectrum.counts.values():
-        j = count.bit_length() - 1
-        levels[j] = levels.get(j, 0) + count * count
-    best_j = min(j for j, s in levels.items() if s == max(levels.values()))
-    N = 1 << best_j
-    slopes = sorted(xi for xi, c in spectrum.counts.items() if N <= c < 2 * N)
-    if len(slopes) * N == len(X) * len(Y) and len(slopes) >= 2:
+    powers = 1 << np.arange(int(counts.max()).bit_length(), dtype=np.int64)
+    mass = np.zeros(powers.size, dtype=np.int64)
+    np.add.at(mass, np.searchsorted(powers, counts, side="right") - 1, counts * counts)
+    N = int(powers[np.argmax(mass)])  # first maximum = smallest level
+    slopes = np.flatnonzero((spectrum >= N) & (spectrum < 2 * N))
+    if slopes.size * N == len(X) * len(Y) and slopes.size >= 2:
         slopes = slopes[:-1]
-    D = FqSet.from_iterable(X.spec, slopes)
-    ratio_grid = X.spec.div_arr(Y.members[None, :], X.members[:, None])
-    xi_idx, yi_idx = np.nonzero(D.bitmask[ratio_grid])
-    pairs = np.column_stack([X.members[xi_idx], Y.members[yi_idx]])  # row-major: (x, y) sorted
+    D = FqSet._from_sorted(X.spec, slopes)
+    ratios = X.spec.div_arr(Y.members[None, :], X.members[:, None])
+    xi, yi = np.nonzero(D.bitmask[ratios])
+    pairs = np.column_stack([X.members[xi], Y.members[yi]])  # row-major: (x, y) sorted
     L = len(D)
-    return DyadicSlice(X=X, Y=Y, D=D, N=N, L=L, M=L * N * N, pairs=pairs,
-                       spectrum=spectrum)
+    return DyadicSlice(X=X, Y=Y, D=D, N=N, L=L, M=L * N * N, energy=_sum_of_squares(spectrum),
+                       pairs=pairs, line=np.searchsorted(D.members, ratios[xi, yi]))
 
 
 def slice_certificates(sl: DyadicSlice) -> dict:
-    """The three exact slice certificates, with the numbers behind them."""
-    counts = [sl.spectrum.counts[int(xi)] for xi in sl.D.members]
-    log_factor = len(sl.X).bit_length() - 1 + 1  # floor(log2 |X|) + 1
+    """The three exact slice certificates, with the numbers behind them; the
+    band is checked on r(xi) recounted as the pairs on each line."""
+    counts = np.bincount(sl.line, minlength=sl.L)
+    energy_bound = len(sl.X).bit_length() * 4 * sl.L * sl.N**2  # floor(log2 |X|) + 1
     return {
-        "level_band": all(sl.N <= c < 2 * sl.N for c in counts),
+        "level_band": bool(np.all((sl.N <= counts) & (counts < 2 * sl.N))),
         "energy": sl.energy,
-        "energy_bound": log_factor * 4 * sl.L * sl.N**2,
-        "energy_ok": sl.energy <= log_factor * 4 * sl.L * sl.N**2,
+        "energy_bound": energy_bound,
+        "energy_ok": sl.energy <= energy_bound,
         "mass": sl.L * sl.N,
         "mass_bound": len(sl.X) * len(sl.Y),
         "mass_strict": sl.L * sl.N < len(sl.X) * len(sl.Y),
@@ -218,39 +220,36 @@ C_SLICE_SETS = Fraction(1, 8192)  # |S_z| >= c * L^2*N^3 / (|X|^2 |Y|^2)
 def popular_points(sl: DyadicSlice) -> PopularPoints:
     """Popular-point extraction over the slice's pairs, by counting.
 
-    Each pair (x, y) gets three indices, computed once: its line (position of
-    y/x in D), column (position of x in X) and row (position of y in Y).  The
-    pigeonhole steps are bincounts over masks of pairs: rows count `row`;
-    columns count `col` over the pairs in popular rows; slopes count `line`
-    over the pairs in popular rows and columns.  With `lines` the 0/1
-    (line, x) incidence and `points` the 0/1 (x, y) incidence of the pairs,
-    C = lines @ points[:, popular rows] gives C[l, j] = |P_l ∩ X_(y_j)|, and
-    the double sum over (x, y) in x_popular × y_popular is lines[:, popular
-    columns].T @ C; its first row-major maximum is the smallest (x0, y0) on
-    ties.  Both products run in float64 through BLAS and are exact: an entry
-    of either counts at most |X||Y| pairs, far below 2^53.  The last step
-    reads column y0 of C at the lines of the pairs over x0: the number of
-    pairs on each such line whose x lies in B_y0.
+    Each pair (x, y) has a line (``sl.line``), a column (position of x in X)
+    and a row (position of y in Y).  The pigeonhole steps are bincounts over
+    masks of pairs: rows count `row`; columns count `col` over the pairs in
+    popular rows; slopes count `line` over the pairs in popular rows and
+    columns.  With `lines` the 0/1 (line, x) incidence and `points` the 0/1
+    (x, popular y) incidence, the double sum over x_popular × y_popular is
+    the sum over blocks of about PAIR_BLOCK_CELLS cells of `lines` (grouped
+    by one stable argsort of `line`, ascending x within a line) of
+    lines[:, popular columns].T @ (lines @ points).  Its first row-major
+    maximum is the smallest (x0, y0) on ties; the float64 products are
+    exact, as an entry counts at most |X||Y| pairs.  The last step counts,
+    on each line through x0, the pairs whose x lies in B_y0.
     """
     if sl.L == 0 or sl.pairs.size == 0:
         raise DegenerateSlice("slice has no popular slopes")
-    spec = sl.X.spec
-    xs, ys = sl.pairs[:, 0], sl.pairs[:, 1]
-    line = np.searchsorted(sl.D.members, spec.div_arr(ys, xs))
+    spec, nx = sl.X.spec, len(sl.X)
+    xs, ys, line = sl.pairs[:, 0], sl.pairs[:, 1], sl.line
     col = np.searchsorted(sl.X.members, xs)
     row = np.searchsorted(sl.Y.members, ys)
-    p_size = len(xs)
 
     # rows: keep ordinates whose pair count reaches half the average
     rows, t_rows, mass_rows, row_domain, _ = _pigeonhole(
-        np.bincount(row, minlength=len(sl.Y)), p_size)
-    y_popular = FqSet.from_iterable(spec, sl.Y.members[rows])
+        np.bincount(row, minlength=len(sl.Y)), len(xs))
+    y_popular = FqSet._from_sorted(spec, sl.Y.members[rows])
     in_rows = y_popular.bitmask[ys]
 
     # columns: restrict to the kept rows, then pigeonhole abscissas
     cols, t_cols, mass_cols, col_domain, _ = _pigeonhole(
-        np.bincount(col[in_rows], minlength=len(sl.X)), mass_rows)
-    x_popular = FqSet.from_iterable(spec, sl.X.members[cols])
+        np.bincount(col[in_rows], minlength=nx), mass_rows)
+    x_popular = FqSet._from_sorted(spec, sl.X.members[cols])
     in_cols = x_popular.bitmask[xs]
 
     # slopes: pigeonhole the doubly-restricted point set by its lines
@@ -258,35 +257,43 @@ def popular_points(sl: DyadicSlice) -> PopularPoints:
     mass_dd = int(slope_counts.sum())
     slopes, t_slopes, _, slope_domain, slope_cap = _pigeonhole(
         slope_counts, mass_dd, capped=True)
-    d_popular = FqSet.from_iterable(spec, sl.D.members[slopes])
+    d_popular = FqSet._from_sorted(spec, sl.D.members[slopes])
 
-    # the double sum and its exact maximizing cell, smallest (x0, y0) on ties
-    # float64 for BLAS; exact, as every entry counts at most |X||Y| pairs
-    lines = np.zeros((sl.L, len(sl.X)))
-    lines[line, col] = 1
-    points = np.zeros((len(sl.X), len(sl.Y)))
+    # the double sum over blocks of lines, and its exact maximizing cell
+    by_line = np.argsort(line, kind="stable")
+    start = np.searchsorted(line[by_line], np.arange(sl.L + 1))
+    points = np.zeros((nx, len(sl.Y)))
     points[col, row] = 1
-    C = lines @ points[:, rows]
-    sums = (lines[:, cols].T @ C).astype(np.int64)
-    C = C.astype(np.int64)
+    points = points[:, rows]
+    sums = np.zeros((cols.size, rows.size))
+    step = max(1, PAIR_BLOCK_CELLS // nx)
+    for lo in range(0, sl.L, step):
+        hi = min(lo + step, sl.L)
+        block = by_line[start[lo]:start[hi]]
+        lines = np.zeros((hi - lo, nx))
+        lines[line[block] - lo, col[block]] = 1
+        sums += lines[:, cols].T @ (lines @ points)
+    sums = sums.astype(np.int64)
     i, j = np.unravel_index(int(np.argmax(sums)), sums.shape)
     x0, y0 = int(sl.X.members[cols[i]]), int(sl.Y.members[rows[j]])
     inner_max, sigma = int(sums[i, j]), int(sums.sum())
 
     over_x0 = xs == x0
-    A_x0 = FqSet.from_iterable(spec, ys[over_x0])
-    B_y0 = FqSet.from_iterable(spec, xs[ys == y0])
+    A_x0 = FqSet._from_sorted(spec, ys[over_x0])
+    B_y0 = FqSet._from_sorted(spec, xs[ys == y0])
 
     # final pigeonhole: ordinates over x0 whose slice set inside B_y0 is popular
-    z_lines = line[over_x0]
-    tilde, t_z, _, z_domain, z_cap = _pigeonhole(C[z_lines, j], inner_max, capped=True)
-    A_tilde = FqSet.from_iterable(spec, ys[over_x0][tilde])
     on_B = B_y0.bitmask[xs]
-    S = {int(z): FqSet.from_iterable(spec, xs[on_B & (line == l)])
-         for z, l in zip(A_tilde.members, z_lines[tilde])}
+    z_lines = line[over_x0]
+    tilde, t_z, _, z_domain, z_cap = _pigeonhole(
+        np.bincount(line[on_B], minlength=sl.L)[z_lines], inner_max, capped=True)
+    A_tilde = FqSet._from_sorted(spec, ys[over_x0][tilde])
+    on_lines = (by_line[start[l]:start[l + 1]] for l in z_lines[tilde])
+    S = {int(z): FqSet._from_sorted(spec, xs[ks[on_B[ks]]])
+         for z, ks in zip(A_tilde.members, on_lines)}
 
     constants = {
-        "p_size": p_size,
+        "p_size": len(xs),
         "row_threshold": t_rows, "row_domain": row_domain, "row_mass": mass_rows,
         "col_threshold": t_cols, "col_domain": col_domain, "col_mass": mass_cols,
         "slope_threshold": t_slopes, "slope_domain": slope_domain, "slope_cap": slope_cap,
@@ -821,9 +828,8 @@ def _measure_covers(A2: FqSet, shifted_size: int, sl: DyadicSlice, pts: PopularP
         if S_d is not None and len(S_d):
             measure(f"w={e}*S_d", dilate(S_d, e), tile_x, +1,
                     Fraction(n2**3 * s4, L * M * N**3))
-        slopes = spec.div_arr(sl.pairs[:, 1], sl.pairs[:, 0])
-        line = FqSet.from_iterable(spec, sl.pairs[slopes == spec.div(c, pts.x0), 0])
-        if len(line):
-            measure(f"w={b}*P_line", dilate(line, b), tile_x, -1,
-                    Fraction(s4, n2 * N**3))
+        # c is in A_tilde, so (x0, c) is a pair and its slope c/x0 is in D
+        on_line = sl.line == np.searchsorted(sl.D.members, spec.div(c, pts.x0))
+        measure(f"w={b}*P_line", dilate(FqSet._from_sorted(spec, sl.pairs[on_line, 0]), b),
+                tile_x, -1, Fraction(s4, n2 * N**3))
     return out

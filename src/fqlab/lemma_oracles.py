@@ -378,9 +378,9 @@ def check_energy_identities(X: FqSet, Y: FqSet) -> LemmaReport:
     """First and second moment identities of the ratio counts, plus the two
     difference-count identities for X: sum |X ∩ (X-a)| = |X|^2 and
     sum |X ∩ (X-a)|^2 = E+(X)."""
-    spectrum = representation_spectrum(X, Y)
-    first = spectrum.total == len(X) * len(Y)
-    second = spectrum.energy == product_energy(X, Y)
+    ratios = representation_spectrum(X, Y)
+    first = int(ratios.sum()) == len(X) * len(Y)
+    second = _sum_of_squares(ratios) == product_energy(X, Y)
     counts = intersection_shift_counts(X)
     sum_ok = int(counts.sum()) == len(X) ** 2
     energy_ok = _sum_of_squares(counts) == additive_energy(X)

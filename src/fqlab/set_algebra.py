@@ -40,7 +40,7 @@ from .errors import (
     ZeroInDenominatorSet,
     ZeroShift,
 )
-from .finite_field import FieldSpec, proper_subfields
+from .finite_field import FieldSpec, _clip, proper_subfields
 
 SET_OPS = ("sum", "diff", "prod", "ratio")
 # grid cells per block of a pairwise count: bounds its memory, and keeps the int64
@@ -92,7 +92,8 @@ class FqSet:
         try:
             values = [int(tok) for tok in tokens]
         except ValueError:
-            raise MalformedLiteral(f"set literal {text!r} is not a list of integers") from None
+            raise MalformedLiteral(
+                f"set literal {_clip(repr(text))} is not a list of integers") from None
         return cls.from_iterable(spec, values)
 
     @classmethod
@@ -422,10 +423,12 @@ def _transform_error_bound(spec: FieldSpec, cells: int) -> float:
 
 def _exact_counts(values: np.ndarray, total: int) -> np.ndarray | None:
     """values rounded to int64 counts, or None unless every value lies within
-    1/4 of its integer, none is negative and they add up to total."""
+    1/4 of its integer, none is negative and they add up to total.  The
+    residual is taken in place, so values is overwritten."""
     counts = np.rint(values)
-    if (np.abs(values - counts).max() < 0.25 and counts.min() >= 0
-            and int(counts.sum()) == total):
+    values -= counts
+    np.abs(values, out=values)
+    if values.max() < 0.25 and counts.min() >= 0 and int(counts.sum()) == total:
         return counts.astype(np.int64)
     return None
 
@@ -480,25 +483,14 @@ def quotient_closure_failure(R: FqSet, rows: np.ndarray) -> tuple[int | None, in
     return None
 
 
-@dataclass(frozen=True)
-class RepSpectrum:
-    """Ratio representation counts r(xi) = #{(x, y) in X x Y : y/x = xi}.
-
-    total equals |X||Y| (first-moment identity) and energy equals the
-    multiplicative energy between X and Y (second-moment identity).
-    """
-
-    counts: dict[int, int]
-    total: int
-    energy: int
-
-
-def representation_spectrum(X: FqSet, Y: FqSet) -> RepSpectrum:
+def representation_spectrum(X: FqSet, Y: FqSet) -> np.ndarray:
+    """counts[xi] = r(xi) = #{(x, y) in X x Y : y/x = xi}, length q: the ratio
+    representation counts.  They add up to |X||Y| (first moment) and their
+    ``_sum_of_squares`` is the multiplicative energy between X and Y (second
+    moment)."""
     if 0 in X:
         raise ZeroInDenominatorSet("denominator set must avoid 0")
-    binned = _pair_counts(Y, X, "ratio")
-    counts = {int(xi): int(binned[xi]) for xi in np.flatnonzero(binned)}
-    return RepSpectrum(counts=counts, total=int(binned.sum()), energy=_sum_of_squares(binned))
+    return _pair_counts(Y, X, "ratio")
 
 
 def _sum_of_squares(counts: np.ndarray) -> int:
@@ -539,7 +531,7 @@ def multiplicative_energy(X: FqSet, Y: FqSet) -> int:
     if len(Xn) == 0 or len(Yn) == 0:
         raise EmptyAfterZeroStrip("both sets must contain a nonzero element")
     zero_pairs = len(X) * len(Y) - len(Xn) * len(Yn)
-    return representation_spectrum(Xn, Yn).energy + zero_pairs**2
+    return _sum_of_squares(representation_spectrum(Xn, Yn)) + zero_pairs**2
 
 
 def intersection_shift_counts(A: FqSet) -> np.ndarray:

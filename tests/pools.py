@@ -245,6 +245,32 @@ def naive_greedy_min_subset(spec: FieldSpec, members, floor: int, S=None):
     return current, size(current)
 
 
+def naive_dyadic_slice(spec: FieldSpec, X, Y) -> dict:
+    """The dyadic slice by literal definition: the ratio counts r(xi) in a
+    dict by scalar division, each count's level c.bit_length() - 1, the level
+    of largest squared mass (the smallest on ties), the slopes whose count
+    lies in [N, 2N), less the largest one when a flat spectrum makes L*N =
+    |X||Y|, and the pairs (x, y) on those slopes in ascending order.  Returns
+    N, D (ascending) and the pairs."""
+    r: dict[int, int] = {}
+    for x in X:
+        for y in Y:
+            xi = arith(spec, "div", y, x)
+            r[xi] = r.get(xi, 0) + 1
+    levels: dict[int, int] = {}
+    for c in r.values():
+        j = c.bit_length() - 1
+        levels[j] = levels.get(j, 0) + c * c
+    best = max(levels.values())
+    N = 1 << min(j for j, s in levels.items() if s == best)
+    D = sorted(xi for xi, c in r.items() if N <= c < 2 * N)
+    if len(D) * N == len(X) * len(Y) and len(D) >= 2:
+        D = D[:-1]
+    on_slice = set(D)
+    pairs = sorted((x, y) for x in X for y in Y if arith(spec, "div", y, x) in on_slice)
+    return {"N": N, "D": D, "pairs": pairs}
+
+
 def _naive_popularity(f: dict, K: int):
     """Keys with f >= K/(2|domain|) by Fraction comparison, ascending; returns
     (kept, threshold, kept mass)."""

@@ -37,11 +37,13 @@ from fqlab.set_algebra import (
     quotient_set,
     representation_spectrum,
     set_op,
+    translate,
 )
 from pools import (
     POOL_DESCRIPTORS,
     draw_set,
     naive_cover_min,
+    naive_dyadic_slice,
     naive_greedy_cover,
     naive_popular_points,
     pool_field,
@@ -107,25 +109,19 @@ def test_slice_example_f7():
     sl = dyadic_energy_slice(X, Y)
     # hand-checked spectrum: counts {4:1, 5:2, 3:2, 1:1, 6:2, 2:1}
     sp = representation_spectrum(X, Y)
-    assert sp.counts == {4: 1, 5: 2, 3: 2, 1: 1, 6: 2, 2: 1}
+    assert sp.tolist() == [0, 1, 1, 2, 1, 2, 2]
+    assert sl.energy == 15
     assert sl.N == 2 and sl.D.to_literal() == "3,5,6" and sl.L == 3
     certs = slice_certificates(sl)
     assert certs["level_band"] and certs["energy_ok"] and certs["mass_strict"]
 
 
 def test_slice_tiebreak_prefers_small_level():
-    # two ratios each hit twice, four ratios once: levels tie at 4+4 = 8 vs ...
-    spec = F13
-    X = fqset(spec, 1, 2)
-    Y = fqset(spec, 2, 4)
-    sp = representation_spectrum(X, Y)
-    sl = dyadic_energy_slice(X, Y)
-    levels = {}
-    for c in sp.counts.values():
-        j = c.bit_length() - 1
-        levels[j] = levels.get(j, 0) + c * c
-    best = max(levels.values())
-    assert sl.N == 1 << min(j for j, s in levels.items() if s == best)
+    # {1,2,3} x {1,2}: one ratio hit twice (level 1, mass 4) ties four hit once
+    # (level 0, mass 4); {1,2} x {2,4}: level 1 (mass 4) beats level 0 (mass 2)
+    for X, Y, N in ((fqset(F13, 1, 2, 3), fqset(F13, 1, 2), 1),
+                    (fqset(F13, 1, 2), fqset(F13, 2, 4), 2)):
+        assert dyadic_energy_slice(X, Y).N == N == naive_dyadic_slice(F13, list(X), list(Y))["N"]
 
 
 def test_slice_flat_spectrum_drops_one_slope():
@@ -154,6 +150,32 @@ def test_slice_certificates_randomized():
         assert pairs == sorted(pairs)  # the documented lexicographic (x, y) order
         checked += 1
     assert checked >= 950
+
+
+@pytest.mark.parametrize("descriptor", POOL_DESCRIPTORS + ("2^10",))
+def test_slice_matches_naive_oracle(descriptor):
+    spec = parse_descriptor(descriptor)
+    instances = []
+    for draw in range(6):
+        rng = np.random.default_rng([516, spec.q, draw])
+        X = draw_set(rng, spec, int(rng.integers(1, min(25, spec.q))), nonzero=True)
+        Y = draw_set(rng, spec, int(rng.integers(1, len(X) + 1)), nonzero=True)
+        if draw % 2:  # Y with 0 (the slope-zero line holds every x)
+            Y = FqSet.from_iterable(spec, [0, *list(Y)[1:]])
+        instances.append((X, Y))
+    if spec.q > 4:  # four distinct ratios 1, g^2, 1/g, g: flat at N = 1, one slope dropped
+        g = spec.generator
+        instances.append((fqset(spec, 1, g), fqset(spec, 1, spec.mul(g, g))))
+    for X, Y in instances:
+        sl = dyadic_energy_slice(X, Y)
+        want = naive_dyadic_slice(spec, list(X), list(Y))
+        assert (sl.N, list(sl.D), sl.pairs.tolist()) == (
+            want["N"], want["D"], [list(p) for p in want["pairs"]]), (X, Y)
+        assert (sl.L, sl.M) == (len(want["D"]), len(want["D"]) * want["N"] ** 2)
+        slopes = [spec.div(y, x) for x, y in want["pairs"]]
+        assert sl.line.tolist() == [want["D"].index(xi) for xi in slopes]
+    if spec.q > 4:
+        assert sl.L == 3 and sl.N == 1
 
 
 def test_slice_errors():
@@ -220,8 +242,11 @@ def test_popular_points_randomized_replay():
     assert done >= 230
 
 
-def test_popular_points_match_naive_oracle():
-    for fi, descriptor in enumerate(POOL_DESCRIPTORS + ("2^10", "2^12", "3^7")):
+@pytest.mark.parametrize("lines_per_block", (None, 3))
+def test_popular_points_match_naive_oracle(lines_per_block, monkeypatch):
+    extra = ("2^10", "2^12", "3^7") if lines_per_block is None else ("2^10",)
+    short_blocks = 0
+    for fi, descriptor in enumerate(POOL_DESCRIPTORS + extra):
         spec = parse_descriptor(descriptor)
         for draw in range(4):
             rng = np.random.default_rng([515, fi, draw])
@@ -230,6 +255,9 @@ def test_popular_points_match_naive_oracle():
             if draw % 2:  # Y with 0 (the slope-zero line holds every x)
                 Y = FqSet.from_iterable(spec, [0, *list(Y)[1:]])
             sl = dyadic_energy_slice(X, Y)
+            if lines_per_block:  # the double sum over several blocks of lines
+                monkeypatch.setattr(decompositions, "PAIR_BLOCK_CELLS", lines_per_block * len(X))
+                short_blocks += sl.L > lines_per_block and sl.L % lines_per_block > 0
             pts = popular_points(sl)
             want = naive_popular_points(spec, sl.pairs)
             got = {"x0": pts.x0, "y0": pts.y0, "A_x0": list(pts.A_x0),
@@ -243,15 +271,34 @@ def test_popular_points_match_naive_oracle():
             assert all(type(z) is int for z in pts.S)
             assert ([(k, type(v)) for k, v in pts.constants.items()]
                     == [(k, type(v)) for k, v in want["constants"].items()])
+    if lines_per_block:  # draws whose last block of lines is short
+        assert short_blocks >= 20
 
 
 def test_degenerate_slice_rejected():
     sl = dyadic_energy_slice(fqset(F7, 1), fqset(F7, 1))
     empty = DyadicSlice(X=sl.X, Y=sl.Y, D=FqSet.from_literal(F7, ""), N=1, L=0,
                         M=0, pairs=np.empty((0, 2), dtype=np.int64),
-                        spectrum=sl.spectrum)
+                        energy=sl.energy, line=np.empty(0, dtype=np.int64))
     with pytest.raises(DegenerateSlice):
         popular_points(empty)
+
+
+def test_popular_points_stay_well_below_the_line_incidence():
+    # the |A| = 300 slice on 2^16; the whole L x |X| line incidence, its product
+    # with the points and that product's int64 copy peaked at 168 MB
+    spec = build_field(2, 16)
+    A = FqSet.from_iterable(spec, np.random.default_rng(0).choice(np.arange(2, spec.q), 300,
+                                                                  replace=False))
+    sl = dyadic_energy_slice(translate(A, 1), A)
+    tracemalloc.start()
+    try:
+        popular_points(sl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sl.L > 20_000
+    assert peak < 40_000_000 < sl.L * len(sl.X) * 8
 
 
 # -- covering ----------------------------------------------------------------

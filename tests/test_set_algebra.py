@@ -134,8 +134,9 @@ def test_pair_counts_match_naive_oracle(desc):
             if 0 not in A:  # r(xi) = #{(x, y) in A x B : y/x = xi}
                 counts = naive_pair_counts(spec, B, A, "ratio")
                 rep = representation_spectrum(A, B)
-                assert rep.counts == {v: c for v, c in enumerate(counts) if c}
-                assert (rep.total, rep.energy) == (sum(counts), sum(c * c for c in counts))
+                assert rep.tolist() == counts
+                assert (int(rep.sum()), _sum_of_squares(rep)) == (sum(counts),
+                                                                 sum(c * c for c in counts))
 
 
 @pytest.mark.parametrize("desc", ("13^1", "2^4", "3^3", "11^2"))
@@ -221,6 +222,22 @@ def test_shift_counts_by_transform_peak_near_two_q_length_complex_arrays(desc):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * spec.q * 16
+
+
+def test_exact_counts_peak_near_two_q_length_arrays():
+    # the residual is taken in place on the transform's output; the values,
+    # their rint, the difference and its abs peaked at 3.0x
+    spec = build_field(3, 12)
+    A = FqSet.from_iterable(spec, np.random.default_rng(6).choice(spec.q, 3000, replace=False))
+    values = set_algebra._transform_counts(A, A, "diff")
+    tracemalloc.start()
+    try:
+        counts = set_algebra._exact_counts(values, len(A) ** 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts is not None and int(counts.sum()) == len(A) ** 2
+    assert peak <= 2.1 * spec.q * 8
 
 
 def _forced_transform(monkeypatch):
@@ -398,10 +415,11 @@ def test_quotient_set_closure_properties_exhaustive_small():
 
 def test_representation_spectrum_examples():
     sp = representation_spectrum(fqset(F7, 1), fqset(F7, 1))
-    assert sp.counts == {1: 1} and sp.total == 1 and sp.energy == 1
+    assert sp.tolist() == [0, 1, 0, 0, 0, 0, 0]
+    assert int(sp.sum()) == 1 and _sum_of_squares(sp) == 1
     sp = representation_spectrum(fqset(F7, 1, 2), fqset(F7, 2, 4))
-    assert sp.counts == {2: 2, 4: 1, 1: 1}
-    assert sp.total == 4 and sp.energy == 6
+    assert sp.tolist() == [0, 1, 2, 0, 1, 0, 0]  # {2: 2, 4: 1, 1: 1}
+    assert int(sp.sum()) == 4 and _sum_of_squares(sp) == 6
     with pytest.raises(ZeroInDenominatorSet):
         representation_spectrum(fqset(F7, 0, 1), fqset(F7, 1))
 
@@ -413,8 +431,8 @@ def test_spectrum_moment_identities_randomized():
         X = draw_set(rng, spec, int(rng.integers(1, min(20, spec.q))), nonzero=True)
         Y = draw_set(rng, spec, int(rng.integers(1, min(20, spec.q) + 1)))
         sp = representation_spectrum(X, Y)
-        assert sp.total == len(X) * len(Y)
-        assert sp.energy == naive_multiplicative_energy(spec, list(X), list(Y))
+        assert int(sp.sum()) == len(X) * len(Y)
+        assert _sum_of_squares(sp) == naive_multiplicative_energy(spec, list(X), list(Y))
 
 
 def test_additive_energy_examples():
