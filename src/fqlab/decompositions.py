@@ -419,11 +419,10 @@ def _exact_cover(target: FqSet, tile: FqSet, counts: np.ndarray):
     return best_count, best_shifts
 
 
-def covering_number(target: FqSet, tile: FqSet, sign: int | str = +1,
-                    mode: str = "auto"):
-    """Fewest translates t + sign*tile covering target: greedy with the
-    smallest-shift tie-break, or the exact minimum (branch and bound) when
-    |target| <= EXACT_SEARCH_LIMIT.  Returns (count, shifts)."""
+def covering_number(target: FqSet, tile: FqSet, sign: int | str = +1):
+    """Fewest translates t + sign*tile covering target: the exact minimum
+    (branch and bound) when |target| <= EXACT_SEARCH_LIMIT, else greedy with
+    the smallest-shift tie-break.  Returns (count, shifts)."""
     _require_same_field(target, tile)
     if len(tile) == 0:
         raise EmptySet("covering tile must be nonempty")
@@ -435,7 +434,7 @@ def covering_number(target: FqSet, tile: FqSet, sign: int | str = +1,
     spec = target.spec
     shifted_tile = tile if sign == 1 else FqSet.from_iterable(spec, spec.neg_arr(tile.members))
     counts = _pair_counts(target, shifted_tile, "diff")
-    if mode == "exact" or (mode == "auto" and len(target) <= EXACT_SEARCH_LIMIT):
+    if len(target) <= EXACT_SEARCH_LIMIT:
         return _exact_cover(target, shifted_tile, counts)
     return _greedy_cover(target, shifted_tile, counts)
 
@@ -452,7 +451,7 @@ def _plunnecke_terms(X: FqSet, Bs: list[FqSet]) -> tuple[FqSet, int]:
     return total, math.prod(len(set_op(X, B, "sum")) for B in Bs)
 
 
-def _min_sumset_subset(X: FqSet, S: FqSet, floor: int, mode: str = "auto"):
+def _min_sumset_subset(X: FqSet, S: FqSet, floor: int):
     """Minimize |X' + S| over X' of size exactly floor (supersets only grow).
 
     Row x + S of the grid X + S holds distinct values, so removing x loses the
@@ -463,7 +462,7 @@ def _min_sumset_subset(X: FqSet, S: FqSet, floor: int, mode: str = "auto"):
     one remaining owner x, the x with v - x in S.  That is one |V| x |X'|
     membership check per step, V the values that fell; no rescan."""
     spec = X.spec
-    if mode == "exhaustive" or (mode == "auto" and len(X) <= EXACT_SEARCH_LIMIT):
+    if len(X) <= EXACT_SEARCH_LIMIT:
         labels = _dense_labels(spec.add_arr(X.members[:, None], S.members[None, :]), spec.q)
         return _exhaustive_min_subset(X, lambda rows: labels[rows], floor)
     counts = _pair_counts(X, S, "sum")
@@ -481,43 +480,44 @@ def _min_sumset_subset(X: FqSet, S: FqSet, floor: int, mode: str = "auto"):
     return X.members[alive], int(np.count_nonzero(counts))
 
 
-def _min_diffset_subset(A: FqSet, floor: int, mode: str = "auto"):
+def _min_diffset_subset(A: FqSet, floor: int):
     """Minimize |A' - A'| over A' of size exactly floor.
 
     Removing x deletes row x (the values x - y) and column x (the values
     y - x) of the difference grid.  Each of the two holds distinct values, and
-    the row value x - y, y != x, recurs in column x exactly when 2x - y is in
-    A' (always in characteristic 2, where 2x - y = y); the column value y - x
-    recurs in row x under the same test.  With partner[x, y] the index of
-    2x - y in A (none on the diagonal), x loses a row value when its count is
-    1 + [partner[x, y] alive] and a column value when its count is 1 and
-    partner[x, y] is not alive.  A greedy step is O(|A'|^2) gathers and
+    the row value x - y recurs in column x exactly when 2x - y is in A'
+    (always in characteristic 2, where 2x - y = y).  The alive grid is
+    symmetric, c(v) = c(-v) for its counts c, so with m = [2x - y in A'] x
+    loses
+
+        sum over y in A' of [c(x - y) = 1 + m] + [c(x - y) = 1 and not m],
+
+    m read from a q-length copy of A's bitmask, cleared as elements go,
+    through the flat grid of 2x - y.  The diagonal y = x needs no exclusion:
+    there m = 1 and c(0) = |A'|, so it adds the same [|A'| = 2] to every x and
+    leaves the argmax alone.  A greedy step is O(|A'|^2) gathers and
     comparisons, no sort."""
     spec, n = A.spec, len(A)
     labels = _dense_labels(spec.sub_arr(A.members[:, None], A.members[None, :]), spec.q)
-    if mode == "exhaustive" or (mode == "auto" and n <= EXACT_SEARCH_LIMIT):
+    if n <= EXACT_SEARCH_LIMIT:
         return _exhaustive_min_subset(A, lambda rows: labels[np.ix_(rows, rows)], floor)
     reflected = spec.sub_arr(spec.add_arr(A.members, A.members)[:, None], A.members[None, :])
-    partner = np.where(A.bitmask[reflected], np.searchsorted(A.members, reflected), n)
-    np.fill_diagonal(partner, n)
-    labels, partner_t = labels.ravel(), partner.T.ravel()  # flat, gathered per step
+    labels, reflected = labels.ravel(), reflected.ravel()  # flat, gathered per step
     counts = np.bincount(labels)
-    alive = np.ones(n + 1, dtype=bool)
-    alive[n] = False  # index n stands for "2x - y is not in A"
+    member = A.bitmask.copy()  # A' as a q-length bitmask
     for _ in range(n - floor):
-        rows = np.flatnonzero(alive)
+        rows = np.flatnonzero(member[A.members])
         flat = (rows * n)[:, None] + rows  # the alive subgrid
         cells = labels[flat]
         held = counts[cells]
-        mirrored = alive[partner_t[flat]]  # [y, x]: 2x - y is alive
-        # the diagonal holds 0, counted |A'| >= 2 times, so it is never a column loss
-        lost = (held - mirrored.T == 1).sum(axis=1) + ((held == 1) & ~mirrored).sum(axis=0)
+        m = member[reflected[flat]]
+        lost = (held == 1 + m).sum(axis=1) + ((held == 1) & ~m).sum(axis=1)
         best = int(np.argmax(lost))  # first maximum = smallest encoding
         np.subtract.at(counts, cells[best], 1)
         np.subtract.at(counts, cells[:, best], 1)
         counts[cells[best, best]] += 1  # the diagonal cell is in both
-        alive[rows[best]] = False
-    return A.members[alive[:n]], int(np.count_nonzero(counts))
+        member[A.members[rows[best]]] = False
+    return A.members[member[A.members]], int(np.count_nonzero(counts))
 
 
 def _dense_labels(grid: np.ndarray, q: int) -> np.ndarray:
@@ -529,9 +529,9 @@ def _dense_labels(grid: np.ndarray, q: int) -> np.ndarray:
 
 def _exhaustive_min_subset(X: FqSet, cells, floor: int):
     """(X', size) over every X' of size floor, cells(rows) giving its labels:
-    the first minimum in combinations order.  Both searches take this path
-    for mode "exhaustive", or "auto" at <= EXACT_SEARCH_LIMIT elements;
-    "greedy" forces their greedy removal, whose size bounds this one above."""
+    the first minimum in combinations order.  Both searches take this path at
+    or below EXACT_SEARCH_LIMIT elements and their greedy removal above it;
+    the greedy size bounds this one above."""
     size, rows = min(((int(np.count_nonzero(np.bincount(cells(list(c)).ravel()))), c)
                       for c in combinations(range(len(X)), floor)), key=lambda t: t[0])
     return X.members[list(rows)], size
@@ -611,7 +611,7 @@ def _jsonable(obj):
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if isinstance(obj, FqSet):
-        return [int(v) for v in obj.members]
+        return obj.members.tolist()
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -643,15 +643,15 @@ def _first_ratio_quadruple(S: FqSet, r: int):
     return None
 
 
-def run_proof_trace(A: FqSet, alpha: int, *, kappa: int = 1,
-                    measure_covers: bool = True) -> ProofTrace:
+def run_proof_trace(A: FqSet, alpha: int, *, kappa: int = 1) -> ProofTrace:
     """Run the whole growth pipeline on (A, alpha) and classify the branch.
 
     Requires alpha != 0, 0 not in A and |A| >= 4; the derived popular sets must
     carry at least two elements each for the quotient-set machinery, otherwise
     the input is rejected as degenerate.  Structural comparisons in the case-4
     family are evaluated against the original input set, with kappa the slack
-    for their implied constant; measure_covers=False skips the cover counts.
+    for their implied constant.  The cover counts of the active branch are
+    measured, never asserted (``_measure_covers``).
     """
     spec = A.spec
     if alpha % spec.q == 0:
@@ -697,17 +697,14 @@ def run_proof_trace(A: FqSet, alpha: int, *, kappa: int = 1,
 
     case, witnesses, case_certs = _classify(A, pts, kappa)
     certificates.update(case_certs)
-
-    if measure_covers:
-        certificates["covers"] = _measure_covers(A2, len(shifted), sl, pts, gamma, case,
-                                                   witnesses)
+    certificates["covers"] = _measure_covers(A2, len(shifted), sl, pts, gamma, case, witnesses)
 
     return ProofTrace(
         field=spec.descriptor,
-        input_set=tuple(int(v) for v in A.members),
+        input_set=tuple(A.members.tolist()),
         alpha=int(alpha),
-        a_prime=tuple(int(v) for v in A1.members),
-        a_dprime=tuple(int(v) for v in A2.members),
+        a_prime=tuple(A1.members.tolist()),
+        a_dprime=tuple(A2.members.tolist()),
         removed_minus_alpha=removed,
         diff_ratio=diff_ratio,
         iterated_ratio=iterated_ratio,

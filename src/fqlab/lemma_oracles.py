@@ -11,8 +11,7 @@ searches are the proof trace's refinement stages, run from `decompositions`.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -67,10 +66,7 @@ class LemmaReport:
     """Machine-readable verdict for one lemma on one instance.
 
     ExactPass/Fail are reserved for constant-free statements, MeasuredRatio
-    for statements whose implied constant the library cannot know.  `timing`
-    is the checker's wall-clock seconds, set by `run_lemma` (a checker called
-    directly reports 0.0); it is deliberately left out of serialized output so
-    seeded runs stay byte-identical.
+    for statements whose implied constant the library cannot know.
     """
 
     lemma_id: str
@@ -78,7 +74,6 @@ class LemmaReport:
     verdict: str
     value: float | None = None
     witness: dict | None = None
-    timing: float = 0.0
 
     def to_json(self) -> dict:
         return {
@@ -599,11 +594,9 @@ LEMMA_IDS = tuple(LEMMAS)
 
 
 def run_lemma(lemma_id: str, **kwargs) -> LemmaReport:
-    """Run one lemma's checker on keyword arguments, timing it into the report."""
+    """Run one lemma's checker on keyword arguments."""
     checker, _ = LEMMAS[lemma_id]
-    t0 = time.perf_counter()
-    report = checker(**kwargs)
-    return replace(report, timing=time.perf_counter() - t0)
+    return checker(**kwargs)
 
 
 def batch_verify(lemma_id: str, trials: int, seed: int = 0) -> list[LemmaReport]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -54,13 +55,20 @@ TRANSFORM_CHUNK = 32  # largest side p^k of a chunk matrix of the transform
 
 @dataclass(frozen=True, eq=False)
 class FqSet:
-    """A subset of GF(q): sorted unique member encodings plus a bitmask for
-    O(1) membership.  The ascending encoding order is the canonical order used
-    for every smallest-witness tie-break downstream."""
+    """A subset of GF(q): sorted unique member encodings, and a q-length
+    bitmask for O(1) membership, built on first use (a set made from a
+    bitmask keeps that one).  The ascending encoding order is the canonical
+    order used for every smallest-witness tie-break downstream."""
 
     spec: FieldSpec
     members: np.ndarray  # sorted unique int64
-    bitmask: np.ndarray  # bool, length q
+
+    @cached_property
+    def bitmask(self) -> np.ndarray:  # bool, length q, read-only
+        bitmask = np.zeros(self.spec.q, dtype=bool)
+        bitmask[self.members] = True
+        bitmask.setflags(write=False)
+        return bitmask
 
     @classmethod
     def from_iterable(cls, spec: FieldSpec, values: Iterable[int]) -> "FqSet":
@@ -71,19 +79,16 @@ class FqSet:
 
     @classmethod
     def _from_sorted(cls, spec: FieldSpec, members: np.ndarray) -> "FqSet":
-        bitmask = np.zeros(spec.q, dtype=bool)
-        bitmask[members] = True
         members.setflags(write=False)
-        bitmask.setflags(write=False)
-        return cls(spec=spec, members=members, bitmask=bitmask)
+        return cls(spec=spec, members=members)
 
     @classmethod
     def _from_bitmask(cls, spec: FieldSpec, bitmask: np.ndarray) -> "FqSet":
         """The set whose q-length bool bitmask this is; it takes the array over."""
-        members = np.flatnonzero(bitmask)
-        members.setflags(write=False)
         bitmask.setflags(write=False)
-        return cls(spec=spec, members=members, bitmask=bitmask)
+        out = cls._from_sorted(spec, np.flatnonzero(bitmask))
+        out.__dict__["bitmask"] = bitmask  # seeds the cached property
+        return out
 
     @classmethod
     def from_literal(cls, spec: FieldSpec, text: str) -> "FqSet":
@@ -97,9 +102,8 @@ class FqSet:
         return cls.from_iterable(spec, values)
 
     @classmethod
-    def full(cls, spec: FieldSpec, include_zero: bool = True) -> "FqSet":
-        start = 0 if include_zero else 1
-        return cls._from_sorted(spec, np.arange(start, spec.q, dtype=np.int64))
+    def full(cls, spec: FieldSpec) -> "FqSet":
+        return cls._from_sorted(spec, np.arange(spec.q, dtype=np.int64))
 
     def __len__(self) -> int:
         return int(self.members.size)
@@ -108,7 +112,7 @@ class FqSet:
         return 0 <= value < self.spec.q and bool(self.bitmask[value])
 
     def __iter__(self) -> Iterator[int]:
-        return iter(int(v) for v in self.members)
+        return iter(self.members.tolist())
 
     def __eq__(self, other) -> bool:
         return (
@@ -121,10 +125,10 @@ class FqSet:
         return f"FqSet({self.spec.descriptor}; {self.to_literal()})"
 
     def to_literal(self) -> str:
-        return ",".join(str(int(v)) for v in self.members)
+        return ",".join(map(str, self.members.tolist()))
 
     def to_json(self) -> dict:
-        return {"field": self.spec.descriptor, "members": [int(v) for v in self.members]}
+        return {"field": self.spec.descriptor, "members": self.members.tolist()}
 
     @classmethod
     def from_json(cls, obj: dict) -> "FqSet":

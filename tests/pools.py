@@ -2,11 +2,14 @@
 naive and separate from the library's computation paths) and deterministic
 instance pools."""
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
+from unittest.mock import patch
 
 import numpy as np
 
+from fqlab import decompositions
 from fqlab.finite_field import FieldSpec, arith, build_field, parse_descriptor
 from fqlab.set_algebra import FqSet
 
@@ -35,6 +38,16 @@ def draw_set(rng, spec, size, nonzero=False) -> FqSet:
     pool = np.arange(lo, spec.q, dtype=np.int64)
     return FqSet.from_iterable(spec, rng.choice(pool, size=min(size, pool.size),
                                                 replace=False))
+
+
+EXACT, GREEDY = math.inf, 0  # search-size limits that force one path of a search
+
+
+def on_path(limit, search, *args):
+    """search(*args) with decompositions.EXACT_SEARCH_LIMIT patched to limit:
+    EXACT takes every size to the exact or exhaustive path, GREEDY none."""
+    with patch.object(decompositions, "EXACT_SEARCH_LIMIT", limit):
+        return search(*args)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,8 @@ from fqlab.set_algebra import (
 )
 from fqlab.survey import SurveyConfig, corollary_record, exhaustive_min_expander, run_survey
 from pools import (
+    EXACT,
+    GREEDY,
     draw_set,
     naive_additive_energy,
     naive_cover_min,
@@ -43,6 +45,7 @@ from pools import (
     naive_multiplicative_energy,
     naive_set_op,
     naive_shifted_product,
+    on_path,
     pool_field,
     verify_trace_case,
 )
@@ -168,19 +171,19 @@ def test_criterion_4_witness_lemmas():
         X = draw_set(rng, spec, int(rng.integers(3, min(13, spec.q))))
         S = draw_set(rng, spec, int(rng.integers(1, min(6, spec.q))))
         floor = max(1, (3 * len(X)) // 4)
-        _, ex = _min_sumset_subset(X, S, floor, mode="exhaustive")
-        _, gr = _min_sumset_subset(X, S, floor, mode="greedy")
+        _, ex = on_path(EXACT, _min_sumset_subset, X, S, floor)
+        _, gr = on_path(GREEDY, _min_sumset_subset, X, S, floor)
         assert ex <= gr
         Xn = X.nonzero()
         if len(Xn) >= 2:
             half = max(1, len(Xn) // 2)
-            _, exd = _min_diffset_subset(Xn, half, mode="exhaustive")
-            _, grd = _min_diffset_subset(Xn, half, mode="greedy")
+            _, exd = on_path(EXACT, _min_diffset_subset, Xn, half)
+            _, grd = on_path(GREEDY, _min_diffset_subset, Xn, half)
             assert exd <= grd
         target = draw_set(rng, spec, int(rng.integers(2, min(10, spec.q))))
         tile = draw_set(rng, spec, int(rng.integers(1, min(5, spec.q))))
-        cx, _ = covering_number(target, tile, 1, mode="exact")
-        cg, _ = covering_number(target, tile, 1, mode="greedy")
+        cx, _ = on_path(EXACT, covering_number, target, tile, 1)
+        cg, _ = on_path(GREEDY, covering_number, target, tile, 1)
         assert cx <= cg
         agree += 1
     assert agree == 150
@@ -221,7 +224,7 @@ def test_criterion_5_oracle_equivalence():
         tile = draw_set(rng, spec, int(rng.integers(
             max(2, len(target) // 3), min(7, spec.q))))
         sign = 1 if i % 2 else -1
-        count, _ = covering_number(target, tile, sign, mode="exact")
+        count, _ = on_path(EXACT, covering_number, target, tile, sign)
         assert count == naive_cover_min(spec, list(target), list(tile), sign)
         covers += 1
     elapsed = time.time() - t0
@@ -274,7 +277,7 @@ def test_criterion_7_proof_trace_totality():
         index += 1
         A = FqSet.from_iterable(spec, members)
         try:
-            tr = run_proof_trace(A, alpha, measure_covers=False)
+            tr = run_proof_trace(A, alpha)
         except TraceDegenerate:
             degenerate += 1
             continue

@@ -40,12 +40,15 @@ from fqlab.set_algebra import (
     translate,
 )
 from pools import (
+    EXACT,
+    GREEDY,
     POOL_DESCRIPTORS,
     draw_set,
     naive_cover_min,
     naive_dyadic_slice,
     naive_greedy_cover,
     naive_popular_points,
+    on_path,
     pool_field,
 )
 
@@ -275,6 +278,22 @@ def test_popular_points_match_naive_oracle(lines_per_block, monkeypatch):
         assert short_blocks >= 20
 
 
+def test_popular_point_sets_build_no_bitmask_unasked():
+    # the |A| = 300 slice on 2^20: a q-length bitmask per slice set S[z], built
+    # with the set, took 300 MB of a 313 MB peak
+    spec = build_field(2, 20)
+    A = FqSet.from_iterable(spec, np.random.default_rng(0).choice(np.arange(2, spec.q), 300,
+                                                                  replace=False))
+    sl = dyadic_energy_slice(translate(A, 1), A)
+    tracemalloc.start()
+    try:
+        pts = popular_points(sl)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pts.S) * spec.q > 40_000_000 > peak
+
+
 def test_degenerate_slice_rejected():
     sl = dyadic_energy_slice(fqset(F7, 1), fqset(F7, 1))
     empty = DyadicSlice(X=sl.X, Y=sl.Y, D=FqSet.from_literal(F7, ""), N=1, L=0,
@@ -325,8 +344,8 @@ def test_covering_greedy_vs_exact_and_oracle():
         target = draw_set(rng, spec, int(rng.integers(2, min(9, spec.q))))
         tile = draw_set(rng, spec, int(rng.integers(1, min(5, spec.q))))
         sign = 1 if i % 2 else -1
-        exact, ex_shifts = covering_number(target, tile, sign, mode="exact")
-        greedy, gr_shifts = covering_number(target, tile, sign, mode="greedy")
+        exact, ex_shifts = on_path(EXACT, covering_number, target, tile, sign)
+        greedy, gr_shifts = on_path(GREEDY, covering_number, target, tile, sign)
         assert exact <= greedy
         assert greedy <= exact * (1 + math.log(len(target))) + 1e-9
         assert exact == naive_cover_min(spec, list(target), list(tile), sign)
@@ -350,7 +369,7 @@ def test_greedy_cover_matches_naive(descriptor):
         target = draw_set(rng, spec, int(rng.integers(low, min(60, spec.q) + 1)))
         tile = draw_set(rng, spec, int(rng.integers(1, min(50, spec.q) + 1)))
         for sign in (1, -1):
-            assert covering_number(target, tile, sign, mode="greedy") == naive_greedy_cover(
+            assert on_path(GREEDY, covering_number, target, tile, sign) == naive_greedy_cover(
                 spec, target.members.tolist(), tile.members.tolist(), sign)
 
 
@@ -361,15 +380,15 @@ def test_covering_negative_tile():
     assert count == 1  # -tile = {1, 2}, shift 0 covers
 
 
-@pytest.mark.parametrize("mode", ["auto", "exact", "greedy"])
+@pytest.mark.parametrize("limit", [GREEDY, EXACT_SEARCH_LIMIT], ids=["greedy", "exact"])
 @pytest.mark.parametrize("sign", [1, -1])
-def test_covering_mixed_fields_raise(mode, sign):
+def test_covering_mixed_fields_raise(limit, sign):
     # F_13 and F_16 encodings overlap, so only the field check can catch this;
     # an empty target is refused too
     tile = fqset(F16, 1, 2, 3)
     for target in (fqset(F13, *range(1, 13)), fqset(F13)):
         with pytest.raises(MixedFields):
-            covering_number(target, tile, sign, mode=mode)
+            on_path(limit, covering_number, target, tile, sign)
 
 
 @pytest.mark.parametrize("sign", [0, 2, "x", "+1"])
@@ -393,7 +412,7 @@ def test_sumset_search_stays_well_below_one_grid_of_memory():
     grid = len(X) * len(S) * 8  # one int64 X + S grid: 79 MB
     tracemalloc.start()
     try:
-        sub, _ = _min_sumset_subset(X, S, math.ceil(3 * len(X) / 4), mode="greedy")
+        sub, _ = _min_sumset_subset(X, S, math.ceil(3 * len(X) / 4))  # greedy: 150 elements
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -444,7 +463,7 @@ def test_trace_subfield_input_lands_in_case_4_family():
     G = next(h for h in enumerate_subfields(spec) if h.size == 32)
     A = G.elements.nonzero()
     alpha = int(A.members[0])
-    tr = run_proof_trace(A, alpha, measure_covers=False)
+    tr = run_proof_trace(A, alpha)
     assert tr.case.startswith("4")
     assert quotient_set(tr.points.A_tilde).is_subset(G.elements)
     assert len(tr.points.A_tilde) ** 2 > G.size
@@ -457,7 +476,7 @@ def test_trace_small_subfield_group_stays_inside_subfield():
     G = next(h for h in enumerate_subfields(spec) if h.size == 16)
     A = G.elements.nonzero()
     alpha = int(A.members[0])
-    tr = run_proof_trace(A, alpha, measure_covers=False)
+    tr = run_proof_trace(A, alpha)
     assert quotient_set(tr.points.A_tilde).is_subset(G.elements)
 
 
@@ -469,8 +488,7 @@ def test_trace_large_quotient_forces_11_or_41():
         size = int(rng.integers(4, spec.q))
         members = rng.choice(np.arange(1, spec.q), size=size, replace=False)
         try:
-            tr = run_proof_trace(FqSet.from_iterable(spec, members), 1,
-                                 measure_covers=False)
+            tr = run_proof_trace(FqSet.from_iterable(spec, members), 1)
         except TraceDegenerate:
             continue
         if len(tr.points.A_tilde) ** 2 > spec.q:
@@ -489,8 +507,7 @@ def test_trace_witnesses_reverify():
         size = int(rng.integers(4, min(11, spec.q)))
         members = rng.choice(np.arange(1, spec.q), size=size, replace=False)
         try:
-            tr = run_proof_trace(FqSet.from_iterable(spec, members), 1,
-                                 measure_covers=False)
+            tr = run_proof_trace(FqSet.from_iterable(spec, members), 1)
         except TraceDegenerate:
             continue
         verify_trace_case(tr, spec)
