@@ -380,7 +380,8 @@ def test_covering_negative_tile():
     assert count == 1  # -tile = {1, 2}, shift 0 covers
 
 
-@pytest.mark.parametrize("limit", [GREEDY, EXACT_SEARCH_LIMIT], ids=["greedy", "exact"])
+@pytest.mark.parametrize(
+    "limit", [EXACT_SEARCH_LIMIT, EXACT, GREEDY], ids=["auto", "exact", "greedy"])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_covering_mixed_fields_raise(limit, sign):
     # F_13 and F_16 encodings overlap, so only the field check can catch this;
