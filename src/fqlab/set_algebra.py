@@ -6,17 +6,27 @@ coset-intersection count.
 
 Pairwise sets are marked (``_pair_support``, a q-length bitmask) and
 pairwise counts are counted (``_pair_counts``); both take their operands from
-``_grid``, score it in ``_blocks`` and pick the backend by ``_use_transform``.
-The grid scores the |A||B| pairs block by block (one triangle of them for the
-sum or product set of a set with itself).  For sum and diff over GF(p^m),
-m > 1, the character transform of (Z/p)^m turns the count into pointwise
-products of transforms, each kept at one character of every conjugate pair
-(``_chunk_matrices``); it runs when |A||B| exceeds TRANSFORM_CELLS
-grid cells per q-length transform, and only where its worst-case float64
-error (``_transform_error_bound``) is below 1/4, so that rounding recovers
-every count exactly.  The rounded counts are checked (residual, sign, total)
-and any failure falls back to the grid; a set served by the transform is the
-support of its checked counts.
+``_grid``.  Three backends serve them:
+
+- the grid scores the |A||B| pairs block by block in ``_blocks`` (one
+  triangle of them for the sum or product set of a set with itself).  It
+  serves every count that the transform does not, and every support that
+  neither the transform nor the rotation takes;
+- the rotation (``_rotate_support``) marks a support on a cycle Z/n as the
+  union of the larger side's packed bitmask rotated by each residue of the
+  smaller side: 64 pairs per word op, and it stops once every residue is
+  seen.  It serves the prod and ratio sets (logs on Z/(q-1)) and the sum and
+  diff sets over a prime field (Z/p) when ``_use_rotation`` prices its rows
+  below the grid's cells;
+- the transform serves sum and diff over GF(p^m), m > 1: the character
+  transform of (Z/p)^m turns the count into pointwise products of
+  transforms, each kept at one character of every conjugate pair
+  (``_chunk_matrices``).  It runs when |A||B| exceeds TRANSFORM_CELLS grid
+  cells per q-length transform (``_use_transform``), and only where its
+  worst-case float64 error (``_transform_error_bound``) is below 1/4, so
+  that rounding recovers every count exactly.  The rounded counts are
+  checked (residual, sign, total) and any failure falls back to the grid; a
+  set served by the transform is the support of its checked counts.
 
 FqSet values are immutable and all operations are pure.
 """
@@ -51,6 +61,10 @@ PAIR_BLOCK_CELLS = 1 << 16
 # (measured 1-2.4 on 2^12-2^20, 3^7-3^12, 5^8 and 7^7, single-threaded BLAS)
 TRANSFORM_CELLS = 2
 TRANSFORM_CHUNK = 32  # largest side p^k of a chunk matrix of the transform
+# cost model: a rotated row of n residues costs ROTATION_ROW_CELLS + n / ROTATION_RESIDUES_PER_CELL
+# grid cells (measured 190-1050 on 2^12-2^20 and 3^7-3^12, 160-790 on F_p, single-threaded)
+ROTATION_ROW_CELLS = 250
+ROTATION_RESIDUES_PER_CELL = 1200
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +182,9 @@ def _require_same_field(A: FqSet, B: FqSet) -> None:
 
 
 def translate(A: FqSet, alpha: int) -> FqSet:
-    """A + alpha."""
+    """A + alpha, for an element encoding alpha in [0, q)."""
+    if not 0 <= alpha < A.spec.q:
+        raise ElementOutOfRange(f"shift {_clip(str(alpha))} out of range [0, {A.spec.q})")
     return FqSet._from_sorted(A.spec, np.sort(A.spec.add_arr(A.members, np.int64(alpha))))
 
 
@@ -195,7 +211,10 @@ def _grid(A: FqSet, B: FqSet, kind: str):
     Sum and diff combine encodings by add_arr/sub_arr (size q).  Prod and
     ratio combine the int32 logs of the nonzero parts by np.add, ratio with
     q-1 - log b, so the values lie below 2(q-1) and a value and its
-    reduction mod q-1 name the same element: no % (q-1) per cell."""
+    reduction mod q-1 name the same element: no % (q-1) per cell.  The
+    rotation reads the same a and b as residues: for ratio b is reduced mod
+    q-1 (the q-1 of log 1 = 0 becomes 0), and for a prime field's diff it is
+    negated mod p."""
     spec = A.spec
     if kind in ("sum", "diff"):
         return A.members, B.members, spec.add_arr if kind == "sum" else spec.sub_arr, spec.q
@@ -225,6 +244,57 @@ def _blocks(a: np.ndarray, b: np.ndarray, op, triangle: bool = False) -> Iterato
             rows = min(rows, math.isqrt(a.size))
         yield op(a[i: i + rows, None], b[None, j:])
         i += rows
+
+
+def _use_rotation(rows: int, cols: int, n: int, triangle: bool) -> bool:
+    """The cost model for a cyclic support: ``_rotate_support`` costs about
+    ROTATION_ROW_CELLS + n / ROTATION_RESIDUES_PER_CELL grid cells a row, one
+    row for each residue of the shorter side plus about 64 for its set-up
+    (packing, up to 8 shifted copies and unpacking; measured 37-100), against
+    the |a||b| cells of the grid, half of them for its triangle."""
+    cells = rows * cols / (2 if triangle else 1)
+    return cells > (min(rows, cols) + 64) * (ROTATION_ROW_CELLS + n / ROTATION_RESIDUES_PER_CELL)
+
+
+def _rotate_support(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The length-n bool mask of {x + y mod n : x in a, y in b}, for residues
+    below n: the union over x of the shorter side of the longer side's
+    indicator rotated by x.
+
+    The longer side's indicator, doubled to length 2n so that every rotation
+    is one window of it, is packed 8 residues to a byte (little bit order)
+    and read as little-endian words.  The rows go in order of their bit
+    offset, and each offset r gets one copy shifted down by r bits (two word
+    shifts and an OR) while its rows run, so that row x is the
+    ceil(n/8)-byte window at byte (n-x) // 8 of copy (n-x) % 8, ORed into
+    ``out`` by one ufunc call: one word op serves 64 pairs.  The pad bits
+    past n in ``out``'s last byte start at 1, so once every byte is 0xFF
+    every residue is seen and the remaining rows can only repeat it; this is
+    checked every 32 rows."""
+    if a.size > b.size:
+        a, b = b, a
+    width = -(-n // 8)
+    words = -(-(n // 8 + width) // 8)  # words of a copy: the last window starts at byte n // 8
+    doubled = np.zeros(64 * (words + 1), dtype=bool)
+    doubled[b] = True
+    doubled[b + n] = True
+    packed = np.packbits(doubled, bitorder="little").view("<u8")
+    del doubled
+    starts = n - a
+    starts = starts[np.argsort(starts & 7, kind="stable")]
+    out = np.zeros(width, dtype=np.uint8)
+    if n % 8:
+        out[-1] = 0xFF << n % 8 & 0xFF
+    r = None
+    for i, s in enumerate(starts.tolist(), 1):
+        if s & 7 != r:
+            r = s & 7
+            copy = (packed[:-1] >> r | packed[1:] << 64 - r if r else packed[:-1]).view(np.uint8)
+        k = s >> 3
+        np.bitwise_or(out, copy[k: k + width], out=out)
+        if i % 32 == 0 and out.min() == 0xFF:
+            break
+    return np.unpackbits(out, count=n, bitorder="little").view(bool)
 
 
 def _by_encoding(spec: FieldSpec, by_log: np.ndarray, zero) -> np.ndarray:
@@ -267,24 +337,33 @@ def _pair_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
 def _pair_support(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
     """The length-q bool bitmask of {a ∘ b : a in A, b in B}, ∘ = kind.
 
-    Supports are marked, not counted: each block of the ``_grid`` sets
-    ``seen[values]``, and for prod and ratio the log sums are folded mod q-1
-    with | and mapped to encodings by one gather; 0 is in the set iff
-    |A||B| > |A*||B*|.  For sum and prod of a set with itself only one
-    triangle of the grid is scored.  Sum and diff that ``_use_transform``
-    sends to the transform take the support of the checked
-    ``_pair_counts``."""
+    Supports are marked, not counted.  Sum and diff that ``_use_transform``
+    sends to the transform take the support of the checked ``_pair_counts``.
+    Prod and ratio (log sums on Z/(q-1)) and a prime field's sum and diff
+    (on Z/p) are cyclic: ``_use_rotation`` sends them to ``_rotate_support``
+    when its rows cost less than the grid's cells.  Otherwise each block of
+    the ``_grid`` sets ``seen[values]``, and for prod and ratio the log sums
+    are folded mod q-1 with |; for sum and prod of a set with itself only
+    one triangle of the grid is scored.  The residues of prod and ratio are
+    mapped to encodings by one gather; 0 is in the set iff |A||B| >
+    |A*||B*|."""
     if kind in ("sum", "diff") and _use_transform(A, B):
         return _pair_counts(A, B, kind) > 0
     a, b, op, size = _grid(A, B, kind)
-    seen = np.zeros(size, dtype=bool)
-    for values in _blocks(a, b, op, triangle=B is A and kind in ("sum", "prod")):
-        seen[values] = True
-        del values
-    if kind in ("sum", "diff"):
+    triangle = B is A and kind in ("sum", "prod")
+    logs = kind in ("prod", "ratio")
+    n = A.spec.q - 1 if logs else A.spec.q
+    if (logs or A.spec.m == 1) and _use_rotation(a.size, b.size, n, triangle):
+        seen = _rotate_support(a, -b % n if kind == "diff" else b % n, n)
+    else:
+        seen = np.zeros(size, dtype=bool)
+        for values in _blocks(a, b, op, triangle=triangle):
+            seen[values] = True
+            del values
+        if logs:
+            seen[:n] |= seen[n:]
+    if not logs:
         return seen
-    n = A.spec.q - 1
-    seen[:n] |= seen[n:]
     return _by_encoding(A.spec, seen[:n], len(A) * len(B) > a.size * b.size)
 
 
@@ -439,9 +518,10 @@ def _exact_counts(values: np.ndarray, total: int) -> np.ndarray | None:
 
 def set_op(A: FqSet, B: FqSet, kind: str) -> FqSet:
     """Exact pairwise sum/diff/prod/ratio set of A and B, built from the
-    bitmask ``_pair_support`` marks (by the grid, or by the transform's
-    counts for sum and diff, over the log residues for prod and ratio).  An
-    empty operand gives the empty set."""
+    bitmask ``_pair_support`` marks: by the grid, by the rotation (prod and
+    ratio over the log residues, sum and diff over a prime field) or by the
+    transform's counts (sum and diff over GF(p^m), m > 1).  An empty operand
+    gives the empty set."""
     _require_same_field(A, B)
     if kind not in SET_OPS:
         raise ValueError(f"unknown set op {kind!r}, expected one of {SET_OPS}")

@@ -160,6 +160,10 @@ def test_usage_errors_found_after_parsing_exit_2(capsys, argv):
     (("trace", "--field", "5", "--alpha", "2", "--trials", "1"), None, "TraceDegenerate"),
     (("trace", "--field", "2^2"), None, "SizeInfeasible"),
     (("trace", "--field", "3"), None, "SizeInfeasible"),
+    (("trace", "--field", "2^4", "--set", "1,2,3,5,7,9", "--alpha", "17"), None,
+     "ElementOutOfRange"),
+    (("trace", "--field", "2^4", "--set", "1,2,3,5,7,9", "--alpha", "-1"), None,
+     "ElementOutOfRange"),
     (("field", "1000000000000000003"), None, "FieldTooLarge"),
     (("field", "2^100000000"), None, "FieldTooLarge"),
     (("field", "2^" + "1" * 5000), None, "FieldTooLarge"),  # past int()'s 4300 digits

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fqlab.errors import (
+    ElementOutOfRange,
     EmptyAfterZeroStrip,
     EmptySet,
     MixedFields,
@@ -296,6 +297,105 @@ def test_transform_falls_back_to_the_grid_when_its_counts_are_off(desc, perturb,
             assert list(_pair_counts(X, Y, kind)) == naive_pair_counts(spec, X, Y, kind)
 
 
+def _forced_rotation(monkeypatch, rotation: bool):
+    """Send every nonempty cyclic support (prod, ratio, and sum and diff over
+    a prime field) to the rotation, or keep all of them on the grid, and
+    return the list of the cycle lengths n the rotation served."""
+    served = []
+    rotate = set_algebra._rotate_support
+
+    def spy(a, b, n):
+        served.append(n)
+        return rotate(a, b, n)
+    monkeypatch.setattr(set_algebra, "ROTATION_ROW_CELLS", 0 if rotation else float("inf"))
+    monkeypatch.setattr(set_algebra, "ROTATION_RESIDUES_PER_CELL", float("inf"))
+    monkeypatch.setattr(set_algebra, "_rotate_support", spy)
+    return served
+
+
+@pytest.mark.parametrize("desc", ("2^1",) + tuple(d for d in POOL_DESCRIPTORS if d.endswith("^1")))
+def test_prime_field_sums_and_differences_by_rotation_match_naive_oracle(desc, monkeypatch):
+    spec = parse_descriptor(desc)
+    rng = np.random.default_rng([77, spec.q])
+    sets = [draw_set(rng, spec, k) for k in (1, 2, 5, spec.q)]
+    served = _forced_rotation(monkeypatch, True)
+    calls = 0
+    for A in sets:
+        for B in [A] + sets:  # B is A, then B != A (and once an equal copy)
+            for kind in ("sum", "diff"):
+                assert list(set_op(A, B, kind)) == naive_set_op(spec, list(A), list(B), kind)
+                calls += 1
+    assert served == [spec.q] * calls
+
+
+@pytest.mark.parametrize("desc", POOL_DESCRIPTORS + (LARGE_DESCRIPTOR, "2^12", "3^7"))
+def test_rotated_products_and_ratios_match_the_grid(desc, monkeypatch):
+    # q - 1 = 6, 8, 4095 and 2186 among them: n % 8 both zero and nonzero
+    spec = parse_descriptor(desc)
+    rng = np.random.default_rng([78, spec.q])
+    zero = fqset(spec, 0)
+    A, B = (draw_set(rng, spec, k, nonzero=True) for k in (min(60, spec.q // 2), 9))
+    pairs = [(A, A), (A, B), (B, A), (A.union(zero), B), (A, B.union(zero))]
+    A0 = A.union(zero)
+    pairs.append((A0, A0))
+    for X, Y in pairs:
+        for kind in ("prod", "ratio"):
+            if kind == "ratio" and 0 in Y:
+                for rotation in (False, True):
+                    _forced_rotation(monkeypatch, rotation)
+                    with pytest.raises(ZeroDivisorInRatio):
+                        set_op(X, Y, kind)
+                continue
+            _forced_rotation(monkeypatch, False)
+            grid = set_op(X, Y, kind)
+            served = _forced_rotation(monkeypatch, True)
+            assert set_op(X, Y, kind) == grid
+            assert served == [spec.q - 1]
+
+
+def test_a_saturating_quotient_set_exits_early(monkeypatch):
+    spec = build_field(2, 8)
+    X = draw_set(np.random.default_rng(79), spec, 40)
+    _forced_rotation(monkeypatch, False)
+    grid = quotient_set(X)
+    served = _forced_rotation(monkeypatch, True)
+    rows = []
+    bitwise_or = np.bitwise_or
+
+    def counted(*args, **kwargs):
+        rows.append(1)
+        return bitwise_or(*args, **kwargs)
+    monkeypatch.setattr(np, "bitwise_or", counted)
+    R = quotient_set(X)
+    assert R == grid and len(R) == spec.q
+    # one ratio set on Z/255, which stops at its first check, 32 of its 248 rows
+    assert served == [spec.q - 1] and len(set_op(X, X, "diff").nonzero()) == 248
+    assert len(rows) == 32
+
+
+def test_cost_model_sends_only_large_grids_to_the_rotation():
+    use = set_algebra._use_rotation
+    assert not use(100, 100, 4095, True)  # AA, |A| = 100 on 2^12
+    assert use(1500, 1500, 4095, True)
+    assert not use(1000, 1000, (1 << 20) - 1, False)  # A(A+1), |A| = 1000 on 2^20
+    assert use(3000, 3000, (1 << 20) - 1, False)
+
+
+def test_rotated_support_stays_small():
+    spec = build_field(2, 20)
+    A = FqSet.from_iterable(spec, np.random.default_rng(0).choice(np.arange(1, spec.q), 3000,
+                                                                  replace=False))
+    B = translate(A, 1)
+    assert set_algebra._use_rotation(len(A), len(B), spec.q - 1, False)
+    tracemalloc.start()
+    try:
+        set_algebra._pair_support(A, B, "prod")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * spec.q
+
+
 def test_sum_of_squares_is_exact_past_int64():
     counts = np.full(4, 1 << 31, dtype=np.int64)  # squares 2^62 each: the sum is 2^64
     assert int(np.sum(counts * counts)) == 0  # what int64 makes of it
@@ -577,3 +677,11 @@ def test_dilate_translate_consistency():
     assert translate(A, 3).to_literal() == "0,4,5"
     assert dilate(A, 2).to_literal() == "1,2,4"  # multiplicative coset closure
     assert dilate(A, 0).to_literal() == "0"
+
+
+def test_translate_refuses_an_out_of_range_shift():
+    A = fqset(F16, 1, 2, 3)
+    for alpha in (-1, 16, 17):
+        with pytest.raises(ElementOutOfRange):
+            translate(A, alpha)
+    assert translate(A, 15).to_literal() == "12,13,14"
