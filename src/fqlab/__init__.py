@@ -37,6 +37,7 @@ from .set_algebra import (
     quotient_set,
     representation_spectrum,
     set_op,
+    set_op_size,
     shifted_product,
     translate,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "quotient_set",
     "representation_spectrum",
     "set_op",
+    "set_op_size",
     "shifted_product",
     "translate",
     "DyadicSlice",

@@ -42,7 +42,7 @@ from .set_algebra import (
     quotient_set,
     representation_spectrum,
     set_op,
-    shifted_product,
+    set_op_size,
     translate,
 )
 
@@ -448,7 +448,7 @@ def _plunnecke_terms(X: FqSet, Bs: list[FqSet]) -> tuple[FqSet, int]:
     total = Bs[0]
     for B in Bs[1:]:
         total = set_op(total, B, "sum")
-    return total, math.prod(len(set_op(X, B, "sum")) for B in Bs)
+    return total, math.prod(set_op_size(X, B, "sum") for B in Bs)
 
 
 def _min_sumset_subset(X: FqSet, S: FqSet, floor: int):
@@ -541,8 +541,10 @@ def shift_stage(A: FqSet, alpha: int) -> tuple[FqSet, int, Fraction]:
     """The first refinement, for nonempty A avoiding 0 and alpha != 0: A' of
     ceil(|A|/2) elements minimizing |A' - A'|.  Returns (A', |A' - A'|, the
     ratio |A' - A'| |A|^5 / (|A(A+alpha)|^4 |A/A|^2), of unknown constant)."""
+    if alpha % A.spec.q == 0:
+        raise ZeroShift("alpha must be nonzero")
     members, size = _min_diffset_subset(A, math.ceil(len(A) / 2))
-    bound = len(shifted_product(A, alpha)) ** 4 * len(set_op(A, A, "ratio")) ** 2
+    bound = set_op_size(A, translate(A, alpha), "prod") ** 4 * set_op_size(A, A, "ratio") ** 2
     return FqSet._from_sorted(A.spec, members), size, Fraction(size * len(A) ** 5, bound)
 
 
@@ -672,21 +674,21 @@ def run_proof_trace(A: FqSet, alpha: int, *, kappa: int = 1) -> ProofTrace:
     if len(A2) < 2:
         raise TraceDegenerate("refined subset too small after removing -alpha")
 
-    shifted = shifted_product(A2, alpha)
+    shifted = set_op_size(A2, translate(A2, alpha), "prod")
     diff2 = set_op(A2, A2, "diff")
-    diff4 = set_op(set_op(diff2, A2, "diff"), A2, "diff")  # A - A - A - A
+    diff4 = set_op_size(set_op(diff2, A2, "diff"), A2, "diff")  # A - A - A - A
     n2 = len(A2)
-    diff_ratio = Fraction(len(diff2) * n2**7, len(shifted) ** 8)
-    iterated_ratio = Fraction(len(diff4) * n2**23, len(shifted) ** 24)
+    diff_ratio = Fraction(len(diff2) * n2**7, shifted ** 8)
+    iterated_ratio = Fraction(diff4 * n2**23, shifted ** 24)
 
     sl = dyadic_energy_slice(translate(A2, alpha), A2)
     pts = popular_points(sl)
-    gamma = Fraction(n2**2 * len(shifted) ** 4, sl.M**2)
+    gamma = Fraction(n2**2 * shifted ** 4, sl.M**2)
 
     if len(pts.A_tilde) < 2 or len(pts.B_y0) < 2:
         raise TraceDegenerate("popular sets too small for quotient machinery")
 
-    lhs, rhs = len(set_op(A2, A2, "ratio")) * n2, len(shifted) ** 2
+    lhs, rhs = set_op_size(A2, A2, "ratio") * n2, shifted ** 2
     certificates = {
         "slice": slice_certificates(sl),
         "points_chain": points_certificates(sl, pts),
@@ -697,7 +699,7 @@ def run_proof_trace(A: FqSet, alpha: int, *, kappa: int = 1) -> ProofTrace:
 
     case, witnesses, case_certs = _classify(A, pts, kappa)
     certificates.update(case_certs)
-    certificates["covers"] = _measure_covers(A2, len(shifted), sl, pts, gamma, case, witnesses)
+    certificates["covers"] = _measure_covers(A2, shifted, sl, pts, gamma, case, witnesses)
 
     return ProofTrace(
         field=spec.descriptor,
@@ -729,7 +731,7 @@ def _classify(A_input: FqSet, pts: PopularPoints, kappa: int):
         extra = np.flatnonzero(R_S.bitmask & ~R_T.bitmask)
         if extra.size:
             r = int(extra[0])
-            eq = len(set_op(T, dilate(T, r), "diff")) == len(T) ** 2
+            eq = set_op_size(T, dilate(T, r), "diff") == len(T) ** 2
             return case, {"r": r, "quadruple": _first_ratio_quadruple(S, r), "side": side}, {
                 "rbcard_equality": {"set": other, "r": r, "ok": eq}}
 
@@ -746,7 +748,7 @@ def _classify(A_input: FqSet, pts: PopularPoints, kappa: int):
             if S_a is not None and len(S_a):
                 cert["rbcard_equality"] = {
                     "set": "B_y0 - r*S_a", "r": r,
-                    "ok": len(set_op(B, dilate(S_a, r), "diff")) == len(B) * len(S_a)}
+                    "ok": set_op_size(B, dilate(S_a, r), "diff") == len(B) * len(S_a)}
             return "2", {"rho": rho, "r": r, "quadruple": quad}, {"case2": cert}
         a = int(At.members[i])
         r = spec.mul(spec.div(a, pts.x0), rho)

@@ -51,7 +51,7 @@ from .set_algebra import (
     quotient_set,
     representation_spectrum,
     set_op,
-    shifted_product,
+    set_op_size,
     translate,
 )
 
@@ -115,7 +115,7 @@ def check_rbcard(X: FqSet, r: int, X1: FqSet, X2: FqSet) -> LemmaReport:
         raise ZeroElement("r must be nonzero")
     inst = _instance(X.spec, X=X, X1=X1, X2=X2, r=int(r))
     in_quotient = len(X) >= 2 and r in quotient_set(X)
-    size = len(set_op(X1, dilate(X2, r), "diff"))
+    size = set_op_size(X1, dilate(X2, r), "diff")
     product = len(X1) * len(X2)
     if not in_quotient:
         verdict = EXACT_PASS if size == product else FAIL
@@ -288,8 +288,8 @@ def check_ruzsa_triangle(X: FqSet, B1: FqSet, B2: FqSet) -> LemmaReport:
     a mathematical failure."""
     if not (len(X) and len(B1) and len(B2)):
         raise EmptySet("all sets must be nonempty")
-    lhs = len(set_op(B1, B2, "diff")) * len(X)
-    rhs = len(set_op(X, B1, "sum")) * len(set_op(X, B2, "sum"))
+    lhs = set_op_size(B1, B2, "diff") * len(X)
+    rhs = set_op_size(X, B1, "sum") * set_op_size(X, B2, "sum")
     inst = _instance(X.spec, X=X, Bs=[B1, B2], kind="RuzsaTriangle")
     return _report("ruzsa_triangle", inst, EXACT_PASS if lhs <= rhs else FAIL,
                    witness={"lhs": lhs, "rhs": rhs})
@@ -310,8 +310,8 @@ def check_ratio_to_shift(A: FqSet) -> LemmaReport:
         raise EmptySet("A must be nonempty")
     if 0 in A:
         raise ZeroInSet("A must avoid 0")
-    lhs = len(set_op(A, A, "ratio")) * len(A)
-    rhs = len(shifted_product(A, 1)) ** 2
+    lhs = set_op_size(A, A, "ratio") * len(A)
+    rhs = set_op_size(A, translate(A, 1), "prod") ** 2
     inst = _instance(A.spec, A=A, kind="RatioToShift")
     return _report("ratio_to_shift", inst, EXACT_PASS if lhs <= rhs else FAIL,
                    witness={"lhs": lhs, "rhs": rhs})
@@ -389,7 +389,7 @@ def check_energy_identities(X: FqSet, Y: FqSet) -> LemmaReport:
 def check_energy_cs(X: FqSet, Y: FqSet) -> LemmaReport:
     """E(X,Y) * |XY| >= |X|^2 |Y|^2 (Cauchy-Schwarz)."""
     energy = multiplicative_energy(X, Y)
-    prod = len(set_op(X, Y, "prod"))
+    prod = set_op_size(X, Y, "prod")
     lhs = energy * prod
     rhs = (len(X) * len(Y)) ** 2
     inst = _instance(X.spec, X=X, Y=Y)
@@ -441,7 +441,7 @@ def check_covering_by_shifts(Z: FqSet, x: int, y: int, X: FqSet, Y: FqSet) -> Le
         raise NotSubsets("X and Y must be nonempty subsets of x*Z + y")
     count_pos, _ = covering_number(X, Y, +1)
     count_neg, _ = covering_number(X, Y, -1)
-    curve = Fraction(len(shifted_product(Z, 1)) ** 2 * len(set_op(Z, Z, "ratio")),
+    curve = Fraction(set_op_size(Z, translate(Z, 1), "prod") ** 2 * set_op_size(Z, Z, "ratio"),
                      len(X) * len(Y) ** 2)
     inst = _instance(spec, Z=Z, x=int(x), y=int(y), X=X, Y=Y)
     return _report("covering_by_shifts", inst, MEASURED,

@@ -4,9 +4,13 @@ ratio representation counts, additive and multiplicative energies, and the
 structural growth condition, decided from each proper subfield's largest
 coset-intersection count.
 
-Pairwise sets are marked (``_pair_support``, a q-length bitmask) and
-pairwise counts are counted (``_pair_counts``); both take their operands from
-``_grid``.  Three backends serve them:
+Pairwise sets are marked (``_pair_marks``) and pairwise counts are counted
+(``_pair_counts``); both take their operands from ``_grid``.  Prod and ratio
+sets are marked on the log residues Z/(q-1), sum and diff sets on the
+encodings.  ``set_op_size`` counts a set's size on those marks, the
+rotation's still packed 8 to a byte, and ``set_op`` is the only place that
+maps residues to encodings (``_pair_support``, a q-length bitmask).  Three
+backends serve them:
 
 - the grid scores the |A||B| pairs block by block in ``_blocks`` (one
   triangle of them for the sum or product set of a set with itself).  It
@@ -189,8 +193,16 @@ def translate(A: FqSet, alpha: int) -> FqSet:
 
 
 def dilate(A: FqSet, c: int) -> FqSet:
-    """c * A (c = 0 collapses a nonempty set to {0})."""
+    """c * A, for an element encoding c in [0, q) (c = 0 collapses a nonempty
+    set to {0})."""
+    if not 0 <= c < A.spec.q:
+        raise ElementOutOfRange(f"factor {_clip(str(c))} out of range [0, {A.spec.q})")
     return FqSet.from_iterable(A.spec, A.spec.mul_arr(A.members, np.int64(c)))
+
+
+def _holds_zero(A: FqSet) -> bool:
+    """0 in A, read from the sorted members: no q-length bitmask is built."""
+    return bool(A.members.size) and int(A.members[0]) == 0
 
 
 def _use_transform(A: FqSet, B: FqSet) -> bool:
@@ -218,7 +230,7 @@ def _grid(A: FqSet, B: FqSet, kind: str):
     spec = A.spec
     if kind in ("sum", "diff"):
         return A.members, B.members, spec.add_arr if kind == "sum" else spec.sub_arr, spec.q
-    if kind == "ratio" and 0 in B:
+    if kind == "ratio" and _holds_zero(B):
         raise ZeroDivisorInRatio("ratio set needs 0 not in B")
     n = spec.q - 1
     # q <= 2^24, so int32 holds the logs and their sums at half the bytes a cell
@@ -257,9 +269,10 @@ def _use_rotation(rows: int, cols: int, n: int, triangle: bool) -> bool:
 
 
 def _rotate_support(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """The length-n bool mask of {x + y mod n : x in a, y in b}, for residues
-    below n: the union over x of the shorter side of the longer side's
-    indicator rotated by x.
+    """The set {x + y mod n : x in a, y in b}, for residues below n, as its
+    length-n mask packed 8 residues to a byte (little bit order) with the
+    pad bits past n set: the union over x of the shorter side of the longer
+    side's indicator rotated by x.
 
     The longer side's indicator, doubled to length 2n so that every rotation
     is one window of it, is packed 8 residues to a byte (little bit order)
@@ -294,7 +307,7 @@ def _rotate_support(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
         np.bitwise_or(out, copy[k: k + width], out=out)
         if i % 32 == 0 and out.min() == 0xFF:
             break
-    return np.unpackbits(out, count=n, bitorder="little").view(bool)
+    return out
 
 
 def _by_encoding(spec: FieldSpec, by_log: np.ndarray, zero) -> np.ndarray:
@@ -309,7 +322,7 @@ def _by_encoding(spec: FieldSpec, by_log: np.ndarray, zero) -> np.ndarray:
 def _pair_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
     """counts[v] = #{(a, b) in A x B : a ∘ b = v} for ∘ = kind, length q.
 
-    Counted, where ``_pair_support`` only marks; both share ``_grid``,
+    Counted, where ``_pair_marks`` only marks; both share ``_grid``,
     ``_blocks`` and ``_use_transform``.  Sum and diff that ``_use_transform``
     admits come from the transform; its rounded counts must pass
     ``_exact_counts``, and if they do not, the grid recounts.  Otherwise the
@@ -334,8 +347,13 @@ def _pair_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
     return _by_encoding(A.spec, counts[:n], cells - a.size * b.size)
 
 
-def _pair_support(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
-    """The length-q bool bitmask of {a ∘ b : a in A, b in B}, ∘ = kind.
+def _pair_marks(A: FqSet, B: FqSet, kind: str) -> tuple[np.ndarray, int]:
+    """(marks, n): the set {a ∘ b : a in A, b in B}, ∘ = kind, marked on its
+    n residues before any is mapped to an encoding.  For sum and diff the
+    residues are the encodings (n = q); for prod and ratio they are the logs
+    mod q-1 of the nonzero values (n = q-1), and 0 is in the set iff it is
+    in A or B.  ``marks`` is a length-n bool mask, or the rotation's packed
+    uint8 mask (``_rotate_support``).
 
     Supports are marked, not counted.  Sum and diff that ``_use_transform``
     sends to the transform take the support of the checked ``_pair_counts``.
@@ -344,27 +362,34 @@ def _pair_support(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
     when its rows cost less than the grid's cells.  Otherwise each block of
     the ``_grid`` sets ``seen[values]``, and for prod and ratio the log sums
     are folded mod q-1 with |; for sum and prod of a set with itself only
-    one triangle of the grid is scored.  The residues of prod and ratio are
-    mapped to encodings by one gather; 0 is in the set iff |A||B| >
-    |A*||B*|."""
+    one triangle of the grid is scored."""
     if kind in ("sum", "diff") and _use_transform(A, B):
-        return _pair_counts(A, B, kind) > 0
+        return _pair_counts(A, B, kind) > 0, A.spec.q
     a, b, op, size = _grid(A, B, kind)
     triangle = B is A and kind in ("sum", "prod")
     logs = kind in ("prod", "ratio")
     n = A.spec.q - 1 if logs else A.spec.q
     if (logs or A.spec.m == 1) and _use_rotation(a.size, b.size, n, triangle):
-        seen = _rotate_support(a, -b % n if kind == "diff" else b % n, n)
-    else:
-        seen = np.zeros(size, dtype=bool)
-        for values in _blocks(a, b, op, triangle=triangle):
-            seen[values] = True
-            del values
-        if logs:
-            seen[:n] |= seen[n:]
-    if not logs:
-        return seen
-    return _by_encoding(A.spec, seen[:n], len(A) * len(B) > a.size * b.size)
+        return _rotate_support(a, -b % n if kind == "diff" else b % n, n), n
+    seen = np.zeros(size, dtype=bool)
+    for values in _blocks(a, b, op, triangle=triangle):
+        seen[values] = True
+        del values
+    if logs:
+        seen[:n] |= seen[n:]
+    return seen[:n], n
+
+
+def _pair_support(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
+    """The length-q bool bitmask of {a ∘ b : a in A, b in B}, ∘ = kind, for
+    nonempty A and B: the ``_pair_marks``, unpacked if packed, and for prod
+    and ratio mapped from log residues to encodings by one gather."""
+    marks, n = _pair_marks(A, B, kind)
+    if marks.dtype == np.uint8:
+        marks = np.unpackbits(marks, count=n, bitorder="little").view(bool)
+    if kind in ("sum", "diff"):
+        return marks
+    return _by_encoding(A.spec, marks, _holds_zero(A) or _holds_zero(B))
 
 
 # ---------------------------------------------------------------------------
@@ -516,18 +541,39 @@ def _exact_counts(values: np.ndarray, total: int) -> np.ndarray | None:
     return None
 
 
+def _check_set_op(A: FqSet, B: FqSet, kind: str) -> None:
+    _require_same_field(A, B)
+    if kind not in SET_OPS:
+        raise ValueError(f"unknown set op {kind!r}, expected one of {SET_OPS}")
+
+
 def set_op(A: FqSet, B: FqSet, kind: str) -> FqSet:
     """Exact pairwise sum/diff/prod/ratio set of A and B, built from the
     bitmask ``_pair_support`` marks: by the grid, by the rotation (prod and
     ratio over the log residues, sum and diff over a prime field) or by the
     transform's counts (sum and diff over GF(p^m), m > 1).  An empty operand
     gives the empty set."""
-    _require_same_field(A, B)
-    if kind not in SET_OPS:
-        raise ValueError(f"unknown set op {kind!r}, expected one of {SET_OPS}")
+    _check_set_op(A, B, kind)
     if len(A) == 0 or len(B) == 0:
         return FqSet.from_iterable(A.spec, ())
     return FqSet._from_bitmask(A.spec, _pair_support(A, B, kind))
+
+
+def set_op_size(A: FqSet, B: FqSet, kind: str) -> int:
+    """len(set_op(A, B, kind)), counted on the ``_pair_marks`` where they
+    lie: the rotation's packed bytes less their pad bits, or the bool mask,
+    plus 1 for 0 in a prod or ratio set.  No residue is mapped to an
+    encoding and no set is built.  The errors are set_op's; an empty operand
+    gives 0."""
+    _check_set_op(A, B, kind)
+    if len(A) == 0 or len(B) == 0:
+        return 0
+    marks, n = _pair_marks(A, B, kind)
+    if marks.dtype == np.uint8:
+        size = int(np.bitwise_count(marks).sum(dtype=np.int64)) - (8 * marks.size - n)
+    else:
+        size = int(np.count_nonzero(marks))
+    return size + int(kind in ("prod", "ratio") and (_holds_zero(A) or _holds_zero(B)))
 
 
 def shifted_product(A: FqSet, alpha: int) -> FqSet:
@@ -638,26 +684,31 @@ def coset_intersection_counts(A: FqSet, G) -> np.ndarray:
     spec = A.spec
     n = (spec.q - 1) // (G.size - 1)
     logs = spec.log_table[A.members[A.members != 0]]
-    return np.bincount(logs % n, minlength=n) + int(0 in A)
+    return np.bincount(logs % n, minlength=n) + int(_holds_zero(A))
 
 
-def coset_profile(A: FqSet, exponent_num: int, exponent_den: int, reference: FqSet,
+def coset_profile(A: FqSet, exponent_num: int, exponent_den: int, reference: FqSet | int,
                   kappa: int = 1) -> bool:
     """The structural condition: |A ∩ cG| <= kappa * max(|G|^(1/2),
-    |reference|^(num/den)) for every proper subfield G and every c.
+    |reference|^(num/den)) for every proper subfield G and every c; the
+    reference is a set or its size.
 
-    The bound grows with the count, so each subfield's largest count decides
-    all of its cosets: one exact comparison per subfield, by big-integer
-    cross-powering, so the verdict is bit-reproducible.  kappa models the
-    unknowable implied constant.  A prime field has no proper subfield and
-    passes vacuously.
+    The bound grows with the count, so each subfield's largest count t
+    decides all of its cosets: one exact comparison per subfield, by
+    big-integer cross-powering, so the verdict is bit-reproducible.  No
+    count exceeds |G| (cG has |G| elements), so a subfield whose comparison
+    already holds at t = |G| passes whatever A is, and its cosets are not
+    counted: on 2^20 that spares the q-1 cosets of F_2 and keeps the check
+    off q-length arrays unless a large subfield can break the bound.  kappa
+    models the unknowable implied constant.  A prime field has no proper
+    subfield and passes vacuously.
     """
-    if len(reference) == 0:
+    ref = reference if isinstance(reference, int) else len(reference)
+    if ref == 0:
         raise EmptySet("reference set must be nonempty")
-    ref = len(reference)
-    for G in proper_subfields(A.spec):
-        t = int(coset_intersection_counts(A, G).max())
-        if not (t**2 <= kappa**2 * G.size
-                or t**exponent_den <= kappa**exponent_den * ref**exponent_num):
-            return False
-    return True
+
+    def holds(t: int, g: int) -> bool:
+        return t**2 <= kappa**2 * g or t**exponent_den <= kappa**exponent_den * ref**exponent_num
+
+    return all(holds(G.size, G.size) or holds(int(coset_intersection_counts(A, G).max()), G.size)
+               for G in proper_subfields(A.spec))

@@ -33,8 +33,7 @@ from .set_algebra import (
     _sum_of_squares,
     coset_profile,
     intersection_shift_counts,
-    set_op,
-    shifted_product,
+    set_op_size,
     translate,
 )
 
@@ -170,7 +169,7 @@ def expander_record(A: FqSet, alpha: int, sampler: str = "explicit",
     if len(A) < 2:
         raise SetTooSmall("need |A| >= 2")
     spec = A.spec
-    value = len(shifted_product(A, alpha))
+    value = set_op_size(A, translate(A, alpha), "prod")
     curve = growth_curve(len(A), spec.q)
     return SurveyRecord(
         field=spec.descriptor, p=spec.p, m=spec.m, size=len(A), alpha=int(alpha),
@@ -199,7 +198,7 @@ def corollary_record(A: FqSet, alpha: int, sampler: str = "explicit",
         raise SetTooSmall("need |A| >= 2")
     counts = intersection_shift_counts(A)
     inter = int(counts[alpha % spec.q])
-    prod = set_op(A, A, "prod")
+    prod = set_op_size(A, A, "prod")
     energy = _sum_of_squares(counts)
 
     max_all = int(counts.max())
@@ -212,13 +211,13 @@ def corollary_record(A: FqSet, alpha: int, sampler: str = "explicit",
         S_shift = translate(S, alpha)
         if not (S.is_subset(A) and S_shift.is_subset(A)):
             raise InvariantViolated("A ∩ (A - alpha) or its shift by alpha leaves A")
-        if len(set_op(S, S_shift, "prod")) > len(prod):
+        if set_op_size(S, S_shift, "prod") > prod:
             raise InvariantViolated("the subset product S(S + alpha) outgrows AA")
 
     return CorollaryRecord(
         field=spec.descriptor, p=spec.p, m=spec.m, size=len(A), alpha=int(alpha),
-        sampler=sampler, seed=int(seed), intersection=inter, prod_size=len(prod),
-        energy=energy, corollary_curve=intersection_curve(len(prod), spec.q),
+        sampler=sampler, seed=int(seed), intersection=inter, prod_size=prod,
+        energy=energy, corollary_curve=intersection_curve(prod, spec.q),
         chain_pass=chain_pass, structural_pass=coset_profile(A, 50, 53, prod),
     )
 

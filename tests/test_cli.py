@@ -148,6 +148,10 @@ def test_usage_errors_found_after_parsing_exit_2(capsys, argv):
     (("setop", "sum", "--field", "7^x", "--a", "1", "--b", "2"), None, "MalformedDescriptor"),
     (("verify", "rbcard", "--field", "7", "--sets", "1,2;1;2", "--r", "0"), None, "ZeroElement"),
     (("verify", "rbcard", "--field", "7", "--sets", "1,2;1;2", "--r", "14"), None, "ZeroElement"),
+    (("verify", "rbcard", "--field", "7", "--sets", "1,2;1;2", "--r", "8"), None,
+     "ElementOutOfRange"),
+    (("verify", "rbcard", "--field", "7", "--sets", "1,2;1;2", "--r", "-1"), None,
+     "ElementOutOfRange"),
     (("verify", "dyadic_energy", "--field", "7", "--sets", "1;1,2"), None, "SecondSetLarger"),
     (("verify", "rudnev", "--field", "7", "--sets", "1;1,2"), None, "SecondSetLarger"),
     (("survey", "--fields", "7", "--sizes", "1", "--out", "no-such-dir/s.csv"), None,

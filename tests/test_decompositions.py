@@ -1,5 +1,6 @@
 import ast
 import math
+import os
 import tracemalloc
 from fractions import Fraction
 
@@ -434,6 +435,26 @@ def test_decompositions_imports_no_higher_layer():
             imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
     parts = {part for name in imported for part in name.split(".")}
     assert not parts & {"lemma_oracles", "survey", "cli"}, sorted(imported)
+
+
+def test_no_module_takes_the_length_of_a_built_set():
+    # a size is counted by set_op_size, never by building the set and taking its len
+    root = os.path.dirname(decompositions.__file__)
+    found = []
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(root, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "len" and node.args
+                    and isinstance(node.args[0], ast.Call)):
+                callee = node.args[0].func
+                callee = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", "")
+                if callee in ("set_op", "shifted_product"):
+                    found.append(f"{name}:{node.lineno}")
+    assert not found, found
 
 
 def test_trace_preconditions():

@@ -32,6 +32,7 @@ from fqlab.set_algebra import (
     quotient_set,
     representation_spectrum,
     set_op,
+    set_op_size,
     shifted_product,
     sum_representation_counts,
     translate,
@@ -396,6 +397,67 @@ def test_rotated_support_stays_small():
     assert peak < 6 * spec.q
 
 
+@pytest.mark.parametrize("backend", ("grid", "rotation", "transform"))
+@pytest.mark.parametrize("desc", POOL_DESCRIPTORS + (LARGE_DESCRIPTOR, "2^12", "3^7"))
+def test_set_op_size_matches_naive_oracle(desc, backend, monkeypatch):
+    # q - 1 = 6, 8, 4095 and 2186 and p = 5, 7, 11, 13 among them: a packed
+    # rotation with and without pad bits
+    spec = parse_descriptor(desc)
+    rng = np.random.default_rng([80, spec.q])
+    zero = fqset(spec, 0)
+    A, B = (draw_set(rng, spec, k, nonzero=True) for k in (min(40, spec.q // 2), 9))
+    A0 = A.union(zero)
+    pairs = [(A, A), (A0, A0), (A, B), (B, A), (A0, B), (A, B.union(zero))]
+    monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", float("inf"))
+    rotated = _forced_rotation(monkeypatch, backend == "rotation")
+    transformed = _forced_transform(monkeypatch) if backend == "transform" else []
+    calls = dict.fromkeys(SET_OPS, 0)
+    for X, Y in pairs:
+        for kind in SET_OPS:
+            if kind == "ratio" and 0 in Y:
+                with pytest.raises(ZeroDivisorInRatio):
+                    set_op_size(X, Y, kind)
+                continue
+            assert set_op_size(X, Y, kind) == len(naive_set_op(spec, list(X), list(Y), kind))
+            calls[kind] += 1
+    additive = calls["sum"] + calls["diff"]
+    cyclic = calls["prod"] + calls["ratio"] + (additive if spec.m == 1 else 0)
+    assert len(rotated) == (cyclic if backend == "rotation" else 0)
+    assert len(transformed) == (additive if backend == "transform" and spec.m > 1 else 0)
+
+
+def test_set_op_size_of_a_saturating_rotation_exits_early(monkeypatch):
+    spec = build_field(2, 8)  # n = 255: one pad bit, set from the start
+    X = draw_set(np.random.default_rng(79), spec, 40)
+    D = set_op(X, X, "diff")
+    naive = naive_set_op(spec, list(D), list(D.nonzero()), "ratio")
+    served = _forced_rotation(monkeypatch, True)
+    rows = []
+    bitwise_or = np.bitwise_or
+
+    def counted(*args, **kwargs):
+        rows.append(1)
+        return bitwise_or(*args, **kwargs)
+    monkeypatch.setattr(np, "bitwise_or", counted)
+    assert set_op_size(D, D.nonzero(), "ratio") == len(naive) == spec.q
+    assert served == [spec.q - 1] and len(rows) == 32  # 32 of its 248 rows
+
+
+def test_set_op_size_errors_and_empty_operands_follow_set_op():
+    with pytest.raises(MixedFields):
+        set_op_size(fqset(F7, 1), fqset(F5, 1), "sum")
+    with pytest.raises(ZeroDivisorInRatio):
+        set_op_size(fqset(F7, 1), fqset(F7, 0, 1), "ratio")
+    with pytest.raises(ValueError):
+        set_op_size(fqset(F7, 1), fqset(F7, 1), "quot")
+    empty = FqSet.from_iterable(F7, ())
+    assert set_op_size(empty, fqset(F7, 0, 1), "ratio") == len(set_op(empty, fqset(F7, 0, 1),
+                                                                     "ratio")) == 0
+    for kind in SET_OPS:
+        assert set_op_size(fqset(F7, 1), empty, kind) == 0
+        assert set_op_size(empty, fqset(F7, 1), kind) == 0
+
+
 def test_sum_of_squares_is_exact_past_int64():
     counts = np.full(4, 1 << 31, dtype=np.int64)  # squares 2^62 each: the sum is 2^64
     assert int(np.sum(counts * counts)) == 0  # what int64 makes of it
@@ -635,6 +697,50 @@ def test_coset_profile_exact_integer_comparisons():
         assert verdicts == sorted(verdicts)
 
 
+def _spied_coset_counts(monkeypatch):
+    """Spy on coset_intersection_counts; return the list of the |G| it counted."""
+    counted = []
+    count = set_algebra.coset_intersection_counts
+
+    def spy(A, G):
+        counted.append(G.size)
+        return count(A, G)
+    monkeypatch.setattr(set_algebra, "coset_intersection_counts", spy)
+    return counted
+
+
+def test_coset_profile_counts_only_subfields_that_can_break_the_bound(monkeypatch):
+    count = set_algebra.coset_intersection_counts
+    counted = _spied_coset_counts(monkeypatch)
+    G = enumerate_subfields(F16)[1].elements  # F_4 embedded in F_16
+    # F_2 passes at t = |F_2|: 2^26 <= 4^25, and is not counted; F_4 decides: 4^26 > 4^25
+    assert not coset_profile(G, 25, 26, G)
+    assert counted == [4]
+    counted.clear()
+    assert coset_profile(G, 25, 26, G, kappa=2) and counted == []  # 4^2 <= 2^2 * 4
+    spec = build_field(2, 20)
+    A = draw_set(np.random.default_rng(0), spec, 1000)
+    # only F_1024 can meet a coset in more than 1000^(25/26) (about 764) elements
+    verdict = coset_profile(A, 25, 26, A)
+    assert counted == [1024]
+    assert verdict == all(t**2 <= G.size or t**26 <= len(A)**25
+                          for G in proper_subfields(spec) for t in count(A, G).tolist())
+    assert coset_profile(A, 25, 26, len(A)) == verdict
+
+
+def test_coset_profile_allocates_no_q_length_array():
+    spec = build_field(2, 20)
+    A = draw_set(np.random.default_rng(0), spec, 1000)
+    proper_subfields(spec)  # enumerated and cached before the measurement
+    tracemalloc.start()
+    try:
+        coset_profile(A, 25, 26, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # F_2 alone had q - 1 int64 counts: 8 MB
+
+
 @pytest.mark.parametrize("desc", POOL_DESCRIPTORS + (LARGE_DESCRIPTOR,))
 def test_coset_counting_matches_naive_oracle(desc):
     spec = parse_descriptor(desc)
@@ -677,6 +783,14 @@ def test_dilate_translate_consistency():
     assert translate(A, 3).to_literal() == "0,4,5"
     assert dilate(A, 2).to_literal() == "1,2,4"  # multiplicative coset closure
     assert dilate(A, 0).to_literal() == "0"
+
+
+def test_dilate_refuses_an_out_of_range_factor():
+    A = fqset(F16, 1, 2, 3)
+    for c in (-1, 16, 17):
+        with pytest.raises(ElementOutOfRange):
+            dilate(A, c)
+    assert dilate(A, 15) == FqSet.from_iterable(F16, F16.mul_arr(A.members, np.int64(15)))
 
 
 def test_translate_refuses_an_out_of_range_shift():
