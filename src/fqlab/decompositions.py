@@ -448,7 +448,11 @@ def _plunnecke_terms(X: FqSet, Bs: list[FqSet]) -> tuple[FqSet, int]:
     total = Bs[0]
     for B in Bs[1:]:
         total = set_op(total, B, "sum")
-    return total, math.prod(set_op_size(X, B, "sum") for B in Bs)
+    sizes = {}  # |X + B| once per distinct B: refine_stage passes one set k times
+    for B in Bs:
+        if id(B) not in sizes:
+            sizes[id(B)] = set_op_size(X, B, "sum")
+    return total, math.prod(sizes[id(B)] for B in Bs)
 
 
 def _min_sumset_subset(X: FqSet, S: FqSet, floor: int):
@@ -460,16 +464,25 @@ def _min_sumset_subset(X: FqSet, S: FqSet, floor: int):
     grid.  Removing x* then changes the loss of another row only through the
     values of x* + S whose count falls to 1: each such v is charged to its
     one remaining owner x, the x with v - x in S.  That is one |V| x |X'|
-    membership check per step, V the values that fell; no rescan."""
+    membership check per step, V the values that fell; no rescan.
+
+    A removal lowers each count by at most 1.  So when every positive count
+    is at least removals + 2, no count reaches 1 while the search runs,
+    every loss stays 0, and the first-maximum tie-break removes the smallest
+    encodings: the search returns at once, scoring nothing."""
     spec = X.spec
     if len(X) <= EXACT_SEARCH_LIMIT:
         labels = _dense_labels(spec.add_arr(X.members[:, None], S.members[None, :]), spec.q)
         return _exhaustive_min_subset(X, lambda rows: labels[rows], floor)
     counts = _pair_counts(X, S, "sum")
+    removals = len(X) - floor
+    held = counts[counts > 0]
+    if held.min() >= removals + 2:
+        return X.members[removals:], int(held.size)
     lost = np.concatenate([(counts[values] == 1).sum(axis=1)
                            for values in _blocks(X.members, S.members, spec.add_arr)])
     alive = np.ones(len(X), dtype=bool)
-    for _ in range(len(X) - floor):
+    for _ in range(removals):
         best = int(np.argmax(np.where(alive, lost, -1)))  # first maximum = smallest encoding
         alive[best] = False
         row = spec.add_arr(X.members[best], S.members)
@@ -762,7 +775,8 @@ def _classify(A_input: FqSet, pts: PopularPoints, kappa: int):
                 "case4": {"full_field": True, "above_sqrt_q": True}}
         return "4.2", {"quotient": "full field", "a_tilde_size": len(At)}, {
             "case4": {"full_field": True, "above_sqrt_q": False}}
-    G0 = next((G for G in proper_subfields(spec) if R_A == G.elements), None)
+    G0 = next((G for G in proper_subfields(spec) if len(R_A) == G.size and R_A == G.elements),
+              None)
     if G0 is None:
         raise InvariantViolated("closure held but the quotient set is not a subfield")
     counts = coset_intersection_counts(A_input, G0)

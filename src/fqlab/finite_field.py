@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -440,15 +441,29 @@ class FieldSpec:
 
 @dataclass(frozen=True, eq=False)
 class SubfieldHandle:
-    """The subfield of p^d elements: 0 and the powers of generator^((q-1)/(p^d-1))."""
+    """The subfield of p^d elements: 0 and the powers of generator^((q-1)/(p^d-1)).
+
+    A handle holds only d and its field.  Its size is p^d, and its element
+    set is built the first time ``elements`` is read, then kept; until then
+    the handle holds no array of the subfield's size or of the field's."""
 
     d: int
-    elements: "FqSet"  # noqa: F821 - set_algebra imports this module
     is_proper: bool
+    spec: FieldSpec = field(repr=False)
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return self.spec.p**self.d
+
+    @cached_property
+    def elements(self) -> "FqSet":  # noqa: F821 - set_algebra imports this module
+        from .set_algebra import FqSet  # deferred: set_algebra depends on this module
+
+        spec = self.spec
+        if not self.is_proper:
+            return FqSet.full(spec)
+        powers = np.sort(spec.exp_table[: spec.q - 1 : (spec.q - 1) // (self.size - 1)])
+        return FqSet._from_sorted(spec, np.concatenate(([0], powers)))
 
 
 _FIELD_CACHE: dict[tuple[int, int, int], FieldSpec] = {}
@@ -534,25 +549,17 @@ def divisors(n: int) -> list[int]:
 
 
 def enumerate_subfields(spec: FieldSpec) -> list[SubfieldHandle]:
-    """One handle per divisor d of m (ascending): {0} and the powers of
-    g^s, s = (q-1)/(p^d-1).  They need no check beyond the power table's
-    bijection: the stride gives p^d - 1 distinct powers, and each is fixed by
-    x -> x^(p^d), as g^(ks p^d) = g^(ks) g^(ks(p^d-1)) and s(p^d-1) = q-1."""
+    """One handle per divisor d of m (ascending), cached on the spec; a
+    handle builds its element set, {0} and the powers of g^s with
+    s = (q-1)/(p^d-1), only when asked for it.  The powers need no check
+    beyond the power table's bijection: the stride gives p^d - 1 distinct
+    powers, and each is fixed by x -> x^(p^d), as g^(ks p^d) =
+    g^(ks) g^(ks(p^d-1)) and s(p^d-1) = q-1."""
     cached = spec._derived.get("subfields")
-    if cached is not None:
-        return cached
-    from .set_algebra import FqSet  # deferred: set_algebra depends on this module
-
-    handles = []
-    for d in divisors(spec.m):
-        size = spec.p**d
-        bitmask = np.zeros(spec.q, dtype=bool)
-        bitmask[spec.exp_table[: spec.q - 1 : (spec.q - 1) // (size - 1)]] = True
-        bitmask[0] = True
-        elements = FqSet._from_bitmask(spec, bitmask)
-        handles.append(SubfieldHandle(d=d, elements=elements, is_proper=d < spec.m))
-    spec._derived["subfields"] = handles
-    return handles
+    if cached is None:
+        cached = spec._derived["subfields"] = [
+            SubfieldHandle(d=d, is_proper=d < spec.m, spec=spec) for d in divisors(spec.m)]
+    return cached
 
 
 def proper_subfields(spec: FieldSpec) -> list[SubfieldHandle]:

@@ -199,7 +199,7 @@ def _generated_subfield(S: FqSet) -> np.ndarray:
     intersection, since GF(p^a) ∩ GF(p^b) = GF(p^gcd(a,b)), so the smallest
     one lies inside every other."""
     return next(h.elements.members for h in enumerate_subfields(S.spec)
-                if S.is_subset(h.elements))
+                if len(S) <= h.size and S.is_subset(h.elements))
 
 
 # ---------------------------------------------------------------------------

@@ -74,9 +74,9 @@ ROTATION_RESIDUES_PER_CELL = 1200
 @dataclass(frozen=True, eq=False)
 class FqSet:
     """A subset of GF(q): sorted unique member encodings, and a q-length
-    bitmask for O(1) membership, built on first use (a set made from a
-    bitmask keeps that one).  The ascending encoding order is the canonical
-    order used for every smallest-witness tie-break downstream."""
+    bitmask for O(1) lookups, built on first use (a set made from a bitmask
+    keeps that one).  The ascending encoding order is the canonical order
+    used for every smallest-witness tie-break downstream."""
 
     spec: FieldSpec
     members: np.ndarray  # sorted unique int64
@@ -90,7 +90,9 @@ class FqSet:
 
     @classmethod
     def from_iterable(cls, spec: FieldSpec, values: Iterable[int]) -> "FqSet":
-        members = np.unique(np.asarray(list(values), dtype=np.int64))
+        if not isinstance(values, np.ndarray):
+            values = list(values)
+        members = np.unique(np.asarray(values, dtype=np.int64))
         if members.size and (members[0] < 0 or members[-1] >= spec.q):
             raise ElementOutOfRange(f"element out of range [0, {spec.q})")
         return cls._from_sorted(spec, members)
@@ -127,7 +129,14 @@ class FqSet:
         return int(self.members.size)
 
     def __contains__(self, value: int) -> bool:
-        return 0 <= value < self.spec.q and bool(self.bitmask[value])
+        """Read from the bitmask once it is built, else by binary search on the
+        members: a membership test builds no q-length array."""
+        if not 0 <= value < self.spec.q:
+            return False
+        if "bitmask" in self.__dict__:
+            return bool(self.bitmask[value])
+        i = int(np.searchsorted(self.members, value))
+        return i < self.members.size and int(self.members[i]) == value
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.members.tolist())

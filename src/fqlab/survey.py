@@ -143,7 +143,7 @@ def sample_set(spec: FieldSpec, sampler: str, size: int, seed: int) -> FqSet:
             u = int(rng.integers(1, q - 1))
         c_log = int(rng.integers(0, q - 1))
         return FqSet.from_iterable(
-            spec, (int(spec.exp_table[(c_log + k * u) % (q - 1)]) for k in range(size)))
+            spec, spec.exp_table[(c_log + u * np.arange(size, dtype=np.int64)) % (q - 1)])
     # coset: union of random dilates of a random proper subfield
     subs = proper_subfields(spec)
     if not subs:
@@ -154,10 +154,7 @@ def sample_set(spec: FieldSpec, sampler: str, size: int, seed: int) -> FqSet:
     reps = coset_representatives(spec, G)
     needed = min(len(reps), max(1, math.ceil((size - 1) / (G.size - 1))))
     chosen = rng.choice(reps, size=needed, replace=False)
-    members: set[int] = set()
-    for c in chosen:
-        members.update(int(v) for v in spec.mul_arr(G.elements.members, np.int64(c)))
-    return FqSet.from_iterable(spec, members)
+    return FqSet.from_iterable(spec, spec.mul_arr(chosen[:, None], G.elements.members).ravel())
 
 
 def expander_record(A: FqSet, alpha: int, sampler: str = "explicit",

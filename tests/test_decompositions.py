@@ -405,6 +405,18 @@ def test_covering_bad_sign_is_a_value_error(sign):
 # -- refinement stages --------------------------------------------------------
 
 
+def test_plunnecke_terms_size_each_distinct_summand_once(monkeypatch):
+    rng = np.random.default_rng(41)
+    X, B, C = (draw_set(rng, F16, k) for k in (5, 3, 4))
+    sized, set_op_size = [], decompositions.set_op_size
+    monkeypatch.setattr(decompositions, "set_op_size",
+                        lambda *args: sized.append(args[1]) or set_op_size(*args))
+    total, product = decompositions._plunnecke_terms(X, [B, C, B, B])
+    assert sized == [B, C]
+    assert total == set_op(set_op(set_op(B, C, "sum"), B, "sum"), B, "sum")
+    assert product == len(set_op(X, B, "sum")) ** 3 * len(set_op(X, C, "sum"))
+
+
 def test_sumset_search_stays_well_below_one_grid_of_memory():
     # the |A| = 300 trace's refine stage on 2^16: X' of 150, S nearly the field
     spec = build_field(2, 16)
@@ -437,8 +449,8 @@ def test_decompositions_imports_no_higher_layer():
     assert not parts & {"lemma_oracles", "survey", "cli"}, sorted(imported)
 
 
-def test_no_module_takes_the_length_of_a_built_set():
-    # a size is counted by set_op_size, never by building the set and taking its len
+def _len_calls(takes):
+    """module:line of every len(x) call in fqlab whose argument node x ``takes`` accepts."""
     root = os.path.dirname(decompositions.__file__)
     found = []
     for name in sorted(os.listdir(root)):
@@ -448,12 +460,26 @@ def test_no_module_takes_the_length_of_a_built_set():
             tree = ast.parse(fh.read())
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "len" and node.args
-                    and isinstance(node.args[0], ast.Call)):
-                callee = node.args[0].func
-                callee = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", "")
-                if callee in ("set_op", "shifted_product"):
-                    found.append(f"{name}:{node.lineno}")
+                    and node.func.id == "len" and node.args and takes(node.args[0])):
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
+def test_no_module_takes_the_length_of_a_built_set():
+    # a size is counted by set_op_size, never by building the set and taking its len
+    def built(arg):
+        if not isinstance(arg, ast.Call):
+            return False
+        callee = arg.func
+        return (callee.id if isinstance(callee, ast.Name)
+                else getattr(callee, "attr", "")) in ("set_op", "shifted_product")
+    found = _len_calls(built)
+    assert not found, found
+
+
+def test_no_module_takes_the_length_of_a_subfield_element_set():
+    # a subfield's size is SubfieldHandle.size: taking len(G.elements) builds the set
+    found = _len_calls(lambda arg: isinstance(arg, ast.Attribute) and arg.attr == "elements")
     assert not found, found
 
 

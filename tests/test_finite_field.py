@@ -388,6 +388,37 @@ def test_subfields_closed_under_field_ops(p, m):
         assert h.elements.bitmask[spec.div_arr(a, nz[None, :])].all()
 
 
+@pytest.mark.parametrize("desc", POOL_DESCRIPTORS + ("2^12", "3^7", "2^20"))
+def test_subfield_handles_build_their_elements_once_on_demand(desc):
+    spec = parse_descriptor(desc)
+    for G in enumerate_subfields(spec):
+        bitmask = np.zeros(spec.q, dtype=bool)  # the subfield marked on the whole field
+        bitmask[spec.exp_table[: spec.q - 1 : (spec.q - 1) // (spec.p**G.d - 1)]] = True
+        bitmask[0] = True
+        assert G.size == spec.p**G.d
+        assert G.elements is G.elements
+        assert G.size == len(G.elements)
+        assert np.array_equal(G.elements.members, np.flatnonzero(bitmask))
+        assert np.array_equal(G.elements.bitmask, bitmask)
+
+
+def test_enumerate_subfields_allocates_no_field_sized_array():
+    spec = build_field(2, 20)
+    saved = dict(spec._derived)
+    spec._derived.clear()
+    tracemalloc.start()
+    try:
+        handles = enumerate_subfields(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        spec._derived.clear()
+        spec._derived.update(saved)
+    assert [G.size for G in handles] == [2**d for d in divisors(20)]
+    assert not any("elements" in G.__dict__ for G in handles)
+    assert peak < 64_000
+
+
 def test_coset_representatives_f4():
     spec = build_field(2, 2)
     G = enumerate_subfields(spec)[0]

@@ -2,12 +2,14 @@ import hashlib
 import inspect
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from fqlab import decompositions
 from fqlab.decompositions import _min_diffset_subset, _min_sumset_subset
 from fqlab.errors import (
     EmptySet,
@@ -46,6 +48,7 @@ from pools import (
     EXACT,
     GREEDY,
     draw_set,
+    naive_add,
     naive_greedy_min_subset,
     naive_multiplicative_energy,
     naive_quotient_set,
@@ -271,6 +274,36 @@ def test_greedy_subset_search_matches_naive(descriptor):
         sub, size = on_path(GREEDY, _min_diffset_subset, X, floor)
         assert ([int(v) for v in sub], size) == naive_greedy_min_subset(
             spec, X.members.tolist(), floor)
+
+
+@pytest.mark.parametrize("descriptor", ["2^6", "7^2", "3^4", "5^3", "2^8"])
+def test_saturated_sumset_search_exits_early_and_matches_naive(descriptor, monkeypatch):
+    # with c the least count of a value of X + S, c - 2 removals cannot take
+    # any count to 1, so the search returns without scoring a row; c - 1 and
+    # c removals run the search.  All against the literal greedy, which has
+    # no such exit.  S = F_q gives every value the count |X|.
+    spec = parse_descriptor(descriptor)
+    scored, blocks = [], decompositions._blocks
+    monkeypatch.setattr(decompositions, "_blocks",
+                        lambda *args: scored.append(1) or blocks(*args))
+    seen = set()
+    for trial in range(4):
+        rng = np.random.default_rng([37, spec.q, trial])
+        X = draw_set(rng, spec, int(rng.integers(12, 20)))
+        S = (FqSet.full(spec) if trial == 0
+             else draw_set(rng, spec, spec.q // 2 + int(rng.integers(0, spec.q // 4))))
+        least = min(Counter(naive_add(spec, x, s) for x in X for s in S).values())
+        for removals, exits in ((least - 2, True), (least - 1, False), (least, False)):
+            if not 1 <= removals < len(X):
+                continue
+            scored.clear()
+            floor = len(X) - removals
+            sub, size = on_path(GREEDY, _min_sumset_subset, X, S, floor)
+            assert (not scored) == exits
+            assert ([int(v) for v in sub], size) == naive_greedy_min_subset(
+                spec, X.members.tolist(), floor, S.members.tolist())
+            seen.add(exits)
+    assert seen == {True, False}
 
 
 # (field, |X|) -> sha256 of both greedy searches' (subset, size) on a uniform

@@ -80,6 +80,43 @@ def test_without_matches_the_plain_filter(desc):
         assert list(A.without(iter(drop))) == [v for v in A if v not in set(drop)]
 
 
+@pytest.mark.parametrize("desc", POOL_DESCRIPTORS)
+def test_membership_matches_the_plain_set(desc):
+    spec = parse_descriptor(desc)
+    rng = np.random.default_rng([83, spec.q])
+    for size in (0, 1, spec.q // 3, spec.q):
+        A = draw_set(rng, spec, size)
+        plain = set(A.members.tolist())
+        values = list(range(-2, spec.q + 2)) + [-(1 << 70), 1 << 70]
+        assert [v in A for v in values] == [v in plain for v in values]  # by binary search
+        assert "bitmask" not in A.__dict__
+        A.bitmask
+        assert [v in A for v in values] == [v in plain for v in values]  # from the bitmask
+
+
+def test_a_membership_test_builds_no_field_sized_array():
+    spec = build_field(2, 20)
+    A = draw_set(np.random.default_rng(84), spec, 1000)
+    tracemalloc.start()
+    try:
+        found = 0 in A
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == (int(A.members[0]) == 0)
+    assert peak < 64_000 and "bitmask" not in A.__dict__
+
+
+def test_from_iterable_takes_arrays_and_iterables_alike():
+    values = np.array([9, 3, 3, 0, 15], dtype=np.int64)
+    A = FqSet.from_iterable(F16, values)
+    assert A == FqSet.from_iterable(F16, values.tolist()) == FqSet.from_iterable(F16, iter(values))
+    assert A.to_literal() == "0,3,9,15" and values.tolist() == [9, 3, 3, 0, 15]
+    for bad in ([16], [-1, 2], [3, 1 << 40]):
+        with pytest.raises(ElementOutOfRange):
+            FqSet.from_iterable(F16, np.array(bad, dtype=np.int64))
+
+
 def test_set_op_examples():
     assert set_op(fqset(F7, 1, 2), fqset(F7, 3), "sum").to_literal() == "4,5"
     out = set_op(fqset(F7, 1, 2, 4), fqset(F7, 1, 2, 4), "sum")

@@ -12,9 +12,15 @@ from fqlab.errors import (
     ZeroShift,
 )
 from fqlab import set_algebra
-from fqlab.finite_field import build_field, parse_descriptor
+from fqlab.finite_field import (
+    build_field,
+    coset_representatives,
+    parse_descriptor,
+    proper_subfields,
+)
 from fqlab.set_algebra import FqSet, additive_energy, dilate, set_op, shifted_product, translate
 from fqlab.survey import (
+    SAMPLER_TAGS,
     SurveyConfig,
     corollary_record,
     exhaustive_min_expander,
@@ -67,6 +73,34 @@ def test_samplers_shapes_and_determinism():
         assert sample_set(F13, sampler, 4, 3) == sample_set(F13, sampler, 4, 3)
     cs = sample_set(F16, "coset", 5, 2)
     assert len(cs) >= 5
+
+
+def _loop_sample(spec, sampler, size, seed):
+    """The gp and coset samplers element by element, from the same draws."""
+    rng = np.random.default_rng([seed, spec.p, spec.m, size, SAMPLER_TAGS[sampler]])
+    q = spec.q
+    if sampler == "gp":
+        u = int(rng.integers(1, q - 1)) if q > 2 else 1
+        while math.gcd(u, q - 1) != 1:
+            u = int(rng.integers(1, q - 1))
+        c_log = int(rng.integers(0, q - 1))
+        return sorted({int(spec.exp_table[(c_log + k * u) % (q - 1)]) for k in range(size)})
+    subs = proper_subfields(spec)
+    G = subs[int(rng.integers(0, len(subs)))]
+    reps = coset_representatives(spec, G)
+    needed = min(len(reps), max(1, math.ceil((size - 1) / (G.size - 1))))
+    return sorted({spec.mul(int(c), int(g)) for c in rng.choice(reps, size=needed, replace=False)
+                   for g in G.elements})
+
+
+@pytest.mark.parametrize("desc", ("2^6", "3^4", "2^12", "3^7"))
+@pytest.mark.parametrize("sampler", ("gp", "coset"))
+def test_array_samplers_match_their_loop_definitions(desc, sampler):
+    spec = parse_descriptor(desc)
+    for size in (2, 10, spec.q // 3):
+        for seed in range(5):
+            assert list(sample_set(spec, sampler, size, seed)) == _loop_sample(
+                spec, sampler, size, seed)
 
 
 def test_sampler_errors():
