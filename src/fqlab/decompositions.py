@@ -467,9 +467,10 @@ def _min_sumset_subset(X: FqSet, S: FqSet, floor: int):
     membership check per step, V the values that fell; no rescan.
 
     A removal lowers each count by at most 1.  So when every positive count
-    is at least removals + 2, no count reaches 1 while the search runs,
-    every loss stays 0, and the first-maximum tie-break removes the smallest
-    encodings: the search returns at once, scoring nothing."""
+    is at least removals + 1, a count can reach 1 only at the last removal,
+    after the last argmax: every loss the search reads is 0, and the
+    first-maximum tie-break removes the smallest encodings.  The search then
+    returns at once, scoring nothing."""
     spec = X.spec
     if len(X) <= EXACT_SEARCH_LIMIT:
         labels = _dense_labels(spec.add_arr(X.members[:, None], S.members[None, :]), spec.q)
@@ -477,7 +478,7 @@ def _min_sumset_subset(X: FqSet, S: FqSet, floor: int):
     counts = _pair_counts(X, S, "sum")
     removals = len(X) - floor
     held = counts[counts > 0]
-    if held.min() >= removals + 2:
+    if held.min() >= removals + 1:
         return X.members[removals:], int(held.size)
     lost = np.concatenate([(counts[values] == 1).sum(axis=1)
                            for values in _blocks(X.members, S.members, spec.add_arr)])

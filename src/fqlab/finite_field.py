@@ -460,8 +460,6 @@ class SubfieldHandle:
         from .set_algebra import FqSet  # deferred: set_algebra depends on this module
 
         spec = self.spec
-        if not self.is_proper:
-            return FqSet.full(spec)
         powers = np.sort(spec.exp_table[: spec.q - 1 : (spec.q - 1) // (self.size - 1)])
         return FqSet._from_sorted(spec, np.concatenate(([0], powers)))
 

@@ -129,12 +129,10 @@ class FqSet:
         return int(self.members.size)
 
     def __contains__(self, value: int) -> bool:
-        """Read from the bitmask once it is built, else by binary search on the
-        members: a membership test builds no q-length array."""
+        """A binary search on the sorted members: a membership test builds no
+        q-length array."""
         if not 0 <= value < self.spec.q:
             return False
-        if "bitmask" in self.__dict__:
-            return bool(self.bitmask[value])
         i = int(np.searchsorted(self.members, value))
         return i < self.members.size and int(self.members[i]) == value
 
@@ -209,11 +207,6 @@ def dilate(A: FqSet, c: int) -> FqSet:
     return FqSet.from_iterable(A.spec, A.spec.mul_arr(A.members, np.int64(c)))
 
 
-def _holds_zero(A: FqSet) -> bool:
-    """0 in A, read from the sorted members: no q-length bitmask is built."""
-    return bool(A.members.size) and int(A.members[0]) == 0
-
-
 def _use_transform(A: FqSet, B: FqSet) -> bool:
     """The cost model for sum and diff: the transform (two q-length transforms
     when B is A, three otherwise) runs over GF(p^m), m > 1, when |A||B|
@@ -239,7 +232,7 @@ def _grid(A: FqSet, B: FqSet, kind: str):
     spec = A.spec
     if kind in ("sum", "diff"):
         return A.members, B.members, spec.add_arr if kind == "sum" else spec.sub_arr, spec.q
-    if kind == "ratio" and _holds_zero(B):
+    if kind == "ratio" and 0 in B:
         raise ZeroDivisorInRatio("ratio set needs 0 not in B")
     n = spec.q - 1
     # q <= 2^24, so int32 holds the logs and their sums at half the bytes a cell
@@ -398,7 +391,7 @@ def _pair_support(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
         marks = np.unpackbits(marks, count=n, bitorder="little").view(bool)
     if kind in ("sum", "diff"):
         return marks
-    return _by_encoding(A.spec, marks, _holds_zero(A) or _holds_zero(B))
+    return _by_encoding(A.spec, marks, 0 in A or 0 in B)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +575,7 @@ def set_op_size(A: FqSet, B: FqSet, kind: str) -> int:
         size = int(np.bitwise_count(marks).sum(dtype=np.int64)) - (8 * marks.size - n)
     else:
         size = int(np.count_nonzero(marks))
-    return size + int(kind in ("prod", "ratio") and (_holds_zero(A) or _holds_zero(B)))
+    return size + int(kind in ("prod", "ratio") and (0 in A or 0 in B))
 
 
 def shifted_product(A: FqSet, alpha: int) -> FqSet:
@@ -693,7 +686,7 @@ def coset_intersection_counts(A: FqSet, G) -> np.ndarray:
     spec = A.spec
     n = (spec.q - 1) // (G.size - 1)
     logs = spec.log_table[A.members[A.members != 0]]
-    return np.bincount(logs % n, minlength=n) + int(_holds_zero(A))
+    return np.bincount(logs % n, minlength=n) + int(0 in A)
 
 
 def coset_profile(A: FqSet, exponent_num: int, exponent_den: int, reference: FqSet | int,

@@ -278,10 +278,11 @@ def test_greedy_subset_search_matches_naive(descriptor):
 
 @pytest.mark.parametrize("descriptor", ["2^6", "7^2", "3^4", "5^3", "2^8"])
 def test_saturated_sumset_search_exits_early_and_matches_naive(descriptor, monkeypatch):
-    # with c the least count of a value of X + S, c - 2 removals cannot take
-    # any count to 1, so the search returns without scoring a row; c - 1 and
-    # c removals run the search.  All against the literal greedy, which has
-    # no such exit.  S = F_q gives every value the count |X|.
+    # with c the least count of a value of X + S, c - 2 and c - 1 removals
+    # take no count to 1 before the last argmax, so the search returns
+    # without scoring a row; c and c + 1 removals run the search.  All
+    # against the literal greedy, which has no such exit.  S = F_q gives
+    # every value the count |X|.
     spec = parse_descriptor(descriptor)
     scored, blocks = [], decompositions._blocks
     monkeypatch.setattr(decompositions, "_blocks",
@@ -293,7 +294,8 @@ def test_saturated_sumset_search_exits_early_and_matches_naive(descriptor, monke
         S = (FqSet.full(spec) if trial == 0
              else draw_set(rng, spec, spec.q // 2 + int(rng.integers(0, spec.q // 4))))
         least = min(Counter(naive_add(spec, x, s) for x in X for s in S).values())
-        for removals, exits in ((least - 2, True), (least - 1, False), (least, False)):
+        for removals, exits in ((least - 2, True), (least - 1, True), (least, False),
+                                (least + 1, False)):
             if not 1 <= removals < len(X):
                 continue
             scored.clear()
