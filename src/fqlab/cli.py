@@ -283,7 +283,7 @@ def _cmd_cover(args) -> int:
     spec = parse_descriptor(args.field)
     count, shifts = covering_number(FqSet.from_literal(spec, args.target),
                                     FqSet.from_literal(spec, args.tile),
-                                    args.sign)
+                                    1 if args.sign == "+" else -1)
     if args.format == "json":
         _emit(args, _dumps({"count": count, "shifts": shifts}))
     else:

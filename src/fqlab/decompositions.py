@@ -25,6 +25,7 @@ from .errors import (
     SecondSetLarger,
     SumBelowK,
     TraceDegenerate,
+    ZeroInDenominatorSet,
     ZeroInSet,
     ZeroShift,
 )
@@ -40,7 +41,6 @@ from .set_algebra import (
     dilate,
     quotient_closure_failure,
     quotient_set,
-    representation_spectrum,
     set_op,
     set_op_size,
     translate,
@@ -136,15 +136,19 @@ def dyadic_energy_slice(X: FqSet, Y: FqSet) -> DyadicSlice:
     """Bucket the ratio counts by powers of two and keep the level with the
     largest squared mass (smallest level on ties).
 
-    A count's level is its place among the powers of two, and the masses add
-    up in int64, exactly: each is at most the energy, below (|X||Y|)^(3/2),
-    with the whole |X| x |Y| ratio grid in memory.  A perfectly flat spectrum
-    at a power of two would make L*N equal |X||Y| exactly; in that case the
-    largest-encoded slope is dropped, which keeps every certificate valid.
+    The counts are one bincount of the |X| x |Y| ratio grid, which also
+    gives the slice's pairs.  A count's level is its place among the powers
+    of two, and the masses add up in int64, exactly: each is at most the
+    energy, below (|X||Y|)^(3/2).  A perfectly flat spectrum at a power of
+    two would make L*N equal |X||Y| exactly; in that case the largest-encoded
+    slope is dropped, which keeps every certificate valid.
     """
     if len(Y) > len(X):
         raise SecondSetLarger("need |Y| <= |X|")
-    spectrum = representation_spectrum(X, Y)
+    if 0 in X:
+        raise ZeroInDenominatorSet("denominator set must avoid 0")
+    ratios = X.spec.div_arr(Y.members[None, :], X.members[:, None])
+    spectrum = np.bincount(ratios.ravel(), minlength=X.spec.q)
     counts = spectrum[spectrum > 0]
     if not counts.size:
         raise EmptySpectrum("no ratio pairs between X and Y")
@@ -156,7 +160,6 @@ def dyadic_energy_slice(X: FqSet, Y: FqSet) -> DyadicSlice:
     if slopes.size * N == len(X) * len(Y) and slopes.size >= 2:
         slopes = slopes[:-1]
     D = FqSet._from_sorted(X.spec, slopes)
-    ratios = X.spec.div_arr(Y.members[None, :], X.members[:, None])
     xi, yi = np.nonzero(D.bitmask[ratios])
     pairs = np.column_stack([X.members[xi], Y.members[yi]])  # row-major: (x, y) sorted
     L = len(D)
@@ -329,8 +332,8 @@ def points_certificates(sl: DyadicSlice, pts: PopularPoints) -> dict:
             len(s) >= C_SLICE_SETS * Fraction(L**2 * N**3, nx**2 * ny**2)
             for s in pts.S.values()
         ),
-        "slopes_in_band": all(int(z) in sl.D for z in
-                              sl.X.spec.div_arr(pts.A_x0.members, np.int64(pts.x0))),
+        "slopes_in_band": bool(np.all(
+            sl.D.bitmask[sl.X.spec.div_arr(pts.A_x0.members, np.int64(pts.x0))])),
         "factor_product_ok": (c["pigeonhole_factor"] ** c["pigeonhole_steps"]
                               >= Fraction(1, 2) ** c["pigeonhole_steps"]),
     }
@@ -345,47 +348,42 @@ def points_certificates(sl: DyadicSlice, pts: PopularPoints) -> dict:
 
 def _greedy_cover(target: FqSet, tile: FqSet, counts: np.ndarray):
     """Greedy cover of target by translates t + tile, the first (= smallest)
-    t of largest gain each step.  Gains only fall: a t starts at
-    counts[t] = |(t + tile) ∩ target|, the pair counts of target - tile, and
-    when the chosen translate covers the set E, every t loses
-    |(t + tile) ∩ E|.  The whole run is O(|candidates| |target|); no step
-    rescans a hit grid."""
+    t of largest gain each step.  The gain of t starts at counts[t] =
+    |(t + tile) ∩ target|, the pair counts of target - tile, and counts is
+    lowered in place: a newly covered element e takes one gain from each
+    shift e - s, s in tile.  A step scans the gains of the candidates (the
+    shifts whose translate meets the target), and the whole run makes
+    |target| |tile| decrements: O(steps |candidates| + |target| |tile|)."""
     spec = target.spec
-    candidates = np.flatnonzero(counts)  # every shift whose translate meets the target
-    gains = counts[candidates]
+    candidates = np.flatnonzero(counts)
     uncovered = target.bitmask.copy()
     remaining, shifts = len(target), []
     while remaining:
-        best = int(np.argmax(gains))  # first maximum = smallest shift
-        if gains[best] == 0:
+        best = int(candidates[np.argmax(counts[candidates])])  # first maximum = smallest shift
+        if counts[best] == 0:
             raise InvariantViolated("no candidate shift covers an uncovered element")
-        hit = spec.add_arr(candidates[best], tile.members)
+        hit = spec.add_arr(best, tile.members)
         covered = hit[uncovered[hit]]
         uncovered[covered] = False
         remaining -= covered.size
-        gains -= tile.bitmask[spec.sub_arr(covered[:, None], candidates[None, :])].sum(axis=0)
-        shifts.append(int(candidates[best]))
+        np.subtract.at(counts, spec.sub_arr(covered[:, None], tile.members[None, :]), 1)
+        shifts.append(best)
     return len(shifts), shifts
 
 
 def _exact_cover(target: FqSet, tile: FqSet, counts: np.ndarray):
     """Branch-and-bound minimum cover by translates t + tile, seeded by the
-    greedy cover; only used for |target| <= EXACT_SEARCH_LIMIT."""
+    greedy cover; only used for |target| <= EXACT_SEARCH_LIMIT.  A candidate's
+    mask has bit i set when its translate holds the i-th target element; a
+    row's hits are distinct, so the sum of its bits is their OR."""
     spec, n = target.spec, len(target)
-    candidates = np.flatnonzero(counts)
+    candidates = np.flatnonzero(counts)  # read before the greedy seed lowers counts
     hits = spec.add_arr(candidates[:, None], tile.members[None, :])
-    bit_of = {int(v): i for i, v in enumerate(target.members)}
+    bits = np.where(target.bitmask[hits], 1 << np.searchsorted(target.members, hits), 0)
+    masks, first = np.unique(bits.sum(axis=1), return_index=True)
+    mask_of = dict(zip(masks.tolist(), candidates[first].tolist()))  # first = smallest shift
+    masks = masks.tolist()
     full = (1 << n) - 1
-    mask_of: dict[int, int] = {}
-    for t, row in zip(candidates, hits):
-        mask = 0
-        for v in row:
-            i = bit_of.get(int(v))
-            if i is not None:
-                mask |= 1 << i
-        if mask and mask not in mask_of:
-            mask_of[mask] = int(t)  # first (= smallest) shift wins
-    masks = sorted(mask_of)
     covers_elem = [[m for m in masks if (m >> i) & 1] for i in range(n)]
 
     best_count, best_shifts = _greedy_cover(target, tile, counts)
@@ -419,16 +417,15 @@ def _exact_cover(target: FqSet, tile: FqSet, counts: np.ndarray):
     return best_count, best_shifts
 
 
-def covering_number(target: FqSet, tile: FqSet, sign: int | str = +1):
-    """Fewest translates t + sign*tile covering target: the exact minimum
-    (branch and bound) when |target| <= EXACT_SEARCH_LIMIT, else greedy with
-    the smallest-shift tie-break.  Returns (count, shifts)."""
+def covering_number(target: FqSet, tile: FqSet, sign: int = +1):
+    """Fewest translates t + sign*tile covering target, sign +1 or -1: the
+    exact minimum (branch and bound) when |target| <= EXACT_SEARCH_LIMIT,
+    else greedy with the smallest-shift tie-break.  Returns (count, shifts)."""
     _require_same_field(target, tile)
     if len(tile) == 0:
         raise EmptySet("covering tile must be nonempty")
-    sign = {"+": 1, "-": -1}.get(sign, sign)
     if sign not in (1, -1):
-        raise ValueError(f"sign must be +1, -1, '+' or '-', got {sign!r}")
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if len(target) == 0:
         return 0, []
     spec = target.spec

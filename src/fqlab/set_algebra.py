@@ -121,10 +121,6 @@ class FqSet:
                 f"set literal {_clip(repr(text))} is not a list of integers") from None
         return cls.from_iterable(spec, values)
 
-    @classmethod
-    def full(cls, spec: FieldSpec) -> "FqSet":
-        return cls._from_sorted(spec, np.arange(spec.q, dtype=np.int64))
-
     def __len__(self) -> int:
         return int(self.members.size)
 

@@ -359,10 +359,11 @@ def test_covering_greedy_vs_exact_and_oracle():
             assert count == len(shifts)
 
 
-@pytest.mark.parametrize("descriptor", POOL_DESCRIPTORS)
+@pytest.mark.parametrize("descriptor", POOL_DESCRIPTORS + ("2^16", "3^7"))
 def test_greedy_cover_matches_naive(descriptor):
     # the falling gains against gains recomputed at every step: same count
-    # and the same shifts in the same order, past the exact-search limit
+    # and the same shifts in the same order, past the exact-search limit; on
+    # 2^16 and 3^7, q far above |target||tile|, most shifts meet no target
     spec = parse_descriptor(descriptor)
     for trial in range(4):
         rng = np.random.default_rng([47, spec.q, trial])
@@ -374,10 +375,27 @@ def test_greedy_cover_matches_naive(descriptor):
                 spec, target.members.tolist(), tile.members.tolist(), sign)
 
 
+def test_greedy_cover_builds_no_shift_grid():
+    # |target| = 500, |tile| = 1000 on 3^12: a grid of newly covered elements
+    # against every candidate shift peaked near 100 MB
+    spec = build_field(3, 12)
+    rng = np.random.default_rng(500)
+    target = FqSet.from_iterable(spec, rng.choice(spec.q, 500, replace=False))
+    tile = FqSet.from_iterable(spec, rng.choice(spec.q, 1000, replace=False))
+    tracemalloc.start()
+    try:
+        count, shifts = covering_number(target, tile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == len(shifts) > 1
+    assert peak < 32_000_000
+
+
 def test_covering_negative_tile():
     target = fqset(F7, 1, 2)
     tile = fqset(F7, 5, 6)
-    count, shifts = covering_number(target, tile, "-")
+    count, shifts = covering_number(target, tile, -1)
     assert count == 1  # -tile = {1, 2}, shift 0 covers
 
 
@@ -393,7 +411,7 @@ def test_covering_mixed_fields_raise(limit, sign):
             on_path(limit, covering_number, target, tile, sign)
 
 
-@pytest.mark.parametrize("sign", [0, 2, "x", "+1"])
+@pytest.mark.parametrize("sign", [0, 2, "x", "+1", "+", "-"])
 def test_covering_bad_sign_is_a_value_error(sign):
     with pytest.raises(ValueError, match="sign must be"):
         covering_number(fqset(F7, 1, 2), fqset(F7, 5, 6), sign)

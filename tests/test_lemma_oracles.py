@@ -156,7 +156,7 @@ def test_find_pivot_xi_examples():
     assert rep.witness["max_sumset"] >= 2  # bound = 4*4/(4+4) = 2
     rep = find_pivot_xi(fqset(F5, 3), fqset(F5, 2))
     assert rep.verdict == "WitnessFound"
-    full = FqSet.full(F7)
+    full = FqSet.from_iterable(F7, range(F7.q))
     rep = find_pivot_xi(full, full)
     assert rep.witness["max_sumset"] == 7
 
@@ -291,7 +291,7 @@ def test_saturated_sumset_search_exits_early_and_matches_naive(descriptor, monke
     for trial in range(4):
         rng = np.random.default_rng([37, spec.q, trial])
         X = draw_set(rng, spec, int(rng.integers(12, 20)))
-        S = (FqSet.full(spec) if trial == 0
+        S = (FqSet.from_iterable(spec, range(spec.q)) if trial == 0
              else draw_set(rng, spec, spec.q // 2 + int(rng.integers(0, spec.q // 4))))
         least = min(Counter(naive_add(spec, x, s) for x in X for s in S).values())
         for removals, exits in ((least - 2, True), (least - 1, True), (least, False),

@@ -579,8 +579,8 @@ def test_quotient_closure_failure_stays_well_below_one_grid_of_memory():
 def test_quotient_closure_failure_passes_the_whole_field_at_once():
     spec = build_field(2, 16)
     rows = np.arange(1, spec.q, dtype=np.int64)
-    assert quotient_closure_failure(FqSet.full(spec), rows) is None
-    assert quotient_closure_failure(FqSet.full(F7), rows[:6]) is None
+    assert quotient_closure_failure(FqSet.from_iterable(spec, range(spec.q)), rows) is None
+    assert quotient_closure_failure(FqSet.from_iterable(F7, range(F7.q)), rows[:6]) is None
 
 
 def test_quotient_closure_failure_finds_a_late_failing_row():
