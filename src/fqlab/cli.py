@@ -69,7 +69,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--r", type=int, help="pivot element (rbcard)")
     p_verify.add_argument("--alpha", type=int, default=1)
     p_verify.add_argument("--eps", default="1/4", help="proportion bound (plunnecke_refined)")
-    p_verify.add_argument("--trials", type=int, default=20, help="batch instances per lemma")
+    p_verify.add_argument("--trials", type=positive_int, default=20,
+                          help="batch instances per lemma")
     p_verify.add_argument("--seed", type=int, default=0)
     _common(p_verify, ("json", "csv"))
 
@@ -77,9 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--field", help="field descriptor")
     p_trace.add_argument("--set", dest="set_", help="explicit input set literal")
     p_trace.add_argument("--alpha", type=int, default=1)
-    p_trace.add_argument("--trials", type=int, default=5, help="batch size when no --set")
+    p_trace.add_argument("--trials", type=positive_int, default=5, help="batch size when no --set")
     p_trace.add_argument("--seed", type=int, default=0)
-    p_trace.add_argument("--kappa", type=int, default=1)
+    p_trace.add_argument("--kappa", type=positive_int, default=1)
     _common(p_trace, ("json",))
 
     p_survey = sub.add_parser("survey", help="run an expander survey to CSV/JSON")
@@ -104,6 +105,14 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in sub.choices.values():  # usage errors found after parsing exit 2 as well
         p.set_defaults(usage_error=p.error)
     return parser
+
+
+def positive_int(text: str) -> int:
+    """argparse type for an integer that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:

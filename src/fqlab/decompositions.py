@@ -371,55 +371,51 @@ def _greedy_cover(target: FqSet, tile: FqSet, counts: np.ndarray):
     return len(shifts), shifts
 
 
-def _exact_cover(target: FqSet, tile: FqSet, counts: np.ndarray):
-    """Branch-and-bound minimum cover by translates t + tile, seeded by the
-    greedy cover; only used for |target| <= EXACT_SEARCH_LIMIT.  A candidate's
-    mask has bit i set when its translate holds the i-th target element; a
-    row's hits are distinct, so the sum of its bits is their OR."""
-    spec, n = target.spec, len(target)
-    candidates = np.flatnonzero(counts)  # read before the greedy seed lowers counts
-    hits = spec.add_arr(candidates[:, None], tile.members[None, :])
-    bits = np.where(target.bitmask[hits], 1 << np.searchsorted(target.members, hits), 0)
-    masks, first = np.unique(bits.sum(axis=1), return_index=True)
-    mask_of = dict(zip(masks.tolist(), candidates[first].tolist()))  # first = smallest shift
-    masks = masks.tolist()
+def _exact_cover(target: FqSet, tile: FqSet):
+    """Minimum cover of target by translates t + tile, breadth first over the
+    2^n covered-target states, n = |target| <= EXACT_SEARCH_LIMIT.  Bit i of
+    shift t's mask marks target[i] in t + tile; each mask keeps its smallest
+    shift, and a mask inside another is dropped (a cover can swap it for the
+    larger one).  Level k holds the states first reached by k translates, so
+    the first level to reach the full state gives the minimum.  Tie-break: a
+    state keeps the first (earlier state, mask) pair that reaches it, both
+    ascending; the shifts are returned ascending.  Work and memory are
+    O(n |tile| + 2^n |masks|)."""
+    n = len(target)
+    diffs = target.spec.sub_arr(target.members[:, None], tile.members[None, :]).ravel()
+    shifts, inverse = np.unique(diffs, return_inverse=True)
+    # a row's differences are distinct, so each shift's sum of bits is their OR
+    bits = np.repeat(1 << np.arange(n, dtype=np.int64), len(tile))
+    by_shift = np.bincount(inverse, weights=bits).astype(np.int64)
+    masks, first = np.unique(by_shift, return_index=True)  # first = smallest shift
+    supersets = np.zeros(1 << n, dtype=np.int64)
+    supersets[masks] = 1
+    for i in range(n):  # sum over supersets, one bit at a time
+        halves = supersets.reshape(-1, 2, 1 << i)
+        halves[:, 0] += halves[:, 1]
+    maximal = supersets[masks] == 1
+    masks, shifts = masks[maximal], shifts[first[maximal]]
+
     full = (1 << n) - 1
-    covers_elem = [[m for m in masks if (m >> i) & 1] for i in range(n)]
-
-    best_count, best_shifts = _greedy_cover(target, tile, counts)
-
-    def dfs(covered: int, chosen: list[int]):
-        nonlocal best_count, best_shifts
-        if covered == full:
-            if len(chosen) < best_count:
-                best_count = len(chosen)
-                best_shifts = [mask_of[m] for m in chosen]
-            return
-        if len(chosen) + 1 >= best_count:
-            remaining = full & ~covered
-            max_gain = max((bin(m & remaining).count("1") for m in masks), default=0)
-            if max_gain == 0 or len(chosen) + math.ceil(
-                    bin(remaining).count("1") / max_gain) >= best_count:
-                return
-        remaining = full & ~covered
-        elem = min((i for i in range(n) if (remaining >> i) & 1),
-                   key=lambda i: len(covers_elem[i]))
-        options = sorted(covers_elem[elem],
-                         key=lambda m: -bin(m & remaining).count("1"))
-        for m in options:
-            if len(chosen) + 1 >= best_count:
-                break
-            chosen.append(m)
-            dfs(covered | m, chosen)
-            chosen.pop()
-
-    dfs(0, [])
-    return best_count, best_shifts
+    prev = np.full(1 << n, -1, dtype=np.int64)  # the state a state was first reached from
+    via = np.zeros(1 << n, dtype=np.int64)  # and the shift that reached it
+    prev[0], frontier = 0, np.zeros(1, dtype=np.int64)
+    while prev[full] < 0:
+        states, cell = np.unique(frontier[:, None] | masks, return_index=True)
+        new = prev[states] < 0
+        states, cell = states[new], cell[new]
+        prev[states], via[states] = frontier[cell // masks.size], shifts[cell % masks.size]
+        frontier = states
+    chosen, state = [], full
+    while state:
+        chosen.append(int(via[state]))
+        state = int(prev[state])
+    return len(chosen), sorted(chosen)
 
 
 def covering_number(target: FqSet, tile: FqSet, sign: int = +1):
     """Fewest translates t + sign*tile covering target, sign +1 or -1: the
-    exact minimum (branch and bound) when |target| <= EXACT_SEARCH_LIMIT,
+    exact minimum (breadth first) when |target| <= EXACT_SEARCH_LIMIT,
     else greedy with the smallest-shift tie-break.  Returns (count, shifts)."""
     _require_same_field(target, tile)
     if len(tile) == 0:
@@ -430,10 +426,9 @@ def covering_number(target: FqSet, tile: FqSet, sign: int = +1):
         return 0, []
     spec = target.spec
     shifted_tile = tile if sign == 1 else FqSet.from_iterable(spec, spec.neg_arr(tile.members))
-    counts = _pair_counts(target, shifted_tile, "diff")
     if len(target) <= EXACT_SEARCH_LIMIT:
-        return _exact_cover(target, shifted_tile, counts)
-    return _greedy_cover(target, shifted_tile, counts)
+        return _exact_cover(target, shifted_tile)
+    return _greedy_cover(target, shifted_tile, _pair_counts(target, shifted_tile, "diff"))
 
 
 def _plunnecke_terms(X: FqSet, Bs: list[FqSet]) -> tuple[FqSet, int]:
@@ -663,9 +658,12 @@ def run_proof_trace(A: FqSet, alpha: int, *, kappa: int = 1) -> ProofTrace:
     carry at least two elements each for the quotient-set machinery, otherwise
     the input is rejected as degenerate.  Structural comparisons in the case-4
     family are evaluated against the original input set, with kappa the slack
-    for their implied constant.  The cover counts of the active branch are
-    measured, never asserted (``_measure_covers``).
+    for their implied constant, an integer >= 1 (ValueError otherwise).  The
+    cover counts of the active branch are measured, never asserted
+    (``_measure_covers``).
     """
+    if not kappa >= 1:
+        raise ValueError(f"kappa must be at least 1, got {kappa!r}")
     spec = A.spec
     if alpha % spec.q == 0:
         raise ZeroShift("alpha must be nonzero")

@@ -132,15 +132,26 @@ def check_rbcard(X: FqSet, r: int, X1: FqSet, X2: FqSet) -> LemmaReport:
 
 
 def _first_collision(X1: FqSet, X2: FqSet, r: int):
+    """The first value of x1 - r*x2 to repeat over X1 x X2 in row-major order:
+    {"first": the pair where it first occurred, "second": the pair repeating
+    it}, or None when all |X1||X2| values differ.  The first repeat of a
+    prefix of rows is the grid's, so the prefix doubles until one repeats:
+    the work is under four times the rows the answer needs."""
     spec = X1.spec
-    seen: dict[int, tuple[int, int]] = {}
-    for x1 in X1:
-        for x2 in X2:
-            v = spec.sub(x1, spec.mul(r, x2))
-            if v in seen and seen[v] != (x1, x2):
-                return {"first": seen[v], "second": (x1, x2)}
-            seen.setdefault(v, (x1, x2))
-    return None
+    scaled = spec.mul_arr(np.int64(r), X2.members)
+    rows = 1
+    while True:
+        values = spec.sub_arr(X1.members[:rows, None], scaled[None, :]).ravel()
+        _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+        repeats = np.flatnonzero(first[inverse] != np.arange(values.size))
+        if repeats.size:
+            break
+        if rows >= len(X1):
+            return None
+        rows *= 2
+    i, j = np.divmod([first[inverse[repeats[0]]], repeats[0]], len(X2))
+    earlier, later = zip(X1.members[i].tolist(), X2.members[j].tolist())
+    return {"first": earlier, "second": later}
 
 
 def check_rbfq(X: FqSet) -> LemmaReport:

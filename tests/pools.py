@@ -170,6 +170,20 @@ def naive_quotient_closure_failure(spec: FieldSpec, R, rows):
     return None
 
 
+def naive_first_collision(spec: FieldSpec, X1, X2, r: int):
+    """The first value of x1 - r*x2 to repeat, scanning X1 x X2 row by row in
+    ascending order: {"first": the pair where it first occurred, "second":
+    the pair repeating it}, or None when all values differ."""
+    seen: dict[int, tuple[int, int]] = {}
+    for x1 in sorted(X1):
+        for x2 in sorted(X2):
+            v = naive_sub(spec, x1, arith(spec, "mul", r, x2))
+            if v in seen:
+                return {"first": seen[v], "second": (x1, x2)}
+            seen[v] = (x1, x2)
+    return None
+
+
 def naive_coset_profile(spec: FieldSpec, A) -> list[tuple[int, int, int, int]]:
     """(d, |G|, rep, |A ∩ cG|) for every distinct dilate cG of every proper
     subfield G = {x : x^(p^d) = x}, rep the smallest c in F_q^* giving cG;
@@ -190,15 +204,16 @@ def naive_coset_profile(spec: FieldSpec, A) -> list[tuple[int, int, int, int]]:
 def naive_cover_min(spec: FieldSpec, target, tile, sign: int) -> int:
     """Exact minimum covering count by plain recursive search: branch on every
     translate hitting the first uncovered element (independent of the
-    library's branch-and-bound: no greedy seed, no coverage bounds, no
-    dominated-mask pruning)."""
+    library's breadth-first search over covered-target masks: no bit masks,
+    no dominated-mask pruning, no level sets).  Shifts with equal masks are
+    one branch."""
     tile_eff = [naive_neg(spec, t) for t in tile] if sign < 0 else list(tile)
     target = list(target)
     universe = frozenset(target)
     candidates = sorted({naive_sub(spec, e, t) for e in target for t in tile_eff})
-    masks = [frozenset(naive_add(spec, c, t) for t in tile_eff) & universe
-             for c in candidates]
-    masks = [m for m in masks if m]
+    masks = {frozenset(naive_add(spec, c, t) for t in tile_eff) & universe
+             for c in candidates}
+    masks = sorted(masks - {frozenset()}, key=sorted)
 
     best = len(target) + 1
 

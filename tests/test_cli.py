@@ -141,6 +141,21 @@ def test_usage_errors_found_after_parsing_exit_2(capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("trace", "--trials", "0"),
+    ("trace", "--trials", "-2"),
+    ("verify", "rbfq", "--trials", "0"),
+    ("trace", "--field", "5^2", "--set", "1,2,3,4,9", "--kappa", "-2"),
+    ("trace", "--field", "5^2", "--set", "1,2,3,4,9", "--kappa", "0"),
+])
+def test_trials_and_kappa_below_1_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --" in err and "must be at least 1" in err
+
+
 @pytest.mark.parametrize("argv, cap, error", [
     (("setop", "sum", "--field", "7", "--a", "1,x", "--b", "2"), None, "MalformedLiteral"),
     (("setop", "sum", "--field", "7", "--a", "1,9", "--b", "2"), None, "ElementOutOfRange"),

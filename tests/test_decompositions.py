@@ -339,16 +339,18 @@ def test_covering_examples():
 
 
 def test_covering_greedy_vs_exact_and_oracle():
+    # targets up to the exact-search limit, tiles up to 40
     rng = np.random.default_rng(13)
-    for i in range(120):
+    for i in range(160):
         spec = pool_field(i)
-        target = draw_set(rng, spec, int(rng.integers(2, min(9, spec.q))))
-        tile = draw_set(rng, spec, int(rng.integers(1, min(5, spec.q))))
+        target = draw_set(rng, spec, int(rng.integers(2, min(EXACT_SEARCH_LIMIT, spec.q) + 1)))
+        tile = draw_set(rng, spec, int(rng.integers(1, min(40, spec.q) + 1)))
         sign = 1 if i % 2 else -1
         exact, ex_shifts = on_path(EXACT, covering_number, target, tile, sign)
         greedy, gr_shifts = on_path(GREEDY, covering_number, target, tile, sign)
         assert exact <= greedy
         assert greedy <= exact * (1 + math.log(len(target))) + 1e-9
+        assert ex_shifts == sorted(set(ex_shifts))
         assert exact == naive_cover_min(spec, list(target), list(tile), sign)
         for count, shifts in ((exact, ex_shifts), (greedy, gr_shifts)):
             covered = set()
@@ -390,6 +392,24 @@ def test_greedy_cover_builds_no_shift_grid():
         tracemalloc.stop()
     assert count == len(shifts) > 1
     assert peak < 32_000_000
+
+
+@pytest.mark.parametrize("p, m, tile_size", [(2, 16, 1000), (2, 12, 2048)])
+def test_exact_cover_builds_no_hit_grid(p, m, tile_size):
+    # |target| = 12: a candidates x tile hit grid peaked at 276 MB on 2^16 and
+    # 210 MB on 2^12; the masks and the 2^12 states take a few MB
+    spec = build_field(p, m)
+    rng = np.random.default_rng([12, spec.q, tile_size])
+    target = FqSet.from_iterable(spec, rng.choice(spec.q, EXACT_SEARCH_LIMIT, replace=False))
+    tile = FqSet.from_iterable(spec, rng.choice(spec.q, tile_size, replace=False))
+    tracemalloc.start()
+    try:
+        count, shifts = covering_number(target, tile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == len(shifts) >= 1
+    assert peak < 16_000_000
 
 
 def test_covering_negative_tile():
@@ -509,6 +529,15 @@ def test_trace_preconditions():
         run_proof_trace(fqset(F13, 0, 1, 2, 3), 1)
     with pytest.raises(TraceDegenerate):
         run_proof_trace(fqset(F13, 1, 2, 4), 1)
+
+
+@pytest.mark.parametrize("kappa", [0, -2])
+def test_trace_kappa_below_1_is_a_value_error(kappa):
+    # kappa is squared, so -2 would pass for 2 and 0 would fail every bound
+    A = FqSet.from_literal(build_field(5, 2), "1,2,3,4,9")
+    assert run_proof_trace(A, 1).case == "4.3"
+    with pytest.raises(ValueError, match="kappa must be"):
+        run_proof_trace(A, 1, kappa=kappa)
 
 
 def test_trace_deterministic_and_verifiable():

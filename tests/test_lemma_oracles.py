@@ -22,6 +22,7 @@ from fqlab.finite_field import build_field, enumerate_subfields, parse_descripto
 from fqlab.lemma_oracles import (
     LEMMA_IDS,
     LEMMAS,
+    _first_collision,
     basic_shift_subset,
     batch_verify,
     check_covering_by_shifts,
@@ -49,6 +50,7 @@ from pools import (
     GREEDY,
     draw_set,
     naive_add,
+    naive_first_collision,
     naive_greedy_min_subset,
     naive_multiplicative_energy,
     naive_quotient_set,
@@ -84,6 +86,22 @@ def test_rbcard_collision_branch():
     assert rep.verdict == "WitnessFound"
     assert rep.witness["size"] <= rep.witness["product"]
     assert rep.witness["collision"] is not None
+
+
+def test_first_collision_matches_naive_oracle():
+    # the doubling row prefixes against a literal scan of the whole grid, on
+    # the pool fields and 2^10, with and without a repeat
+    hits = 0
+    for i in range(200):
+        spec = pool_field(i)
+        rng = np.random.default_rng([29, i])
+        X1 = draw_set(rng, spec, int(rng.integers(1, min(20, spec.q) + 1)))
+        X2 = draw_set(rng, spec, int(rng.integers(1, min(20, spec.q) + 1)))
+        r = int(rng.integers(1, spec.q))
+        found = _first_collision(X1, X2, r)
+        assert found == naive_first_collision(spec, list(X1), list(X2), r)
+        hits += found is not None
+    assert 0 < hits < 200
 
 
 def test_rbcard_singletons_trivial():
