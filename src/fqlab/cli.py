@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_survey.add_argument("--sizes", required=True, help="comma-separated sizes")
     p_survey.add_argument("--samplers", default="uniform",
                           help="comma-separated: uniform,ap,gp,coset")
-    p_survey.add_argument("--trials", type=int, default=1)
+    p_survey.add_argument("--trials", type=positive_int, default=1)
     p_survey.add_argument("--seed", type=int, default=0)
     p_survey.add_argument("--alpha-policy", default="fixed1",
                           choices=("fixed1", "sweep", "random"))

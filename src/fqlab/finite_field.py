@@ -4,7 +4,10 @@ Elements are encoded as integers in [0, q): the base-p digits of the encoding
 are the coefficients of the residue polynomial (digit i = coefficient of X^i),
 so prime fields encode elements as themselves.  Multiplication runs on full
 discrete exp/log tables with respect to a fixed generator; the O(q) table
-memory is what the construction cap is for.
+memory is what the construction cap is for.  The tables and the coset
+representatives are int32, which holds every value below the largest cap
+2^24 at half the bytes; sets and the vectorized operations' results are
+int64.
 
 Addition is digit-wise mod p.  Prime fields add mod p and p = 2 adds by XOR.
 Every other field adds through a ``DigitPacking``: a q-length table of packed
@@ -48,7 +51,9 @@ CAP_ENV_VAR = "FQLAB_CAP"
 
 ARITH_OPS = ("add", "sub", "mul", "div", "neg", "inv", "pow")
 TABLE_BITS = 12  # index bits of a chunk table (one digit or packed field may need more)
-BUILD_BLOCK = 1 << 16  # powers mapped, or scattered into the log table, per step of the build
+# powers mapped, or scattered into the log table, per step of the build: the
+# step's int64 temporaries stay small beside the int32 tables
+BUILD_BLOCK = 1 << 15
 ECHO_CHARS = 40  # longest descriptor, p or m an error message repeats whole
 
 
@@ -241,15 +246,16 @@ class DigitPacking:
 
 
 def _build_tables(p: int, m: int, q: int, modulus, generator: int, add):
-    """exp/log tables, the power sequence written in place into one q-length
-    exp array.  cols holds the encodings of g^L, g^L X, ..., g^L X^(m-1): the
-    columns of the F_p-linear map "multiply by g^L", which maps the L powers
-    before each block of L to the block.  L doubles, the map squared by
-    applying it to its own columns, until it reaches BUILD_BLOCK.  The map is
-    applied through chunk tables over k base-p digits, taken by floor
-    division, whose images are combined by ``add``; k is at most half the
-    digits (and p^k <= 2^TABLE_BITS): two tables of about sqrt(q) entries
-    where they fit.  Prime fields multiply by g^L mod p instead.
+    """int32 exp/log tables, the power sequence written in place into one
+    q-length exp array.  cols holds the encodings of g^L, g^L X, ...,
+    g^L X^(m-1): the columns of the F_p-linear map "multiply by g^L", which
+    maps the L powers before each block of L to the block.  L doubles, the
+    map squared by applying it to its own columns, until it reaches
+    BUILD_BLOCK.  The map is applied through chunk tables over k base-p
+    digits, taken by floor division, whose images are combined by ``add``; k
+    is at most half the digits (and p^k <= 2^TABLE_BITS): two tables of about
+    sqrt(q) entries where they fit.  Prime fields multiply by g^L mod p
+    instead.
 
     The log table is one blocked scatter into an array prefilled with -1.  The
     powers are a bijection onto [1, q) iff all lie in [1, q), checked before
@@ -287,7 +293,7 @@ def _build_tables(p: int, m: int, q: int, modulus, generator: int, add):
         cols.append(int(np.dot(_poly_mulmod(gd, xi, modulus, p), powers)))
         xi = _poly_mulmod(xi, (0, 1) + (0,) * (m - 2), modulus, p)
     cols = np.array(cols, dtype=np.int64)
-    exp_table = np.empty(q, dtype=np.int64)
+    exp_table = np.empty(q, dtype=np.int32)
     exp_table[0] = exp_table[q - 1] = 1
     size = L = 1
     apply = mapper(cols)
@@ -299,10 +305,11 @@ def _build_tables(p: int, m: int, q: int, modulus, generator: int, add):
             cols, L = apply(cols), 2 * L
             apply = mapper(cols)
     enc = exp_table[: q - 1]
-    log_table = np.full(q, -1, dtype=np.int64)
+    log_table = np.full(q, -1, dtype=np.int32)
     if enc.min() >= 1 and enc.max() < q:
         for i in range(0, q - 1, BUILD_BLOCK):
-            log_table[enc[i: i + BUILD_BLOCK]] = np.arange(i, min(i + BUILD_BLOCK, q - 1))
+            log_table[enc[i: i + BUILD_BLOCK]] = np.arange(i, min(i + BUILD_BLOCK, q - 1),
+                                                           dtype=np.int32)
     if log_table[1:].min() < 0:
         raise NoIrreducibleFound("generator power table is not a bijection (construction bug)")
     log_table[0] = 0
@@ -330,8 +337,8 @@ class FieldSpec:
     q: int
     modulus: tuple[int, ...]  # monic, low-degree-first, length m+1
     generator: int
-    exp_table: np.ndarray  # exp_table[k] = generator^k, period q-1, length q
-    log_table: np.ndarray  # log_table[x] for x in [1, q); index 0 is a sentinel
+    exp_table: np.ndarray  # int32, exp_table[k] = generator^k, period q-1, length q
+    log_table: np.ndarray  # int32, log_table[x] for x in [1, q); index 0 is a sentinel
     packing: DigitPacking | None = None  # odd p and m > 1 only
     _derived: dict = field(default_factory=dict, repr=False)
 
@@ -381,6 +388,7 @@ class FieldSpec:
         return int(self.exp_table[(int(self.log_table[a]) * e) % (self.q - 1)])
 
     # -- vectorized operations on int64 arrays (add, neg, sub: or ints) ----
+    # Results are int64, though the tables they read are int32.
 
     def add_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.m == 1:
@@ -406,24 +414,25 @@ class FieldSpec:
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         zero = (a == 0) | (b == 0)
         lg = (self.log_table[a] + self.log_table[b]) % (self.q - 1)
-        return np.where(zero, 0, self.exp_table[lg])
+        return np.where(zero, np.int64(0), self.exp_table[lg])
 
     def inv_arr(self, a: np.ndarray) -> np.ndarray:
         if np.any(a == 0):
             raise DivisionByZero("inverse of 0")
-        return self.exp_table[(-self.log_table[a]) % (self.q - 1)]
+        return self.exp_table[(-self.log_table[a]) % (self.q - 1)].astype(np.int64)
 
     def div_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if np.any(b == 0):
             raise DivisionByZero("division by 0")
         lg = (self.log_table[a] - self.log_table[b]) % (self.q - 1)
-        return np.where(a == 0, 0, self.exp_table[lg])
+        return np.where(a == 0, np.int64(0), self.exp_table[lg])
 
     def pow_arr(self, a: np.ndarray, e: int) -> np.ndarray:
         if e < 0:
             return self.inv_arr(self.pow_arr(a, -e))
-        lg = (self.log_table[a] * e) % (self.q - 1)
-        out = np.where(a == 0, 0, self.exp_table[lg])
+        # e is reduced first: log * e could pass 2^63 (or e alone not fit int64)
+        lg = self.log_table[a] * np.int64(e % (self.q - 1)) % (self.q - 1)
+        out = np.where(a == 0, np.int64(0), self.exp_table[lg])
         if e == 0:
             out = np.where(a == 0, 1, out)
         return out
@@ -566,11 +575,12 @@ def proper_subfields(spec: FieldSpec) -> list[SubfieldHandle]:
 
 def coset_representatives(spec: FieldSpec, G: SubfieldHandle) -> np.ndarray:
     """Smallest-encoded representative of each distinct dilate cG, c in F_q^*,
-    as a cached, read-only, sorted int64 array.
+    as a cached, read-only, sorted int32 array.
 
     The dilates correspond to cosets of G^* in the cyclic group F_q^*, so there
-    are exactly (q-1)/(|G|-1) of them and their union covers F_q.  Marking each
-    coset's minimum in a q-length bool array lists them in order, without a sort.
+    are exactly (q-1)/(|G|-1) of them and their union covers F_q.  Each coset's
+    minimum is written into the array of that length, which is then sorted in
+    place: no other array of its length is made.
     """
     if not G.is_proper:
         raise NotProperSubfield(f"subfield of size {G.size} is the whole field")
@@ -578,8 +588,9 @@ def coset_representatives(spec: FieldSpec, G: SubfieldHandle) -> np.ndarray:
     if G.d not in cache:
         # column i of this exp-table view is coset i: the x != 0 with log x = i mod (q-1)/(|G|-1)
         columns = spec.exp_table[: spec.q - 1].reshape(G.size - 1, -1)
-        marks = np.zeros(spec.q, dtype=bool)
-        marks[columns.min(axis=0)] = True
-        cache[G.d] = np.flatnonzero(marks)
-        cache[G.d].flags.writeable = False
+        reps = np.empty(columns.shape[1], dtype=np.int32)
+        columns.min(axis=0, out=reps)
+        reps.sort()
+        reps.flags.writeable = False
+        cache[G.d] = reps
     return cache[G.d]

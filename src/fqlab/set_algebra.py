@@ -219,21 +219,20 @@ def _grid(A: FqSet, B: FqSet, kind: str):
     of A x B as an index below size.
 
     Sum and diff combine encodings by add_arr/sub_arr (size q).  Prod and
-    ratio combine the int32 logs of the nonzero parts by np.add, ratio with
-    q-1 - log b, so the values lie below 2(q-1) and a value and its
-    reduction mod q-1 name the same element: no % (q-1) per cell.  The
-    rotation reads the same a and b as residues: for ratio b is reduced mod
-    q-1 (the q-1 of log 1 = 0 becomes 0), and for a prime field's diff it is
-    negated mod p."""
+    ratio combine the logs of the nonzero parts, int32 as the log table holds
+    them, by np.add, ratio with q-1 - log b, so the values lie below 2(q-1)
+    < 2^25 and a value and its reduction mod q-1 name the same element: no
+    % (q-1) per cell.  The rotation reads the same a and b as residues: for
+    ratio b is reduced mod q-1 (the q-1 of log 1 = 0 becomes 0), and for a
+    prime field's diff it is negated mod p."""
     spec = A.spec
     if kind in ("sum", "diff"):
         return A.members, B.members, spec.add_arr if kind == "sum" else spec.sub_arr, spec.q
     if kind == "ratio" and 0 in B:
         raise ZeroDivisorInRatio("ratio set needs 0 not in B")
     n = spec.q - 1
-    # q <= 2^24, so int32 holds the logs and their sums at half the bytes a cell
-    a = spec.log_table[A.members[A.members != 0]].astype(np.int32)
-    b = spec.log_table[B.members[B.members != 0]].astype(np.int32)
+    a = spec.log_table[A.members[A.members != 0]]
+    b = spec.log_table[B.members[B.members != 0]]
     return a, (n - b if kind == "ratio" else b), np.add, 2 * n
 
 

@@ -145,6 +145,7 @@ def test_usage_errors_found_after_parsing_exit_2(capsys, argv):
     ("trace", "--trials", "0"),
     ("trace", "--trials", "-2"),
     ("verify", "rbfq", "--trials", "0"),
+    ("survey", "--fields", "7", "--sizes", "3", "--trials", "0", "--out", "no-such-dir/s.csv"),
     ("trace", "--field", "5^2", "--set", "1,2,3,4,9", "--kappa", "-2"),
     ("trace", "--field", "5^2", "--set", "1,2,3,4,9", "--kappa", "0"),
 ])
@@ -171,8 +172,6 @@ def test_trials_and_kappa_below_1_are_usage_errors(capsys, argv):
     (("verify", "rudnev", "--field", "7", "--sets", "1;1,2"), None, "SecondSetLarger"),
     (("survey", "--fields", "7", "--sizes", "1", "--out", "no-such-dir/s.csv"), None,
      "InvalidSurveyConfig"),
-    (("survey", "--fields", "7", "--sizes", "3", "--trials", "0", "--out", "no-such-dir/s.csv"),
-     None, "InvalidSurveyConfig"),
     (("survey", "--fields", "7", "--sizes", "3", "--samplers", "foo",
       "--out", "no-such-dir/s.csv"), None, "InvalidSurveyConfig"),
     # every draw from F_5^* is {1,2,3,4}, degenerate at alpha = 2

@@ -36,7 +36,8 @@ from fqlab.finite_field import (
     parse_descriptor,
     proper_subfields,
 )
-from fqlab.set_algebra import FqSet
+from fqlab.set_algebra import FqSet, dilate, set_op
+from fqlab.survey import SAMPLERS, sample_set
 from pools import (
     LARGE_DESCRIPTOR,
     POOL_DESCRIPTORS,
@@ -169,11 +170,13 @@ FROZEN_TABLES = {
 
 @pytest.mark.parametrize("desc", list(FROZEN_TABLES))
 def test_tables_and_coset_representatives_are_frozen(desc):
+    # the digests hash the values widened to int64, the arrays' dtype when they were frozen
     spec = parse_descriptor(desc)
     reps = hashlib.sha256()
     for G in proper_subfields(spec):
-        reps.update(coset_representatives(spec, G).tobytes())
-    tables = hashlib.sha256(spec.exp_table.tobytes() + spec.log_table.tobytes()).hexdigest()
+        reps.update(coset_representatives(spec, G).astype(np.int64).tobytes())
+    tables = hashlib.sha256(spec.exp_table.astype(np.int64).tobytes()
+                            + spec.log_table.astype(np.int64).tobytes()).hexdigest()
     assert (tables, reps.hexdigest()) == FROZEN_TABLES[desc]
 
 
@@ -196,6 +199,11 @@ def test_table_build_peaks_near_the_tables_own_bytes(p, m):
         tracemalloc.stop()
     assert peak <= 1.25 * (exp_table.nbytes + log_table.nbytes)
     assert np.array_equal(exp_table, spec.exp_table) and np.array_equal(log_table, spec.log_table)
+
+
+def test_tables_hold_four_bytes_an_entry():
+    spec = build_field(2, 20)
+    assert spec.exp_table.nbytes + spec.log_table.nbytes == 8 * spec.q
 
 
 # GF(2^4) additions that break the power table: every sum 1, so powers repeat;
@@ -460,8 +468,26 @@ def test_coset_representatives_is_a_cached_read_only_array():
     spec = build_field(2, 6)
     for G in proper_subfields(spec):
         reps = coset_representatives(spec, G)
-        assert reps.dtype == np.int64 and not reps.flags.writeable
+        assert reps.dtype == np.int32 and not reps.flags.writeable
         assert coset_representatives(spec, G) is reps
+
+
+def test_prime_subfield_coset_representatives_peak_under_twice_their_own_bytes():
+    spec = build_field(2, 20)
+    G = proper_subfields(spec)[0]
+    saved = dict(spec._derived)
+    spec._derived.pop("coset_reps", None)
+    tracemalloc.start()
+    try:
+        reps = coset_representatives(spec, G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        spec._derived.clear()
+        spec._derived.update(saved)
+    assert G.size == 2 and reps.nbytes == 4 * (spec.q - 1)
+    # an int64 array of the q-1 representatives would alone reach the bound
+    assert peak < 2 * reps.nbytes
 
 
 def test_coset_representatives_rejects_full_field():
@@ -488,6 +514,30 @@ def test_pow_matches_repeated_multiplication(pm, a_raw, e):
     for _ in range(e):
         expected = spec.mul(expected, a)
     assert spec.pow(a, e) == expected
+
+
+@pytest.mark.parametrize("desc", ["2^20", "3^12"])
+def test_pow_arr_matches_scalar_pow_at_huge_exponents(desc):
+    spec = parse_descriptor(desc)
+    a = np.array([0, 1, 3, 5, 1000, spec.q - 1], dtype=np.int64)
+    for e in (0, 1, 2**40, 2**45, 2**50, 2**62, 2**64, 2**70):
+        assert spec.pow_arr(a, e).tolist() == [spec.pow(int(x), e) for x in a], e
+
+
+@pytest.mark.parametrize("desc", ["2^10", "3^5"])
+def test_values_read_from_the_int32_tables_are_int64(desc):
+    spec = parse_descriptor(desc)
+    sets = [sample_set(spec, sampler, 2 if sampler == "ap" else 40, seed=1)
+            for sampler in SAMPLERS]
+    A = sets[0]
+    x = A.nonzero().members
+    sets += [G.elements for G in enumerate_subfields(spec)]
+    sets += [dilate(A, 7), set_op(A, A, "prod"), set_op(A, A.nonzero(), "ratio")]
+    arrays = [S.members for S in sets]
+    arrays += [spec.mul_arr(A.members, np.int64(7)), spec.mul_arr(x, x[::-1]),
+               spec.div_arr(A.members, np.int64(7)), spec.div_arr(x, x[::-1]), spec.inv_arr(x),
+               spec.pow_arr(A.members, 0), spec.pow_arr(A.members, 5), spec.pow_arr(x, -5)]
+    assert [a.dtype for a in arrays] == [np.dtype(np.int64)] * len(arrays)
 
 
 def test_is_prime_small():
