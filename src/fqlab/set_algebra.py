@@ -25,12 +25,12 @@ backends serve them:
 - the transform serves sum and diff over GF(p^m), m > 1: the character
   transform of (Z/p)^m turns the count into pointwise products of
   transforms, each kept at one character of every conjugate pair
-  (``_chunk_matrices``).  It runs when |A||B| exceeds TRANSFORM_CELLS grid
-  cells per q-length transform (``_use_transform``), and only where its
+  (``_chunk_matrices``), in two buffers.  It runs when |A||B| exceeds
+  TRANSFORM_CELLS grid cells per transform (``_use_transform``) and its
   worst-case float64 error (``_transform_error_bound``) is below 1/4, so
-  that rounding recovers every count exactly.  The rounded counts are
-  checked (residual, sign, total) and any failure falls back to the grid; a
-  set served by the transform is the support of its checked counts.
+  rounding recovers every count.  The counts, rounded in place, are checked
+  (residual, sign, total); a failure falls back to the grid, and a set
+  served by the transform is the support of its checked counts.
 
 FqSet values are immutable and all operations are pure.
 """
@@ -58,8 +58,8 @@ from .errors import (
 from .finite_field import FieldSpec, _clip, proper_subfields
 
 SET_OPS = ("sum", "diff", "prod", "ratio")
-# grid cells per block of a pairwise count: bounds its memory, and keeps the int64
-# temporaries of an odd-p block (DigitPacking's packed sums and gathered chunks) in cache
+# cells per block of a pairwise count and of the transform's rounding, and the largest q whose
+# first pass takes every column: bounds their memory and keeps the temporaries in cache
 PAIR_BLOCK_CELLS = 1 << 16
 # cost model: one q-length transform costs about as much as this many grid cells per element
 # (measured 1-2.4 on 2^12-2^20, 3^7-3^12, 5^8 and 7^7, single-threaded BLAS)
@@ -444,28 +444,44 @@ def _chunk_matrices(spec: FieldSpec) -> tuple[int, np.ndarray, tuple[np.ndarray,
     return plan
 
 
-def _times(x: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """x @ W.  A real x times a complex W is one real GEMM against W's Re
-    and Im columns interleaved (W's own memory), whose product is already
-    complex128 in memory: half the work of a complex GEMM, and no complex
-    copy of x."""
-    if np.iscomplexobj(W) and not np.iscomplexobj(x):
-        return (x @ W.view(np.float64)).view(np.complex128)
-    return x @ W
+def _times(x: np.ndarray, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x @ W, into the front of the contiguous buffer ``out`` if given.  A
+    real x times a complex W is one real GEMM against W's Re and Im columns
+    interleaved (W's own memory), whose product is already complex128 in
+    memory: half the work of a complex GEMM, and no complex copy of x."""
+    V = W.view(np.float64) if W.dtype.kind == "c" != x.dtype.kind else W
+    out = None if out is None else np.ndarray(x.shape[:-1] + V.shape[-1:], V.dtype, out)
+    y = np.matmul(x, V, out=out)
+    return y if V is W else y.view(np.complex128)
 
 
-def _half_transform(spec: FieldSpec, bitmask: np.ndarray) -> np.ndarray:
-    """The (unnormalised) character transform of a q-length bool array at
-    the characters whose first chunk lies in H, as an h x q/L array
-    (complex for odd p).  Each pass multiplies the leading chunk axis by its
-    matrix and rotates it to the end: after the first pass (``first``, on
-    the real indicator) the H axis leads and the later chunks follow in
-    encoding order."""
+def _half_transform(spec: FieldSpec, members: np.ndarray, x: np.ndarray | None = None) -> tuple:
+    """(F, x, y): the (unnormalised) character transform F of a set's
+    indicator at the characters whose first chunk lies in H, an h x q/L
+    array (complex for odd p) in the buffer x (new if None), and y, free.
+    Each pass multiplies the leading chunk axis by its matrix, writes into
+    the free buffer and rotates the axis to the end: after the first pass
+    (``first``) the H axis leads and the later chunks follow in encoding
+    order.  The first pass reads the members, not the bitmask, and takes
+    the occupied columns only, at most |A| of the q/L (every column, as
+    floats, once those are at most |A| L or one grid block)."""
     h, first, mats, _ = _chunk_matrices(spec)
-    x = _times(bitmask.reshape(first.shape[0], -1).T, first)
+    dense = members.size >= spec.q // len(first) or spec.q <= PAIR_BLOCK_CELLS
+    marks = np.zeros(spec.q, dtype=np.float64 if dense else bool)
+    marks[members] = 1
+    marks = marks.reshape(len(first), -1).T  # row c: the indicator's column c
+    f = x = np.ndarray((marks.shape[0], h), first.dtype, x)
+    if dense:
+        _times(marks, first, x)
+    else:  # into x zeroed
+        hit = marks.any(axis=1)
+        f.fill(0)
+        f[hit] = _times(marks[hit], first)
+    del marks  # before y is allocated
+    y = np.empty_like(x)
     for W in mats:
-        x = x.reshape(W.shape[0], -1).T @ W
-    return x.reshape(h, -1)
+        f, x, y = _times(f.reshape(W.shape[0], -1).T, W, y), y, x
+    return f.reshape(h, -1), x, y
 
 
 def _transform_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
@@ -475,27 +491,24 @@ def _transform_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
     product is the real |F_A|^2.  The inverse runs the later chunks'
     conjugate passes on each of the h rows, an (h, L_i, rest) matmul that
     leaves each row's chunks in encoding order, and then the one real GEMM
-    of ``final``, whose output is in encoding order with no transpose."""
-    spec = A.spec
-    h, _, mats, final = _chunk_matrices(spec)
-    f = _half_transform(spec, A.bitmask)
+    of ``final``, whose output is in encoding order with no transpose.  Each
+    step fills the free one of two buffers (a third while F_B is taken)."""
+    h, _, mats, final = _chunk_matrices(A.spec)
+    f, x, y = _half_transform(A.spec, A.members)
     if B is A and kind == "diff" and np.iscomplexobj(f):
         parts = f.view(np.float64)  # |F_A|^2 = Re^2 + Im^2, squared in place
         parts *= parts
-        f = parts[:, 0::2] + parts[:, 1::2]
+        f, x, y = np.add(parts[:, 0::2], parts[:, 1::2], out=np.ndarray(f.shape, float, y)), y, x
     else:
-        fb = f if B is A else _half_transform(spec, B.bitmask)
-        if kind == "diff":
-            np.conjugate(fb, out=fb)
-        f *= fb
-        del fb  # free F_B before the inverse allocates
+        fb, y = (f, y) if B is A else _half_transform(A.spec, B.members, y)[:2]
+        f *= np.conjugate(fb, out=fb) if kind == "diff" else fb
     for W in mats:
-        f = _times(f.reshape(h, W.shape[0], -1).transpose(0, 2, 1), W.conj())
+        f, x, y = _times(f.reshape(h, W.shape[0], -1).transpose(0, 2, 1), W.conj(), y), y, x
     g = f.reshape(h, -1)
     if np.iscomplexobj(g):
-        g = np.concatenate((g.real, g.imag))
+        g, y = np.concatenate((g.real, g.imag), out=np.ndarray((2 * h, g.shape[1]), float, y)), x
     # a real g (p = 2, or |F_A|^2 with one chunk) has no imaginary block
-    return (final[:, : g.shape[0]] @ g).ravel()
+    return _times(final[:, : g.shape[0]], g, y).ravel()
 
 
 def _transform_error_bound(spec: FieldSpec, cells: int) -> float:
@@ -507,35 +520,37 @@ def _transform_error_bound(spec: FieldSpec, cells: int) -> float:
     sqrt(2)(L + 2) eps times the sum of the moduli it combines (eps = 2^-52,
     twice the unit roundoff, also covers the rounded matrix entries and the
     1/q folded into ``final``); a pass on real data, as real inner products
-    against Re W and Im W, stays inside delta.  Each kept entry of the half
-    transform is an entry of the full one, of modulus 1 per element, so
-    after P passes it is off by at most about P delta |A|, and the product
-    F_A * F_B by about 2 P delta |A||B|.  The inverse passes that error on
-    at most unchanged and adds its own P delta |A||B|.  Its later passes are
-    the full transform's on h of the L rows.  ``final`` sums L + 1 real
-    terms w_u (Re W Re g_u + Im W Im g_u) / q, w_u <= 2, each at most
-    w_u |g_u| / q, and sum_{u in H} w_u |x_u| = sum_u |x_u| because the
-    dropped half is the conjugate of the kept one, errors included: so it
-    too errs by at most delta times the sum over all q characters / q.  In
-    all 3 P delta |A||B|, with L the largest chunk side, the first's.  The
-    second-order terms and the rounding of the product fit in the slack
-    that eps leaves."""
-    _, first, mats, _ = _chunk_matrices(spec)
-    side = first.shape[0]  # the first chunk is the largest
-    passes = 1 + len(mats)
-    return 3 * passes * math.sqrt(2) * (side + 2) * np.finfo(np.float64).eps * cells
+    against Re W and Im W, stays inside delta.  The first pass forms these
+    inner products on the occupied columns only (an empty one is an exact 0)
+    and a buffer changes where a pass writes, not what it sums.  Each kept
+    entry of the half transform is an entry of the full one, of modulus 1
+    per element, so after P passes it is off by at most about P delta |A|,
+    and the product F_A * F_B by about 2 P delta |A||B|.  The inverse passes
+    that error on at most unchanged and adds its own P delta |A||B|.  Its
+    later passes are the full transform's on h of the L rows.  ``final``
+    sums L + 1 real terms w_u (Re W Re g_u + Im W Im g_u) / q, w_u <= 2,
+    each at most w_u |g_u| / q, and sum_{u in H} w_u |x_u| = sum_u |x_u|
+    because the dropped half is the conjugate of the kept one, errors
+    included: so it too errs by at most delta times the sum over all q
+    characters / q.  In all 3 P delta |A||B|, with L the largest chunk side,
+    the first's.  The second-order terms and the rounding of the product fit
+    in the slack that eps leaves."""
+    _, first, mats, _ = _chunk_matrices(spec)  # the first chunk is the largest
+    return 3 * (1 + len(mats)) * math.sqrt(2) * (len(first) + 2) * np.finfo(float).eps * cells
 
 
 def _exact_counts(values: np.ndarray, total: int) -> np.ndarray | None:
-    """values rounded to int64 counts, or None unless every value lies within
-    1/4 of its integer, none is negative and they add up to total.  The
-    residual is taken in place, so values is overwritten."""
-    counts = np.rint(values)
-    values -= counts
-    np.abs(values, out=values)
-    if values.max() < 0.25 and counts.min() >= 0 and int(counts.sum()) == total:
-        return counts.astype(np.int64)
-    return None
+    """values rounded to int64 counts in their own memory, a block of
+    PAIR_BLOCK_CELLS at a time, or None unless every value lies within 1/4
+    of its integer, none is negative and they add up to total."""
+    for i in range(0, values.size, PAIR_BLOCK_CELLS):
+        block = values[i: i + PAIR_BLOCK_CELLS]
+        rounded = np.rint(block)
+        if not (np.abs(block - rounded).max() < 0.25 and rounded.min() >= 0):
+            return None
+        total -= int(rounded.sum())
+        block.view(np.int64)[:] = rounded
+    return values.view(np.int64) if total == 0 else None
 
 
 def _check_set_op(A: FqSet, B: FqSet, kind: str) -> None:

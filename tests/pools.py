@@ -3,6 +3,7 @@ naive and separate from the library's computation paths) and deterministic
 instance pools."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from unittest.mock import patch
@@ -38,6 +39,17 @@ def draw_set(rng, spec, size, nonzero=False) -> FqSet:
     pool = np.arange(lo, spec.q, dtype=np.int64)
     return FqSet.from_iterable(spec, rng.choice(pool, size=min(size, pool.size),
                                                 replace=False))
+
+
+def peak_bytes(fn):
+    """(peak, fn()): the tracemalloc peak of the bytes allocated while fn
+    runs, and what fn returned."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 EXACT, GREEDY = math.inf, 0  # search-size limits that force one path of a search

@@ -1,7 +1,6 @@
 import ast
 import math
 import os
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +49,7 @@ from pools import (
     naive_greedy_cover,
     naive_popular_points,
     on_path,
+    peak_bytes,
     pool_field,
 )
 
@@ -286,12 +286,7 @@ def test_popular_point_sets_build_no_bitmask_unasked():
     A = FqSet.from_iterable(spec, np.random.default_rng(0).choice(np.arange(2, spec.q), 300,
                                                                   replace=False))
     sl = dyadic_energy_slice(translate(A, 1), A)
-    tracemalloc.start()
-    try:
-        pts = popular_points(sl)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, pts = peak_bytes(lambda: popular_points(sl))
     assert len(pts.S) * spec.q > 40_000_000 > peak
 
 
@@ -311,12 +306,7 @@ def test_popular_points_stay_well_below_the_line_incidence():
     A = FqSet.from_iterable(spec, np.random.default_rng(0).choice(np.arange(2, spec.q), 300,
                                                                   replace=False))
     sl = dyadic_energy_slice(translate(A, 1), A)
-    tracemalloc.start()
-    try:
-        popular_points(sl)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: popular_points(sl))[0]
     assert sl.L > 20_000
     assert peak < 40_000_000 < sl.L * len(sl.X) * 8
 
@@ -384,12 +374,7 @@ def test_greedy_cover_builds_no_shift_grid():
     rng = np.random.default_rng(500)
     target = FqSet.from_iterable(spec, rng.choice(spec.q, 500, replace=False))
     tile = FqSet.from_iterable(spec, rng.choice(spec.q, 1000, replace=False))
-    tracemalloc.start()
-    try:
-        count, shifts = covering_number(target, tile)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, (count, shifts) = peak_bytes(lambda: covering_number(target, tile))
     assert count == len(shifts) > 1
     assert peak < 32_000_000
 
@@ -402,12 +387,7 @@ def test_exact_cover_builds_no_hit_grid(p, m, tile_size):
     rng = np.random.default_rng([12, spec.q, tile_size])
     target = FqSet.from_iterable(spec, rng.choice(spec.q, EXACT_SEARCH_LIMIT, replace=False))
     tile = FqSet.from_iterable(spec, rng.choice(spec.q, tile_size, replace=False))
-    tracemalloc.start()
-    try:
-        count, shifts = covering_number(target, tile)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, (count, shifts) = peak_bytes(lambda: covering_number(target, tile))
     assert count == len(shifts) >= 1
     assert peak < 16_000_000
 
@@ -462,12 +442,8 @@ def test_sumset_search_stays_well_below_one_grid_of_memory():
     X = FqSet.from_iterable(spec, rng.choice(np.arange(1, spec.q), 150, replace=False))
     S = FqSet.from_iterable(spec, rng.choice(spec.q, 65_500, replace=False))
     grid = len(X) * len(S) * 8  # one int64 X + S grid: 79 MB
-    tracemalloc.start()
-    try:
-        sub, _ = _min_sumset_subset(X, S, math.ceil(3 * len(X) / 4))  # greedy: 150 elements
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # greedy: 150 elements
+    peak, (sub, _) = peak_bytes(lambda: _min_sumset_subset(X, S, math.ceil(3 * len(X) / 4)))
     assert len(sub) == 113
     assert peak < 40_000_000 < grid
 

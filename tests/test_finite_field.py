@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import time
-import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -47,6 +46,7 @@ from pools import (
     naive_neg,
     naive_smallest_irreducible,
     naive_sub,
+    peak_bytes,
 )
 
 SMALL_FIELDS = [(7, 1), (2, 2), (3, 2), (2, 4), (5, 2), (3, 3), (2, 6)]
@@ -191,12 +191,7 @@ def _rebuild_tables(spec, add=None):
 @pytest.mark.parametrize("p,m", [(2, 20), (3, 12)])
 def test_table_build_peaks_near_the_tables_own_bytes(p, m):
     spec = build_field(p, m)
-    tracemalloc.start()
-    try:
-        exp_table, log_table = _rebuild_tables(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, (exp_table, log_table) = peak_bytes(lambda: _rebuild_tables(spec))
     assert peak <= 1.25 * (exp_table.nbytes + log_table.nbytes)
     assert np.array_equal(exp_table, spec.exp_table) and np.array_equal(log_table, spec.log_table)
 
@@ -414,12 +409,9 @@ def test_enumerate_subfields_allocates_no_field_sized_array():
     spec = build_field(2, 20)
     saved = dict(spec._derived)
     spec._derived.clear()
-    tracemalloc.start()
     try:
-        handles = enumerate_subfields(spec)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak, handles = peak_bytes(lambda: enumerate_subfields(spec))
     finally:
-        tracemalloc.stop()
         spec._derived.clear()
         spec._derived.update(saved)
     assert [G.size for G in handles] == [2**d for d in divisors(20)]
@@ -477,12 +469,9 @@ def test_prime_subfield_coset_representatives_peak_under_twice_their_own_bytes()
     G = proper_subfields(spec)[0]
     saved = dict(spec._derived)
     spec._derived.pop("coset_reps", None)
-    tracemalloc.start()
     try:
-        reps = coset_representatives(spec, G)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak, reps = peak_bytes(lambda: coset_representatives(spec, G))
     finally:
-        tracemalloc.stop()
         spec._derived.clear()
         spec._derived.update(saved)
     assert G.size == 2 and reps.nbytes == 4 * (spec.q - 1)

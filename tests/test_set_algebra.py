@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -48,6 +46,7 @@ from pools import (
     naive_quotient_closure_failure,
     naive_quotient_set,
     naive_set_op,
+    peak_bytes,
     pool_field,
 )
 
@@ -95,12 +94,7 @@ def test_membership_matches_the_plain_set(desc):
 def test_a_membership_test_builds_no_field_sized_array():
     spec = build_field(2, 20)
     A = draw_set(np.random.default_rng(84), spec, 1000)
-    tracemalloc.start()
-    try:
-        found = 0 in A
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, found = peak_bytes(lambda: 0 in A)
     assert found == (int(A.members[0]) == 0)
     assert peak < 64_000 and "bitmask" not in A.__dict__
 
@@ -218,12 +212,7 @@ def test_pair_counts_stay_well_below_one_grid_of_memory(monkeypatch):
     for cells_per_element in (float("inf"), 0):
         monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", cells_per_element)
         for count in counts:
-            tracemalloc.start()
-            try:
-                count()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = peak_bytes(count)[0]
             assert peak < 40_000_000 < grid
 
 
@@ -244,37 +233,44 @@ def test_half_spectrum_transform_matches_the_grid_at_survey_size(monkeypatch):
         assert np.array_equal(_pair_counts(X, Y, kind), grid)
 
 
-@pytest.mark.parametrize("desc", ("3^12", "7^7"))
+@pytest.mark.parametrize("desc", ("3^12", "7^7", "2^20"))
 def test_shift_counts_by_transform_peak_near_two_q_length_complex_arrays(desc):
-    # the half spectrum holds about half a complex array per transform; a full
-    # complex spectrum and its product peaked at 3.0x
+    # a count holds two buffers of a half transform: about half a complex
+    # array each for odd p (1.04x and 1.15x of q * 16 bytes), one real array
+    # each for p = 2 (2.0x of q * 8); a third q-length array would break these
     spec = parse_descriptor(desc)
     A = FqSet.from_iterable(spec, np.random.default_rng(6).choice(spec.q, 3000, replace=False))
     assert set_algebra._use_transform(A, A)
     intersection_shift_counts(A)  # the cached plan is not part of a count's peak
-    tracemalloc.start()
-    try:
-        intersection_shift_counts(A)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * spec.q * 16
+    peak = peak_bytes(lambda: intersection_shift_counts(A))[0]
+    assert peak < (2.3 * spec.q * 8 if spec.p == 2 else 1.2 * spec.q * 16)
+    assert "bitmask" not in A.__dict__
+
+
+def test_pair_sum_by_transform_peaks_at_three_half_transforms():
+    # F_A is held while F_B's passes take two more buffers: three half
+    # transforms (13.2 MB on 3^12), with 5% for the rest
+    spec = build_field(3, 12)
+    rng = np.random.default_rng(77)
+    A, B = (FqSet.from_iterable(spec, rng.choice(spec.q, 3000, replace=False)) for _ in "AB")
+    assert set_algebra._use_transform(A, B)
+    _pair_counts(A, B, "sum")  # the cached plan is not part of a count's peak
+    peak, counts = peak_bytes(lambda: _pair_counts(A, B, "sum"))
+    assert int(counts.sum()) == len(A) * len(B)
+    h, first, _, _ = set_algebra._chunk_matrices(spec)
+    assert peak <= 1.05 * 3 * h * spec.q // len(first) * 16
 
 
 def test_exact_counts_peak_near_two_q_length_arrays():
-    # the residual is taken in place on the transform's output; the values,
-    # their rint, the difference and its abs peaked at 3.0x
+    # the counts are written over the values a block at a time, so only one
+    # block's temporaries are held (0.37x of q * 8 bytes on 3^12)
     spec = build_field(3, 12)
     A = FqSet.from_iterable(spec, np.random.default_rng(6).choice(spec.q, 3000, replace=False))
     values = set_algebra._transform_counts(A, A, "diff")
-    tracemalloc.start()
-    try:
-        counts = set_algebra._exact_counts(values, len(A) ** 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, counts = peak_bytes(lambda: set_algebra._exact_counts(values, len(A) ** 2))
     assert counts is not None and int(counts.sum()) == len(A) ** 2
-    assert peak <= 2.1 * spec.q * 8
+    assert np.shares_memory(counts, values)
+    assert peak <= 0.5 * spec.q * 8
 
 
 def _forced_transform(monkeypatch):
@@ -318,7 +314,23 @@ def _moved_between_two_counts(values):  # the total stays |A||B|, the residuals 
     return values
 
 
-@pytest.mark.parametrize("perturb", (_off_by_half, _moved_between_two_counts))
+def _nan_in_one_count(values):
+    values[np.argmax(values)] = np.nan
+    return values
+
+
+def _one_count_below_zero(values):
+    # the smallest count goes to -1 and the largest takes the difference: the
+    # total stays |A||B| and no residual moves
+    low = np.argmin(values)
+    moved = np.rint(values[low]) + 1
+    values[low] -= moved
+    values[np.argmax(values)] += moved
+    return values
+
+
+@pytest.mark.parametrize("perturb", (_off_by_half, _moved_between_two_counts,
+                                     _nan_in_one_count, _one_count_below_zero))
 @pytest.mark.parametrize("desc", ("2^4", "3^3", "5^3"))
 def test_transform_falls_back_to_the_grid_when_its_counts_are_off(desc, perturb, monkeypatch):
     spec = parse_descriptor(desc)
@@ -331,6 +343,83 @@ def test_transform_falls_back_to_the_grid_when_its_counts_are_off(desc, perturb,
     for X, Y in ((A, A), (A, B)):
         for kind in ("sum", "diff"):
             assert list(_pair_counts(X, Y, kind)) == naive_pair_counts(spec, X, Y, kind)
+
+
+def _last_count_off_by_half(values):
+    values[-1] += 0.5
+    return values
+
+
+def _last_count_nan(values):
+    values[-1] = np.nan
+    return values
+
+
+def _last_count_below_zero(values):  # the total stays |A||B|
+    values[np.argmax(values)] += np.rint(values[-1]) + 1
+    values[-1] -= np.rint(values[-1]) + 1
+    return values
+
+
+@pytest.mark.parametrize("perturb", (_last_count_off_by_half, _last_count_nan,
+                                     _last_count_below_zero))
+def test_blockwise_rounding_checks_the_last_block(perturb, monkeypatch):
+    # 3^12 rounds its q counts in nine blocks; only the last one is off
+    spec = build_field(3, 12)
+    assert spec.q > 8 * set_algebra.PAIR_BLOCK_CELLS
+    transform = set_algebra._transform_counts
+    monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", 0)
+    monkeypatch.setattr(set_algebra, "_transform_counts",
+                        lambda A, B, kind: perturb(transform(A, B, kind)))
+    rng = np.random.default_rng(78)
+    A, B = draw_set(rng, spec, 9), draw_set(rng, spec, 6)
+    for kind in ("sum", "diff"):
+        values = perturb(transform(A, B, kind))
+        assert set_algebra._exact_counts(values, len(A) * len(B)) is None
+        assert np.array_equal(_pair_counts(A, B, kind), naive_pair_counts(spec, A, B, kind))
+
+
+def _column_sets(spec):
+    """Sets that fill one column of the first pass (the L members sharing
+    their later chunks), every column or all but one, or hold 0 or q - 1."""
+    _, first, _, _ = set_algebra._chunk_matrices(spec)
+    rest = spec.q // len(first)
+    rng = np.random.default_rng([79, spec.q])
+    column = lambda c: FqSet.from_iterable(spec, np.arange(len(first)) * rest + c)
+    rows = rng.integers(len(first), size=rest) * rest + np.arange(rest)
+    return [column(0), column(rest - 1), column(rest // 2).union(fqset(spec, 1)),
+            FqSet.from_iterable(spec, rows), FqSet.from_iterable(spec, rows[1:]),
+            fqset(spec, 0), fqset(spec, spec.q - 1), fqset(spec, 0, spec.q - 1),
+            draw_set(rng, spec, 20).union(fqset(spec, 0, spec.q - 1))]
+
+
+@pytest.mark.parametrize("block", (None, 64))
+@pytest.mark.parametrize("desc", ("2^10", "3^7"))
+def test_first_pass_on_occupied_columns_matches_naive_oracle(desc, block, monkeypatch):
+    # a block of 64 cells sends every set of fewer than q/L members (32 on
+    # 2^10, 81 on 3^7) to the occupied-column pass and rounds the counts in 16
+    # or 35 blocks; by default these fields take every column of every set
+    spec = parse_descriptor(desc)
+    if block is not None:
+        monkeypatch.setattr(set_algebra, "PAIR_BLOCK_CELLS", block)
+    served = _forced_transform(monkeypatch)
+    occupied = []  # the columns each occupied-column pass multiplied
+    times = set_algebra._times
+
+    def spy(x, W, out=None):
+        if x.dtype == bool:
+            occupied.append(len(x))
+        return times(x, W, out)
+    monkeypatch.setattr(set_algebra, "_times", spy)
+    sets = _column_sets(spec)
+    for A in sets:
+        for B in (A, sets[0], sets[3], sets[-1]):
+            for kind in ("sum", "diff"):
+                assert list(_pair_counts(A, B, kind)) == naive_pair_counts(spec, A, B, kind)
+    assert len(served) == 2 * 4 * len(sets)
+    assert not any("bitmask" in A.__dict__ for A in sets)
+    rest = spec.q // len(set_algebra._chunk_matrices(spec)[1])
+    assert bool(occupied) == (block is not None) and max(occupied, default=0) < rest
 
 
 def _forced_rotation(monkeypatch, rotation: bool):
@@ -423,12 +512,7 @@ def test_rotated_support_stays_small():
                                                                   replace=False))
     B = translate(A, 1)
     assert set_algebra._use_rotation(len(A), len(B), spec.q - 1, False)
-    tracemalloc.start()
-    try:
-        set_algebra._pair_support(A, B, "prod")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: set_algebra._pair_support(A, B, "prod"))[0]
     assert peak < 6 * spec.q
 
 
@@ -567,12 +651,8 @@ def test_quotient_closure_failure_stays_well_below_one_grid_of_memory():
     R = FqSet._from_bitmask(spec, ~G.bitmask)
     rows = np.random.default_rng(9).choice(G.members[1:], 300)
     grid = rows.size * len(R) * 8  # one int64 rows x R grid: 157 MB
-    tracemalloc.start()
-    try:
-        assert quotient_closure_failure(R, rows) is None
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, result = peak_bytes(lambda: quotient_closure_failure(R, rows))
+    assert result is None
     assert peak < 40_000_000 < grid
 
 
@@ -767,12 +847,7 @@ def test_coset_profile_allocates_no_q_length_array():
     spec = build_field(2, 20)
     A = draw_set(np.random.default_rng(0), spec, 1000)
     proper_subfields(spec)  # enumerated and cached before the measurement
-    tracemalloc.start()
-    try:
-        coset_profile(A, 25, 26, A)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: coset_profile(A, 25, 26, A))[0]
     assert peak < 1 << 20  # F_2 alone had q - 1 int64 counts: 8 MB
 
 
