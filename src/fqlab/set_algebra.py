@@ -496,8 +496,7 @@ def _transform_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
     h, _, mats, final = _chunk_matrices(A.spec)
     f, x, y = _half_transform(A.spec, A.members)
     if B is A and kind == "diff" and np.iscomplexobj(f):
-        parts = f.view(np.float64)  # |F_A|^2 = Re^2 + Im^2, squared in place
-        parts *= parts
+        parts = np.square(f.view(np.float64), out=f.view(np.float64))  # |F_A|^2 = Re^2 + Im^2
         f, x, y = np.add(parts[:, 0::2], parts[:, 1::2], out=np.ndarray(f.shape, float, y)), y, x
     else:
         fb, y = (f, y) if B is A else _half_transform(A.spec, B.members, y)[:2]
@@ -546,7 +545,8 @@ def _exact_counts(values: np.ndarray, total: int) -> np.ndarray | None:
     for i in range(0, values.size, PAIR_BLOCK_CELLS):
         block = values[i: i + PAIR_BLOCK_CELLS]
         rounded = np.rint(block)
-        if not (np.abs(block - rounded).max() < 0.25 and rounded.min() >= 0):
+        block -= rounded  # the residuals, in place
+        if not (np.abs(block, out=block).max() < 0.25 and rounded.min() >= 0):
             return None
         total -= int(rounded.sum())
         block.view(np.int64)[:] = rounded
