@@ -58,8 +58,8 @@ from .errors import (
 from .finite_field import FieldSpec, _clip, proper_subfields
 
 SET_OPS = ("sum", "diff", "prod", "ratio")
-# cells per block of a pairwise count and of the transform's rounding, and the largest q whose
-# first pass takes every column: bounds their memory and keeps the temporaries in cache
+# grid cells per block of a pairwise count: bounds its memory, and keeps the int64
+# temporaries of an odd-p block (DigitPacking's packed sums and gathered chunks) in cache
 PAIR_BLOCK_CELLS = 1 << 16
 # cost model: one q-length transform costs about as much as this many grid cells per element
 # (measured 1-2.4 on 2^12-2^20, 3^7-3^12, 5^8 and 7^7, single-threaded BLAS)
@@ -403,14 +403,16 @@ def _chunk_matrices(spec: FieldSpec) -> tuple[int, np.ndarray, tuple[np.ndarray,
     least) and as evenly as possible.  Chunk i has the DFT matrix W_i of
     (Z/p)^k: entry [u, x] is w^(-<u, x>), w = exp(2 pi i / p), with u and x
     read as the k digits of their index.  Each W_i is symmetric, and real (a
-    +-1 Hadamard block) for p = 2; ``mats`` holds W_2..W_P.
+    +-1 Hadamard block) for p = 2; ``mats`` holds (W_i, conj W_i), i = 2..P.
 
     The transform F of a real array is Hermitian, F(-u) = conj F(u) with -u
     the digit-wise negation, so the characters whose first chunk is one
     representative of each pair {u, -u} determine it.  H holds the
     representatives u <= -u of the L first-chunk indices: h = (L+1)/2 of
     them for odd p (0 is its own pair), all L for p = 2, where every
-    character is real.  ``first`` is W_1[:, H] (L x h).  ``final`` adds each
+    character is real.  ``first`` is W_1[:, H] (L x h), for odd p as its Re
+    and Im columns interleaved (L x 2h), which a real indicator multiplies
+    in one real GEMM, half a complex one's work.  ``final`` adds each
     representative's conjugate back: once the later chunks are inverted,
     entry x of the inverse is sum_{u in H} w_u Re(conj(W_1[u, x]) g_u) / q,
     w_u = 1 if u = -u and 2 otherwise, so it is the real matrix
@@ -437,50 +439,47 @@ def _chunk_matrices(spec: FieldSpec) -> tuple[int, np.ndarray, tuple[np.ndarray,
         W = np.ascontiguousarray(mats.pop(0)[:, half])
         final = weight * W if p == 2 else np.hstack((weight * W.real, weight * W.imag))
         final /= spec.q
-        plan = (half.size, W, tuple(mats), final)
-        for a in (W, final, *mats):
+        plan = (half.size, W.view(np.float64), tuple((V, V.conj()) for V in mats), final)
+        for a in (plan[1], final, *(V for pair in plan[2] for V in pair)):
             a.setflags(write=False)
         spec._derived["transform_plan"] = plan
     return plan
 
 
 def _times(x: np.ndarray, W: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """x @ W, into the front of the contiguous buffer ``out`` if given.  A
-    real x times a complex W is one real GEMM against W's Re and Im columns
-    interleaved (W's own memory), whose product is already complex128 in
-    memory: half the work of a complex GEMM, and no complex copy of x."""
-    V = W.view(np.float64) if W.dtype.kind == "c" != x.dtype.kind else W
-    out = None if out is None else np.ndarray(x.shape[:-1] + V.shape[-1:], V.dtype, out)
-    y = np.matmul(x, V, out=out)
-    return y if V is W else y.view(np.complex128)
+    """x @ W, into out (of the product's shape) if given; a real x times a
+    complex W is one real GEMM against W's Re and Im columns interleaved."""
+    if W.dtype.kind == "c" != x.dtype.kind:
+        out = None if out is None else out.view(np.float64)
+        return np.matmul(x, W.view(np.float64), out=out).view(np.complex128)
+    return np.matmul(x, W, out=out)
 
 
 def _half_transform(spec: FieldSpec, members: np.ndarray, x: np.ndarray | None = None) -> tuple:
     """(F, x, y): the (unnormalised) character transform F of a set's
     indicator at the characters whose first chunk lies in H, an h x q/L
     array (complex for odd p) in the buffer x (new if None), and y, free.
-    Each pass multiplies the leading chunk axis by its matrix, writes into
-    the free buffer and rotates the axis to the end: after the first pass
-    (``first``) the H axis leads and the later chunks follow in encoding
-    order.  The first pass reads the members, not the bitmask, and takes
-    the occupied columns only, at most |A| of the q/L (every column, as
-    floats, once those are at most |A| L or one grid block)."""
-    h, first, mats, _ = _chunk_matrices(spec)
+    Each pass multiplies the leading chunk axis by its matrix into the free
+    buffer and rotates that axis to the end.  The first reads the members
+    and multiplies only the occupied columns, at most |A| of the q/L, into x
+    zeroed, or every column, as floats, for at least q/L members or on a
+    field of at most PAIR_BLOCK_CELLS elements, where that is faster."""
+    h, first, mats, final = _chunk_matrices(spec)
     dense = members.size >= spec.q // len(first) or spec.q <= PAIR_BLOCK_CELLS
     marks = np.zeros(spec.q, dtype=np.float64 if dense else bool)
     marks[members] = 1
     marks = marks.reshape(len(first), -1).T  # row c: the indicator's column c
-    f = x = np.ndarray((marks.shape[0], h), first.dtype, x)
+    f = x = np.empty((len(marks), h), final.dtype if spec.p == 2 else complex) if x is None else x
     if dense:
-        _times(marks, first, x)
-    else:  # into x zeroed
+        _times(marks, first, x.view(np.float64))
+    else:
         hit = marks.any(axis=1)
         f.fill(0)
-        f[hit] = _times(marks[hit], first)
-    del marks  # before y is allocated
+        f.view(np.float64)[hit] = _times(marks[hit], first)
+    del marks  # before y is made
     y = np.empty_like(x)
-    for W in mats:
-        f, x, y = _times(f.reshape(W.shape[0], -1).T, W, y), y, x
+    for W, _ in mats:
+        f, x, y = _times(f.reshape(len(W), -1).T, W, y.reshape(-1, len(W))), y, x
     return f.reshape(h, -1), x, y
 
 
@@ -492,22 +491,24 @@ def _transform_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
     conjugate passes on each of the h rows, an (h, L_i, rest) matmul that
     leaves each row's chunks in encoding order, and then the one real GEMM
     of ``final``, whose output is in encoding order with no transpose.  Each
-    step fills the free one of two buffers (a third while F_B is taken)."""
+    step fills the free one of two buffers of h q/L complex (q reals for
+    p = 2); a third is held while F_B's passes run.  The counts are the front
+    q floats of the last buffer and keep all of it alive, (L+1)/L q for odd p."""
     h, _, mats, final = _chunk_matrices(A.spec)
     f, x, y = _half_transform(A.spec, A.members)
-    if B is A and kind == "diff" and np.iscomplexobj(f):
+    if B is A and kind == "diff" and f.dtype.kind == "c":
         parts = np.square(f.view(np.float64), out=f.view(np.float64))  # |F_A|^2 = Re^2 + Im^2
         f, x, y = np.add(parts[:, 0::2], parts[:, 1::2], out=np.ndarray(f.shape, float, y)), y, x
     else:
         fb, y = (f, y) if B is A else _half_transform(A.spec, B.members, y)[:2]
         f *= np.conjugate(fb, out=fb) if kind == "diff" else fb
-    for W in mats:
-        f, x, y = _times(f.reshape(h, W.shape[0], -1).transpose(0, 2, 1), W.conj(), y), y, x
+    for _, W in mats:
+        f, x, y = _times(f.reshape(h, len(W), -1).swapaxes(1, 2), W, y.reshape(h, -1, len(W))), y, x
     g = f.reshape(h, -1)
-    if np.iscomplexobj(g):
+    if g.dtype.kind == "c":
         g, y = np.concatenate((g.real, g.imag), out=np.ndarray((2 * h, g.shape[1]), float, y)), x
     # a real g (p = 2, or |F_A|^2 with one chunk) has no imaginary block
-    return _times(final[:, : g.shape[0]], g, y).ravel()
+    return _times(final[:, : len(g)], g, np.ndarray((len(final), g.shape[1]), float, y)).ravel()
 
 
 def _transform_error_bound(spec: FieldSpec, cells: int) -> float:
@@ -520,8 +521,8 @@ def _transform_error_bound(spec: FieldSpec, cells: int) -> float:
     twice the unit roundoff, also covers the rounded matrix entries and the
     1/q folded into ``final``); a pass on real data, as real inner products
     against Re W and Im W, stays inside delta.  The first pass forms these
-    inner products on the occupied columns only (an empty one is an exact 0)
-    and a buffer changes where a pass writes, not what it sums.  Each kept
+    only on occupied columns (an empty one is an exact 0), and the buffers
+    change where a pass writes, not what it sums.  Each kept
     entry of the half transform is an entry of the full one, of modulus 1
     per element, so after P passes it is off by at most about P delta |A|,
     and the product F_A * F_B by about 2 P delta |A||B|.  The inverse passes
@@ -539,18 +540,15 @@ def _transform_error_bound(spec: FieldSpec, cells: int) -> float:
 
 
 def _exact_counts(values: np.ndarray, total: int) -> np.ndarray | None:
-    """values rounded to int64 counts in their own memory, a block of
-    PAIR_BLOCK_CELLS at a time, or None unless every value lies within 1/4
-    of its integer, none is negative and they add up to total."""
-    for i in range(0, values.size, PAIR_BLOCK_CELLS):
-        block = values[i: i + PAIR_BLOCK_CELLS]
-        rounded = np.rint(block)
-        block -= rounded  # the residuals, in place
-        if not (np.abs(block, out=block).max() < 0.25 and rounded.min() >= 0):
-            return None
-        total -= int(rounded.sum())
-        block.view(np.int64)[:] = rounded
-    return values.view(np.int64) if total == 0 else None
+    """values rounded to int64 counts written over values (their rint is the
+    one q-length temporary), or None unless every value lies within 1/4 of
+    its integer, none is negative and they add up to total."""
+    counts, ints = np.rint(values), values.view(np.int64)
+    values -= counts
+    if np.abs(values, out=values).max() < 0.25 and counts.min() >= 0 and int(counts.sum()) == total:
+        ints[:] = counts
+        return ints
+    return None
 
 
 def _check_set_op(A: FqSet, B: FqSet, kind: str) -> None:
@@ -649,7 +647,8 @@ def _sum_of_squares(counts: np.ndarray) -> int:
 
 
 def sum_representation_counts(A: FqSet) -> np.ndarray:
-    """counts[s] = #{(a1, a2) in A^2 : a1 + a2 = s}, length q."""
+    """counts[s] = #{(a1, a2) in A^2 : a1 + a2 = s}, length q.  From the
+    transform it is a view that keeps the transform's (L+1)/L q floats."""
     return _pair_counts(A, A, "sum")
 
 
@@ -680,7 +679,8 @@ def intersection_shift_counts(A: FqSet) -> np.ndarray:
     """counts[alpha] = |A ∩ (A - alpha)|, length q.
 
     Summed over the difference set this gives |A|^2, and the sum of squares
-    gives the additive energy.
+    gives the additive energy.  From the transform it is a view that keeps
+    the transform's (L+1)/L q floats (``_transform_counts``).
     """
     return _pair_counts(A, A, "diff")
 

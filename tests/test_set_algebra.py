@@ -262,15 +262,16 @@ def test_pair_sum_by_transform_peaks_at_three_half_transforms():
 
 
 def test_exact_counts_peak_near_two_q_length_arrays():
-    # the counts are written over the values a block at a time, so only one
-    # block's temporaries are held (0.37x of q * 8 bytes on 3^12)
+    # the residuals are taken in place and the counts written over the values,
+    # so only their rint is held besides them (1.0x of q * 8 bytes); the
+    # values, their rint, the difference and its abs peaked at 3.0x
     spec = build_field(3, 12)
     A = FqSet.from_iterable(spec, np.random.default_rng(6).choice(spec.q, 3000, replace=False))
     values = set_algebra._transform_counts(A, A, "diff")
     peak, counts = peak_bytes(lambda: set_algebra._exact_counts(values, len(A) ** 2))
     assert counts is not None and int(counts.sum()) == len(A) ** 2
     assert np.shares_memory(counts, values)
-    assert peak <= 0.5 * spec.q * 8
+    assert peak <= 1.1 * spec.q * 8
 
 
 def _forced_transform(monkeypatch):
@@ -345,40 +346,6 @@ def test_transform_falls_back_to_the_grid_when_its_counts_are_off(desc, perturb,
             assert list(_pair_counts(X, Y, kind)) == naive_pair_counts(spec, X, Y, kind)
 
 
-def _last_count_off_by_half(values):
-    values[-1] += 0.5
-    return values
-
-
-def _last_count_nan(values):
-    values[-1] = np.nan
-    return values
-
-
-def _last_count_below_zero(values):  # the total stays |A||B|
-    values[np.argmax(values)] += np.rint(values[-1]) + 1
-    values[-1] -= np.rint(values[-1]) + 1
-    return values
-
-
-@pytest.mark.parametrize("perturb", (_last_count_off_by_half, _last_count_nan,
-                                     _last_count_below_zero))
-def test_blockwise_rounding_checks_the_last_block(perturb, monkeypatch):
-    # 3^12 rounds its q counts in nine blocks; only the last one is off
-    spec = build_field(3, 12)
-    assert spec.q > 8 * set_algebra.PAIR_BLOCK_CELLS
-    transform = set_algebra._transform_counts
-    monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", 0)
-    monkeypatch.setattr(set_algebra, "_transform_counts",
-                        lambda A, B, kind: perturb(transform(A, B, kind)))
-    rng = np.random.default_rng(78)
-    A, B = draw_set(rng, spec, 9), draw_set(rng, spec, 6)
-    for kind in ("sum", "diff"):
-        values = perturb(transform(A, B, kind))
-        assert set_algebra._exact_counts(values, len(A) * len(B)) is None
-        assert np.array_equal(_pair_counts(A, B, kind), naive_pair_counts(spec, A, B, kind))
-
-
 def _column_sets(spec):
     """Sets that fill one column of the first pass (the L members sharing
     their later chunks), every column or all but one, or hold 0 or q - 1."""
@@ -396,9 +363,9 @@ def _column_sets(spec):
 @pytest.mark.parametrize("block", (None, 64))
 @pytest.mark.parametrize("desc", ("2^10", "3^7"))
 def test_first_pass_on_occupied_columns_matches_naive_oracle(desc, block, monkeypatch):
-    # a block of 64 cells sends every set of fewer than q/L members (32 on
-    # 2^10, 81 on 3^7) to the occupied-column pass and rounds the counts in 16
-    # or 35 blocks; by default these fields take every column of every set
+    # fields of at most PAIR_BLOCK_CELLS elements take every column of every
+    # set; a block of 64 cells sends each set of fewer than q/L members (32 on
+    # 2^10, 81 on 3^7) to the occupied-column pass
     spec = parse_descriptor(desc)
     if block is not None:
         monkeypatch.setattr(set_algebra, "PAIR_BLOCK_CELLS", block)
