@@ -464,12 +464,12 @@ def _half_transform(spec: FieldSpec, members: np.ndarray, x: np.ndarray | None =
     and multiplies only the occupied columns, at most |A| of the q/L, into x
     zeroed, or every column, as floats, for at least q/L members or on a
     field of at most PAIR_BLOCK_CELLS elements, where that is faster."""
-    h, first, mats, final = _chunk_matrices(spec)
+    h, first, mats, _ = _chunk_matrices(spec)
     dense = members.size >= spec.q // len(first) or spec.q <= PAIR_BLOCK_CELLS
     marks = np.zeros(spec.q, dtype=np.float64 if dense else bool)
     marks[members] = 1
     marks = marks.reshape(len(first), -1).T  # row c: the indicator's column c
-    f = x = np.empty((len(marks), h), final.dtype if spec.p == 2 else complex) if x is None else x
+    f = x = np.empty((len(marks), h), float if spec.p == 2 else complex) if x is None else x
     if dense:
         _times(marks, first, x.view(np.float64))
     else:

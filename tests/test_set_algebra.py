@@ -330,8 +330,13 @@ def _one_count_below_zero(values):
     return values
 
 
-@pytest.mark.parametrize("perturb", (_off_by_half, _moved_between_two_counts,
-                                     _nan_in_one_count, _one_count_below_zero))
+def _one_count_up_by_one(values):  # every residual and sign holds: only the total is off
+    values[np.argmax(values)] += 1
+    return values
+
+
+@pytest.mark.parametrize("perturb", (_off_by_half, _moved_between_two_counts, _nan_in_one_count,
+                                     _one_count_below_zero, _one_count_up_by_one))
 @pytest.mark.parametrize("desc", ("2^4", "3^3", "5^3"))
 def test_transform_falls_back_to_the_grid_when_its_counts_are_off(desc, perturb, monkeypatch):
     spec = parse_descriptor(desc)
