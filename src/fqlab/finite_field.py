@@ -10,18 +10,18 @@ representatives are int32, which holds every value below the largest cap
 int64.
 
 Addition is digit-wise mod p.  Prime fields add mod p and p = 2 adds by XOR.
-Every other field adds through a ``DigitPacking``: a q-length table of packed
-digits, so that one integer addition adds all m digits at once, and 2-3
-lookups in small tables that reduce each digit mod p and unpack the sum.
+Every other field adds through a ``DigitPacking``: small tables (2^TABLE_BITS
+entries at most, or one wide digit's 2^w) pack the digits, so that one integer
+addition adds all m at once, and reduce each digit mod p to unpack the sum.
 
 The modulus is the smallest monic irreducible that passes Ben-Or's gcd test.
 The exp table, the power sequence of the generator, is written in place: each
 block of L powers is "multiply by g^L" applied to the L powers before it, L
-doubling up to BUILD_BLOCK.  The map is F_p-linear, so it runs through chunk
-tables over a few base-p digits of the encoding, whose images are combined
-with the field addition.  The log table is one blocked scatter of the exp
-table into an array prefilled with -1, which then shows whether the powers
-are a bijection onto [1, q).
+doubling up to BUILD_BLOCK.  The map is F_p-linear, so it runs through two
+chunk tables over the low and high base-p digits of the encoding, whose
+images are combined like a field addition.  The log table is one blocked
+scatter of the exp table into an array prefilled with -1, which then shows
+whether the powers are a bijection onto [1, q).
 """
 
 from __future__ import annotations
@@ -202,16 +202,19 @@ def _find_generator(p: int, m: int, q: int, modulus) -> int:
 class DigitPacking:
     """Addition tables of GF(p^m) for odd p and m > 1.
 
-    digits[x] holds the base-p digits of x packed w = bit_length(2p-1) bits
-    each, so the fields of digits[a] + digits[b], and of digits[a] + (fill -
-    digits[b]) with p in every field of fill, stay below 2^w without carries.
-    A packed sum is reduced chunk by chunk: tables[j] maps the bits of chunk j
-    to its digits mod p, already scaled to the encoding.  ``reduce`` is the one
-    reduction path: it takes an array or a single packed sum alike.
+    pack(x) is the base-p digits of x packed w = bit_length(2p-1) bits each,
+    so the fields of pack(a) + pack(b), and of pack(a) + (fill - pack(b)),
+    stay below 2^w without carries.  It splits x by // and % p^k into chunks
+    of k digits, as even as possible with p^k <= 2^TABLE_BITS, each gathered
+    from digits[j] shifted to its place.  A packed sum is reduced chunk by
+    chunk: tables[j] maps the bits of chunk j to its digits mod p, scaled to
+    the encoding.  No table exceeds 2^TABLE_BITS entries, or 2^w if larger.
     """
 
-    digits: np.ndarray  # length q, read-only
-    fill: int  # p in every w-bit field
+    width: int  # w
+    fill: int  # p in every field
+    radix: int  # p^k
+    digits: tuple[np.ndarray, ...]
     chunk_bits: int
     tables: tuple[np.ndarray, ...]
 
@@ -220,18 +223,26 @@ class DigitPacking:
         w = (2 * p - 1).bit_length()
         if m * w > 62:
             raise InvariantViolated(f"packed digits of GF({p}^{m}) need {m * w} bits, over 62")
-        digits = np.zeros(1, dtype=np.int64)
-        for i in range(m):  # digits of [0, p^(i+1)): digit i major, the lower digits minor
-            digits = np.add.outer(np.arange(p, dtype=np.int64) << (w * i), digits).ravel()
-        digits.setflags(write=False)
-        k = max(1, TABLE_BITS // w)  # fields per chunk
-        chunk = np.arange(1 << (k * w), dtype=np.int64)
-        base = sum((chunk >> (w * i) & ((1 << w) - 1)) % p * p**i for i in range(k))
-        tables = tuple(base * p ** (k * j) for j in range(-(-m // k)))
-        for t in tables:
+        k = next(-(-m // n) for n in range(1, m + 1) if p ** -(-m // n) <= 1 << TABLE_BITS)
+        base = np.zeros(1, dtype=np.int64)
+        for i in range(k):  # digits of [0, p^(i+1)): digit i major, the lower digits minor
+            base = np.add.outer(np.arange(p, dtype=np.int64) << (w * i), base).ravel()
+        f = max(1, TABLE_BITS // w)  # fields per reduction chunk
+        chunk = np.arange(1 << (f * w), dtype=np.int64)
+        reduced = sum((chunk >> (w * i) & ((1 << w) - 1)) % p * p**i for i in range(f))
+        digits = tuple(base << (w * k * j) for j in range(-(-m // k)))
+        tables = tuple(reduced * p ** (f * j) for j in range(-(-m // f)))
+        for t in digits + tables:
             t.setflags(write=False)
-        return cls(digits=digits, fill=sum(p << (w * i) for i in range(m)), chunk_bits=k * w,
-                   tables=tables)
+        return cls(width=w, fill=sum(p << (w * i) for i in range(m)), radix=p**k, digits=digits,
+                   chunk_bits=f * w, tables=tables)
+
+    def pack(self, x, j: int = 0):
+        """Packed digits of encodings x, placed as digit chunk j and up."""
+        if j == len(self.digits) - 1:
+            return self.digits[j][x]
+        high = x // self.radix
+        return self.digits[j][x - high * self.radix] + self.pack(high, j + 1)
 
     def reduce(self, s: np.ndarray) -> np.ndarray:
         """Encodings of packed sums s (every field below 2^w)."""
@@ -241,49 +252,50 @@ class DigitPacking:
             out += t[(s >> (j * self.chunk_bits)) & mask]
         return out
 
+    def add_packed(self, s, t):  # the encodings of packed s + t
+        return self.reduce(s + t)
+
     def add(self, a, b):
-        return self.reduce(self.digits[a] + self.digits[b])
+        return self.add_packed(self.pack(a), self.pack(b))
+
+    def neg(self, a):
+        return self.reduce(self.fill - self.pack(a))
+
+    def sub(self, a, b):
+        return self.add_packed(self.pack(a), self.fill - self.pack(b))
 
 
-def _build_tables(p: int, m: int, q: int, modulus, generator: int, add):
+def _build_tables(p: int, m: int, q: int, modulus, generator: int, add, width: int = 1):
     """int32 exp/log tables, the power sequence written in place into one
     q-length exp array.  cols holds the encodings of g^L, g^L X, ...,
     g^L X^(m-1): the columns of the F_p-linear map "multiply by g^L", which
     maps the L powers before each block of L to the block.  L doubles, the
     map squared by applying it to its own columns, until it reaches
-    BUILD_BLOCK.  The map is applied through chunk tables over k base-p
-    digits, taken by floor division, whose images are combined by ``add``; k
-    is at most half the digits (and p^k <= 2^TABLE_BITS): two tables of about
-    sqrt(q) entries where they fit.  Prime fields multiply by g^L mod p
-    instead.
+    BUILD_BLOCK.  It runs through two chunk tables, of the low ceil(m/2)
+    base-p digits and the rest, with digit i of an image at bit width * i:
+    ``add`` turns two images into an encoding, by XOR for p = 2 (width 1), by
+    reducing their packed sum for odd p.  Prime fields multiply by g^L mod p.
 
     The log table is one blocked scatter into an array prefilled with -1.  The
     powers are a bijection onto [1, q) iff all lie in [1, q), checked before
     the scatter (a negative index would wrap), and no slot of [1, q) is left
     at -1; slot 0 is then untouched and becomes the sentinel 0."""
-    k = 1
-    while 2 * k < m and p ** (k + 1) <= 1 << TABLE_BITS:
-        k += 1
+    k = -(-m // 2)
     pk = p**k
     powers = p ** np.arange(m, dtype=np.int64)
+    weights = np.int64(1) << width * np.arange(m, dtype=np.int64)
 
     def mapper(cols: np.ndarray):
         if m == 1:
             return lambda x: x * cols[0] % p
         col_digits = cols[:, None] // powers % p
-        tables = []
-        for s in range(0, m, k):  # m >= 2 gives at least two chunks; the last may be short
-            n = min(k, m - s)
-            values = np.arange(p**n, dtype=np.int64)[:, None] // powers[:n] % p
-            tables.append(values @ col_digits[s: s + n] % p @ powers)
+        values = np.arange(pk, dtype=np.int64)[:, None] // powers[:k] % p
+        low, high = (values[: p**n, :n] @ col_digits[s: s + n] % p @ weights
+                     for s, n in ((0, k), (k, m - k)))
 
         def apply(x: np.ndarray) -> np.ndarray:
             rest = x // pk
-            out = tables[0][x - rest * pk]
-            for t in tables[1:-1]:
-                x, rest = rest, rest // pk
-                out = add(out, t[x - rest * pk])
-            return add(out, tables[-1][rest])
+            return add(low[x - rest * pk], high[rest])
         return apply
 
     gd = _digits(generator, p, m)
@@ -323,11 +335,11 @@ class FieldSpec:
     """A concrete GF(p^m) with fixed modulus and precomputed exp/log tables.
 
     Addition is mod p in prime fields, XOR for p = 2 and, for every other
-    field, one integer addition of packed digits reduced through the small
-    tables of ``packing`` (subtraction adds ``packing.fill - digits[b]``, so
-    no negation table is needed).  Scalar add, neg and sub are the array
-    operations on single encodings; mul, div, inv and pow keep scalar forms,
-    which are several times faster on one element than the array forms.
+    field, one integer addition of digits packed and reduced through the
+    small tables of ``packing``: a field's only q-length arrays are its two
+    int32 tables.  Scalar add, neg and sub are the array operations on single
+    encodings; mul, div, inv and pow keep scalar forms, several times faster
+    on one element than the array forms.
     Immutable after construction; every operation below is pure, so a spec
     can be shared freely across threads.
     """
@@ -402,14 +414,12 @@ class FieldSpec:
             return (-a) % self.p
         if self.p == 2:
             return a ^ 0  # a copy that keeps an int an int
-        pk = self.packing
-        return pk.reduce(pk.fill - pk.digits[a])
+        return self.packing.neg(a)
 
     def sub_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        pk = self.packing
-        if pk is None:
+        if self.packing is None:
             return self.add_arr(a, self.neg_arr(b))
-        return pk.reduce(pk.digits[a] + (pk.fill - pk.digits[b]))
+        return self.packing.sub(a, b)
 
     def mul_arr(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         zero = (a == 0) | (b == 0)
@@ -499,8 +509,8 @@ def build_field(p: int, m: int) -> FieldSpec:
     modulus = _smallest_irreducible(p, m)
     generator = _find_generator(p, m, q, modulus)
     packing = DigitPacking.build(p, m) if p > 2 and m > 1 else None
-    exp_table, log_table = _build_tables(p, m, q, modulus, generator,
-                                         np.bitwise_xor if packing is None else packing.add)
+    add, width = (np.bitwise_xor, 1) if packing is None else (packing.add_packed, packing.width)
+    exp_table, log_table = _build_tables(p, m, q, modulus, generator, add, width)
     spec = FieldSpec(p=p, m=m, q=q, modulus=modulus, generator=generator,
                      exp_table=exp_table, log_table=log_table, packing=packing)
     _FIELD_CACHE[key] = spec

@@ -239,6 +239,7 @@ def _csv_row(record) -> list[str]:
 
 
 ENUMERATION_BUDGET = 10**7
+SWEEP_RECORD_BUDGET = 10**6  # records an alpha sweep may write: q - 1 for each set
 MAX_MINIMIZERS = 100
 
 
@@ -278,9 +279,16 @@ def _record_seed(seed: int, cell: int, trial: int) -> int:
 
 def run_survey(config: SurveyConfig) -> str:
     """Stream records to CSV and write a JSON summary next to it; byte-identical
-    across runs for a fixed config."""
+    across runs for a fixed config.  An alpha sweep of more than
+    SWEEP_RECORD_BUDGET records is refused before any set is drawn."""
     config.validate()
     header, record_type, make, ratio = KINDS[config.kind]
+    if config.alpha_policy == "sweep":
+        sets = len(config.sizes) * len(config.samplers) * config.trials
+        records = sets * sum(parse_descriptor(f).q - 1 for f in config.fields)
+        if records > SWEEP_RECORD_BUDGET:
+            raise BudgetExceeded(f"an alpha sweep of this survey writes up to {records} records, "
+                                 f"over {SWEEP_RECORD_BUDGET}")
 
     rows: list[list[str]] = []
     cells: list[dict] = []

@@ -174,6 +174,9 @@ def test_trials_and_kappa_below_1_are_usage_errors(capsys, argv):
      "InvalidSurveyConfig"),
     (("survey", "--fields", "7", "--sizes", "3", "--samplers", "foo",
       "--out", "no-such-dir/s.csv"), None, "InvalidSurveyConfig"),
+    # q - 1 records a set: refused before any set is drawn, so no output is written
+    (("survey", "--fields", "2^20", "--sizes", "1048576", "--samplers", "uniform",
+      "--alpha-policy", "sweep", "--out", "no-such-dir/s.csv"), None, "BudgetExceeded"),
     # every draw from F_5^* is {1,2,3,4}, degenerate at alpha = 2
     (("trace", "--field", "5", "--alpha", "2", "--trials", "1"), None, "TraceDegenerate"),
     (("trace", "--field", "2^2"), None, "SizeInfeasible"),

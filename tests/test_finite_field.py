@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from fqlab.errors import (
     NotProperSubfield,
 )
 from fqlab.finite_field import (
+    MAX_CAP,
+    TABLE_BITS,
     DigitPacking,
     _build_tables,
     _digits,
@@ -180,12 +183,16 @@ def test_tables_and_coset_representatives_are_frozen(desc):
     assert (tables, reps.hexdigest()) == FROZEN_TABLES[desc]
 
 
-def _rebuild_tables(spec, add=None):
+def _rebuild_tables(spec, add=np.bitwise_xor):
     """Run the table build again on a built field's modulus and generator (the
-    field cache would otherwise hide it)."""
-    if add is None:
-        add = np.bitwise_xor if spec.packing is None else spec.packing.add
-    return _build_tables(spec.p, spec.m, spec.q, spec.modulus, spec.generator, add)
+    field cache would otherwise hide it).  ``add`` combines the images of a
+    p = 2 field; an odd-p extension field builds its packing again and
+    combines through it."""
+    combine = (add, 1)
+    if spec.packing is not None:
+        pk = DigitPacking.build(spec.p, spec.m)
+        combine = (pk.add_packed, pk.width)
+    return _build_tables(spec.p, spec.m, spec.q, spec.modulus, spec.generator, *combine)
 
 
 @pytest.mark.parametrize("p,m", [(2, 20), (3, 12)])
@@ -196,9 +203,26 @@ def test_table_build_peaks_near_the_tables_own_bytes(p, m):
     assert np.array_equal(exp_table, spec.exp_table) and np.array_equal(log_table, spec.log_table)
 
 
-def test_tables_hold_four_bytes_an_entry():
-    spec = build_field(2, 20)
+@pytest.mark.parametrize("desc", ["2^20", "3^12", "7^7"])
+def test_tables_hold_four_bytes_an_entry(desc):
+    spec = parse_descriptor(desc)
     assert spec.exp_table.nbytes + spec.log_table.nbytes == 8 * spec.q
+    pk = spec.packing
+    if pk is not None:  # and the packing holds only small tables
+        assert max(t.size for t in pk.digits + pk.tables) <= 1 << TABLE_BITS
+
+
+def test_packing_at_the_largest_cap_holds_no_field_length_table():
+    q, oracle_field = 3**15, SimpleNamespace(p=3, m=15)  # the oracles read p and m alone
+    peak, pk = peak_bytes(lambda: DigitPacking.build(3, 15))
+    assert q <= MAX_CAP and peak < 1 << 20
+    rng = np.random.default_rng([37, q])
+    a = np.concatenate([[0, q - 1], rng.integers(0, q, 3000)])
+    b = np.concatenate([[q - 1, q - 1], rng.integers(0, q, 3000)])
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert pk.add(a, b).tolist() == [naive_add(oracle_field, x, y) for x, y in pairs]
+    assert pk.sub(a, b).tolist() == [naive_sub(oracle_field, x, y) for x, y in pairs]
+    assert pk.neg(a).tolist() == [naive_neg(oracle_field, x) for x in a.tolist()]
 
 
 # GF(2^4) additions that break the power table: every sum 1, so powers repeat;
@@ -302,8 +326,9 @@ def test_exp_table_is_the_power_sequence_of_the_generator(desc):
         power = _poly_mulmod(power, g, spec.modulus, spec.p)
 
 
-# 1021^2 packs 11 bits a digit, so each reduction chunk holds a single digit
-@pytest.mark.parametrize("desc", POOL_DESCRIPTORS + ("3^7", "5^8", "7^7", "1021^2"))
+# 3^7 packs by one gather and 3^12 by two digit chunks; 1021^2 packs 11 bits a
+# digit, so each reduction chunk holds a single digit
+@pytest.mark.parametrize("desc", POOL_DESCRIPTORS + ("3^7", "3^12", "5^8", "7^7", "1021^2"))
 def test_addition_matches_the_digitwise_oracle(desc):
     spec = parse_descriptor(desc)
     if spec.q <= 128:  # every pair

@@ -11,7 +11,7 @@ from fqlab.errors import (
     SizeInfeasible,
     ZeroShift,
 )
-from fqlab import set_algebra
+from fqlab import set_algebra, survey
 from fqlab.finite_field import (
     build_field,
     coset_representatives,
@@ -328,6 +328,32 @@ def test_alpha_sweep_policy(tmp_path):
     run_survey(cfg)
     lines = open(out).read().splitlines()
     assert len(lines) == 2 + 4  # one row per nonzero shift
+
+
+def test_alpha_sweep_over_the_record_budget_is_refused_before_any_record(monkeypatch, tmp_path):
+    def no_draw(*args):
+        raise AssertionError("a set was drawn")
+    monkeypatch.setattr(survey, "sample_set", no_draw)
+    out = tmp_path / "sweep.csv"
+    cfg = SurveyConfig(fields=("2^20",), sizes=(2,), alpha_policy="sweep", out=str(out))
+    with pytest.raises(BudgetExceeded, match="1048575 records"):
+        run_survey(cfg)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("trials, refused", [(2, False), (3, True)])
+def test_alpha_sweep_budget_counts_every_set(monkeypatch, tmp_path, trials, refused):
+    monkeypatch.setattr(survey, "SWEEP_RECORD_BUDGET", 8)  # two sets of 4 shifts on F_5
+    out = tmp_path / "sweep.csv"
+    cfg = SurveyConfig(fields=("5^1",), sizes=(2,), trials=trials, alpha_policy="sweep",
+                       out=str(out))
+    if refused:
+        with pytest.raises(BudgetExceeded, match="12 records"):
+            run_survey(cfg)
+        assert not out.exists()
+    else:
+        run_survey(cfg)
+        assert len(out.read_text().splitlines()) == 2 + 8
 
 
 def test_curves_match_reference_formulas():
