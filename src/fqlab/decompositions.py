@@ -143,6 +143,7 @@ def dyadic_energy_slice(X: FqSet, Y: FqSet) -> DyadicSlice:
     two would make L*N equal |X||Y| exactly; in that case the largest-encoded
     slope is dropped, which keeps every certificate valid.
     """
+    _require_same_field(X, Y)
     if len(Y) > len(X):
         raise SecondSetLarger("need |Y| <= |X|")
     if 0 in X:

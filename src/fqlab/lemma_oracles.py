@@ -409,7 +409,11 @@ def check_energy_cs(X: FqSet, Y: FqSet) -> LemmaReport:
 
 
 def check_dyadic_energy(X: FqSet, Y: FqSet) -> LemmaReport:
+    """The three slice certificates, on the shapes ``DyadicSlice`` covers:
+    |X||Y| >= 2 and a nonzero element in Y."""
     sl = dyadic_energy_slice(X, Y)
+    if len(X) * len(Y) < 2 or len(Y.nonzero()) == 0:
+        raise NotApplicable("the slice certificates need |X||Y| >= 2 and a nonzero element in Y")
     certs = slice_certificates(sl)
     ok = certs["level_band"] and certs["energy_ok"] and certs["mass_strict"]
     inst = _instance(X.spec, X=X, Y=Y)

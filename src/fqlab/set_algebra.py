@@ -9,28 +9,24 @@ Pairwise sets are marked (``_pair_marks``) and pairwise counts are counted
 sets are marked on the log residues Z/(q-1), sum and diff sets on the
 encodings.  ``set_op_size`` counts a set's size on those marks, the
 rotation's still packed 8 to a byte, and ``set_op`` is the only place that
-maps residues to encodings (``_pair_support``, a q-length bitmask).  Three
-backends serve them:
+maps residues to encodings (``_pair_support``, a q-length bitmask).
+``_plan`` alone chooses the backend of each op, among the ``_backends``
+that can serve it:
 
-- the grid scores the |A||B| pairs block by block in ``_blocks`` (one
-  triangle of them for the sum or product set of a set with itself).  It
-  serves every count that the transform does not, and every support that
-  neither the transform nor the rotation takes;
+- the grid scores the |A||B| pairs block by block in ``_blocks``, and
+  serves every op; its triangle, one half, the sum or product set of a set
+  with itself;
 - the rotation (``_rotate_support``) marks a support on a cycle Z/n as the
   union of the larger side's packed bitmask rotated by each residue of the
   smaller side: 64 pairs per word op, and it stops once every residue is
   seen.  It serves the prod and ratio sets (logs on Z/(q-1)) and the sum and
-  diff sets over a prime field (Z/p) when ``_use_rotation`` prices its rows
-  below the grid's cells;
-- the transform serves sum and diff over GF(p^m), m > 1: the character
-  transform of (Z/p)^m turns the count into pointwise products of
-  transforms, each kept at one character of every conjugate pair
-  (``_chunk_matrices``), in two buffers.  It runs when |A||B| exceeds
-  TRANSFORM_CELLS grid cells per transform (``_use_transform``) and its
+  diff sets over a prime field (Z/p);
+- the transform serves sum and diff over GF(p^m), m > 1, while its
   worst-case float64 error (``_transform_error_bound``) is below 1/4, so
-  rounding recovers every count.  The counts, rounded in place, are checked
-  (residual, sign, total); a failure falls back to the grid, and a set
-  served by the transform is the support of its checked counts.
+  rounding recovers every count (``_transform_counts``).  Its first pass
+  multiplies every column of a set of at least q/L members, and only the
+  occupied columns of a smaller one.  Counts that fail their check
+  (``_exact_counts``) fall back to the grid.
 
 FqSet values are immutable and all operations are pure.
 """
@@ -129,7 +125,7 @@ class FqSet:
         q-length array."""
         if not 0 <= value < self.spec.q:
             return False
-        i = int(np.searchsorted(self.members, value))
+        i = int(self.members.searchsorted(value))
         return i < self.members.size and int(self.members[i]) == value
 
     def __iter__(self) -> Iterator[int]:
@@ -203,17 +199,6 @@ def dilate(A: FqSet, c: int) -> FqSet:
     return FqSet.from_iterable(A.spec, A.spec.mul_arr(A.members, np.int64(c)))
 
 
-def _use_transform(A: FqSet, B: FqSet) -> bool:
-    """The cost model for sum and diff: the transform (two q-length transforms
-    when B is A, three otherwise) runs over GF(p^m), m > 1, when |A||B|
-    exceeds TRANSFORM_CELLS * q cells per transform and the worst-case error
-    bound ``_transform_error_bound`` is below 1/4."""
-    spec, cells = A.spec, len(A) * len(B)
-    transforms = 2 if B is A else 3
-    return (spec.m > 1 and cells > TRANSFORM_CELLS * transforms * spec.q
-            and _transform_error_bound(spec, cells) < 0.25)
-
-
 def _grid(A: FqSet, B: FqSet, kind: str):
     """(a, b, op, size): the grid op(a[i], b[j]) names the value of each pair
     of A x B as an index below size.
@@ -255,21 +240,10 @@ def _blocks(a: np.ndarray, b: np.ndarray, op, triangle: bool = False) -> Iterato
         i += rows
 
 
-def _use_rotation(rows: int, cols: int, n: int, triangle: bool) -> bool:
-    """The cost model for a cyclic support: ``_rotate_support`` costs about
-    ROTATION_ROW_CELLS + n / ROTATION_RESIDUES_PER_CELL grid cells a row, one
-    row for each residue of the shorter side plus about 64 for its set-up
-    (packing, up to 8 shifted copies and unpacking; measured 37-100), against
-    the |a||b| cells of the grid, half of them for its triangle."""
-    cells = rows * cols / (2 if triangle else 1)
-    return cells > (min(rows, cols) + 64) * (ROTATION_ROW_CELLS + n / ROTATION_RESIDUES_PER_CELL)
-
-
 def _rotate_support(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """The set {x + y mod n : x in a, y in b}, for residues below n, as its
-    length-n mask packed 8 residues to a byte (little bit order) with the
-    pad bits past n set: the union over x of the shorter side of the longer
-    side's indicator rotated by x.
+    packed length-n mask with the pad bits past n set: the union over x of
+    the shorter side of the longer side's indicator rotated by x.
 
     The longer side's indicator, doubled to length 2n so that every rotation
     is one window of it, is packed 8 residues to a byte (little bit order)
@@ -316,19 +290,53 @@ def _by_encoding(spec: FieldSpec, by_log: np.ndarray, zero) -> np.ndarray:
     return out
 
 
+def _backends(A: FqSet, B: FqSet, kind: str, support: bool) -> tuple[str, ...]:
+    """The backends that can serve a pair op: the grid; for a support, the
+    triangle (``_blocks``) and the rotation where they apply; the transform
+    for sum and diff over GF(p^m), m > 1, within its error bound."""
+    spec, names = A.spec, ["grid"]
+    if support and B is A and kind in ("sum", "prod"):
+        names.append("triangle")
+    if support and (kind in ("prod", "ratio") or spec.m == 1):
+        names.append("rotation")
+    if kind in ("sum", "diff") and spec.m > 1 and _transform_error_bound(spec, len(A) * len(B)) < 0.25:
+        names.append("transform")
+    return tuple(names)
+
+
+def _plan(A: FqSet, B: FqSet, kind: str, support: bool) -> str:
+    """The backend of one pair op, its support or (not ``support``) its
+    counts: the one choice among the ``_backends`` that can serve it.  The
+    transform when |A||B| exceeds TRANSFORM_CELLS * q cells per transform
+    (two when B is A, three otherwise); else the rotation when its rows, one
+    per residue of the shorter side of the ``_grid`` plus 64 for its set-up
+    (measured 37-100), cost less than the grid's cells (half for the
+    triangle); else the triangle, else the grid."""
+    spec, names = A.spec, _backends(A, B, kind, support)
+    if "transform" in names and len(A) * len(B) > TRANSFORM_CELLS * (2 if B is A else 3) * spec.q:
+        return "transform"
+    triangle = "triangle" in names
+    if "rotation" in names:
+        logs = kind in ("prod", "ratio")
+        rows, cols = (len(A) - (0 in A), len(B) - (0 in B)) if logs else (len(A), len(B))
+        n = spec.q - 1 if logs else spec.q
+        cells = rows * cols / (2 if triangle else 1)
+        if cells > (min(rows, cols) + 64) * (ROTATION_ROW_CELLS + n / ROTATION_RESIDUES_PER_CELL):
+            return "rotation"
+    return "triangle" if triangle else "grid"
+
+
 def _pair_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
     """counts[v] = #{(a, b) in A x B : a ∘ b = v} for ∘ = kind, length q.
 
-    Counted, where ``_pair_marks`` only marks; both share ``_grid``,
-    ``_blocks`` and ``_use_transform``.  Sum and diff that ``_use_transform``
-    admits come from the transform; its rounded counts must pass
-    ``_exact_counts``, and if they do not, the grid recounts.  Otherwise the
-    counts accumulate (``np.add.at``, no q-length array per block) over the
+    Counts that ``_plan`` sends to the transform must pass
+    ``_exact_counts``, or the grid recounts them.  On the grid they
+    accumulate (``np.add.at``, no q-length array per block) over the
     ``_blocks`` of the ``_grid``; for prod and ratio the log sums are folded
     mod q-1 once, mapped to encodings by one gather, and 0 gets the closed
     form |A||B| - |A*||B*|."""
     cells = len(A) * len(B)
-    if kind in ("sum", "diff") and _use_transform(A, B):
+    if _plan(A, B, kind, False) == "transform":
         counts = _exact_counts(_transform_counts(A, B, kind), cells)
         if counts is not None:
             return counts
@@ -350,26 +358,22 @@ def _pair_marks(A: FqSet, B: FqSet, kind: str) -> tuple[np.ndarray, int]:
     residues are the encodings (n = q); for prod and ratio they are the logs
     mod q-1 of the nonzero values (n = q-1), and 0 is in the set iff it is
     in A or B.  ``marks`` is a length-n bool mask, or the rotation's packed
-    uint8 mask (``_rotate_support``).
-
-    Supports are marked, not counted.  Sum and diff that ``_use_transform``
-    sends to the transform take the support of the checked ``_pair_counts``.
-    Prod and ratio (log sums on Z/(q-1)) and a prime field's sum and diff
-    (on Z/p) are cyclic: ``_use_rotation`` sends them to ``_rotate_support``
-    when its rows cost less than the grid's cells.  Otherwise each block of
-    the ``_grid`` sets ``seen[values]``, and for prod and ratio the log sums
-    are folded mod q-1 with |; for sum and prod of a set with itself only
-    one triangle of the grid is scored."""
-    if kind in ("sum", "diff") and _use_transform(A, B):
-        return _pair_counts(A, B, kind) > 0, A.spec.q
+    uint8 mask (``_rotate_support``), by the backend ``_plan`` names.  The
+    transform's support is that of its counts if they pass
+    ``_exact_counts``, else the grid's.  On the grid each block sets
+    ``seen[values]``; prod and ratio log sums are then folded mod q-1."""
+    backend = _plan(A, B, kind, True)
+    if backend == "transform":
+        counts = _exact_counts(_transform_counts(A, B, kind), len(A) * len(B))
+        if counts is not None:
+            return counts > 0, A.spec.q
     a, b, op, size = _grid(A, B, kind)
-    triangle = B is A and kind in ("sum", "prod")
     logs = kind in ("prod", "ratio")
     n = A.spec.q - 1 if logs else A.spec.q
-    if (logs or A.spec.m == 1) and _use_rotation(a.size, b.size, n, triangle):
+    if backend == "rotation":
         return _rotate_support(a, -b % n if kind == "diff" else b % n, n), n
     seen = np.zeros(size, dtype=bool)
-    for values in _blocks(a, b, op, triangle=triangle):
+    for values in _blocks(a, b, op, triangle=backend == "triangle"):
         seen[values] = True
         del values
     if logs:
@@ -461,11 +465,11 @@ def _half_transform(spec: FieldSpec, members: np.ndarray, x: np.ndarray | None =
     array (complex for odd p) in the buffer x (new if None), and y, free.
     Each pass multiplies the leading chunk axis by its matrix into the free
     buffer and rotates that axis to the end.  The first reads the members
-    and multiplies only the occupied columns, at most |A| of the q/L, into x
-    zeroed, or every column, as floats, for at least q/L members or on a
-    field of at most PAIR_BLOCK_CELLS elements, where that is faster."""
+    and multiplies every column, as floats, for at least q/L members, and
+    otherwise only the occupied columns, at most |A| of the q/L, into x
+    zeroed."""
     h, first, mats, _ = _chunk_matrices(spec)
-    dense = members.size >= spec.q // len(first) or spec.q <= PAIR_BLOCK_CELLS
+    dense = members.size >= spec.q // len(first)
     marks = np.zeros(spec.q, dtype=np.float64 if dense else bool)
     marks[members] = 1
     marks = marks.reshape(len(first), -1).T  # row c: the indicator's column c
@@ -536,7 +540,7 @@ def _transform_error_bound(spec: FieldSpec, cells: int) -> float:
     the first's.  The second-order terms and the rounding of the product fit
     in the slack that eps leaves."""
     _, first, mats, _ = _chunk_matrices(spec)  # the first chunk is the largest
-    return 3 * (1 + len(mats)) * math.sqrt(2) * (len(first) + 2) * np.finfo(float).eps * cells
+    return 3 * (1 + len(mats)) * math.sqrt(2) * (len(first) + 2) * math.ulp(1.0) * cells
 
 
 def _exact_counts(values: np.ndarray, total: int) -> np.ndarray | None:
@@ -559,10 +563,7 @@ def _check_set_op(A: FqSet, B: FqSet, kind: str) -> None:
 
 def set_op(A: FqSet, B: FqSet, kind: str) -> FqSet:
     """Exact pairwise sum/diff/prod/ratio set of A and B, built from the
-    bitmask ``_pair_support`` marks: by the grid, by the rotation (prod and
-    ratio over the log residues, sum and diff over a prime field) or by the
-    transform's counts (sum and diff over GF(p^m), m > 1).  An empty operand
-    gives the empty set."""
+    bitmask ``_pair_support`` marks.  An empty operand gives the empty set."""
     _check_set_op(A, B, kind)
     if len(A) == 0 or len(B) == 0:
         return FqSet.from_iterable(A.spec, ())
@@ -570,11 +571,10 @@ def set_op(A: FqSet, B: FqSet, kind: str) -> FqSet:
 
 
 def set_op_size(A: FqSet, B: FqSet, kind: str) -> int:
-    """len(set_op(A, B, kind)), counted on the ``_pair_marks`` where they
-    lie: the rotation's packed bytes less their pad bits, or the bool mask,
-    plus 1 for 0 in a prod or ratio set.  No residue is mapped to an
-    encoding and no set is built.  The errors are set_op's; an empty operand
-    gives 0."""
+    """len(set_op(A, B, kind)), counted on the ``_pair_marks``, the
+    rotation's packed bytes less their pad bits or the bool mask, plus 1 for
+    0 in a prod or ratio set, with no set built.  The errors are set_op's;
+    an empty operand gives 0."""
     _check_set_op(A, B, kind)
     if len(A) == 0 or len(B) == 0:
         return 0
@@ -628,6 +628,7 @@ def representation_spectrum(X: FqSet, Y: FqSet) -> np.ndarray:
     representation counts.  They add up to |X||Y| (first moment) and their
     ``_sum_of_squares`` is the multiplicative energy between X and Y (second
     moment)."""
+    _require_same_field(X, Y)
     if 0 in X:
         raise ZeroInDenominatorSet("denominator set must avoid 0")
     return _pair_counts(Y, X, "ratio")
@@ -680,8 +681,7 @@ def intersection_shift_counts(A: FqSet) -> np.ndarray:
 
     Summed over the difference set this gives |A|^2, and the sum of squares
     gives the additive energy.  From the transform it is a view that keeps
-    the transform's (L+1)/L q floats (``_transform_counts``).
-    """
+    the transform's (L+1)/L q floats (``_transform_counts``)."""
     return _pair_counts(A, A, "diff")
 
 

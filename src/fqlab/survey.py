@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
+    ElementOutOfRange,
     InvariantViolated,
     InvalidSurveyConfig,
     IoFailure,
@@ -27,7 +28,7 @@ from .errors import (
     SizeInfeasible,
     ZeroShift,
 )
-from .finite_field import FieldSpec, coset_representatives, parse_descriptor, proper_subfields
+from .finite_field import FieldSpec, _clip, coset_representatives, parse_descriptor, proper_subfields
 from .set_algebra import (
     FqSet,
     _sum_of_squares,
@@ -252,6 +253,8 @@ def exhaustive_min_expander(spec: FieldSpec, k: int, alpha: int = 1,
     """
     if alpha % spec.q == 0:
         raise ZeroShift("alpha must be nonzero")
+    if not 0 <= alpha < spec.q:
+        raise ElementOutOfRange(f"shift {_clip(str(alpha))} out of range [0, {spec.q})")
     universe = range(1, spec.q) if nonzero_only else range(spec.q)
     n = len(universe)
     if k < 1 or k > n:

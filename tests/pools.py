@@ -10,7 +10,7 @@ from unittest.mock import patch
 
 import numpy as np
 
-from fqlab import decompositions
+from fqlab import decompositions, set_algebra
 from fqlab.finite_field import FieldSpec, arith, build_field, parse_descriptor
 from fqlab.set_algebra import FqSet
 
@@ -60,6 +60,25 @@ def on_path(limit, search, *args):
     EXACT takes every size to the exact or exhaustive path, GREEDY none."""
     with patch.object(decompositions, "EXACT_SEARCH_LIMIT", limit):
         return search(*args)
+
+
+_plan = set_algebra._plan
+
+
+def force_backend(monkeypatch, name: str) -> list[str]:
+    """Replace ``set_algebra._plan`` so that the backend ``name`` serves every
+    pair op that ``set_algebra._backends`` says it can serve, and the real
+    plan serves the rest.  Returns the list of the kinds of the ops ``name``
+    served, appended as they run."""
+    served = []
+
+    def forced(A, B, kind, support):
+        if name in set_algebra._backends(A, B, kind, support):
+            served.append(kind)
+            return name
+        return _plan(A, B, kind, support)
+    monkeypatch.setattr(set_algebra, "_plan", forced)
+    return served
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,8 @@ def test_trials_and_kappa_below_1_are_usage_errors(capsys, argv):
      "ElementOutOfRange"),
     (("verify", "dyadic_energy", "--field", "7", "--sets", "1;1,2"), None, "SecondSetLarger"),
     (("verify", "rudnev", "--field", "7", "--sets", "1;1,2"), None, "SecondSetLarger"),
+    # |X||Y| < 2 and Y = {0}: outside the shapes the slice certifies
+    (("verify", "dyadic_energy", "--field", "7", "--sets", "1;0"), None, "NotApplicable"),
     (("survey", "--fields", "7", "--sizes", "1", "--out", "no-such-dir/s.csv"), None,
      "InvalidSurveyConfig"),
     (("survey", "--fields", "7", "--sizes", "3", "--samplers", "foo",

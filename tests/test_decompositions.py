@@ -108,6 +108,13 @@ def test_slice_singleton():
     assert sl.D.to_literal() == "1" and sl.N == 1 and sl.L == 1
 
 
+def test_slice_refuses_mixed_fields():
+    # F_5 and F_7 encodings overlap, so only the field check can catch these
+    for X, Y in ((fqset(F7, 1, 2, 3), fqset(F5, 1, 4)), (fqset(F5, 1, 2), fqset(F7, 1, 3))):
+        with pytest.raises(MixedFields):
+            dyadic_energy_slice(X, Y)
+
+
 def test_slice_example_f7():
     X, Y = fqset(F7, 2, 3, 5), fqset(F7, 1, 2, 4)
     sl = dyadic_energy_slice(X, Y)

@@ -390,6 +390,14 @@ def test_energy_cs_and_dyadic_and_rudnev_reports():
         assert check_rudnev(X, Y).verdict == "ExactPass"
 
 
+@pytest.mark.parametrize("X, Y", [((1,), (0,)), ((1,), (2,)), ((1, 2), (0,)), ((3, 5, 6), (0,))])
+def test_dyadic_energy_outside_its_shapes_is_not_applicable(X, Y):
+    # |X||Y| < 2 or Y inside {0}: one slope holds every pair, so mass_strict
+    # cannot hold, and the lemma does not claim it there
+    with pytest.raises(NotApplicable):
+        check_dyadic_energy(FqSet.from_iterable(F7, X), FqSet.from_iterable(F7, Y))
+
+
 def test_covering_by_shifts_measured():
     Z = fqset(F31, 1, 2, 4, 8)
     frame = translate(dilate(Z, 3), 5)

@@ -39,6 +39,7 @@ from pools import (
     LARGE_DESCRIPTOR,
     POOL_DESCRIPTORS,
     draw_set,
+    force_backend,
     naive_additive_energy,
     naive_coset_profile,
     naive_multiplicative_energy,
@@ -192,13 +193,15 @@ def test_set_op_of_a_set_with_itself_matches_naive_oracle(desc, monkeypatch):
     rng = np.random.default_rng([75, spec.q])
     sets = [draw_set(rng, spec, k, nonzero=True) for k in (1, 3, 12, 64)]
     sets += [A.union(FqSet.from_iterable(spec, [0])) for A in sets]
-    # the default cost model, then the grid alone (its triangle for sum and prod)
-    for cells_per_element in (set_algebra.TRANSFORM_CELLS, float("inf")):
-        monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", cells_per_element)
-        for A in sets:
-            for kind in SET_OPS:
-                X = A.nonzero() if kind == "ratio" else A
-                assert list(set_op(X, X, kind)) == naive_set_op(spec, list(X), list(X), kind)
+    # the cost model, then the whole grid, then its triangle for sum and prod
+    for backend in (None, "grid", "triangle"):
+        with monkeypatch.context() as patch:
+            if backend is not None:
+                force_backend(patch, backend)
+            for A in sets:
+                for kind in SET_OPS:
+                    X = A.nonzero() if kind == "ratio" else A
+                    assert list(set_op(X, X, kind)) == naive_set_op(spec, list(X), list(X), kind)
 
 
 def test_pair_counts_stay_well_below_one_grid_of_memory(monkeypatch):
@@ -208,12 +211,15 @@ def test_pair_counts_stay_well_below_one_grid_of_memory(monkeypatch):
     counts = (lambda: sum_representation_counts(A), lambda: intersection_shift_counts(A),
               lambda: set_op(A, A, "prod"), lambda: set_op(A, A, "sum"),
               lambda: set_op(A, A, "diff"), lambda: set_op(A, A.nonzero(), "ratio"))
-    # TRANSFORM_CELLS = 0 sends sum and diff to the transform; infinity keeps them on the grid
-    for cells_per_element in (float("inf"), 0):
-        monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", cells_per_element)
-        for count in counts:
-            peak = peak_bytes(count)[0]
-            assert peak < 40_000_000 < grid
+    # every op on the grid; then the triangle or the transform where it can
+    # serve, and the cost model's choice (the rotation for prod and ratio) elsewhere
+    for backend in ("grid", "triangle", "transform"):
+        with monkeypatch.context() as patch:
+            served = force_backend(patch, backend)
+            for count in counts:
+                peak = peak_bytes(count)[0]
+                assert peak < 40_000_000 < grid
+            assert served
 
 
 def test_half_spectrum_transform_matches_the_grid_at_survey_size(monkeypatch):
@@ -222,11 +228,10 @@ def test_half_spectrum_transform_matches_the_grid_at_survey_size(monkeypatch):
     rng = np.random.default_rng(76)
     A, B = (FqSet.from_iterable(spec, rng.choice(spec.q, 3000, replace=False)) for _ in "AB")
     for X, Y, kind in ((A, A, "diff"), (A, B, "sum")):
-        # TRANSFORM_CELLS = infinity keeps the count on the grid; 0 sends it to the transform
-        monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", float("inf"))
-        grid = _pair_counts(X, Y, kind)
-        monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", 0)
-        assert set_algebra._use_transform(X, Y)
+        with monkeypatch.context() as patch:
+            force_backend(patch, "grid")
+            grid = _pair_counts(X, Y, kind)
+        assert set_algebra._plan(X, Y, kind, False) == "transform"
         served = set_algebra._exact_counts(set_algebra._transform_counts(X, Y, kind),
                                            len(X) * len(Y))
         assert served is not None and np.array_equal(served, grid)
@@ -240,7 +245,7 @@ def test_shift_counts_by_transform_peak_near_two_q_length_complex_arrays(desc):
     # each for p = 2 (2.0x of q * 8); a third q-length array would break these
     spec = parse_descriptor(desc)
     A = FqSet.from_iterable(spec, np.random.default_rng(6).choice(spec.q, 3000, replace=False))
-    assert set_algebra._use_transform(A, A)
+    assert set_algebra._plan(A, A, "diff", False) == "transform"
     intersection_shift_counts(A)  # the cached plan is not part of a count's peak
     peak = peak_bytes(lambda: intersection_shift_counts(A))[0]
     assert peak < (2.3 * spec.q * 8 if spec.p == 2 else 1.2 * spec.q * 16)
@@ -253,7 +258,7 @@ def test_pair_sum_by_transform_peaks_at_three_half_transforms():
     spec = build_field(3, 12)
     rng = np.random.default_rng(77)
     A, B = (FqSet.from_iterable(spec, rng.choice(spec.q, 3000, replace=False)) for _ in "AB")
-    assert set_algebra._use_transform(A, B)
+    assert set_algebra._plan(A, B, "sum", False) == "transform"
     _pair_counts(A, B, "sum")  # the cached plan is not part of a count's peak
     peak, counts = peak_bytes(lambda: _pair_counts(A, B, "sum"))
     assert int(counts.sum()) == len(A) * len(B)
@@ -274,25 +279,11 @@ def test_exact_counts_peak_near_two_q_length_arrays():
     assert peak <= 1.1 * spec.q * 8
 
 
-def _forced_transform(monkeypatch):
-    """Send every nonempty sum and diff over an extension field to the
-    transform, and return the list of the kinds it served."""
-    served = []
-    transform = set_algebra._transform_counts
-
-    def spy(A, B, kind):
-        served.append(kind)
-        return transform(A, B, kind)
-    monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", 0)
-    monkeypatch.setattr(set_algebra, "_transform_counts", spy)
-    return served
-
-
 @pytest.mark.parametrize("desc", tuple(d for d in POOL_DESCRIPTORS if not d.endswith("^1"))
                          + (LARGE_DESCRIPTOR, "3^7"))
 def test_transform_pair_counts_match_naive_oracle(desc, monkeypatch):
     spec = parse_descriptor(desc)
-    served = _forced_transform(monkeypatch)
+    served = force_backend(monkeypatch, "transform")
     rng = np.random.default_rng([73, spec.q])
     zero = fqset(spec, 0)
     small, large = (draw_set(rng, spec, k, nonzero=True) for k in (2, min(40, spec.q - 1)))
@@ -341,14 +332,16 @@ def _one_count_up_by_one(values):  # every residual and sign holds: only the tot
 def test_transform_falls_back_to_the_grid_when_its_counts_are_off(desc, perturb, monkeypatch):
     spec = parse_descriptor(desc)
     transform = set_algebra._transform_counts
-    monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", 0)
+    served = force_backend(monkeypatch, "transform")
     monkeypatch.setattr(set_algebra, "_transform_counts",
                         lambda A, B, kind: perturb(transform(A, B, kind)))
     rng = np.random.default_rng([74, spec.q])
     A, B = draw_set(rng, spec, 9), draw_set(rng, spec, 6)
     for X, Y in ((A, A), (A, B)):
-        for kind in ("sum", "diff"):
+        for kind in ("sum", "diff"):  # the counts, and the supports, recounted on the grid
             assert list(_pair_counts(X, Y, kind)) == naive_pair_counts(spec, X, Y, kind)
+            assert list(set_op(X, Y, kind)) == naive_set_op(spec, list(X), list(Y), kind)
+    assert served == ["sum", "sum", "diff", "diff"] * 2
 
 
 def _column_sets(spec):
@@ -365,16 +358,12 @@ def _column_sets(spec):
             draw_set(rng, spec, 20).union(fqset(spec, 0, spec.q - 1))]
 
 
-@pytest.mark.parametrize("block", (None, 64))
 @pytest.mark.parametrize("desc", ("2^10", "3^7"))
-def test_first_pass_on_occupied_columns_matches_naive_oracle(desc, block, monkeypatch):
-    # fields of at most PAIR_BLOCK_CELLS elements take every column of every
-    # set; a block of 64 cells sends each set of fewer than q/L members (32 on
-    # 2^10, 81 on 3^7) to the occupied-column pass
+def test_first_pass_on_occupied_columns_matches_naive_oracle(desc, monkeypatch):
+    # a set of fewer than q/L members (32 on 2^10, 81 on 3^7) takes the
+    # occupied-column pass, a larger one every column
     spec = parse_descriptor(desc)
-    if block is not None:
-        monkeypatch.setattr(set_algebra, "PAIR_BLOCK_CELLS", block)
-    served = _forced_transform(monkeypatch)
+    served = force_backend(monkeypatch, "transform")
     occupied = []  # the columns each occupied-column pass multiplied
     times = set_algebra._times
 
@@ -391,23 +380,15 @@ def test_first_pass_on_occupied_columns_matches_naive_oracle(desc, block, monkey
     assert len(served) == 2 * 4 * len(sets)
     assert not any("bitmask" in A.__dict__ for A in sets)
     rest = spec.q // len(set_algebra._chunk_matrices(spec)[1])
-    assert bool(occupied) == (block is not None) and max(occupied, default=0) < rest
+    assert occupied and max(occupied) < rest
 
 
-def _forced_rotation(monkeypatch, rotation: bool):
-    """Send every nonempty cyclic support (prod, ratio, and sum and diff over
-    a prime field) to the rotation, or keep all of them on the grid, and
-    return the list of the cycle lengths n the rotation served."""
-    served = []
-    rotate = set_algebra._rotate_support
-
-    def spy(a, b, n):
-        served.append(n)
-        return rotate(a, b, n)
-    monkeypatch.setattr(set_algebra, "ROTATION_ROW_CELLS", 0 if rotation else float("inf"))
-    monkeypatch.setattr(set_algebra, "ROTATION_RESIDUES_PER_CELL", float("inf"))
-    monkeypatch.setattr(set_algebra, "_rotate_support", spy)
-    return served
+def _set_op_on(backend, X, Y, kind):
+    """(set_op(X, Y, kind), the kinds ``backend`` served), with ``backend``
+    forced for this one call."""
+    with pytest.MonkeyPatch.context() as patch:
+        served = force_backend(patch, backend)
+        return set_op(X, Y, kind), served
 
 
 @pytest.mark.parametrize("desc", ("2^1",) + tuple(d for d in POOL_DESCRIPTORS if d.endswith("^1")))
@@ -415,18 +396,18 @@ def test_prime_field_sums_and_differences_by_rotation_match_naive_oracle(desc, m
     spec = parse_descriptor(desc)
     rng = np.random.default_rng([77, spec.q])
     sets = [draw_set(rng, spec, k) for k in (1, 2, 5, spec.q)]
-    served = _forced_rotation(monkeypatch, True)
+    served = force_backend(monkeypatch, "rotation")
     calls = 0
     for A in sets:
         for B in [A] + sets:  # B is A, then B != A (and once an equal copy)
             for kind in ("sum", "diff"):
                 assert list(set_op(A, B, kind)) == naive_set_op(spec, list(A), list(B), kind)
                 calls += 1
-    assert served == [spec.q] * calls
+    assert served == ["sum", "diff"] * (calls // 2)
 
 
 @pytest.mark.parametrize("desc", POOL_DESCRIPTORS + (LARGE_DESCRIPTOR, "2^12", "3^7"))
-def test_rotated_products_and_ratios_match_the_grid(desc, monkeypatch):
+def test_rotated_products_and_ratios_match_the_grid(desc):
     # q - 1 = 6, 8, 4095 and 2186 among them: n % 8 both zero and nonzero
     spec = parse_descriptor(desc)
     rng = np.random.default_rng([78, spec.q])
@@ -438,24 +419,22 @@ def test_rotated_products_and_ratios_match_the_grid(desc, monkeypatch):
     for X, Y in pairs:
         for kind in ("prod", "ratio"):
             if kind == "ratio" and 0 in Y:
-                for rotation in (False, True):
-                    _forced_rotation(monkeypatch, rotation)
+                for backend in ("grid", "rotation"):
                     with pytest.raises(ZeroDivisorInRatio):
-                        set_op(X, Y, kind)
+                        _set_op_on(backend, X, Y, kind)
                 continue
-            _forced_rotation(monkeypatch, False)
-            grid = set_op(X, Y, kind)
-            served = _forced_rotation(monkeypatch, True)
-            assert set_op(X, Y, kind) == grid
-            assert served == [spec.q - 1]
+            grid, on_grid = _set_op_on("grid", X, Y, kind)
+            rotated, served = _set_op_on("rotation", X, Y, kind)
+            assert rotated == grid and on_grid == served == [kind]
 
 
 def test_a_saturating_quotient_set_exits_early(monkeypatch):
     spec = build_field(2, 8)
     X = draw_set(np.random.default_rng(79), spec, 40)
-    _forced_rotation(monkeypatch, False)
-    grid = quotient_set(X)
-    served = _forced_rotation(monkeypatch, True)
+    with monkeypatch.context() as patch:
+        force_backend(patch, "grid")
+        grid = quotient_set(X)
+    served = force_backend(monkeypatch, "rotation")
     rows = []
     bitwise_or = np.bitwise_or
 
@@ -466,16 +445,96 @@ def test_a_saturating_quotient_set_exits_early(monkeypatch):
     R = quotient_set(X)
     assert R == grid and len(R) == spec.q
     # one ratio set on Z/255, which stops at its first check, 32 of its 248 rows
-    assert served == [spec.q - 1] and len(set_op(X, X, "diff").nonzero()) == 248
+    assert served == ["ratio"] and len(set_op(X, X, "diff").nonzero()) == 248
     assert len(rows) == 32
 
 
-def test_cost_model_sends_only_large_grids_to_the_rotation():
-    use = set_algebra._use_rotation
-    assert not use(100, 100, 4095, True)  # AA, |A| = 100 on 2^12
-    assert use(1500, 1500, 4095, True)
-    assert not use(1000, 1000, (1 << 20) - 1, False)  # A(A+1), |A| = 1000 on 2^20
-    assert use(3000, 3000, (1 << 20) - 1, False)
+def _star_sample(desc, size):
+    """A of ``size`` elements drawn from F_q^* (seed 0), and B = A + 1."""
+    spec = parse_descriptor(desc)
+    A = FqSet.from_iterable(spec, np.random.default_rng(0).choice(np.arange(1, spec.q), size,
+                                                                  replace=False))
+    return A, translate(A, 1)
+
+
+@pytest.mark.parametrize("desc, size, kind, plan", [
+    ("2^12", 100, "prod", "triangle"),  # AA
+    ("2^12", 1500, "prod", "rotation"),
+    ("2^12", 1500, "sum", "transform"),  # A + A, by the transform before the rotation
+    ("7^1", 6, "sum", "triangle"),  # the whole of F_7^*
+    ("65521^1", 2000, "sum", "rotation"),
+])
+def test_cost_model_sends_only_large_grids_to_the_rotation(desc, size, kind, plan):
+    A, _ = _star_sample(desc, size)
+    assert set_algebra._plan(A, A, kind, True) == plan
+
+
+# today's choices on the benchmark's shapes, so that moving code moves no decision
+@pytest.mark.parametrize("desc, size, operands, kind, support, plan", [
+    ("3^12", 1000, "AA", "diff", False, "grid"),  # A - A counts
+    ("3^12", 1000, "AA", "prod", True, "triangle"),  # AA
+    ("3^12", 1000, "AB", "prod", True, "rotation"),  # A(A+1)
+    ("3^12", 3000, "AA", "diff", False, "transform"),
+    ("3^12", 3000, "AB", "sum", False, "transform"),  # A + B counts
+    ("3^12", 3000, "AA", "prod", True, "rotation"),
+    ("3^12", 3000, "AB", "prod", True, "rotation"),
+    ("2^20", 1000, "AB", "prod", True, "grid"),
+    ("2^20", 3000, "AB", "prod", True, "rotation"),
+    ("3^7", 96, "AA", "diff", False, "transform"),
+    ("3^7", 96, "AB", "sum", False, "grid"),
+])
+def test_plan_keeps_the_benchmark_choices(desc, size, operands, kind, support, plan):
+    A, B = _star_sample(desc, size)
+    assert set_algebra._plan(A, A if operands == "AA" else B, kind, support) == plan
+
+
+def test_plan_keeps_small_sets_on_the_grid():
+    A, B = _star_sample("2^12", 96)
+    plans = {set_algebra._plan(A, Y, kind, support)
+             for Y in (A, B) for kind in SET_OPS for support in (False, True)
+             if not (kind == "ratio" and 0 in Y)}
+    assert plans == {"grid", "triangle"}
+
+
+# the ops each backend can serve: B is A, the kind, a support (or counts), m
+SERVES = {
+    "grid": lambda same, kind, support, m: True,
+    "triangle": lambda same, kind, support, m: support and same and kind in ("sum", "prod"),
+    "rotation": lambda same, kind, support, m: support and (kind in ("prod", "ratio") or m == 1),
+    "transform": lambda same, kind, support, m: kind in ("sum", "diff") and m > 1,
+}
+
+
+@pytest.mark.parametrize("desc", POOL_DESCRIPTORS + (LARGE_DESCRIPTOR,))
+def test_every_backend_matches_the_naive_oracles(desc, monkeypatch):
+    spec = parse_descriptor(desc)
+    rng = np.random.default_rng([81, spec.q])
+    zero = fqset(spec, 0)
+    A, B = (draw_set(rng, spec, k, nonzero=True) for k in (min(24, spec.q - 1), 5))
+    sets = [zero, fqset(spec, 1), B, B.union(zero), A, A.union(zero)]
+    cases = []  # (X, Y, kind, counts); Y is X in the last of each row
+    for X in sets:
+        for Y in sets + [X]:
+            for kind in SET_OPS:
+                ok = not (kind == "ratio" and 0 in Y)
+                cases.append((X, Y, kind, naive_pair_counts(spec, X, Y, kind) if ok else None))
+    for backend, serves in SERVES.items():
+        with monkeypatch.context() as patch:
+            served, expected = force_backend(patch, backend), []
+            for X, Y, kind, counts in cases:
+                if counts is None:  # planned, then refused
+                    with pytest.raises(ZeroDivisorInRatio):
+                        set_op(X, Y, kind)
+                    expected += [kind] * serves(X is Y, kind, True, spec.m)
+                    continue
+                support = [v for v, c in enumerate(counts) if c]
+                assert list(_pair_counts(X, Y, kind)) == counts
+                assert list(set_op(X, Y, kind)) == support
+                assert set_op_size(X, Y, kind) == len(support)
+                expected += [kind] * (serves(X is Y, kind, False, spec.m)
+                                      + 2 * serves(X is Y, kind, True, spec.m))
+            assert served == expected
+            assert served or (backend == "transform" and spec.m == 1)
 
 
 def test_rotated_support_stays_small():
@@ -483,12 +542,12 @@ def test_rotated_support_stays_small():
     A = FqSet.from_iterable(spec, np.random.default_rng(0).choice(np.arange(1, spec.q), 3000,
                                                                   replace=False))
     B = translate(A, 1)
-    assert set_algebra._use_rotation(len(A), len(B), spec.q - 1, False)
+    assert set_algebra._plan(A, B, "prod", True) == "rotation"
     peak = peak_bytes(lambda: set_algebra._pair_support(A, B, "prod"))[0]
     assert peak < 6 * spec.q
 
 
-@pytest.mark.parametrize("backend", ("grid", "rotation", "transform"))
+@pytest.mark.parametrize("backend", tuple(SERVES))
 @pytest.mark.parametrize("desc", POOL_DESCRIPTORS + (LARGE_DESCRIPTOR, "2^12", "3^7"))
 def test_set_op_size_matches_naive_oracle(desc, backend, monkeypatch):
     # q - 1 = 6, 8, 4095 and 2186 and p = 5, 7, 11, 13 among them: a packed
@@ -499,22 +558,16 @@ def test_set_op_size_matches_naive_oracle(desc, backend, monkeypatch):
     A, B = (draw_set(rng, spec, k, nonzero=True) for k in (min(40, spec.q // 2), 9))
     A0 = A.union(zero)
     pairs = [(A, A), (A0, A0), (A, B), (B, A), (A0, B), (A, B.union(zero))]
-    monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", float("inf"))
-    rotated = _forced_rotation(monkeypatch, backend == "rotation")
-    transformed = _forced_transform(monkeypatch) if backend == "transform" else []
-    calls = dict.fromkeys(SET_OPS, 0)
+    served, expected = force_backend(monkeypatch, backend), []
     for X, Y in pairs:
         for kind in SET_OPS:
-            if kind == "ratio" and 0 in Y:
+            if kind == "ratio" and 0 in Y:  # planned, then refused
                 with pytest.raises(ZeroDivisorInRatio):
                     set_op_size(X, Y, kind)
-                continue
-            assert set_op_size(X, Y, kind) == len(naive_set_op(spec, list(X), list(Y), kind))
-            calls[kind] += 1
-    additive = calls["sum"] + calls["diff"]
-    cyclic = calls["prod"] + calls["ratio"] + (additive if spec.m == 1 else 0)
-    assert len(rotated) == (cyclic if backend == "rotation" else 0)
-    assert len(transformed) == (additive if backend == "transform" and spec.m > 1 else 0)
+            else:
+                assert set_op_size(X, Y, kind) == len(naive_set_op(spec, list(X), list(Y), kind))
+            expected += [kind] * SERVES[backend](X is Y, kind, True, spec.m)
+    assert served == expected
 
 
 def test_set_op_size_of_a_saturating_rotation_exits_early(monkeypatch):
@@ -522,7 +575,7 @@ def test_set_op_size_of_a_saturating_rotation_exits_early(monkeypatch):
     X = draw_set(np.random.default_rng(79), spec, 40)
     D = set_op(X, X, "diff")
     naive = naive_set_op(spec, list(D), list(D.nonzero()), "ratio")
-    served = _forced_rotation(monkeypatch, True)
+    served = force_backend(monkeypatch, "rotation")
     rows = []
     bitwise_or = np.bitwise_or
 
@@ -531,7 +584,18 @@ def test_set_op_size_of_a_saturating_rotation_exits_early(monkeypatch):
         return bitwise_or(*args, **kwargs)
     monkeypatch.setattr(np, "bitwise_or", counted)
     assert set_op_size(D, D.nonzero(), "ratio") == len(naive) == spec.q
-    assert served == [spec.q - 1] and len(rows) == 32  # 32 of its 248 rows
+    assert served == ["ratio"] and len(rows) == 32  # 32 of its 248 rows
+
+
+def test_representation_spectrum_refuses_mixed_fields():
+    # F_5 and F_7 encodings overlap, so only the field check can catch these;
+    # F_7's 6 is not an F_5 encoding at all
+    for X, Y in ((fqset(F5, 1, 2), fqset(F7, 1, 3)), (fqset(F5, 1, 2), fqset(F7, 6)),
+                 (fqset(F7, 1, 2, 3), fqset(F5, 1, 4))):
+        with pytest.raises(MixedFields):
+            representation_spectrum(X, Y)
+        with pytest.raises(MixedFields):
+            multiplicative_energy(X, Y)
 
 
 def test_set_op_size_errors_and_empty_operands_follow_set_op():

@@ -7,6 +7,7 @@ import pytest
 
 from fqlab.errors import (
     BudgetExceeded,
+    ElementOutOfRange,
     NoProperSubfield,
     SizeInfeasible,
     ZeroShift,
@@ -34,6 +35,7 @@ from pools import (
     LARGE_DESCRIPTOR,
     POOL_DESCRIPTORS,
     draw_set,
+    force_backend,
     naive_additive_energy,
     naive_min_expander,
     naive_shifted_product,
@@ -165,8 +167,7 @@ def test_corollary_chain_randomized():
 @pytest.mark.parametrize("backend", ("grid", "transform", "small grid blocks"))
 def test_corollary_energy_matches_additive_energy_and_naive_oracle(desc, backend, monkeypatch):
     spec = parse_descriptor(desc)
-    # TRANSFORM_CELLS = 0 sends sum and diff to the transform; infinity keeps them on the grid
-    monkeypatch.setattr(set_algebra, "TRANSFORM_CELLS", 0 if backend == "transform" else float("inf"))
+    force_backend(monkeypatch, "transform" if backend == "transform" else "grid")
     rng = np.random.default_rng([77, spec.q])
     for size in (2, 5, min(30, spec.q)):
         A = draw_set(rng, spec, size)
@@ -209,6 +210,20 @@ def test_exhaustive_min_expander_small():
     assert best == 1  # singletons cannot spread
     with pytest.raises(BudgetExceeded):
         exhaustive_min_expander(build_field(2, 10), 9)
+
+
+@pytest.mark.parametrize("p, m, alpha, error", [
+    (2, 3, 9, ElementOutOfRange), (3, 2, 10, ElementOutOfRange), (7, 1, 8, ElementOutOfRange),
+    (7, 1, -1, ElementOutOfRange), (7, 1, 7, ZeroShift), (2, 3, -8, ZeroShift)])
+def test_exhaustive_min_expander_checks_the_shift_like_the_records(p, m, alpha, error):
+    # a shift outside [0, q) is refused as shifted_product refuses it, with
+    # a multiple of q a ZeroShift first
+    spec = build_field(p, m)
+    A = FqSet.from_iterable(spec, [1, 2])
+    for call in (lambda: exhaustive_min_expander(spec, 2, alpha),
+                 lambda: shifted_product(A, alpha), lambda: expander_record(A, alpha)):
+        with pytest.raises(error):
+            call()
 
 
 def test_exhaustive_minimizers_are_canonical_and_verified():
