@@ -8,6 +8,13 @@ fixed seed; timings never appear in it.
 --format offers only what a command writes (the first is the default):
 field, setop, energy and cover text or json; verify json lines or a csv
 summary; trace json lines.  survey writes CSV and a JSON summary to --out.
+
+The other commands write their whole output once it is computed: a trace
+batch keeps each trace's JSON line, not the trace.  survey builds its fields
+and opens its CSV before it draws any set, then writes each row as its
+record is made and the summary last, so a survey that stops part way leaves
+the rows already written and no summary.  An --out that cannot be opened is
+an IoFailure.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import FqLabError, SizeInfeasible, TraceDegenerate
+from .errors import FqLabError, IoFailure, SizeInfeasible, TraceDegenerate
 from .decompositions import covering_number, run_proof_trace
 from .finite_field import parse_descriptor
 from .lemma_oracles import (
@@ -71,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--eps", default="1/4", help="proportion bound (plunnecke_refined)")
     p_verify.add_argument("--trials", type=positive_int, default=20,
                           help="batch instances per lemma")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=nonnegative_int, default=0)
     _common(p_verify, ("json", "csv"))
 
     p_trace = sub.add_parser("trace", help="run the growth proof trace")
@@ -79,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--set", dest="set_", help="explicit input set literal")
     p_trace.add_argument("--alpha", type=int, default=1)
     p_trace.add_argument("--trials", type=positive_int, default=5, help="batch size when no --set")
-    p_trace.add_argument("--seed", type=int, default=0)
+    p_trace.add_argument("--seed", type=nonnegative_int, default=0)
     p_trace.add_argument("--kappa", type=positive_int, default=1)
     _common(p_trace, ("json",))
 
@@ -89,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_survey.add_argument("--samplers", default="uniform",
                           help="comma-separated: uniform,ap,gp,coset")
     p_survey.add_argument("--trials", type=positive_int, default=1)
-    p_survey.add_argument("--seed", type=int, default=0)
+    p_survey.add_argument("--seed", type=nonnegative_int, default=0)
     p_survey.add_argument("--alpha-policy", default="fixed1",
                           choices=("fixed1", "sweep", "random"))
     p_survey.add_argument("--kind", default="expander", choices=tuple(KINDS))
@@ -115,6 +122,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type for an integer that must be at least 0 (a seed)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
     """--format with the formats the command writes (the first is the default), and --out."""
     p.add_argument("--format", default=formats[0], choices=formats)
@@ -124,10 +139,13 @@ def _common(p: argparse.ArgumentParser, formats=("text", "json")) -> None:
 def _emit(args, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise IoFailure(str(exc)) from exc
     else:
         print(text)
 
@@ -240,12 +258,12 @@ def _cmd_trace(args) -> int:
         if not args.field:
             args.usage_error("trace with --set requires --field")
         spec = parse_descriptor(args.field)
-        traces = [run_proof_trace(FqSet.from_literal(spec, args.set_),
-                                  args.alpha, kappa=args.kappa)]
+        trace = run_proof_trace(FqSet.from_literal(spec, args.set_), args.alpha, kappa=args.kappa)
+        lines = [_dumps(trace.to_json())]
     else:
-        traces = []
+        lines = []  # a ProofTrace holds q-length bitmasks; the batch keeps only its JSON line
         index = degenerate = 0
-        while len(traces) < args.trials:
+        while len(lines) < args.trials:
             rng = np.random.default_rng([args.seed, index])
             desc = args.field or TRACE_FIELDS[index % len(TRACE_FIELDS)]
             spec = parse_descriptor(desc)
@@ -256,15 +274,16 @@ def _cmd_trace(args) -> int:
             members = rng.choice(np.arange(1, spec.q), size=size, replace=False)
             index += 1
             try:
-                traces.append(run_proof_trace(FqSet.from_iterable(spec, members),
-                                              args.alpha, kappa=args.kappa))
+                trace = run_proof_trace(FqSet.from_iterable(spec, members),
+                                        args.alpha, kappa=args.kappa)
+                lines.append(_dumps(trace.to_json()))
                 degenerate = 0
             except TraceDegenerate:
                 degenerate += 1
                 if degenerate == TRACE_DEGENERATE_LIMIT:
                     raise TraceDegenerate(f"{degenerate} degenerate draws in a row "
                                           f"on {desc} at alpha = {args.alpha}") from None
-    _emit(args, "\n".join(_dumps(t.to_json()) for t in traces))
+    _emit(args, "\n".join(lines))
     return 0
 
 

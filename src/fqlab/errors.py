@@ -128,8 +128,8 @@ class EpsilonOutOfRange(FqLabError):
 
 # survey
 class InvalidSurveyConfig(FqLabError, ValueError):
-    """A survey asks for fewer than one trial, a size below 2, or an unknown
-    sampler, alpha policy or kind."""
+    """A survey asks for fewer than one trial, a negative seed, a size below 2,
+    or an unknown sampler, alpha policy or kind."""
 
 
 class SizeInfeasible(FqLabError):

@@ -40,6 +40,7 @@ from .errors import (
     InvalidCap,
     InvariantViolated,
     MalformedDescriptor,
+    MixedFields,
     NoIrreducibleFound,
     NotPrime,
     NotProperSubfield,
@@ -583,6 +584,10 @@ def proper_subfields(spec: FieldSpec) -> list[SubfieldHandle]:
     return [h for h in enumerate_subfields(spec) if h.is_proper]
 
 
+def same_field(a: FieldSpec, b: FieldSpec) -> bool:
+    return a is b or (a.p == b.p and a.m == b.m and a.modulus == b.modulus)
+
+
 def coset_representatives(spec: FieldSpec, G: SubfieldHandle) -> np.ndarray:
     """Smallest-encoded representative of each distinct dilate cG, c in F_q^*,
     as a cached, read-only, sorted int32 array.
@@ -592,6 +597,8 @@ def coset_representatives(spec: FieldSpec, G: SubfieldHandle) -> np.ndarray:
     minimum is written into the array of that length, which is then sorted in
     place: no other array of its length is made.
     """
+    if not same_field(spec, G.spec):
+        raise MixedFields(f"{spec.descriptor} vs a subfield of {G.spec.descriptor}")
     if not G.is_proper:
         raise NotProperSubfield(f"subfield of size {G.size} is the whole field")
     cache = spec._derived.setdefault("coset_reps", {})

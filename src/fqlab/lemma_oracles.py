@@ -42,6 +42,7 @@ from .set_algebra import (
     PAIR_BLOCK_CELLS,
     SET_OPS,
     FqSet,
+    _require_same_field,
     _sum_of_squares,
     additive_energy,
     dilate,
@@ -273,6 +274,7 @@ def find_pivot_r(X: FqSet) -> LemmaReport:
 def find_pivot_xi(X1: FqSet, X2: FqSet) -> LemmaReport:
     """Exhaust xi over the nonzero field elements; some |X1 + xi*X2| always
     reaches |X1||X2|(q-1) / (|X1||X2| + q - 1), an exact unconditional bound."""
+    _require_same_field(X1, X2)
     if len(X1) == 0 or len(X2) == 0:
         raise EmptySet("both sets must be nonempty")
     spec = X1.spec
@@ -375,6 +377,7 @@ def check_popularity(domain: FqSet, f: dict[int, int], K: int,
 def product_energy(X: FqSet, Y: FqSet) -> int:
     """Multiplicative energy by product-representation counts: an independent
     route from the ratio spectrum (used for the second-moment cross-check)."""
+    _require_same_field(X, Y)
     prods = X.spec.mul_arr(X.members[:, None], Y.members[None, :]).ravel()
     counts = np.bincount(prods, minlength=X.spec.q)
     return _sum_of_squares(counts)

@@ -51,7 +51,7 @@ from .errors import (
     ZeroInDenominatorSet,
     ZeroShift,
 )
-from .finite_field import FieldSpec, _clip, proper_subfields
+from .finite_field import FieldSpec, _clip, proper_subfields, same_field
 
 SET_OPS = ("sum", "diff", "prod", "ratio")
 # grid cells per block of a pairwise count: bounds its memory, and keeps the int64
@@ -86,12 +86,19 @@ class FqSet:
 
     @classmethod
     def from_iterable(cls, spec: FieldSpec, values: Iterable[int]) -> "FqSet":
-        if not isinstance(values, np.ndarray):
-            values = list(values)
-        members = np.unique(np.asarray(values, dtype=np.int64))
+        """The set of the given integer encodings.  A value that is not an
+        integer raises MalformedLiteral, and one outside [0, q)
+        ElementOutOfRange; an integer array is read as it is, not converted."""
+        values = np.asarray(values if isinstance(values, np.ndarray) else list(values))
+        # numpy keeps integers past int64 as objects; they sort and compare all the same
+        integral = values.dtype.kind in "iu" or values.dtype == object and all(
+            isinstance(v, (int, np.integer)) for v in values.flat)
+        if values.size and not integral:
+            raise MalformedLiteral(f"set elements must be integers, got {values.dtype} values")
+        members = np.unique(values)
         if members.size and (members[0] < 0 or members[-1] >= spec.q):
             raise ElementOutOfRange(f"element out of range [0, {spec.q})")
-        return cls._from_sorted(spec, members)
+        return cls._from_sorted(spec, members.astype(np.int64, copy=False))
 
     @classmethod
     def _from_sorted(cls, spec: FieldSpec, members: np.ndarray) -> "FqSet":
@@ -175,11 +182,8 @@ class FqSet:
         return bool(np.all(other.bitmask[self.members])) if len(self) else True
 
 
-def same_field(a: FieldSpec, b: FieldSpec) -> bool:
-    return a is b or (a.p == b.p and a.m == b.m and a.modulus == b.modulus)
-
-
-def _require_same_field(A: FqSet, B: FqSet) -> None:
+def _require_same_field(A: FqSet, B) -> None:
+    """MixedFields unless B, a set or a subfield handle, lies in A's field."""
     if not same_field(A.spec, B.spec):
         raise MixedFields(f"{A.spec.descriptor} vs {B.spec.descriptor}")
 
@@ -693,6 +697,7 @@ def intersection_shift_counts(A: FqSet) -> np.ndarray:
 def coset_intersection_counts(A: FqSet, G) -> np.ndarray:
     """|A ∩ cG| for every coset cG of the subfield G, indexed by
     log c mod (q-1)/(|G|-1)."""
+    _require_same_field(A, G)
     spec = A.spec
     n = (spec.q - 1) // (G.size - 1)
     logs = spec.log_table[A.members[A.members != 0]]
@@ -715,6 +720,8 @@ def coset_profile(A: FqSet, exponent_num: int, exponent_den: int, reference: FqS
     models the unknowable implied constant.  A prime field has no proper
     subfield and passes vacuously.
     """
+    if not kappa >= 1:
+        raise ValueError(f"kappa must be at least 1, got {kappa!r}")
     ref = reference if isinstance(reference, int) else len(reference)
     if ref == 0:
         raise EmptySet("reference set must be nonempty")

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, fields
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -104,6 +104,8 @@ class SurveyConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise InvalidSurveyConfig("trials must be >= 1")
+        if self.seed < 0:
+            raise InvalidSurveyConfig("seed must be >= 0")
         if any(s < 2 for s in self.sizes):
             raise InvalidSurveyConfig("sizes must be >= 2")
         unknown = set(self.samplers) - set(SAMPLERS)
@@ -281,49 +283,50 @@ def _record_seed(seed: int, cell: int, trial: int) -> int:
 
 
 def run_survey(config: SurveyConfig) -> str:
-    """Stream records to CSV and write a JSON summary next to it; byte-identical
-    across runs for a fixed config.  An alpha sweep of more than
-    SWEEP_RECORD_BUDGET records is refused before any set is drawn."""
+    """Write a CSV of records and a JSON summary next to it; both are
+    byte-identical across runs for a fixed config.
+
+    Every field is built, and an alpha sweep of more than SWEEP_RECORD_BUDGET
+    records is refused, before the CSV is opened; an out path that cannot be
+    opened raises IoFailure before any set is drawn.  Each record's row is
+    written as soon as the record is made, and a cell keeps only its ratios
+    and its count of structural passes for the summary, written last.  A
+    survey that stops part way (a bug, an interrupt) leaves the rows already
+    written and no summary."""
     config.validate()
     header, record_type, make, ratio = KINDS[config.kind]
+    specs = [parse_descriptor(f) for f in config.fields]
     if config.alpha_policy == "sweep":
         sets = len(config.sizes) * len(config.samplers) * config.trials
-        records = sets * sum(parse_descriptor(f).q - 1 for f in config.fields)
+        records = sets * sum(spec.q - 1 for spec in specs)
         if records > SWEEP_RECORD_BUDGET:
             raise BudgetExceeded(f"an alpha sweep of this survey writes up to {records} records, "
                                  f"over {SWEEP_RECORD_BUDGET}")
 
-    rows: list[list[str]] = []
     cells: list[dict] = []
     skipped: list[dict] = []
-    cell_index = 0
-    for field_desc in config.fields:
-        spec = parse_descriptor(field_desc)
-        for size in config.sizes:
-            for sampler in config.samplers:
-                records = []
-                try:
-                    for trial in range(config.trials):
-                        rec_seed = _record_seed(config.seed, cell_index, trial)
-                        A = sample_set(spec, sampler, size, rec_seed)
-                        for alpha in _alphas(config.alpha_policy, spec, rec_seed):
-                            records.append(make(A, alpha, sampler=sampler, seed=rec_seed))
-                except (SizeInfeasible, NoProperSubfield) as exc:
-                    skipped.append({"field": field_desc, "size": size,
-                                    "sampler": sampler, "reason": type(exc).__name__})
-                    cell_index += 1
-                    continue
-                rows.extend(_csv_row(r) for r in records)
-                cells.append(_summarize_cell(field_desc, size, sampler, records, ratio))
-                cell_index += 1
-
+    grid = product(zip(config.fields, specs), config.sizes, config.samplers)
     try:
         with open(config.out, "w", newline="") as fh:
             fh.write(header + "\n")
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(f.name for f in fields(record_type))
-            writer.writerows(rows)
-        summary_path = config.out + ".summary.json"
+            for cell, ((field_desc, spec), size, sampler) in enumerate(grid):
+                seeds = [_record_seed(config.seed, cell, trial) for trial in range(config.trials)]
+                try:
+                    sets = [sample_set(spec, sampler, size, rec_seed) for rec_seed in seeds]
+                except (SizeInfeasible, NoProperSubfield) as exc:
+                    skipped.append({"field": field_desc, "size": size,
+                                    "sampler": sampler, "reason": type(exc).__name__})
+                    continue
+                ratios, passes = [], 0
+                for A, rec_seed in zip(sets, seeds):
+                    for alpha in _alphas(config.alpha_policy, spec, rec_seed):
+                        record = make(A, alpha, sampler=sampler, seed=rec_seed)
+                        writer.writerow(_csv_row(record))
+                        ratios.append(ratio(record))
+                        passes += record.structural_pass
+                cells.append(_summarize_cell(field_desc, size, sampler, ratios, passes))
         summary = {
             "config": {
                 "fields": list(config.fields), "sizes": list(config.sizes),
@@ -334,7 +337,7 @@ def run_survey(config: SurveyConfig) -> str:
             "cells": cells,
             "skipped": skipped,
         }
-        with open(summary_path, "w") as fh:
+        with open(config.out + ".summary.json", "w") as fh:
             json.dump(summary, fh, sort_keys=True, indent=1)
             fh.write("\n")
     except OSError as exc:
@@ -355,14 +358,9 @@ def _round6(x: float) -> float:
     return float(f"{x:.6g}")
 
 
-def _summarize_cell(field_desc: str, size: int, sampler: str, records, ratio):
-    out = {"field": field_desc, "size": size, "sampler": sampler,
-           "records": len(records)}
-    if not records:
-        return out
-    ratios = sorted(map(ratio, records))
-    out["min_ratio"] = _round6(ratios[0])
-    out["median_ratio"] = _round6(ratios[len(ratios) // 2])
-    out["structural_pass_fraction"] = _round6(
-        sum(r.structural_pass for r in records) / len(records))
-    return out
+def _summarize_cell(field_desc: str, size: int, sampler: str, ratios: list[float],
+                    passes: int) -> dict:
+    ratios.sort()
+    return {"field": field_desc, "size": size, "sampler": sampler, "records": len(ratios),
+            "min_ratio": _round6(ratios[0]), "median_ratio": _round6(ratios[len(ratios) // 2]),
+            "structural_pass_fraction": _round6(passes / len(ratios))}

@@ -7,6 +7,7 @@ import pytest
 from fqlab import cli
 from fqlab.cli import main
 from fqlab.lemma_oracles import LEMMAS
+from pools import peak_bytes
 
 
 def run_cli(capsys, *argv):
@@ -191,6 +192,27 @@ def test_trials_and_kappa_below_1_are_usage_errors(capsys, argv):
     (("field", "2^100000000"), None, "FieldTooLarge"),
     (("field", "2^" + "1" * 5000), None, "FieldTooLarge"),  # past int()'s 4300 digits
     (("setop", "sum", "--field", "7", "--a", "x" * 5000, "--b", "1"), None, "MalformedLiteral"),
+    # an --out that cannot be opened, on every command that takes one
+    (("field", "7", "--out", "no-such-dir/x.json"), None, "IoFailure"),
+    (("setop", "sum", "--field", "7", "--a", "1", "--b", "2", "--out", "no-such-dir/x"), None,
+     "IoFailure"),
+    (("energy", "add", "--field", "7", "--set", "1,2", "--out", "no-such-dir/x"), None,
+     "IoFailure"),
+    (("verify", "rbfq", "--trials", "1", "--out", "no-such-dir/x"), None, "IoFailure"),
+    (("trace", "--trials", "1", "--out", "no-such-dir/x"), None, "IoFailure"),
+    (("cover", "--field", "7", "--target", "1", "--tile", "1", "--out", "no-such-dir/x"), None,
+     "IoFailure"),
+    (("survey", "--fields", "7", "--sizes", "3", "--out", "no-such-dir/s.csv"), None,
+     "IoFailure"),
+    # set-literal integers past int64, on every command that reads a literal
+    (("setop", "sum", "--field", "7", "--a", "99999999999999999999999", "--b", "1"), None,
+     "ElementOutOfRange"),
+    (("trace", "--field", "7", "--set", "1,2,-99999999999999999999999"), None,
+     "ElementOutOfRange"),
+    (("verify", "ruzsa_triangle", "--field", "7", "--sets", "1;2;99999999999999999999999"), None,
+     "ElementOutOfRange"),
+    (("cover", "--field", "7", "--target", "1", "--tile", "18446744073709551616"), None,
+     "ElementOutOfRange"),
 ])
 def test_bad_input_is_a_domain_error(monkeypatch, capsys, argv, cap, error):
     if cap is not None:
@@ -198,6 +220,18 @@ def test_bad_input_is_a_domain_error(monkeypatch, capsys, argv, cap, error):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"{error}: ") and len(err.splitlines()) == 1 and len(err) < 150
+
+
+@pytest.mark.parametrize("argv", [
+    ("trace", "--seed", "-1", "--trials", "1"),
+    ("verify", "rbfq", "--seed", "-1", "--trials", "1"),
+    ("survey", "--fields", "7", "--sizes", "3", "--seed", "-1", "--out", "no-such-dir/s.csv"),
+])
+def test_a_negative_seed_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "error: argument --seed: must be at least 0, got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("descriptor, error", [
@@ -282,6 +316,16 @@ def test_emitted_json_reparses(capsys):
     _, out, _ = run_cli(capsys, "verify", "all", "--trials", "1", "--seed", "0")
     for line in out.strip().splitlines():
         json.loads(line)
+
+
+def test_a_trace_batch_holds_its_json_lines_not_its_traces(capsys):
+    # each ProofTrace keeps q-length bitmasks on its slice and popular sets
+    argv = ["trace", "--field", "2^16", "--trials", "30", "--seed", "0"]
+    assert main(argv) == 0  # builds the field and its caches
+    first = capsys.readouterr().out
+    peak, code = peak_bytes(lambda: main(argv))
+    assert code == 0 and capsys.readouterr().out == first
+    assert peak < 4_000_000  # 8.7 MB while the batch kept its 30 traces
 
 
 def test_trace_batch_output_is_frozen(capsys):

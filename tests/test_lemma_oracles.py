@@ -14,6 +14,7 @@ from fqlab.decompositions import _min_diffset_subset, _min_sumset_subset
 from fqlab.errors import (
     EmptySet,
     EpsilonOutOfRange,
+    MixedFields,
     NotApplicable,
     NotSubsets,
     ZeroInSet,
@@ -177,6 +178,15 @@ def test_find_pivot_xi_examples():
     full = FqSet.from_iterable(F7, range(F7.q))
     rep = find_pivot_xi(full, full)
     assert rep.witness["max_sumset"] == 7
+
+
+def test_pivot_xi_and_product_energy_refuse_mixed_fields():
+    # F_5 and F_7 encodings overlap, so only the field check can catch these
+    for X, Y in ((fqset(F7, 1, 2, 3, 4), fqset(F5, 1, 2, 3)), (fqset(F5, 1, 2), fqset(F7, 1, 3))):
+        with pytest.raises(MixedFields):
+            find_pivot_xi(X, Y)
+        with pytest.raises(MixedFields):
+            product_energy(X, Y)
 
 
 def _naive_dilated_sumset_size(spec, X, Y, c):

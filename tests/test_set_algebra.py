@@ -7,13 +7,20 @@ from fqlab.errors import (
     ElementOutOfRange,
     EmptyAfterZeroStrip,
     EmptySet,
+    MalformedLiteral,
     MixedFields,
     SetTooSmall,
     ZeroDivisorInRatio,
     ZeroInDenominatorSet,
     ZeroShift,
 )
-from fqlab.finite_field import build_field, enumerate_subfields, parse_descriptor, proper_subfields
+from fqlab.finite_field import (
+    build_field,
+    coset_representatives,
+    enumerate_subfields,
+    parse_descriptor,
+    proper_subfields,
+)
 from fqlab import set_algebra
 from fqlab.set_algebra import (
     SET_OPS,
@@ -108,6 +115,30 @@ def test_from_iterable_takes_arrays_and_iterables_alike():
     for bad in ([16], [-1, 2], [3, 1 << 40]):
         with pytest.raises(ElementOutOfRange):
             FqSet.from_iterable(F16, np.array(bad, dtype=np.int64))
+
+
+def test_from_iterable_refuses_non_integers_and_integers_past_int64():
+    # a bool array is a bitmask, not a list of encodings
+    for bad in ([1.5, 2], ["3"], [1, "3"], np.array([1.0]), np.array([True, False])):
+        with pytest.raises(MalformedLiteral):
+            FqSet.from_iterable(F7, bad)
+    with pytest.raises(MalformedLiteral):
+        FqSet.from_json({"field": "7", "members": [1.5]})
+    for bad in ([10**23], [-(10**23)], [2**63], [1, 2**64], [np.int64(3), 10**30]):
+        with pytest.raises(ElementOutOfRange):
+            FqSet.from_iterable(F7, bad)
+    assert FqSet.from_iterable(F7, np.array([3, 1], dtype=object)).to_literal() == "1,3"
+    for empty in ([], (), np.array([]), np.array([], dtype=bool)):
+        assert FqSet.from_iterable(F7, empty).members.dtype == np.int64
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint32])
+def test_from_iterable_reads_an_integer_array_without_a_conversion_copy(dtype):
+    spec = build_field(2, 20)
+    values = np.random.default_rng(85).permutation(spec.q)[:200_000].astype(dtype)
+    peak, A = peak_bytes(lambda: FqSet.from_iterable(spec, values))
+    assert A.members.dtype == np.int64 and np.array_equal(A.members, np.sort(values))
+    assert peak < 2.5 * 8 * values.size  # unique's sorted copy and mask, and the members
 
 
 def test_set_op_examples():
@@ -832,6 +863,22 @@ def test_coset_profile_embedded_subfield_fails_exactly():
     assert coset_intersection_counts(G, F4)[0] == 4
     assert 4 ** 2 > 4 and 4 ** 26 > 4 ** 25
     assert not coset_profile(G, 25, 26, G)
+
+
+def test_coset_counts_refuse_a_subfield_of_another_field():
+    A = fqset(F16, 1, 2, 3, 5)
+    for G in proper_subfields(build_field(2, 6)):  # a 2^6 handle once counted A's cosets
+        with pytest.raises(MixedFields):
+            coset_intersection_counts(A, G)
+        with pytest.raises(MixedFields):
+            coset_representatives(F16, G)
+
+
+@pytest.mark.parametrize("kappa", [0, -3])
+def test_coset_profile_kappa_below_1_is_a_value_error(kappa):
+    # kappa is squared, so -3 would act as 3 and 0 would fail every set
+    with pytest.raises(ValueError, match="kappa must be"):
+        coset_profile(fqset(F16, 1, 2, 3), 25, 26, 3, kappa=kappa)
 
 
 def test_coset_profile_exact_integer_comparisons():

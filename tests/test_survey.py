@@ -8,6 +8,8 @@ import pytest
 from fqlab.errors import (
     BudgetExceeded,
     ElementOutOfRange,
+    InvalidSurveyConfig,
+    IoFailure,
     NoProperSubfield,
     SizeInfeasible,
     ZeroShift,
@@ -39,6 +41,7 @@ from pools import (
     naive_additive_energy,
     naive_min_expander,
     naive_shifted_product,
+    peak_bytes,
 )
 
 F5 = build_field(5, 1)
@@ -345,10 +348,12 @@ def test_alpha_sweep_policy(tmp_path):
     assert len(lines) == 2 + 4  # one row per nonzero shift
 
 
+def _no_draw(*args):
+    raise AssertionError("a set was drawn")
+
+
 def test_alpha_sweep_over_the_record_budget_is_refused_before_any_record(monkeypatch, tmp_path):
-    def no_draw(*args):
-        raise AssertionError("a set was drawn")
-    monkeypatch.setattr(survey, "sample_set", no_draw)
+    monkeypatch.setattr(survey, "sample_set", _no_draw)
     out = tmp_path / "sweep.csv"
     cfg = SurveyConfig(fields=("2^20",), sizes=(2,), alpha_policy="sweep", out=str(out))
     with pytest.raises(BudgetExceeded, match="1048575 records"):
@@ -369,6 +374,48 @@ def test_alpha_sweep_budget_counts_every_set(monkeypatch, tmp_path, trials, refu
     else:
         run_survey(cfg)
         assert len(out.read_text().splitlines()) == 2 + 8
+
+
+def test_an_unwritable_out_fails_before_any_set_is_drawn(monkeypatch, tmp_path):
+    monkeypatch.setattr(survey, "sample_set", _no_draw)
+    cfg = SurveyConfig(fields=("7",), sizes=(3,), out=str(tmp_path / "missing" / "s.csv"))
+    with pytest.raises(IoFailure):
+        run_survey(cfg)
+
+
+def test_a_negative_seed_is_an_invalid_config(tmp_path):
+    out = tmp_path / "s.csv"
+    with pytest.raises(InvalidSurveyConfig, match="seed"):
+        run_survey(SurveyConfig(fields=("7",), sizes=(3,), seed=-1, out=str(out)))
+    assert not out.exists()
+
+
+def test_a_survey_that_stops_part_way_keeps_its_rows_and_writes_no_summary(monkeypatch,
+                                                                           tmp_path):
+    made = []
+
+    def fail_on_the_third(*args, **kwargs):
+        if len(made) == 2:
+            raise RuntimeError("stopped")
+        made.append(expander_record(*args, **kwargs))
+        return made[-1]
+    monkeypatch.setattr(survey, "expander_record", fail_on_the_third)
+    out = tmp_path / "s.csv"
+    with pytest.raises(RuntimeError, match="stopped"):
+        run_survey(SurveyConfig(fields=("13",), sizes=(3,), trials=4, out=str(out)))
+    rows = out.read_text().splitlines()[2:]
+    assert rows == [",".join(survey._csv_row(r)) for r in made]
+    assert not (tmp_path / "s.csv.summary.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["expander", "corollary"])
+def test_an_alpha_sweep_holds_its_ratios_not_its_records(tmp_path, kind):
+    # 5 sets of 4095 shifts on 2^12: 20,475 rows, about 1.1 KB each as records
+    cfg = SurveyConfig(fields=("2^12",), sizes=(20,), trials=5, seed=0, alpha_policy="sweep",
+                       out=str(tmp_path / "s.csv"), kind=kind)
+    peak = peak_bytes(lambda: run_survey(cfg))[0]
+    assert len((tmp_path / "s.csv").read_text().splitlines()) == 2 + 5 * 4095
+    assert peak < 5_000_000  # 22.6 MB (expander) and 20.4 MB (corollary) with every record kept
 
 
 def test_curves_match_reference_formulas():
