@@ -31,7 +31,8 @@ from .errors import FqLabError, IoFailure, SizeInfeasible, TraceDegenerate
 from .decompositions import covering_number, run_proof_trace
 from .finite_field import parse_descriptor
 from .lemma_oracles import (
-    EXACT_PASS, FAIL, LEMMA_IDS, LEMMAS, MEASURED, WITNESS_FOUND, batch_verify, run_lemma)
+    EXACT_PASS, FAIL, LEMMA_IDS, LEMMAS, MEASURED, WITNESS_FOUND, batch_verify, random_set,
+    run_lemma)
 from .set_algebra import FqSet, additive_energy, multiplicative_energy, set_op
 from .survey import KINDS, SurveyConfig, run_survey
 
@@ -271,11 +272,10 @@ def _cmd_trace(args) -> int:
                 raise SizeInfeasible(f"a trace batch draws at least {TRACE_MIN_SIZE} "
                                      f"nonzero elements; {desc} has {spec.q - 1}")
             size = int(rng.integers(TRACE_MIN_SIZE, min(11, spec.q)))
-            members = rng.choice(np.arange(1, spec.q), size=size, replace=False)
+            A = random_set(rng, spec, size, nonzero=True)
             index += 1
             try:
-                trace = run_proof_trace(FqSet.from_iterable(spec, members),
-                                        args.alpha, kappa=args.kappa)
+                trace = run_proof_trace(A, args.alpha, kappa=args.kappa)
                 lines.append(_dumps(trace.to_json()))
                 degenerate = 0
             except TraceDegenerate:

@@ -27,9 +27,8 @@ from .errors import (
     TraceDegenerate,
     ZeroInDenominatorSet,
     ZeroInSet,
-    ZeroShift,
 )
-from .finite_field import proper_subfields
+from .finite_field import _scalar, proper_subfields
 from .set_algebra import (
     PAIR_BLOCK_CELLS,
     FqSet,
@@ -548,8 +547,7 @@ def shift_stage(A: FqSet, alpha: int) -> tuple[FqSet, int, Fraction]:
     """The first refinement, for nonempty A avoiding 0 and alpha != 0: A' of
     ceil(|A|/2) elements minimizing |A' - A'|.  Returns (A', |A' - A'|, the
     ratio |A' - A'| |A|^5 / (|A(A+alpha)|^4 |A/A|^2), of unknown constant)."""
-    if alpha % A.spec.q == 0:
-        raise ZeroShift("alpha must be nonzero")
+    alpha = _scalar(alpha, "alpha", A.spec.q, nonzero=True)
     members, size = _min_diffset_subset(A, math.ceil(len(A) / 2))
     bound = set_op_size(A, translate(A, alpha), "prod") ** 4 * set_op_size(A, A, "ratio") ** 2
     return FqSet._from_sorted(A.spec, members), size, Fraction(size * len(A) ** 5, bound)
@@ -631,24 +629,23 @@ def _jsonable(obj):
 
 
 def _first_ratio_quadruple(S: FqSet, r: int):
-    """Lexicographically first (a, b, c, d) in S^4 with (a-b)/(c-d) = r (r != 0)."""
-    spec = S.spec
-    first_cd: dict[int, tuple[int, int]] = {}
-    for c in S:
-        for d in S:
-            if c == d:
-                continue
-            delta = spec.sub(c, d)
-            if delta not in first_cd:
-                first_cd[delta] = (c, d)
-    for a in S:
-        for b in S:
-            if a == b:
-                continue
-            need = spec.div(spec.sub(a, b), r)
-            if need in first_cd:
-                c, d = first_cd[need]
-                return a, b, c, d
+    """Lexicographically first (a, b, c, d) in S^4 with (a-b)/(c-d) = r, for
+    r != 0, or None when r is not in R(S).  (a, b) is the first row-major
+    cell of the difference grid, scanned in ``_blocks``, whose nonzero
+    quotient (a-b)/r lies in S - S (the bitmask of ``set_op``).  Each c
+    fixes d = c - (a-b)/r, so c is the first member with that d in S."""
+    spec, s = S.spec, S.members
+    diffs = set_op(S, S, "diff").bitmask
+    row = 0
+    for block in _blocks(s, s, spec.sub_arr):
+        quotients = spec.div_arr(block, np.int64(r))
+        hit = np.flatnonzero((block != 0) & diffs[quotients])
+        if hit.size:
+            i, j = divmod(int(hit[0]), s.size)
+            need = int(quotients.flat[hit[0]])
+            c = int(s[np.argmax(S.bitmask[spec.sub_arr(s, need)])])
+            return int(s[row + i]), int(s[j]), c, spec.sub(c, need)
+        row += len(block)
     return None
 
 
@@ -663,11 +660,10 @@ def run_proof_trace(A: FqSet, alpha: int, *, kappa: int = 1) -> ProofTrace:
     cover counts of the active branch are measured, never asserted
     (``_measure_covers``).
     """
-    if not kappa >= 1:
+    if _scalar(kappa, "kappa") < 1:
         raise ValueError(f"kappa must be at least 1, got {kappa!r}")
     spec = A.spec
-    if alpha % spec.q == 0:
-        raise ZeroShift("alpha must be nonzero")
+    alpha = _scalar(alpha, "alpha", spec.q, nonzero=True)
     if 0 in A:
         raise ZeroInSet("translate or dilate the input away from 0 first")
     if len(A) < 4:
@@ -677,7 +673,7 @@ def run_proof_trace(A: FqSet, alpha: int, *, kappa: int = 1) -> ProofTrace:
     neg_A1 = FqSet.from_iterable(spec, spec.neg_arr(A1.members))
     A2, _, refine_ratio = refine_stage(A1, [neg_A1, neg_A1, neg_A1], REFINE_EPSILON)
 
-    minus_alpha = spec.neg(alpha % spec.q)
+    minus_alpha = spec.neg(alpha)
     removed = minus_alpha in A2
     if removed:
         A2 = A2.without([minus_alpha])
@@ -714,7 +710,7 @@ def run_proof_trace(A: FqSet, alpha: int, *, kappa: int = 1) -> ProofTrace:
     return ProofTrace(
         field=spec.descriptor,
         input_set=tuple(A.members.tolist()),
-        alpha=int(alpha),
+        alpha=alpha,
         a_prime=tuple(A1.members.tolist()),
         a_dprime=tuple(A2.members.tolist()),
         removed_minus_alpha=removed,

@@ -44,7 +44,7 @@ class NotProperSubfield(FqLabError):
 
 # set algebra
 class MalformedLiteral(FqLabError, ValueError):
-    """A set literal holds a token that is not an integer encoding."""
+    """A set literal, set element or scalar argument is not an integer."""
 
 
 class ElementOutOfRange(FqLabError, ValueError):

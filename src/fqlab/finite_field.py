@@ -36,14 +36,17 @@ import numpy as np
 from .errors import (
     DegreeZero,
     DivisionByZero,
+    ElementOutOfRange,
     FieldTooLarge,
     InvalidCap,
     InvariantViolated,
     MalformedDescriptor,
+    MalformedLiteral,
     MixedFields,
     NoIrreducibleFound,
     NotPrime,
     NotProperSubfield,
+    ZeroShift,
 )
 
 DEFAULT_CAP = 1 << 20
@@ -547,18 +550,30 @@ def _clip(text: str) -> str:
     return f"{text[:ECHO_CHARS]}... ({len(text)} characters)"
 
 
+def _scalar(value, what: str, q: int | None = None, nonzero: bool = False) -> int:
+    """value as a Python int; a bool or a non-integer is MalformedLiteral, as
+    in FqSet.from_iterable.  With q it is an encoding: with ``nonzero`` a
+    multiple of q is ZeroShift first, then one outside [0, q) ElementOutOfRange."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise MalformedLiteral(f"{what} must be an integer, got {_clip(repr(value))}")
+    if q is not None:
+        if nonzero and value % q == 0:
+            raise ZeroShift(f"{what} must be nonzero")
+        if not 0 <= value < q:
+            raise ElementOutOfRange(f"{what} {_clip(str(value))} out of range [0, {q})")
+    return int(value)
+
+
 def arith(spec: FieldSpec, op: str, a: int, b: int | None = None) -> int:
     """Dispatch a single field operation; operands are validated encodings."""
     if op not in ARITH_OPS:
         raise ValueError(f"unknown op {op!r}, expected one of {ARITH_OPS}")
-    if not 0 <= a < spec.q:
-        raise ValueError(f"operand {a} out of range [0, {spec.q})")
+    a = _scalar(a, "operand", spec.q)
     unary = op in ("neg", "inv")
     if not unary:
         if b is None:
             raise ValueError(f"op {op!r} needs a second operand")
-        if op != "pow" and not 0 <= b < spec.q:
-            raise ValueError(f"operand {b} out of range [0, {spec.q})")
+        b = _scalar(b, "operand", None if op == "pow" else spec.q)  # any integer exponent
     return getattr(spec, op)(a) if unary else getattr(spec, op)(a, b)
 
 

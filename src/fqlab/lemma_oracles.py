@@ -426,19 +426,17 @@ def check_dyadic_energy(X: FqSet, Y: FqSet) -> LemmaReport:
 
 
 def check_rudnev(X: FqSet, Y: FqSet) -> LemmaReport:
-    """Popular-point chain with tracked constants, plus independent
-    recomputation of every stored slice set."""
+    """Popular-point chain with tracked constants, plus a recount of every
+    stored slice set from the slice's pairs alone: S_z must be the abscissas
+    in B_y0 of the pairs on slope z/x0, ascending as the pairs are sorted."""
     sl = dyadic_energy_slice(X, Y)
     pts = popular_points(sl)
     chain = points_certificates(sl, pts)
     spec = X.spec
-    recompute_ok = True
-    pair_list = [(int(x), int(y)) for x, y in sl.pairs]
-    for z, stored in pts.S.items():
-        xi = spec.div(z, pts.x0)
-        fresh = sorted(x for x, y in pair_list
-                       if spec.div(y, x) == xi and x in pts.B_y0)
-        recompute_ok = recompute_ok and fresh == [int(v) for v in stored.members]
+    xs = sl.pairs[:, 0]
+    slopes, on_B = spec.div_arr(sl.pairs[:, 1], xs), pts.B_y0.bitmask[xs]
+    recompute_ok = all(np.array_equal(xs[on_B & (slopes == spec.div(z, pts.x0))], stored.members)
+                       for z, stored in pts.S.items())
     ok = chain["all"] and recompute_ok
     inst = _instance(spec, X=X, Y=Y)
     return _report("rudnev", inst, EXACT_PASS if ok else FAIL,

@@ -49,9 +49,8 @@ from .errors import (
     SetTooSmall,
     ZeroDivisorInRatio,
     ZeroInDenominatorSet,
-    ZeroShift,
 )
-from .finite_field import FieldSpec, _clip, proper_subfields, same_field
+from .finite_field import FieldSpec, _clip, _scalar, proper_subfields, same_field
 
 SET_OPS = ("sum", "diff", "prod", "ratio")
 # grid cells per block of a pairwise count: bounds its memory, and keeps the int64
@@ -170,7 +169,8 @@ class FqSet:
         return FqSet._from_sorted(self.spec, np.union1d(self.members, other.members))
 
     def without(self, values: Iterable[int]) -> "FqSet":
-        """The set less the given values; values not in it, in [0, q) or not, are ignored."""
+        """The set less the given integers; those not in it, in [0, q) or not, are ignored."""
+        values = [_scalar(v, "value") for v in values]
         drop = np.array([v for v in values if 0 <= v < self.spec.q], dtype=np.int64)
         return FqSet._from_sorted(self.spec, self.members[~np.isin(self.members, drop)])
 
@@ -190,16 +190,14 @@ def _require_same_field(A: FqSet, B) -> None:
 
 def translate(A: FqSet, alpha: int) -> FqSet:
     """A + alpha, for an element encoding alpha in [0, q)."""
-    if not 0 <= alpha < A.spec.q:
-        raise ElementOutOfRange(f"shift {_clip(str(alpha))} out of range [0, {A.spec.q})")
+    alpha = _scalar(alpha, "shift", A.spec.q)
     return FqSet._from_sorted(A.spec, np.sort(A.spec.add_arr(A.members, np.int64(alpha))))
 
 
 def dilate(A: FqSet, c: int) -> FqSet:
     """c * A, for an element encoding c in [0, q) (c = 0 collapses a nonempty
     set to {0})."""
-    if not 0 <= c < A.spec.q:
-        raise ElementOutOfRange(f"factor {_clip(str(c))} out of range [0, {A.spec.q})")
+    c = _scalar(c, "factor", A.spec.q)
     return FqSet.from_iterable(A.spec, A.spec.mul_arr(A.members, np.int64(c)))
 
 
@@ -592,9 +590,7 @@ def set_op_size(A: FqSet, B: FqSet, kind: str) -> int:
 
 def shifted_product(A: FqSet, alpha: int) -> FqSet:
     """A(A + alpha), the shifted-product growth quantity."""
-    if alpha % A.spec.q == 0:
-        raise ZeroShift("shift must be nonzero")
-    return set_op(A, translate(A, alpha), "prod")
+    return set_op(A, translate(A, _scalar(alpha, "shift", A.spec.q, nonzero=True)), "prod")
 
 
 def quotient_set(X: FqSet) -> FqSet:
@@ -716,11 +712,11 @@ def coset_profile(A: FqSet, exponent_num: int, exponent_den: int, reference: FqS
     count exceeds |G| (cG has |G| elements), so a subfield whose comparison
     already holds at t = |G| passes whatever A is, and its cosets are not
     counted: on 2^20 that spares the q-1 cosets of F_2 and keeps the check
-    off q-length arrays unless a large subfield can break the bound.  kappa
-    models the unknowable implied constant.  A prime field has no proper
-    subfield and passes vacuously.
+    off q-length arrays unless a large subfield can break the bound.  kappa,
+    an integer >= 1 (ValueError otherwise), models the unknowable implied
+    constant.  A prime field has no proper subfield and passes vacuously.
     """
-    if not kappa >= 1:
+    if _scalar(kappa, "kappa") < 1:
         raise ValueError(f"kappa must be at least 1, got {kappa!r}")
     ref = reference if isinstance(reference, int) else len(reference)
     if ref == 0:

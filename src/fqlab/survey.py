@@ -19,16 +19,15 @@ import numpy as np
 
 from .errors import (
     BudgetExceeded,
-    ElementOutOfRange,
     InvariantViolated,
     InvalidSurveyConfig,
     IoFailure,
     NoProperSubfield,
     SetTooSmall,
     SizeInfeasible,
-    ZeroShift,
 )
-from .finite_field import FieldSpec, _clip, coset_representatives, parse_descriptor, proper_subfields
+from .finite_field import (
+    FieldSpec, _scalar, coset_representatives, parse_descriptor, proper_subfields)
 from .set_algebra import (
     FqSet,
     _sum_of_squares,
@@ -121,8 +120,8 @@ SAMPLER_TAGS = {name: i for i, name in enumerate(SAMPLERS)}
 
 
 def sample_set(spec: FieldSpec, sampler: str, size: int, seed: int) -> FqSet:
-    """Deterministic under (sampler, seed); the coset sampler may overshoot the
-    requested size because it unions whole dilates."""
+    """Deterministic under (sampler, seed).  The AP and the GP are one array op
+    each; the coset sampler may overshoot the size as it unions whole dilates."""
     if sampler not in SAMPLERS:
         raise ValueError(f"unknown sampler {sampler!r}")
     rng = np.random.default_rng([seed, spec.p, spec.m, size, SAMPLER_TAGS[sampler]])
@@ -136,8 +135,7 @@ def sample_set(spec: FieldSpec, sampler: str, size: int, seed: int) -> FqSet:
             raise SizeInfeasible(f"AP length {size} > p = {spec.p}")
         a = int(rng.integers(0, q))
         d = int(rng.integers(1, q))
-        return FqSet.from_iterable(
-            spec, (spec.add(a, spec.mul(k, d)) for k in range(size)))
+        return FqSet.from_iterable(spec, spec.add_arr(a, spec.mul_arr(np.arange(size), d)))
     if sampler == "gp":
         if size > q - 1:
             raise SizeInfeasible(f"GP length {size} > q - 1 = {q - 1}")
@@ -164,15 +162,14 @@ def expander_record(A: FqSet, alpha: int, sampler: str = "explicit",
                     seed: int = 0) -> SurveyRecord:
     """Exact |A(A+alpha)| against the growth and large-set curves, with the
     structural coset verdict at kappa = 1."""
-    if alpha % A.spec.q == 0:
-        raise ZeroShift("alpha must be nonzero")
+    alpha = _scalar(alpha, "alpha", A.spec.q, nonzero=True)
     if len(A) < 2:
         raise SetTooSmall("need |A| >= 2")
     spec = A.spec
     value = set_op_size(A, translate(A, alpha), "prod")
     curve = growth_curve(len(A), spec.q)
     return SurveyRecord(
-        field=spec.descriptor, p=spec.p, m=spec.m, size=len(A), alpha=int(alpha),
+        field=spec.descriptor, p=spec.p, m=spec.m, size=len(A), alpha=alpha,
         sampler=sampler, seed=int(seed), shifted_product=value,
         theorem_curve=curve, gs_curve=garaev_shen_curve(len(A), spec.q),
         ratio=value / curve, structural_pass=coset_profile(A, 25, 26, A),
@@ -192,12 +189,11 @@ def corollary_record(A: FqSet, alpha: int, sampler: str = "explicit",
     hence |S(S+a)| <= |AA|.
     """
     spec = A.spec
-    if alpha % spec.q == 0:
-        raise ZeroShift("alpha must be nonzero")
+    alpha = _scalar(alpha, "alpha", spec.q, nonzero=True)
     if len(A) < 2:
         raise SetTooSmall("need |A| >= 2")
     counts = intersection_shift_counts(A)
-    inter = int(counts[alpha % spec.q])
+    inter = int(counts[alpha])
     prod = set_op_size(A, A, "prod")
     energy = _sum_of_squares(counts)
 
@@ -205,7 +201,7 @@ def corollary_record(A: FqSet, alpha: int, sampler: str = "explicit",
     if energy > len(A) ** 2 * max_all:
         raise InvariantViolated(f"energy {energy} exceeds |A|^2 * {max_all}")
 
-    S = A.intersect(translate(A, spec.neg(alpha % spec.q)))
+    S = A.intersect(translate(A, spec.neg(alpha)))
     chain_pass = True
     if len(S):
         S_shift = translate(S, alpha)
@@ -215,7 +211,7 @@ def corollary_record(A: FqSet, alpha: int, sampler: str = "explicit",
             raise InvariantViolated("the subset product S(S + alpha) outgrows AA")
 
     return CorollaryRecord(
-        field=spec.descriptor, p=spec.p, m=spec.m, size=len(A), alpha=int(alpha),
+        field=spec.descriptor, p=spec.p, m=spec.m, size=len(A), alpha=alpha,
         sampler=sampler, seed=int(seed), intersection=inter, prod_size=prod,
         energy=energy, corollary_curve=intersection_curve(prod, spec.q),
         chain_pass=chain_pass, structural_pass=coset_profile(A, 50, 53, prod),
@@ -253,10 +249,7 @@ def exhaustive_min_expander(spec: FieldSpec, k: int, alpha: int = 1,
     Returns (minimum, minimizers) with at most MAX_MINIMIZERS canonically first
     witnesses; refuses instances beyond the enumeration budget.
     """
-    if alpha % spec.q == 0:
-        raise ZeroShift("alpha must be nonzero")
-    if not 0 <= alpha < spec.q:
-        raise ElementOutOfRange(f"shift {_clip(str(alpha))} out of range [0, {spec.q})")
+    alpha = _scalar(alpha, "alpha", spec.q, nonzero=True)
     universe = range(1, spec.q) if nonzero_only else range(spec.q)
     n = len(universe)
     if k < 1 or k > n:

@@ -215,6 +215,26 @@ def naive_first_collision(spec: FieldSpec, X1, X2, r: int):
     return None
 
 
+def naive_first_ratio_quadruple(spec: FieldSpec, S, r: int):
+    """Lexicographically first (a, b, c, d) in S^4 with (a-b)/(c-d) = r, r != 0:
+    the first (c, d) of every nonzero difference in a dict, then the first
+    (a, b) whose (a-b)/r has one; None when r is not in R(S)."""
+    S = sorted(S)
+    first_cd: dict[int, tuple[int, int]] = {}
+    for c in S:
+        for d in S:
+            if c != d:
+                first_cd.setdefault(naive_sub(spec, c, d), (c, d))
+    for a in S:
+        for b in S:
+            if a == b:
+                continue
+            need = arith(spec, "div", naive_sub(spec, a, b), r)
+            if need in first_cd:
+                return (a, b, *first_cd[need])
+    return None
+
+
 def naive_coset_profile(spec: FieldSpec, A) -> list[tuple[int, int, int, int]]:
     """(d, |G|, rep, |A ∩ cG|) for every distinct dilate cG of every proper
     subfield G = {x : x^(p^d) = x}, rep the smallest c in F_q^* giving cG;

@@ -58,6 +58,14 @@ def test_verify_single_instance(capsys):
     assert data["verdict"] == "ExactPass" and data["lemma"] == "rbfq"
 
 
+def test_verify_single_basic_shift_bound_takes_alpha(capsys):
+    code, out, _ = run_cli(capsys, "verify", "basic_shift_bound", "--field", "7",
+                           "--set", "1,2,3,5", "--alpha", "2", "--format", "json")
+    data = json.loads(out)
+    assert code == 0 and data["lemma"] == "basic_shift_bound"
+    assert data["verdict"] == "MeasuredRatio" and data["instance"]["alpha"] == 2
+
+
 def test_verify_batch_jsonl_deterministic(capsys):
     args = ("verify", "ruzsa_triangle", "--trials", "5", "--seed", "3")
     _, out1, _ = run_cli(capsys, *args)
@@ -102,6 +110,23 @@ def test_survey_command(tmp_path, capsys):
     assert lines[0] == "# fq-expander-lab v1" and len(lines) == 2 + 4
 
 
+def test_survey_random_alpha_policy_is_seeded(tmp_path, capsys):
+    outs = [str(tmp_path / f"s{i}.csv") for i in (1, 2)]
+    for out in outs:
+        code, _, _ = run_cli(capsys, "survey", "--fields", "7^1,2^4", "--sizes", "3,5",
+                             "--trials", "3", "--seed", "4", "--alpha-policy", "random",
+                             "--out", out)
+        assert code == 0
+    for suffix in ("", ".summary.json"):
+        first, second = (open(out + suffix, "rb").read() for out in outs)
+        assert first == second
+    rows = open(outs[0]).read().splitlines()[2:]
+    assert len(rows) == 12
+    for row in rows:
+        field, _, _, _, alpha = row.split(",")[:5]
+        assert 1 <= int(alpha) < {"7^1": 7, "2^4": 16}[field]
+
+
 def test_cover_command(capsys):
     code, out, _ = run_cli(capsys, "cover", "--field", "5^1",
                            "--target", "0,1,2,3,4", "--tile", "0,1",
@@ -134,6 +159,8 @@ def test_usage_error_exit_code():
     ("verify", "plunnecke_refined", "--field", "13", "--sets", "1,2,3,4;1;2", "--eps", "abc"),
     ("verify", "plunnecke_refined", "--field", "13", "--sets", "1,2,3,4;1;2", "--eps", "1/0"),
     ("survey", "--fields", "7", "--sizes", "abc", "--out", "no-such-dir/s.csv"),
+    ("verify", "nosuch"),
+    ("energy", "mul", "--field", "7^1", "--x", "1,2"),
 ])
 def test_usage_errors_found_after_parsing_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -23,6 +23,7 @@ from fqlab.decompositions import (
 )
 from fqlab.errors import (
     DegenerateSlice,
+    EmptySet,
     EmptySpectrum,
     MixedFields,
     SumBelowK,
@@ -46,6 +47,7 @@ from pools import (
     draw_set,
     naive_cover_min,
     naive_dyadic_slice,
+    naive_first_ratio_quadruple,
     naive_greedy_cover,
     naive_popular_points,
     on_path,
@@ -424,7 +426,59 @@ def test_covering_bad_sign_is_a_value_error(sign):
         covering_number(fqset(F7, 1, 2), fqset(F7, 5, 6), sign)
 
 
+def test_covering_an_empty_target_takes_no_translate_and_an_empty_tile_is_refused():
+    for sign in (1, -1):
+        assert covering_number(fqset(F7), fqset(F7, 1, 2), sign) == (0, [])
+        with pytest.raises(EmptySet):
+            covering_number(fqset(F7, 1, 2), fqset(F7), sign)
+
+
 # -- proof trace -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("descriptor", POOL_DESCRIPTORS)
+def test_ratio_quadruple_matches_the_naive_oracle_at_every_r(descriptor):
+    spec = parse_descriptor(descriptor)
+    rng = np.random.default_rng([31, spec.q])
+    for size in (0, 1, 2, 4, 7):
+        S = draw_set(rng, spec, size)
+        for r in range(1, spec.q):
+            assert (decompositions._first_ratio_quadruple(S, r)
+                    == naive_first_ratio_quadruple(spec, S, r)), (S, r)
+
+
+@pytest.mark.parametrize("descriptor", ("2^10", "3^7"))
+def test_ratio_quadruple_matches_the_naive_oracle_in_and_out_of_the_quotient_set(descriptor):
+    spec = parse_descriptor(descriptor)
+    rng = np.random.default_rng([32, spec.q])
+    found = set()
+    for size in (4, 8, 14):
+        S = draw_set(rng, spec, size)
+        R = quotient_set(S)
+        outside = np.flatnonzero(~R.bitmask)  # empty once R(S) is the field
+        for r in (*rng.choice(R.members[1:], 8), *rng.choice(outside, min(8, outside.size))):
+            quad = decompositions._first_ratio_quadruple(S, int(r))
+            assert quad == naive_first_ratio_quadruple(spec, S, int(r)), (S, r)
+            assert (quad is None) == (r not in R)
+            found.add(quad is None)
+    assert found == {True, False}
+
+
+def test_ratio_quadruple_holds_no_grid_of_the_set():
+    # one int64 |S|^2 grid of a 2000-element set takes 32 MB
+    spec = build_field(2, 20)
+    S = draw_set(np.random.default_rng(33), spec, 2000)
+    peak, quad = peak_bytes(lambda: decompositions._first_ratio_quadruple(S, 12345))
+    a, b, c, d = quad
+    assert spec.div(spec.sub(a, b), spec.sub(c, d)) == 12345
+    assert peak < 16_000_000
+    # a full scan: S inside the subfield of 2^10 elements, r outside it
+    G = next(h for h in enumerate_subfields(spec) if h.size == 1 << 10)
+    S = FqSet.from_iterable(spec, np.random.default_rng(34).choice(G.elements.members, 1000,
+                                                                     replace=False))
+    r = int(np.flatnonzero(~G.elements.bitmask)[0])
+    peak, quad = peak_bytes(lambda: decompositions._first_ratio_quadruple(S, r))
+    assert quad is None and peak < 16_000_000
 
 
 # -- refinement stages --------------------------------------------------------
@@ -521,6 +575,12 @@ def test_trace_kappa_below_1_is_a_value_error(kappa):
     assert run_proof_trace(A, 1).case == "4.3"
     with pytest.raises(ValueError, match="kappa must be"):
         run_proof_trace(A, 1, kappa=kappa)
+
+
+@pytest.mark.parametrize("kappa", [1.5, 2.0, True, "2"])
+def test_trace_kappa_that_is_not_an_integer_is_a_value_error(kappa):
+    with pytest.raises(ValueError, match="kappa must be an integer"):
+        run_proof_trace(FqSet.from_literal(build_field(5, 2), "1,2,3,4,9"), 1, kappa=kappa)
 
 
 def test_trace_deterministic_and_verifiable():

@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 from fqlab.errors import (
     DegreeZero,
     DivisionByZero,
+    ElementOutOfRange,
     FieldTooLarge,
     InvariantViolated,
+    MalformedLiteral,
     NoIrreducibleFound,
     NotPrime,
     NotProperSubfield,
@@ -306,6 +308,11 @@ def test_scalar_arith_examples():
         arith(f7, "div", 1, 0)
     with pytest.raises(DivisionByZero):
         arith(f7, "inv", 0)
+    for bad in ((3, 1.5), (1.0, 2), (True, 2)):  # a float exponent once raised IndexError
+        with pytest.raises(MalformedLiteral):
+            arith(f7, "pow", *bad)
+    with pytest.raises(ElementOutOfRange):
+        arith(f7, "mul", 3, 7)
 
 
 def test_exp_log_tables_roundtrip():

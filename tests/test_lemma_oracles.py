@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -9,7 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fqlab import decompositions
+from fqlab import decompositions, lemma_oracles
 from fqlab.decompositions import _min_diffset_subset, _min_sumset_subset
 from fqlab.errors import (
     EmptySet,
@@ -23,6 +24,7 @@ from fqlab.finite_field import build_field, enumerate_subfields, parse_descripto
 from fqlab.lemma_oracles import (
     LEMMA_IDS,
     LEMMAS,
+    PIVOT_SAMPLES,
     _first_collision,
     basic_shift_subset,
     batch_verify,
@@ -217,6 +219,20 @@ def test_find_pivot_r_matches_a_per_candidate_loop(descriptor):
     assert rep.witness["r"] == R[worst.index(max(worst))]  # the first maximiser
 
 
+def test_find_pivot_r_samples_its_subsets_above_ten_elements(monkeypatch):
+    spec = build_field(2, 10)
+    X = draw_set(np.random.default_rng(35), spec, 12)
+    draws, real = [], lemma_oracles._dilated_sumset_sizes
+    monkeypatch.setattr(lemma_oracles, "_dilated_sumset_sizes",
+                        lambda *args: draws.append(args[0]) or real(*args))
+    rep = find_pivot_r(X)
+    assert len(draws) == PIVOT_SAMPLES and all(len(S) == 9 and S.is_subset(X) for S in draws)
+    assert rep.verdict == "MeasuredRatio" and rep.witness["subset_size"] == 9
+    assert rep.witness["r"] in quotient_set(X) and 9 <= rep.witness["min_sumset"] <= 81
+    assert find_pivot_r(X).to_json() == rep.to_json()
+    assert draws[PIVOT_SAMPLES:] == draws[:PIVOT_SAMPLES]  # the same seeded draws
+
+
 def test_plunnecke_with_no_summands_is_a_domain_error():
     with pytest.raises(EmptySet):
         check_plunnecke(fqset(F7, 1, 2), [])
@@ -398,6 +414,32 @@ def test_energy_cs_and_dyadic_and_rudnev_reports():
         assert check_energy_cs(X, Y).verdict == "ExactPass"
         assert check_dyadic_energy(X, Y).verdict == "ExactPass"
         assert check_rudnev(X, Y).verdict == "ExactPass"
+
+
+@pytest.mark.parametrize("change", ["gain", "lose"])
+def test_rudnev_fails_when_one_stored_slice_set_is_off_by_one(monkeypatch, change):
+    real = lemma_oracles.popular_points
+
+    def tampered(sl):
+        pts = real(sl)
+        z, S_z = max(pts.S.items())
+        spec = S_z.spec
+        if change == "lose":
+            S_z = S_z.without([int(S_z.members[-1])])
+        else:
+            S_z = S_z.union(FqSet.from_iterable(spec, np.flatnonzero(~S_z.bitmask)[:1]))
+        return dataclasses.replace(pts, S={**pts.S, z: S_z})
+
+    rng = np.random.default_rng(12)
+    for i in range(20):
+        spec = pool_field(i)
+        X = draw_set(rng, spec, int(rng.integers(2, min(10, spec.q))), nonzero=True)
+        Y = draw_set(rng, spec, int(rng.integers(2, len(X) + 1)))
+        assert check_rudnev(X, Y).verdict == "ExactPass"
+        with monkeypatch.context() as m:
+            m.setattr(lemma_oracles, "popular_points", tampered)
+            report = check_rudnev(X, Y)
+        assert report.verdict == "Fail" and report.witness["recompute"] is False
 
 
 @pytest.mark.parametrize("X, Y", [((1,), (0,)), ((1,), (2,)), ((1, 2), (0,)), ((3, 5, 6), (0,))])

@@ -992,3 +992,22 @@ def test_translate_refuses_an_out_of_range_shift():
         with pytest.raises(ElementOutOfRange):
             translate(A, alpha)
     assert translate(A, 15).to_literal() == "12,13,14"
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, np.float64(1.0), True, np.True_, "1", None])
+def test_translate_dilate_and_without_refuse_a_scalar_that_is_not_an_integer(value):
+    # a float once acted as its truncation: translate by 1.5 gave {2, 3, 4}
+    A = fqset(F7, 1, 2, 3)
+    for call in (lambda: translate(A, value), lambda: dilate(A, value),
+                 lambda: A.without([value]), lambda: A.without([5, value])):
+        with pytest.raises(MalformedLiteral):
+            call()
+    assert translate(A, np.int64(1)) == translate(A, 1) == fqset(F7, 2, 3, 4)
+    assert A.without([np.int64(1), 9]) == fqset(F7, 2, 3)
+
+
+@pytest.mark.parametrize("kappa", [1.5, 2.0, True, "2"])
+def test_coset_profile_kappa_that_is_not_an_integer_is_a_value_error(kappa):
+    # kappa = 1.5 once reached a big-integer power: OverflowError on 2^24
+    with pytest.raises(ValueError, match="kappa must be an integer"):
+        coset_profile(fqset(F16, 1, 2, 3), 25, 26, 3, kappa=kappa)

@@ -10,6 +10,7 @@ from fqlab.errors import (
     ElementOutOfRange,
     InvalidSurveyConfig,
     IoFailure,
+    MalformedLiteral,
     NoProperSubfield,
     SizeInfeasible,
     ZeroShift,
@@ -217,14 +218,18 @@ def test_exhaustive_min_expander_small():
 
 @pytest.mark.parametrize("p, m, alpha, error", [
     (2, 3, 9, ElementOutOfRange), (3, 2, 10, ElementOutOfRange), (7, 1, 8, ElementOutOfRange),
-    (7, 1, -1, ElementOutOfRange), (7, 1, 7, ZeroShift), (2, 3, -8, ZeroShift)])
+    (7, 1, -1, ElementOutOfRange), (7, 1, 7, ZeroShift), (2, 3, -8, ZeroShift),
+    (7, 1, 1.5, MalformedLiteral), (7, 1, 1.0, MalformedLiteral), (7, 1, True, MalformedLiteral)])
 def test_exhaustive_min_expander_checks_the_shift_like_the_records(p, m, alpha, error):
-    # a shift outside [0, q) is refused as shifted_product refuses it, with
-    # a multiple of q a ZeroShift first
+    # a shift that is not an integer is refused as FqSet.from_iterable refuses
+    # it, and one outside [0, q) as shifted_product refuses it, with a multiple
+    # of q a ZeroShift first; for A = {1, 3} on F_7, A ∩ (A - 8) is empty
     spec = build_field(p, m)
     A = FqSet.from_iterable(spec, [1, 2])
     for call in (lambda: exhaustive_min_expander(spec, 2, alpha),
-                 lambda: shifted_product(A, alpha), lambda: expander_record(A, alpha)):
+                 lambda: shifted_product(A, alpha), lambda: expander_record(A, alpha),
+                 lambda: corollary_record(A, alpha),
+                 lambda: corollary_record(FqSet.from_iterable(spec, [1, 3]), alpha)):
         with pytest.raises(error):
             call()
 
