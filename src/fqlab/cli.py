@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import FqLabError, IoFailure, SizeInfeasible, TraceDegenerate
 from .decompositions import covering_number, run_proof_trace
-from .finite_field import parse_descriptor
+from .finite_field import ECHO_CHARS, _clip, parse_descriptor
 from .lemma_oracles import (
     EXACT_PASS, FAIL, LEMMA_IDS, LEMMAS, MEASURED, WITNESS_FOUND, batch_verify, random_set,
     run_lemma)
@@ -221,10 +222,16 @@ def _lemma_options(args, lemma) -> dict:
     if lemma == "basic_shift_bound":
         return {"alpha": args.alpha}
     if lemma == "plunnecke_refined":
-        try:
-            return {"eps": Fraction(args.eps)}
-        except (ValueError, ZeroDivisionError):
-            args.usage_error(f"--eps must be a fraction such as 1/4, got {args.eps!r}")
+        # the form is checked before Fraction reads the text: an exponent
+        # such as 1e999999999 would have it build the integer 10**999999999
+        plain = re.fullmatch(r"[+-]?([0-9]+/[0-9]+|[0-9]+\.?[0-9]*|\.[0-9]+)", args.eps)
+        if plain and len(args.eps) <= ECHO_CHARS:
+            try:
+                return {"eps": Fraction(args.eps)}
+            except ZeroDivisionError:
+                pass
+        args.usage_error(f"--eps must be a fraction such as 1/4 or a decimal such as 0.25, "
+                         f"got {_clip(repr(args.eps))}")
     return {}
 
 

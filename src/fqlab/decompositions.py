@@ -1,8 +1,9 @@
 """Constructive combinatorial engines: popularity pigeonholing, dyadic energy
 slicing, popular-point extraction with an explicit tracked constant chain,
 the searches (covering by translates and the two refinement stages' subsets,
-each exhaustive at or below EXACT_SEARCH_LIMIT elements and greedy above),
-and the full shifted-product proof trace with case classification.
+each exhaustive at or below EXACT_SEARCH_LIMIT elements and greedy above; the
+exhaustive subset scorer is shared with survey's exhaustive minimum), and the
+full shifted-product proof trace with case classification.
 
 Everything here is pure and deterministic and imports no layer above it;
 ties always break toward the smallest canonical encoding.
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -465,8 +466,9 @@ def _min_sumset_subset(X: FqSet, S: FqSet, floor: int):
     returns at once, scoring nothing."""
     spec = X.spec
     if len(X) <= EXACT_SEARCH_LIMIT:
-        labels = _dense_labels(spec.add_arr(X.members[:, None], S.members[None, :]), spec.q)
-        return _exhaustive_min_subset(X, lambda rows: labels[rows], floor)
+        size, rows = _min_subsets(spec.add_arr(X.members[:, None], S.members[None, :]),
+                                  floor, 1)
+        return X.members[rows[0]], size
     counts = _pair_counts(X, S, "sum")
     removals = len(X) - floor
     held = counts[counts > 0]
@@ -504,11 +506,15 @@ def _min_diffset_subset(A: FqSet, floor: int):
     leaves the argmax alone.  A greedy step is O(|A'|^2) gathers and
     comparisons, no sort."""
     spec, n = A.spec, len(A)
-    labels = _dense_labels(spec.sub_arr(A.members[:, None], A.members[None, :]), spec.q)
+    diffs = spec.sub_arr(A.members[:, None], A.members[None, :])
     if n <= EXACT_SEARCH_LIMIT:
-        return _exhaustive_min_subset(A, lambda rows: labels[np.ix_(rows, rows)], floor)
-    reflected = spec.sub_arr(spec.add_arr(A.members, A.members)[:, None], A.members[None, :])
-    labels, reflected = labels.ravel(), reflected.ravel()  # flat, gathered per step
+        size, rows = _min_subsets(diffs, floor, 1, square=True)
+        return A.members[rows[0]], size
+    # flat grids, gathered per step; each difference is labelled by its rank
+    # among the distinct ones, so the counts span the grid, not the field
+    labels = (np.cumsum(np.bincount(diffs.ravel(), minlength=spec.q) > 0) - 1)[diffs.ravel()]
+    reflected = spec.sub_arr(spec.add_arr(A.members, A.members)[:, None],
+                             A.members[None, :]).ravel()
     counts = np.bincount(labels)
     member = A.bitmask.copy()  # A' as a q-length bitmask
     for _ in range(n - floor):
@@ -526,21 +532,30 @@ def _min_diffset_subset(A: FqSet, floor: int):
     return A.members[member[A.members]], int(np.count_nonzero(counts))
 
 
-def _dense_labels(grid: np.ndarray, q: int) -> np.ndarray:
-    """grid with each value replaced by its rank among the grid's distinct
-    values, so a bincount of any part of it spans the grid, not the field."""
-    present = np.bincount(grid.ravel(), minlength=q) > 0
-    return (np.cumsum(present) - 1)[grid]
-
-
-def _exhaustive_min_subset(X: FqSet, cells, floor: int):
-    """(X', size) over every X' of size floor, cells(rows) giving its labels:
-    the first minimum in combinations order.  Both searches take this path at
-    or below EXACT_SEARCH_LIMIT elements and their greedy removal above it;
-    the greedy size bounds this one above."""
-    size, rows = min(((int(np.count_nonzero(np.bincount(cells(list(c)).ravel()))), c)
-                      for c in combinations(range(len(X)), floor)), key=lambda t: t[0])
-    return X.members[list(rows)], size
+def _min_subsets(grid: np.ndarray, k: int, limit: int, square: bool = False):
+    """(m, rows): the fewest distinct values m that k rows of a value grid
+    hold (with ``square``, in their own k columns only), and the first
+    ``limit`` k-subsets of rows that hold m, in combinations order, as an
+    array of row indices.  The subsets are scored in blocks of about
+    PAIR_BLOCK_CELLS gathered cells, one sort a block.  Both subset searches
+    take this path at or below EXACT_SEARCH_LIMIT elements (their greedy
+    removal, above it, bounds it above); survey's exhaustive minimum always."""
+    cells = k * (k if square else grid.shape[1])
+    combos = combinations(range(grid.shape[0]), k)
+    best, found = None, None
+    while True:
+        rows = np.fromiter(chain.from_iterable(islice(combos, max(1, PAIR_BLOCK_CELLS // cells))),
+                           dtype=np.int64).reshape(-1, k)
+        if not len(rows):
+            return best, found
+        values = grid[rows[:, :, None], rows[:, None, :]] if square else grid[rows]
+        values = np.sort(values.reshape(len(rows), cells), axis=1)
+        sizes = 1 + np.count_nonzero(values[:, 1:] != values[:, :-1], axis=1)
+        low = int(sizes.min())
+        if best is None or low < best:
+            best, found = low, rows[:0]
+        if low == best:
+            found = np.concatenate([found, rows[sizes == low]])[:limit]
 
 
 def shift_stage(A: FqSet, alpha: int) -> tuple[FqSet, int, Fraction]:

@@ -37,7 +37,7 @@ from .decompositions import (
     shift_stage,
     slice_certificates,
 )
-from .finite_field import FieldSpec, enumerate_subfields, parse_descriptor
+from .finite_field import FieldSpec, _clip, enumerate_subfields, parse_descriptor
 from .set_algebra import (
     PAIR_BLOCK_CELLS,
     SET_OPS,
@@ -336,7 +336,7 @@ def refined_plunnecke_subset(X: FqSet, Bs: list[FqSet], eps) -> LemmaReport:
     reported, never asserted (its constant depends on eps)."""
     eps = Fraction(eps)
     if not 0 < eps < 1:
-        raise EpsilonOutOfRange(f"eps must be in (0, 1), got {eps}")
+        raise EpsilonOutOfRange(f"eps must be in (0, 1), got {_clip(str(eps))}")
     subset, size, ratio = refine_stage(X, Bs, eps)
     inst = _instance(X.spec, X=X, Bs=Bs, eps=f"{eps.numerator}/{eps.denominator}")
     return _report("plunnecke_refined", inst, MEASURED, value=ratio,

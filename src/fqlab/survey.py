@@ -1,7 +1,8 @@
 """Empirical survey of shifted-product growth: seeded instance generation,
 exact measurement of |A(A+alpha)| against the two reference curves, the
-intersection/energy record with its exact chain, desk-scale exhaustive minima,
-and deterministic CSV/JSON persistence.
+intersection/energy record with its exact chain, desk-scale exhaustive minima
+(scored by the subset searches' exhaustive scorer in decompositions), and
+deterministic CSV/JSON persistence.
 
 Curves are asymptotic guides with unknown constants: they are evaluated in
 double precision and reported, never used as verdicts.
@@ -13,10 +14,11 @@ import csv
 import json
 import math
 from dataclasses import dataclass, fields
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
+from .decompositions import _min_subsets
 from .errors import (
     BudgetExceeded,
     InvariantViolated,
@@ -247,28 +249,23 @@ def exhaustive_min_expander(spec: FieldSpec, k: int, alpha: int = 1,
     """Exact minimum of |A(A+alpha)| over every k-subset of F_q (or F_q^*).
 
     Returns (minimum, minimizers) with at most MAX_MINIMIZERS canonically first
-    witnesses; refuses instances beyond the enumeration budget.
+    witnesses, scored by the subset searches' exhaustive scorer on the
+    universe x (universe + alpha) product grid; refuses instances whose
+    subsets or grid cells exceed the enumeration budget.
     """
     alpha = _scalar(alpha, "alpha", spec.q, nonzero=True)
-    universe = range(1, spec.q) if nonzero_only else range(spec.q)
+    k = _scalar(k, "k")
+    universe = np.arange(int(nonzero_only), spec.q)
     n = len(universe)
     if k < 1 or k > n:
         raise SizeInfeasible(f"k = {k} infeasible for universe of {n}")
     if math.comb(n, k) > ENUMERATION_BUDGET:
         raise BudgetExceeded(f"C({n},{k}) exceeds {ENUMERATION_BUDGET}")
-    add, mul = spec.add, spec.mul
-    best = None
-    minimizers: list[tuple[int, ...]] = []
-    for A in combinations(universe, k):
-        shifted = [add(a, alpha) for a in A]
-        prods = {mul(a, b) for a in A for b in shifted}
-        size = len(prods)
-        if best is None or size < best:
-            best = size
-            minimizers = [A]
-        elif size == best and len(minimizers) < MAX_MINIMIZERS:
-            minimizers.append(A)
-    return best, minimizers
+    if n * n > ENUMERATION_BUDGET:
+        raise BudgetExceeded(f"the {n} x {n} product grid exceeds {ENUMERATION_BUDGET} cells")
+    grid = spec.mul_arr(universe[:, None], spec.add_arr(universe, alpha)[None, :])
+    best, rows = _min_subsets(grid, k, MAX_MINIMIZERS, square=True)
+    return best, [tuple(A) for A in universe[rows].tolist()]
 
 
 def _record_seed(seed: int, cell: int, trial: int) -> int:

@@ -13,6 +13,7 @@ import numpy as np
 from fqlab import decompositions, set_algebra
 from fqlab.finite_field import FieldSpec, arith, build_field, parse_descriptor
 from fqlab.set_algebra import FqSet
+from fqlab.survey import MAX_MINIMIZERS
 
 # the acceptance field list; the largest field participates at a reduced rate
 POOL_DESCRIPTORS = ("2^2", "5^1", "7^1", "2^3", "3^2", "11^1", "13^1", "2^4",
@@ -417,13 +418,32 @@ def naive_popular_points(spec: FieldSpec, pairs) -> dict:
             "d_popular": slopes, "constants": constants}
 
 
-def naive_min_expander(spec: FieldSpec, k: int, alpha: int, nonzero: bool) -> int:
+def naive_min_expander(spec: FieldSpec, k: int, alpha: int, nonzero: bool):
+    """(minimum of |A(A+alpha)| over the k-subsets A of F_q or F_q^*, the
+    first MAX_MINIMIZERS subsets that reach it in combinations order), by
+    listing every subset."""
     universe = range(1, spec.q) if nonzero else range(spec.q)
-    best = None
+    best, minimizers = None, []
     for A in combinations(universe, k):
         size = len(naive_shifted_product(spec, A, alpha))
-        best = size if best is None else min(best, size)
-    return best
+        if best is None or size < best:
+            best, minimizers = size, [A]
+        elif size == best and len(minimizers) < MAX_MINIMIZERS:
+            minimizers.append(A)
+    return best, minimizers
+
+
+def naive_exhaustive_min_subset(spec: FieldSpec, members, floor: int, S=None):
+    """The floor-subset X' of members with the fewest X' + S (or X' - X' when
+    S is None), the first minimum in combinations order, by scalar sets.
+    Returns (subset, size)."""
+    def size(sub):
+        if S is None:
+            return len({naive_sub(spec, a, b) for a in sub for b in sub})
+        return len({naive_add(spec, x, s) for x in sub for s in S})
+
+    best = min(combinations(sorted(members), floor), key=size)
+    return list(best), size(best)
 
 
 def verify_trace_case(tr, spec) -> None:

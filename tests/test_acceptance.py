@@ -252,7 +252,7 @@ def test_criterion_6_exhaustive_expander_ground_truth():
         got, minimizers = exhaustive_min_expander(spec, k, alpha=1,
                                                   nonzero_only=nonzero)
         assert got == frozen, (p, k, nonzero)
-        assert got == naive_min_expander(spec, k, 1, nonzero), (p, k, nonzero)
+        assert (got, minimizers) == naive_min_expander(spec, k, 1, nonzero), (p, k, nonzero)
         for A in minimizers[:5]:
             assert len(naive_shifted_product(spec, A, 1)) == got
     _announce(6, True, f"exhaustive ground truth: {len(FROZEN_MINIMA)} frozen "

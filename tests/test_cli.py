@@ -158,6 +158,13 @@ def test_usage_error_exit_code():
     ("verify", "rbfq", "--set", "0,1,2"),
     ("verify", "plunnecke_refined", "--field", "13", "--sets", "1,2,3,4;1;2", "--eps", "abc"),
     ("verify", "plunnecke_refined", "--field", "13", "--sets", "1,2,3,4;1;2", "--eps", "1/0"),
+    # refused before Fraction reads them: it would build 10**999999999 for the first
+    ("verify", "plunnecke_refined", "--field", "13", "--sets", "1,2,3,4;1;2",
+     "--eps", "1e999999999"),
+    ("verify", "plunnecke_refined", "--field", "13", "--sets", "1,2,3,4;1;2", "--eps", "1e400"),
+    ("verify", "plunnecke_refined", "--field", "13", "--sets", "1,2,3,4;1;2", "--eps", "1" * 41),
+    ("verify", "plunnecke_refined", "--field", "13", "--sets", "1,2,3,4;1;2", "--eps", " 1/4"),
+    ("verify", "plunnecke_refined", "--field", "13", "--sets", "1,2,3,4;1;2", "--eps", "1_0/3"),
     ("survey", "--fields", "7", "--sizes", "abc", "--out", "no-such-dir/s.csv"),
     ("verify", "nosuch"),
     ("energy", "mul", "--field", "7^1", "--x", "1,2"),
@@ -166,7 +173,8 @@ def test_usage_errors_found_after_parsing_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and len(err.splitlines()[-1]) < 150
 
 
 @pytest.mark.parametrize("argv", [
@@ -215,6 +223,9 @@ def test_trials_and_kappa_below_1_are_usage_errors(capsys, argv):
      "ElementOutOfRange"),
     (("trace", "--field", "2^4", "--set", "1,2,3,5,7,9", "--alpha", "-1"), None,
      "ElementOutOfRange"),
+    # a 40-character decimal is read, and its 79-character fraction clipped in the message
+    (("verify", "plunnecke_refined", "--field", "13", "--sets", "1,2,3,4;1;2",
+      "--eps", "1." + "9" * 38), None, "EpsilonOutOfRange"),
     (("field", "1000000000000000003"), None, "FieldTooLarge"),
     (("field", "2^100000000"), None, "FieldTooLarge"),
     (("field", "2^" + "1" * 5000), None, "FieldTooLarge"),  # past int()'s 4300 digits

@@ -51,8 +51,10 @@ from fqlab.set_algebra import FqSet, dilate, quotient_set, set_op, translate
 from pools import (
     EXACT,
     GREEDY,
+    POOL_DESCRIPTORS,
     draw_set,
     naive_add,
+    naive_exhaustive_min_subset,
     naive_first_collision,
     naive_greedy_min_subset,
     naive_multiplicative_energy,
@@ -268,6 +270,8 @@ def test_refined_plunnecke_singleton_translates():
     assert rep.value <= 1.0
     with pytest.raises(EpsilonOutOfRange):
         refined_plunnecke_subset(X, [X], Fraction(3, 2))
+    with pytest.raises(EpsilonOutOfRange, match=r"got 1000000000.*\(401 characters\)$"):
+        refined_plunnecke_subset(X, [X], Fraction(10**400))
 
 
 def test_refined_plunnecke_eps_near_one_keeps_one_element():
@@ -318,6 +322,28 @@ def test_greedy_subset_search_matches_naive(descriptor):
         sub, size = on_path(GREEDY, _min_diffset_subset, X, floor)
         assert ([int(v) for v in sub], size) == naive_greedy_min_subset(
             spec, X.members.tolist(), floor)
+
+
+@pytest.mark.parametrize("block_cells", [None, 1, 40])
+def test_exhaustive_subset_search_matches_naive(block_cells, monkeypatch):
+    # every floor on the pool fields against the scalar listing.  Patched
+    # small, the blocks split a search many times over, and a tie with the
+    # minimum in a later block must not displace the first one
+    if block_cells is not None:
+        monkeypatch.setattr(decompositions, "PAIR_BLOCK_CELLS", block_cells)
+    for i, descriptor in enumerate(POOL_DESCRIPTORS):
+        spec = parse_descriptor(descriptor)
+        rng = np.random.default_rng([37, i])
+        X = draw_set(rng, spec, int(rng.integers(2, min(10, spec.q - 1) + 1)), nonzero=i % 2)
+        S = draw_set(rng, spec, int(rng.integers(1, min(5, spec.q) + 1)))
+        members = X.members.tolist()
+        for floor in range(1, len(X) + 1):
+            sub, size = on_path(EXACT, _min_sumset_subset, X, S, floor)
+            assert ([int(v) for v in sub], size) == naive_exhaustive_min_subset(
+                spec, members, floor, S.members.tolist())
+            sub, size = on_path(EXACT, _min_diffset_subset, X, floor)
+            assert ([int(v) for v in sub], size) == naive_exhaustive_min_subset(
+                spec, members, floor)
 
 
 @pytest.mark.parametrize("descriptor", ["2^6", "7^2", "3^4", "5^3", "2^8"])

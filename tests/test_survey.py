@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from fqlab.errors import (
     SizeInfeasible,
     ZeroShift,
 )
-from fqlab import set_algebra, survey
+from fqlab import decompositions, set_algebra, survey
 from fqlab.finite_field import (
     build_field,
     coset_representatives,
@@ -208,7 +209,7 @@ def test_corollary_invariant_survives_python_O():
 
 def test_exhaustive_min_expander_small():
     best, argmins = exhaustive_min_expander(F5, 2, nonzero_only=True)
-    assert best == 3 == naive_min_expander(F5, 2, 1, True)
+    assert (best, argmins) == naive_min_expander(F5, 2, 1, True) and best == 3
     assert all(len(a) == 2 for a in argmins)
     best, _ = exhaustive_min_expander(F5, 1)
     assert best == 1  # singletons cannot spread
@@ -232,6 +233,39 @@ def test_exhaustive_min_expander_checks_the_shift_like_the_records(p, m, alpha, 
                  lambda: corollary_record(FqSet.from_iterable(spec, [1, 3]), alpha)):
         with pytest.raises(error):
             call()
+
+
+@pytest.mark.parametrize("k", [2.5, "3", True, np.float64(2)])
+def test_exhaustive_min_expander_takes_only_an_integer_k(k):
+    # a bool, a float or a string is no size; True must not run as k = 1
+    with pytest.raises(MalformedLiteral):
+        exhaustive_min_expander(F7, k)
+
+
+def test_exhaustive_min_expander_refuses_a_grid_past_the_budget():
+    # C(4095, 1) subsets are within the budget, the 4095 x 4095 grid is not
+    with pytest.raises(BudgetExceeded, match="grid"):
+        exhaustive_min_expander(build_field(2, 12), 1, nonzero_only=True)
+
+
+def test_exhaustive_minimizers_match_the_listing(monkeypatch):
+    # the minimum and the first MAX_MINIMIZERS minimizers against the scalar
+    # listing, on the pool fields for k = 1..4 while the listing stays small;
+    # 3^4 at k = 2 on F_q^* ties 118 subsets and is capped.  With the blocks
+    # patched small each search spans many of them, the capped list too
+    cases = [(spec, k, alpha, nonzero) for spec in map(parse_descriptor, POOL_DESCRIPTORS)
+             for k in range(1, 5) for nonzero in (False, True)
+             if 0 < math.comb(spec.q - nonzero, k) <= 2000 for alpha in (1, spec.q - 1)]
+    cases.append((parse_descriptor("3^4"), 2, 1, True))
+    for spec, k, alpha, nonzero in cases:
+        want = naive_min_expander(spec, k, alpha, nonzero)
+        for block_cells in (set_algebra.PAIR_BLOCK_CELLS, 50):
+            monkeypatch.setattr(decompositions, "PAIR_BLOCK_CELLS", block_cells)
+            got = exhaustive_min_expander(spec, k, alpha, nonzero_only=nonzero)
+            assert got == want, (spec.descriptor, k, alpha, nonzero, block_cells)
+    best, minimizers = want
+    assert len(minimizers) == survey.MAX_MINIMIZERS < sum(
+        len(naive_shifted_product(spec, A, 1)) == best for A in combinations(range(1, 81), 2))
 
 
 def test_exhaustive_minimizers_are_canonical_and_verified():
