@@ -386,7 +386,10 @@ def product_energy(X: FqSet, Y: FqSet) -> int:
 def check_energy_identities(X: FqSet, Y: FqSet) -> LemmaReport:
     """First and second moment identities of the ratio counts, plus the two
     difference-count identities for X: sum |X ∩ (X-a)| = |X|^2 and
-    sum |X ∩ (X-a)|^2 = E+(X)."""
+    sum |X ∩ (X-a)|^2 = E+(X).  The last crosses two routes: the
+    difference counts against ``additive_energy``, which takes a large
+    X's energy from the forward transform alone by Parseval and a small
+    one's from the sum counts of the grid's triangle."""
     ratios = representation_spectrum(X, Y)
     first = int(ratios.sum()) == len(X) * len(Y)
     second = _sum_of_squares(ratios) == product_energy(X, Y)

@@ -14,8 +14,8 @@ maps residues to encodings (``_pair_support``, a q-length bitmask).
 that can serve it:
 
 - the grid scores the |A||B| pairs block by block in ``_blocks``, and
-  serves every op; its triangle, one half, the sum or product set of a set
-  with itself;
+  serves every op; its triangle, one half, the sum or product set or counts
+  of a set with itself, each pair of a count scored once and added twice;
 - the rotation (``_rotate_support``) marks a support on a cycle Z/n as the
   union of the larger side's packed bitmask rotated by each residue of the
   smaller side: 64 pairs per word op, and it stops once every residue is
@@ -26,7 +26,10 @@ that can serve it:
   rounding recovers every count (``_transform_counts``).  Its first pass
   multiplies every column of a set of at least q/L members, and only the
   occupied columns of a smaller one.  Counts that fail their check
-  (``_exact_counts``) fall back to the grid.
+  (``_exact_counts``) fall back to the grid.  ``additive_energy`` stops
+  after the forward transform and sums |F|^4 (Parseval), under its own
+  error bound and check (``_energy_error_bound``, ``_exact_energy``); a
+  value that fails falls back to the squares of the counts.
 
 FqSet values are immutable and all operations are pure.
 """
@@ -205,16 +208,22 @@ def _grid(A: FqSet, B: FqSet, kind: str):
     """(a, b, op, size): the grid op(a[i], b[j]) names the value of each pair
     of A x B as an index below size.
 
-    Sum and diff combine encodings by add_arr/sub_arr (size q).  Prod and
+    Sum and diff combine encodings by add_arr/sub_arr (size q), except over
+    an odd-p extension field: there a and b are packed once
+    (``DigitPacking``), b as fill - pack(b) for diff, and op is
+    ``add_packed``, so no block packs them again.  Prod and
     ratio combine the logs of the nonzero parts, int32 as the log table holds
     them, by np.add, ratio with q-1 - log b, so the values lie below 2(q-1)
     < 2^25 and a value and its reduction mod q-1 name the same element: no
     % (q-1) per cell.  The rotation reads the same a and b as residues: for
     ratio b is reduced mod q-1 (the q-1 of log 1 = 0 becomes 0), and for a
     prime field's diff it is negated mod p."""
-    spec = A.spec
+    spec, packing = A.spec, A.spec.packing
     if kind in ("sum", "diff"):
-        return A.members, B.members, spec.add_arr if kind == "sum" else spec.sub_arr, spec.q
+        if packing is None:
+            return A.members, B.members, spec.add_arr if kind == "sum" else spec.sub_arr, spec.q
+        a, b = packing.pack(A.members), packing.pack(B.members)
+        return a, b if kind == "sum" else packing.fill - b, packing.add_packed, spec.q
     if kind == "ratio" and 0 in B:
         raise ZeroDivisorInRatio("ratio set needs 0 not in B")
     n = spec.q - 1
@@ -225,9 +234,11 @@ def _grid(A: FqSet, B: FqSet, kind: str):
 
 def _blocks(a: np.ndarray, b: np.ndarray, op, triangle: bool = False) -> Iterator[np.ndarray]:
     """The grid op(a[i], b[j]) in blocks of rows of about PAIR_BLOCK_CELLS
-    cells each, so it is never held whole.  With ``triangle`` (a is b and op
-    symmetric) a block skips the columns before its first row: every pair
-    still appears once in some order.  Its blocks also hold at most
+    cells each, so it is never held whole.  With ``triangle`` (a equal to b
+    and op symmetric) a block skips the columns before its first row: a pair
+    of rows of different blocks appears once, in one order, and a pair of
+    rows of one block in both orders, in the block's leading square (its
+    first as many columns as rows).  Its blocks also hold at most
     sqrt(|a|) rows: about sqrt(|a|) blocks then score about |a|^1.5 / 2
     cells left of the diagonal, a 1/(2 sqrt(|a|)) share of the grid.  A
     consumer drops each block before it asks for the next, or two blocks
@@ -293,11 +304,12 @@ def _by_encoding(spec: FieldSpec, by_log: np.ndarray, zero) -> np.ndarray:
 
 
 def _backends(A: FqSet, B: FqSet, kind: str, support: bool) -> tuple[str, ...]:
-    """The backends that can serve a pair op: the grid; for a support, the
-    triangle (``_blocks``) and the rotation where they apply; the transform
-    for sum and diff over GF(p^m), m > 1, within its error bound."""
+    """The backends that can serve a pair op: the grid; the triangle
+    (``_blocks``) for the sum or product of a set with itself; for a
+    support, the rotation where it applies; the transform for sum and diff
+    over GF(p^m), m > 1, within its error bound."""
     spec, names = A.spec, ["grid"]
-    if support and B is A and kind in ("sum", "prod"):
+    if B is A and kind in ("sum", "prod"):
         names.append("triangle")
     if support and (kind in ("prod", "ratio") or spec.m == 1):
         names.append("rotation")
@@ -336,16 +348,23 @@ def _pair_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
     accumulate (``np.add.at``, no q-length array per block) over the
     ``_blocks`` of the ``_grid``; for prod and ratio the log sums are folded
     mod q-1 once, mapped to encodings by one gather, and 0 gets the closed
-    form |A||B| - |A*||B*|."""
+    form |A||B| - |A*||B*|.  The triangle scores half the grid: it adds each
+    cell of a block twice, for both orders of its pair, and its leading
+    square once less, whose pairs the block holds in both orders already
+    and whose diagonal is one pair."""
     cells = len(A) * len(B)
-    if _plan(A, B, kind, False) == "transform":
+    backend = _plan(A, B, kind, False)
+    if backend == "transform":
         counts = _exact_counts(_transform_counts(A, B, kind), cells)
         if counts is not None:
             return counts
     a, b, op, size = _grid(A, B, kind)
     counts = np.zeros(size, dtype=np.int64)
-    for values in _blocks(a, b, op):
-        np.add.at(counts, values.ravel(), 1)
+    triangle = backend == "triangle"
+    for values in _blocks(a, b, op, triangle):
+        np.add.at(counts, values.ravel(), 2 if triangle else 1)
+        if triangle:
+            np.subtract.at(counts, values[:, : len(values)].ravel(), 1)
         del values
     if kind in ("sum", "diff"):
         return counts
@@ -502,9 +521,8 @@ def _transform_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
     q floats of the last buffer and keep all of it alive, (L+1)/L q for odd p."""
     h, _, mats, final = _chunk_matrices(A.spec)
     f, x, y = _half_transform(A.spec, A.members)
-    if B is A and kind == "diff" and f.dtype.kind == "c":
-        parts = np.square(f.view(np.float64), out=f.view(np.float64))  # |F_A|^2 = Re^2 + Im^2
-        f, x, y = np.add(parts[:, 0::2], parts[:, 1::2], out=np.ndarray(f.shape, float, y)), y, x
+    if B is A and kind == "diff":
+        f, x, y = _squared_moduli(f, x, y)
     else:
         fb, y = (f, y) if B is A else _half_transform(A.spec, B.members, y)[:2]
         f *= np.conjugate(fb, out=fb) if kind == "diff" else fb
@@ -515,6 +533,32 @@ def _transform_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
         g, y = np.concatenate((g.real, g.imag), out=np.ndarray((2 * h, g.shape[1]), float, y)), x
     # a real g (p = 2, or |F_A|^2 with one chunk) has no imaginary block
     return _times(final[:, : len(g)], g, np.ndarray((len(final), g.shape[1]), float, y)).ravel()
+
+
+def _squared_moduli(f: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
+    """(|F|^2, x, y) for a half transform F in buffer x with y free, as
+    ``_half_transform`` returns them: a real F squared in place, a complex
+    one's Re^2 + Im^2 written into y, whereupon the buffers swap."""
+    if f.dtype.kind != "c":
+        return np.square(f, out=f), x, y
+    parts = np.square(f.view(np.float64), out=f.view(np.float64))
+    return np.add(parts[:, 0::2], parts[:, 1::2], out=np.ndarray(f.shape, float, y)), y, x
+
+
+def _transform_energy(A: FqSet) -> float:
+    """Unrounded E+(A) from the forward ``_half_transform`` alone, by
+    Parseval: E+(A) = (1/q) sum_u |F_A(u)|^4 over the q characters.  The
+    kept rows stand for all of them as in ``_chunk_matrices``' ``final``:
+    F(-u) = conj F(u), so a representative u of the first chunk weighs w_u,
+    and the one u = -u of odd p is u = 0, the first row.  |F|^2 goes into
+    the free buffer (``_squared_moduli``) and is squared in place, so the
+    peak is the transform's two buffers; the sums are numpy's pairwise
+    ones."""
+    f = _squared_moduli(*_half_transform(A.spec, A.members))[0]
+    total = float(np.square(f, out=f).sum())
+    if A.spec.p > 2:
+        total = 2 * total - float(f[0].sum())
+    return total / A.spec.q
 
 
 def _transform_error_bound(spec: FieldSpec, cells: int) -> float:
@@ -543,6 +587,43 @@ def _transform_error_bound(spec: FieldSpec, cells: int) -> float:
     in the slack that eps leaves."""
     _, first, mats, _ = _chunk_matrices(spec)  # the first chunk is the largest
     return 3 * (1 + len(mats)) * math.sqrt(2) * (len(first) + 2) * math.ulp(1.0) * cells
+
+
+def _energy_error_bound(spec: FieldSpec, size: int) -> float:
+    """Worst-case absolute error of ``_transform_energy`` for |A| = size.
+
+    In ``_transform_error_bound``'s terms each kept entry of F is off by at
+    most e = P delta |A|.  Then ||F + e|^4 - |F|^4| <= 4 |F|^3 e to first
+    order, and over the q characters sum_u |F(u)|^3 <= max |F| sum_u |F(u)|^2
+    = |A| q |A| (Parseval), so after the 1/q the error is at most
+    4 P delta |A|^3: 4/3 of that bound at |A|^3 cells.  The weights are
+    exact, and the kept rows' weighted errors stay within the sum over all
+    q as for ``final``.  The roundings, with u = eps/2: Re^2 + Im^2 and its
+    square add 5u per term; a pairwise sum of at most q nonnegative terms
+    adds (log2 q + 12) u; 2 S - S_0 (odd p) weighs those sums' errors by
+    2 S + S_0 <= 3 q E, and the subtraction and the 1/q add u each.  So
+    they add at most 3 (log2 q + 18) u E <= 2 (log2 q + 18) eps |A|^3.
+    While the total stays below 1/4, |A|^3 < 2^53 and every energy
+    below it is a float64 integer."""
+    rounding = 2 * (math.log2(spec.q) + 18) * math.ulp(1.0)
+    return 4 / 3 * _transform_error_bound(spec, size**3) + rounding * size**3
+
+
+def _exact_energy(value: float, size: int, p: int) -> int | None:
+    """value rounded to the energy E of a set of ``size`` elements in
+    characteristic p, or None unless value lies within 1/4 of E,
+    size^2 <= E <= size^3, and E has the residue mod 4 that the difference
+    counts r force.  r(0) = |A| and E = sum_d r(d)^2.  For p = 2 every
+    r(d), d != 0, is even (a - b = b - a), so E = |A|^2 mod 4.  For odd p,
+    r(d) = r(-d) pairs the d != 0, whose r add up to |A|^2 - |A|, and
+    r^2 = r mod 2, so E = |A|^2 + (|A|^2 - |A|) mod 4."""
+    if not math.isfinite(value) or abs(value - round(value)) >= 0.25:
+        return None
+    energy = round(value)
+    residue = size**2 if p == 2 else 2 * size**2 - size
+    if size**2 <= energy <= size**3 and (energy - residue) % 4 == 0:
+        return energy
+    return None
 
 
 def _exact_counts(values: np.ndarray, total: int) -> np.ndarray | None:
@@ -648,15 +729,25 @@ def _sum_of_squares(counts: np.ndarray) -> int:
 
 
 def sum_representation_counts(A: FqSet) -> np.ndarray:
-    """counts[s] = #{(a1, a2) in A^2 : a1 + a2 = s}, length q.  From the
-    transform it is a view that keeps the transform's (L+1)/L q floats."""
+    """counts[s] = #{(a1, a2) in A^2 : a1 + a2 = s}, length q, on the grid's
+    triangle or by the transform.  From the transform it is a view that
+    keeps the transform's (L+1)/L q floats."""
     return _pair_counts(A, A, "sum")
 
 
 def additive_energy(A: FqSet) -> int:
-    """Number of quadruples with a1 + a2 = a3 + a4, via sum-representation counts."""
+    """Number of quadruples with a1 + a2 = a3 + a4.
+
+    Where ``_plan`` names the transform for A + A and
+    ``_energy_error_bound`` is below 1/4, it is the forward transform's
+    Parseval sum (``_transform_energy``) if that passes ``_exact_energy``;
+    otherwise the ``_sum_of_squares`` of the sum-representation counts."""
     if len(A) == 0:
         raise EmptySet("additive energy of the empty set")
+    if _plan(A, A, "sum", False) == "transform" and _energy_error_bound(A.spec, len(A)) < 0.25:
+        energy = _exact_energy(_transform_energy(A), len(A), A.spec.p)
+        if energy is not None:
+            return energy
     return _sum_of_squares(sum_representation_counts(A))
 
 

@@ -30,14 +30,7 @@ from .errors import (
 )
 from .finite_field import (
     FieldSpec, _scalar, coset_representatives, parse_descriptor, proper_subfields)
-from .set_algebra import (
-    FqSet,
-    _sum_of_squares,
-    coset_profile,
-    intersection_shift_counts,
-    set_op_size,
-    translate,
-)
+from .set_algebra import FqSet, additive_energy, coset_profile, set_op_size, translate
 
 SAMPLERS = ("uniform", "ap", "gp", "coset")
 ALPHA_POLICIES = ("fixed1", "sweep", "random")
@@ -182,26 +175,23 @@ def corollary_record(A: FqSet, alpha: int, sampler: str = "explicit",
                      seed: int = 0) -> CorollaryRecord:
     """|A ∩ (A-alpha)|, |AA| and E+(A) with the intersection curve.
 
-    One pair count of A serves both: the shift counts |A ∩ (A-d)| give the
-    intersection at d = alpha, and E+(A) is the sum of their squares.
+    The intersection is the size of S = A ∩ (A-alpha), which the chain
+    below needs as a set anyway, and E+(A) is ``additive_energy``: no
+    q-length shift counts are built.
 
-    Two constant-free facts are checked on every record: the energy is at most
-    |A|^2 times the largest difference-representation count (the maximum runs
-    over the whole difference set), and S = A ∩ (A-a) satisfies S, S+a ⊆ A,
-    hence |S(S+a)| <= |AA|.
+    Two constant-free facts are checked on every record: the energy is at
+    most |A|^2 times the largest shift count |A ∩ (A-d)|, which is |A| (at
+    d = 0), so at most |A|^3; and S satisfies S, S+a ⊆ A, hence
+    |S(S+a)| <= |AA|.
     """
     spec = A.spec
     alpha = _scalar(alpha, "alpha", spec.q, nonzero=True)
     if len(A) < 2:
         raise SetTooSmall("need |A| >= 2")
-    counts = intersection_shift_counts(A)
-    inter = int(counts[alpha])
     prod = set_op_size(A, A, "prod")
-    energy = _sum_of_squares(counts)
-
-    max_all = int(counts.max())
-    if energy > len(A) ** 2 * max_all:
-        raise InvariantViolated(f"energy {energy} exceeds |A|^2 * {max_all}")
+    energy = additive_energy(A)
+    if energy > len(A) ** 3:
+        raise InvariantViolated(f"energy {energy} exceeds |A|^3 = {len(A) ** 3}")
 
     S = A.intersect(translate(A, spec.neg(alpha)))
     chain_pass = True
@@ -214,7 +204,7 @@ def corollary_record(A: FqSet, alpha: int, sampler: str = "explicit",
 
     return CorollaryRecord(
         field=spec.descriptor, p=spec.p, m=spec.m, size=len(A), alpha=alpha,
-        sampler=sampler, seed=int(seed), intersection=inter, prod_size=prod,
+        sampler=sampler, seed=int(seed), intersection=len(S), prod_size=prod,
         energy=energy, corollary_curve=intersection_curve(prod, spec.q),
         chain_pass=chain_pass, structural_pass=coset_profile(A, 50, 53, prod),
     )

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -240,7 +242,7 @@ def test_pair_counts_stay_well_below_one_grid_of_memory(monkeypatch):
     A = FqSet.from_iterable(spec, np.random.default_rng(5).choice(spec.q, 3000, replace=False))
     grid = len(A) ** 2 * 8  # one int64 |A| x |A| grid: 72 MB
     counts = (lambda: sum_representation_counts(A), lambda: intersection_shift_counts(A),
-              lambda: set_op(A, A, "prod"), lambda: set_op(A, A, "sum"),
+              lambda: additive_energy(A), lambda: set_op(A, A, "prod"), lambda: set_op(A, A, "sum"),
               lambda: set_op(A, A, "diff"), lambda: set_op(A, A.nonzero(), "ratio"))
     # every op on the grid; then the triangle or the transform where it can
     # serve, and the cost model's choice (the rotation for prod and ratio) elsewhere
@@ -269,18 +271,35 @@ def test_half_spectrum_transform_matches_the_grid_at_survey_size(monkeypatch):
         assert np.array_equal(_pair_counts(X, Y, kind), grid)
 
 
+def _two_half_transforms(spec):
+    """The peak bound of a count by the transform: two buffers of a half
+    transform, about half a complex array each for odd p (1.04x and 1.15x of
+    q * 16 bytes on 3^12 and 7^7), one real array each for p = 2 (2.0x of
+    q * 8); a third q-length array would break it."""
+    return 2.3 * spec.q * 8 if spec.p == 2 else 1.2 * spec.q * 16
+
+
 @pytest.mark.parametrize("desc", ("3^12", "7^7", "2^20"))
 def test_shift_counts_by_transform_peak_near_two_q_length_complex_arrays(desc):
-    # a count holds two buffers of a half transform: about half a complex
-    # array each for odd p (1.04x and 1.15x of q * 16 bytes), one real array
-    # each for p = 2 (2.0x of q * 8); a third q-length array would break these
     spec = parse_descriptor(desc)
     A = FqSet.from_iterable(spec, np.random.default_rng(6).choice(spec.q, 3000, replace=False))
     assert set_algebra._plan(A, A, "diff", False) == "transform"
     intersection_shift_counts(A)  # the cached plan is not part of a count's peak
     peak = peak_bytes(lambda: intersection_shift_counts(A))[0]
-    assert peak < (2.3 * spec.q * 8 if spec.p == 2 else 1.2 * spec.q * 16)
+    assert peak < _two_half_transforms(spec)
     assert "bitmask" not in A.__dict__
+
+
+@pytest.mark.parametrize("desc", ("3^12", "7^7", "2^20"))
+def test_energy_by_transform_peaks_within_a_count_by_transform(desc, monkeypatch):
+    # the forward transform's two buffers, |F|^2 written into the free one
+    spec = parse_descriptor(desc)
+    A = FqSet.from_iterable(spec, np.random.default_rng(6).choice(spec.q, 3000, replace=False))
+    assert set_algebra._plan(A, A, "sum", False) == "transform"
+    expected = additive_energy(A)  # the cached plan is not part of the peak
+    monkeypatch.setattr(set_algebra, "sum_representation_counts", None)  # no fallback
+    peak, energy = peak_bytes(lambda: additive_energy(A))
+    assert energy == expected and peak <= _two_half_transforms(spec)
 
 
 def test_pair_sum_by_transform_peaks_at_three_half_transforms():
@@ -373,6 +392,80 @@ def test_transform_falls_back_to_the_grid_when_its_counts_are_off(desc, perturb,
             assert list(_pair_counts(X, Y, kind)) == naive_pair_counts(spec, X, Y, kind)
             assert list(set_op(X, Y, kind)) == naive_set_op(spec, list(X), list(Y), kind)
     assert served == ["sum", "sum", "diff", "diff"] * 2
+
+
+@pytest.mark.parametrize("backend", ("grid", "triangle", "transform"))
+@pytest.mark.parametrize("desc", POOL_DESCRIPTORS + (LARGE_DESCRIPTOR,))
+def test_energy_and_sum_counts_match_naive_oracles_on_every_backend(desc, backend, monkeypatch):
+    spec = parse_descriptor(desc)
+    rng = np.random.default_rng([82, spec.q])
+    zero = fqset(spec, 0)
+    sets = [zero, fqset(spec, 1)] + [draw_set(rng, spec, min(k, spec.q)) for k in (2, 7, 30, 64)]
+    sets.append(sets[-2].union(zero))
+    served = force_backend(monkeypatch, backend)
+    fallbacks = []  # the transform's energies that missed their check
+    exact_energy = set_algebra._exact_energy
+    monkeypatch.setattr(set_algebra, "_exact_energy",
+                        lambda *args: fallbacks.append(args) or exact_energy(*args))
+    for A in sets:
+        # blocks of 3 to isqrt(|A|) rows: the triangle's blocks and their corners span several
+        monkeypatch.setattr(set_algebra, "PAIR_BLOCK_CELLS", 3 * len(A))
+        assert list(sum_representation_counts(A)) == naive_pair_counts(spec, A, A, "sum")
+        assert additive_energy(A) == naive_additive_energy(spec, list(A))
+    assert all(exact_energy(*args) is not None for args in fallbacks)
+    if backend == "transform" and spec.m == 1:
+        assert served == []
+    else:  # the counts, then the energy (planned once more for its counts, off the transform)
+        assert served == ["sum"] * (2 if backend == "transform" else 3) * len(sets)
+        assert len(fallbacks) == (len(sets) if backend == "transform" else 0)
+
+
+def _perturbed_energies(value, size):
+    """Values that ``_exact_energy`` must refuse: off by 1/2, off by 1, 2 or
+    3 (the residue mod 4), past either end of [size^2, size^3] by 4 (in
+    residue), and not finite."""
+    return (value + 0.5, value + 1, value - 2, value + 3, value + 4 * ((size**3 - value) // 4 + 1),
+            value - 4 * ((value - size**2) // 4 + 1), math.nan, math.inf)
+
+
+@pytest.mark.parametrize("desc", ("2^4", "3^3", "5^3", "2^10"))
+def test_energy_by_parseval_falls_back_to_the_counts_when_its_value_is_off(desc, monkeypatch):
+    spec = parse_descriptor(desc)
+    rng = np.random.default_rng([83, spec.q])
+    sets = [draw_set(rng, spec, k) for k in (1, 3, 9, 20)]
+    transform_energy = set_algebra._transform_energy
+    served = force_backend(monkeypatch, "transform")
+    for A in sets:
+        exact = naive_additive_energy(spec, list(A))
+        value = transform_energy(A)
+        assert set_algebra._exact_energy(value, len(A), spec.p) == exact
+        for bad in _perturbed_energies(exact, len(A)):
+            monkeypatch.setattr(set_algebra, "_transform_energy", lambda A: bad)
+            assert set_algebra._exact_energy(bad, len(A), spec.p) is None
+            assert additive_energy(A) == exact
+    # each perturbed energy, then its counts
+    assert served == ["sum"] * 2 * len(sets) * len(_perturbed_energies(0, 1))
+
+
+def test_energy_by_parseval_falls_back_under_python_O():
+    import os
+    import subprocess
+    import sys
+
+    import fqlab
+
+    # the check must hold without asserts: a value one off (odd) is refused
+    script = ("from fqlab import set_algebra as sa\n"
+              "from fqlab.finite_field import build_field\n"
+              "A = sa.FqSet.from_iterable(build_field(3, 3), [0, 1, 5, 7, 20])\n"
+              "exact = sa._sum_of_squares(sa.sum_representation_counts(A))\n"
+              "sa._plan = lambda A, B, kind, support: 'transform'\n"
+              "sa._transform_energy = lambda A: exact + 1.0\n"
+              "print(sa.additive_energy(A) == exact, exact, __debug__)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fqlab.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.stdout.split() == ["True", "57", "False"], proc.stderr
 
 
 def _column_sets(spec):
@@ -530,7 +623,7 @@ def test_plan_keeps_small_sets_on_the_grid():
 # the ops each backend can serve: B is A, the kind, a support (or counts), m
 SERVES = {
     "grid": lambda same, kind, support, m: True,
-    "triangle": lambda same, kind, support, m: support and same and kind in ("sum", "prod"),
+    "triangle": lambda same, kind, support, m: same and kind in ("sum", "prod"),
     "rotation": lambda same, kind, support, m: support and (kind in ("prod", "ratio") or m == 1),
     "transform": lambda same, kind, support, m: kind in ("sum", "diff") and m > 1,
 }

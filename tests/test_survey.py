@@ -23,7 +23,16 @@ from fqlab.finite_field import (
     parse_descriptor,
     proper_subfields,
 )
-from fqlab.set_algebra import FqSet, additive_energy, dilate, set_op, shifted_product, translate
+from fqlab.set_algebra import (
+    FqSet,
+    _sum_of_squares,
+    additive_energy,
+    dilate,
+    intersection_shift_counts,
+    set_op,
+    shifted_product,
+    translate,
+)
 from fqlab.survey import (
     SAMPLER_TAGS,
     SurveyConfig,
@@ -169,10 +178,11 @@ def test_corollary_chain_randomized():
 
 
 @pytest.mark.parametrize("desc", POOL_DESCRIPTORS + (LARGE_DESCRIPTOR,))
-@pytest.mark.parametrize("backend", ("grid", "transform", "small grid blocks"))
+@pytest.mark.parametrize("backend", ("grid", "triangle", "transform", "small grid blocks"))
 def test_corollary_energy_matches_additive_energy_and_naive_oracle(desc, backend, monkeypatch):
+    # the record's energy, and the sum of squares of the shift counts: two routes
     spec = parse_descriptor(desc)
-    force_backend(monkeypatch, "transform" if backend == "transform" else "grid")
+    force_backend(monkeypatch, "grid" if backend == "small grid blocks" else backend)
     rng = np.random.default_rng([77, spec.q])
     for size in (2, 5, min(30, spec.q)):
         A = draw_set(rng, spec, size)
@@ -181,6 +191,7 @@ def test_corollary_energy_matches_additive_energy_and_naive_oracle(desc, backend
         alpha = int(rng.integers(1, spec.q))
         energy = corollary_record(A, alpha).energy
         assert energy == additive_energy(A) == naive_additive_energy(spec, list(A))
+        assert energy == _sum_of_squares(intersection_shift_counts(A))
 
 
 def test_corollary_invariant_survives_python_O():
@@ -190,13 +201,13 @@ def test_corollary_invariant_survives_python_O():
 
     import fqlab
 
-    # E+(A) <= |A|^2 * max_alpha |A ∩ (A - alpha)| <= |A|^3, so |A|^3 + 1 breaks it
+    # E+(A) <= |A|^2 * max_alpha |A ∩ (A - alpha)| = |A|^3, so |A|^3 + 1 breaks it
     script = ("import fqlab.survey as survey\n"
               "from fqlab.errors import InvariantViolated\n"
               "from fqlab.finite_field import build_field\n"
               "from fqlab.set_algebra import FqSet\n"
               "A = FqSet.from_iterable(build_field(7, 1), [1, 2, 4])\n"
-              "survey._sum_of_squares = lambda counts: len(A) ** 3 + 1\n"
+              "survey.additive_energy = lambda A: len(A) ** 3 + 1\n"
               "try:\n"
               "    survey.corollary_record(A, 1)\n"
               "except InvariantViolated as exc:\n"
