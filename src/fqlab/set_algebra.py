@@ -25,11 +25,13 @@ that can serve it:
   worst-case float64 error (``_transform_error_bound``) is below 1/4, so
   rounding recovers every count (``_transform_counts``).  Its first pass
   multiplies every column of a set of at least q/L members, and only the
-  occupied columns of a smaller one.  Counts that fail their check
-  (``_exact_counts``) fall back to the grid.  ``additive_energy`` stops
-  after the forward transform and sums |F|^4 (Parseval), under its own
-  error bound and check (``_energy_error_bound``, ``_exact_energy``); a
-  value that fails falls back to the squares of the counts.
+  occupied columns of a smaller one (``_columns``).  Counts that fail their
+  check (``_exact_counts``) fall back to the grid.  ``additive_energy``
+  stops after the forward transform and sums |F|^4 (Parseval), a few
+  first-chunk rows at a time (``_energy_rows``), so it never holds the
+  whole half transform, under its own error bound and check
+  (``_energy_error_bound``, ``_exact_energy``); a value that fails falls
+  back to the squares of the counts.
 
 FqSet values are immutable and all operations are pure.
 """
@@ -57,7 +59,8 @@ from .finite_field import FieldSpec, _clip, _scalar, proper_subfields, same_fiel
 
 SET_OPS = ("sum", "diff", "prod", "ratio")
 # grid cells per block of a pairwise count: bounds its memory, and keeps the int64
-# temporaries of an odd-p block (DigitPacking's packed sums and gathered chunks) in cache
+# temporaries of an odd-p block (DigitPacking's packed sums and gathered chunks) in cache;
+# also the entries of a group of rows of the energy's transform (``_energy_rows``)
 PAIR_BLOCK_CELLS = 1 << 16
 # cost model: one q-length transform costs about as much as this many grid cells per element
 # (measured 1-2.4 on 2^12-2^20, 3^7-3^12, 5^8 and 7^7, single-threaded BLAS)
@@ -480,32 +483,59 @@ def _times(x: np.ndarray, W: np.ndarray, out: np.ndarray | None = None) -> np.nd
     return np.matmul(x, W, out=out)
 
 
-def _half_transform(spec: FieldSpec, members: np.ndarray, x: np.ndarray | None = None) -> tuple:
+def _columns(spec: FieldSpec, members: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """(cols, marks): the columns of a set's indicator that the first pass
+    multiplies, the indicator read as L rows of q/L, one per first-chunk
+    digit.  For at least q/L members every column, as a float (q/L, L) view
+    of the whole indicator (cols None); otherwise the occupied ones, at most
+    |A| of the q/L: cols ascending, and marks[i] the first-chunk digits of
+    the members in column cols[i], a float 0/1 row of L."""
+    L = len(_chunk_matrices(spec)[1])
+    if members.size >= spec.q // L:
+        marks = np.zeros(spec.q)
+        marks[members] = 1
+        return None, marks.reshape(L, -1).T  # row c: the indicator's column c
+    digit, col = np.divmod(members, spec.q // L)
+    row = np.zeros(spec.q // L, dtype=np.intp)  # each occupied column's index in cols
+    row[col] = 1
+    cols = np.flatnonzero(row)
+    row[cols] = np.arange(cols.size)
+    marks = np.zeros((cols.size, L))
+    marks[row[col], digit] = 1
+    return cols, marks
+
+
+def _half_transform(spec: FieldSpec, members: np.ndarray, rows: range | None = None,
+                    x: np.ndarray | None = None, y: np.ndarray | None = None,
+                    columns: tuple | None = None) -> tuple:
     """(F, x, y): the (unnormalised) character transform F of a set's
-    indicator at the characters whose first chunk lies in H, an h x q/L
-    array (complex for odd p) in the buffer x (new if None), and y, free.
-    Each pass multiplies the leading chunk axis by its matrix into the free
-    buffer and rotates that axis to the end.  The first reads the members
-    and multiplies every column, as floats, for at least q/L members, and
-    otherwise only the occupied columns, at most |A| of the q/L, into x
-    zeroed."""
+    indicator at the characters whose first chunk is one of ``rows`` of H
+    (all h if None), a len(rows) x q/L array (complex for odd p) in the
+    buffer x, and y, free; x and y are new if None, else the front of the
+    given buffers.  Each pass multiplies the leading chunk axis by its
+    matrix into the free buffer and rotates that axis to the end, so a row
+    of F needs no other row.  The first multiplies the set's ``_columns``
+    (found here unless given, and then dropped before y is made) by the
+    rows' columns of ``first``: every column into x, or the occupied ones
+    into x zeroed."""
     h, first, mats, _ = _chunk_matrices(spec)
-    dense = members.size >= spec.q // len(first)
-    marks = np.zeros(spec.q, dtype=np.float64 if dense else bool)
-    marks[members] = 1
-    marks = marks.reshape(len(first), -1).T  # row c: the indicator's column c
-    f = x = np.empty((len(marks), h), float if spec.p == 2 else complex) if x is None else x
-    if dense:
-        _times(marks, first, x.view(np.float64))
+    rows = range(h) if rows is None else rows
+    cols, marks = _columns(spec, members) if columns is None else columns
+    per = first.shape[1] // h  # floats per entry: 2 for odd p, whose W_1 is complex
+    W = first[:, rows.start * per: rows.stop * per]
+    shape = (spec.q // len(first), len(rows))
+    dtype = float if spec.p == 2 else complex
+    f = x = np.empty(shape, dtype) if x is None else np.ndarray(shape, dtype, x)
+    if cols is None:
+        _times(marks, W, x.view(np.float64))
     else:
-        hit = marks.any(axis=1)
         f.fill(0)
-        f.view(np.float64)[hit] = _times(marks[hit], first)
-    del marks  # before y is made
-    y = np.empty_like(x)
+        f.view(np.float64)[cols] = _times(marks, W)
+    del cols, marks, columns  # before y is made
+    y = np.empty_like(x) if y is None else np.ndarray(shape, dtype, y)
     for W, _ in mats:
         f, x, y = _times(f.reshape(len(W), -1).T, W, y.reshape(-1, len(W))), y, x
-    return f.reshape(h, -1), x, y
+    return f.reshape(len(rows), -1), x, y
 
 
 def _transform_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
@@ -524,7 +554,7 @@ def _transform_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
     if B is A and kind == "diff":
         f, x, y = _squared_moduli(f, x, y)
     else:
-        fb, y = (f, y) if B is A else _half_transform(A.spec, B.members, y)[:2]
+        fb, y = (f, y) if B is A else _half_transform(A.spec, B.members, x=y)[:2]
         f *= np.conjugate(fb, out=fb) if kind == "diff" else fb
     for _, W in mats:
         f, x, y = _times(f.reshape(h, len(W), -1).swapaxes(1, 2), W, y.reshape(h, -1, len(W))), y, x
@@ -545,20 +575,39 @@ def _squared_moduli(f: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
     return np.add(parts[:, 0::2], parts[:, 1::2], out=np.ndarray(f.shape, float, y)), y, x
 
 
+def _energy_rows(spec: FieldSpec) -> int:
+    """g, the first-chunk rows of H that ``_transform_energy`` transforms at
+    a time: as many q/L-entry rows as fit in PAIR_BLOCK_CELLS, at least 1
+    and at most h."""
+    h, first, _, _ = _chunk_matrices(spec)
+    return max(1, min(h, PAIR_BLOCK_CELLS // (spec.q // len(first))))
+
+
 def _transform_energy(A: FqSet) -> float:
     """Unrounded E+(A) from the forward ``_half_transform`` alone, by
     Parseval: E+(A) = (1/q) sum_u |F_A(u)|^4 over the q characters.  The
     kept rows stand for all of them as in ``_chunk_matrices``' ``final``:
     F(-u) = conj F(u), so a representative u of the first chunk weighs w_u,
-    and the one u = -u of odd p is u = 0, the first row.  |F|^2 goes into
-    the free buffer (``_squared_moduli``) and is squared in place, so the
-    peak is the transform's two buffers; the sums are numpy's pairwise
-    ones."""
-    f = _squared_moduli(*_half_transform(A.spec, A.members))[0]
-    total = float(np.square(f, out=f).sum())
-    if A.spec.p > 2:
-        total = 2 * total - float(f[0].sum())
-    return total / A.spec.q
+    and the one u = -u of odd p is u = 0, the first row.  Each row transforms
+    on its own, so the h rows go g = ``_energy_rows`` at a time through two
+    buffers of g q/L entries, reused, after one search of the set's
+    ``_columns``.  A group's |F|^2 goes into the free buffer
+    (``_squared_moduli``) and is squared in place, and its weighted sum,
+    numpy's pairwise one, is added to the total as it is formed: the peak is
+    the two group buffers and the columns, not the two h q/L buffers of a
+    count."""
+    spec, members = A.spec, A.members
+    h, g = _chunk_matrices(spec)[0], _energy_rows(spec)
+    columns = _columns(spec, members) if g < h else None  # one group finds and drops them
+    total, x, y = 0.0, None, None
+    for start in range(0, h, g):
+        f, x, y = _half_transform(spec, members, range(start, min(h, start + g)), x, y, columns)
+        f, x, y = _squared_moduli(f, x, y)
+        part = float(np.square(f, out=f).sum())
+        if spec.p > 2:
+            part = 2 * part - (float(f[0].sum()) if start == 0 else 0.0)
+        total += part
+    return total / spec.q
 
 
 def _transform_error_bound(spec: FieldSpec, cells: int) -> float:
@@ -598,14 +647,20 @@ def _energy_error_bound(spec: FieldSpec, size: int) -> float:
     = |A| q |A| (Parseval), so after the 1/q the error is at most
     4 P delta |A|^3: 4/3 of that bound at |A|^3 cells.  The weights are
     exact, and the kept rows' weighted errors stay within the sum over all
-    q as for ``final``.  The roundings, with u = eps/2: Re^2 + Im^2 and its
-    square add 5u per term; a pairwise sum of at most q nonnegative terms
-    adds (log2 q + 12) u; 2 S - S_0 (odd p) weighs those sums' errors by
-    2 S + S_0 <= 3 q E, and the subtraction and the 1/q add u each.  So
-    they add at most 3 (log2 q + 18) u E <= 2 (log2 q + 18) eps |A|^3.
-    While the total stays below 1/4, |A|^3 < 2^53 and every energy
-    below it is a float64 integer."""
-    rounding = 2 * (math.log2(spec.q) + 18) * math.ulp(1.0)
+    q as for ``final``; transforming the rows in groups changes where a
+    pass writes, not what it sums.  The roundings, with u = eps/2: Re^2 +
+    Im^2 and its square add 5u per term; each group's pairwise sum of at
+    most q nonnegative terms adds (log2 q + 12) u; 2 S_i - S_0 (odd p, S_0
+    in the first group only) weighs those sums' errors by sum_i 2 S_i + S_0
+    = 2 S + S_0 <= 3 q E, and the subtraction and the 1/q add u each.  So
+    they add at most 3 (log2 q + 18) u E <= 2 (log2 q + 18) eps |A|^3.  The
+    G = ceil(h/g) group totals, each nonnegative, are then added one by one:
+    every running total is at most 2 S + S_0 <= 3 q E, so each addition adds
+    at most 3u q E, in all G 3u |A|^3 after the 1/q.  While the total stays
+    below 1/4, |A|^3 < 2^53 and every energy below it is a float64
+    integer."""
+    groups = -(-_chunk_matrices(spec)[0] // _energy_rows(spec))
+    rounding = (2 * (math.log2(spec.q) + 18) + 1.5 * groups) * math.ulp(1.0)
     return 4 / 3 * _transform_error_bound(spec, size**3) + rounding * size**3
 
 

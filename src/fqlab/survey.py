@@ -96,6 +96,9 @@ class SurveyConfig:
     kind: str = "expander"  # a key of KINDS
 
     def validate(self) -> None:
+        for name in ("fields", "sizes", "samplers"):
+            if not getattr(self, name):
+                raise InvalidSurveyConfig(f"{name} must name at least one value")
         if self.trials < 1:
             raise InvalidSurveyConfig("trials must be >= 1")
         if self.seed < 0:

@@ -251,6 +251,13 @@ def test_trials_and_kappa_below_1_are_usage_errors(capsys, argv):
      "ElementOutOfRange"),
     (("cover", "--field", "7", "--target", "1", "--tile", "18446744073709551616"), None,
      "ElementOutOfRange"),
+    # an empty list of fields, sizes or samplers would write a header-only survey
+    (("survey", "--fields", "", "--sizes", "3", "--out", "no-such-dir/s.csv"), None,
+     "InvalidSurveyConfig"),
+    (("survey", "--fields", "7", "--sizes", "", "--out", "no-such-dir/s.csv"), None,
+     "InvalidSurveyConfig"),
+    (("survey", "--fields", "7", "--sizes", "3", "--samplers", "", "--out", "no-such-dir/s.csv"),
+     None, "InvalidSurveyConfig"),
 ])
 def test_bad_input_is_a_domain_error(monkeypatch, capsys, argv, cap, error):
     if cap is not None:

@@ -1,9 +1,9 @@
 """Invariances at the target sizes, where the naive oracles cannot reach:
-the images of a set under a translation, a dilation and the Frobenius map
-x -> x^p have other encodings, so their grid blocks, packed words and
-transform columns all differ from the original's, while the quantities
-below must not.  Each backend meets its own image as well as another
-backend's."""
+the images of a set under a translation, a dilation, the Frobenius map
+x -> x^p and the reflection x -> -alpha - x have other encodings, so their
+grid blocks, packed words and transform columns all differ from the
+original's, while the quantities below must not.  Each backend meets its
+own image as well as another backend's."""
 
 import numpy as np
 import pytest
@@ -11,10 +11,13 @@ import pytest
 from fqlab import set_algebra
 from fqlab.finite_field import parse_descriptor
 from fqlab.set_algebra import (
+    SET_OPS,
     FqSet,
     _sum_of_squares,
     additive_energy,
     dilate,
+    intersection_shift_counts,
+    set_op_size,
     sum_representation_counts,
     translate,
 )
@@ -70,3 +73,59 @@ def test_additive_energy_is_invariant_at_ten_thousand(desc, monkeypatch):
     assert [_energy_on("transform", X) for X in _images(A, rng)] == [energy] * 3
     assert checked == [energy] * 4
     assert _sum_of_squares(sum_representation_counts(A)) == energy
+
+
+def _sizes_on(backend: str | None, X: FqSet, kinds=SET_OPS, Y: FqSet | None = None) -> list[int]:
+    """|X ∘ Y| (Y = X if None) for each kind, with ``backend`` forced where
+    it can serve, at least once, and the plan elsewhere (the plan alone if
+    None)."""
+    with pytest.MonkeyPatch.context() as patch:
+        served = force_backend(patch, backend) if backend is not None else [None]
+        sizes = [set_op_size(X, X if Y is None else Y, kind) for kind in kinds]
+    assert served
+    return sizes
+
+
+# the backend each image is forced onto, A's own sizes taken on the plan: at
+# 3000 the plan serves sum and diff by the transform and prod and ratio by the
+# rotation, so the triangle takes the images' sums and products, and only
+# the cheap backends run (the whole grid scores 9e6 cells an op there)
+IMAGE_BACKENDS = {300: {"frobenius": "grid", "dilation": "rotation", "translation": "transform",
+                        "reflection": "grid"},
+                  3000: {"frobenius": "triangle", "dilation": "triangle",
+                         "translation": "triangle", "reflection": "rotation"}}
+
+
+@pytest.mark.parametrize("size", sorted(IMAGE_BACKENDS))
+@pytest.mark.parametrize("desc", TARGET_FIELDS)
+def test_set_sizes_are_invariant_under_automorphisms_and_shifts(desc, size):
+    # x -> x^p is an automorphism, so it keeps all four sizes; a dilation keeps
+    # |cA cA| = |AA| and |cA / cA| = |A/A|, a translation |A + A| and |A - A|;
+    # and B = -alpha - A has B(B + alpha) = (A + alpha)A
+    spec = parse_descriptor(desc)
+    rng = np.random.default_rng([93, spec.q, size])
+    A = FqSet.from_iterable(spec, rng.choice(np.arange(1, spec.q), size, replace=False))
+    shifted, dilated, frobenius = _images(A, rng)
+    backends = IMAGE_BACKENDS[size]
+    sizes = _sizes_on(None, A)
+    assert _sizes_on(backends["frobenius"], frobenius) == sizes
+    assert _sizes_on(backends["dilation"], dilated, ("prod", "ratio")) == sizes[2:]
+    assert _sizes_on(backends["translation"], shifted, ("sum", "diff")) == sizes[:2]
+    alpha = int(rng.integers(1, spec.q))
+    reflected = FqSet.from_iterable(spec, spec.sub_arr(spec.neg_arr(A.members), np.int64(alpha)))
+    assert (_sizes_on(backends["reflection"], reflected, ("prod",), translate(reflected, alpha))
+            == _sizes_on(None, A, ("prod",), translate(A, alpha)))
+
+
+@pytest.mark.parametrize("desc", TARGET_FIELDS)
+def test_shift_counts_by_transform_follow_the_frobenius_map(desc):
+    # c_{phi A}(phi v) = c_A(v): phi A - phi A = phi(A - A), pair by pair
+    spec = parse_descriptor(desc)
+    rng = np.random.default_rng([94, spec.q])
+    A = FqSet.from_iterable(spec, rng.choice(spec.q, 3000, replace=False))
+    frobenius = _images(A, rng)[2]
+    with pytest.MonkeyPatch.context() as patch:
+        served = force_backend(patch, "transform")
+        counts, image = intersection_shift_counts(A), intersection_shift_counts(frobenius)
+    assert served == ["diff", "diff"] and int(counts.sum()) == len(A) ** 2
+    assert np.array_equal(image[spec.pow_arr(np.arange(spec.q), spec.p)], counts)

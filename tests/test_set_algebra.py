@@ -302,6 +302,20 @@ def test_energy_by_transform_peaks_within_a_count_by_transform(desc, monkeypatch
     assert energy == expected and peak <= _two_half_transforms(spec)
 
 
+@pytest.mark.parametrize("desc", ("3^12", "7^7", "2^20"))
+def test_energy_by_transform_peaks_below_one_q_length_float_array(desc, monkeypatch):
+    # the rows go a few at a time through two buffers of g q/L entries: 0.6x,
+    # 0.6x and 0.2x of q * 8 bytes, where the two buffers of all h rows took
+    # 2.1x, 2.3x and 2.0x
+    spec = parse_descriptor(desc)
+    A = FqSet.from_iterable(spec, np.random.default_rng(8).choice(spec.q, 3000, replace=False))
+    expected = additive_energy(A)  # the cached plan is not part of the peak
+    assert set_algebra._energy_rows(spec) < set_algebra._chunk_matrices(spec)[0]
+    monkeypatch.setattr(set_algebra, "sum_representation_counts", None)  # no fallback
+    peak, energy = peak_bytes(lambda: additive_energy(A))
+    assert energy == expected and peak < spec.q * 8
+
+
 def test_pair_sum_by_transform_peaks_at_three_half_transforms():
     # F_A is held while F_B's passes take two more buffers: three half
     # transforms (13.2 MB on 3^12), with 5% for the rest
@@ -407,17 +421,41 @@ def test_energy_and_sum_counts_match_naive_oracles_on_every_backend(desc, backen
     exact_energy = set_algebra._exact_energy
     monkeypatch.setattr(set_algebra, "_exact_energy",
                         lambda *args: fallbacks.append(args) or exact_energy(*args))
+    groups = _spy_on_energy_groups(monkeypatch)
     for A in sets:
-        # blocks of 3 to isqrt(|A|) rows: the triangle's blocks and their corners span several
-        monkeypatch.setattr(set_algebra, "PAIR_BLOCK_CELLS", 3 * len(A))
-        assert list(sum_representation_counts(A)) == naive_pair_counts(spec, A, A, "sum")
-        assert additive_energy(A) == naive_additive_energy(spec, list(A))
+        # blocks of 3 to isqrt(|A|) rows: the triangle's blocks and their corners span
+        # several; then blocks of one row, and the energy's transform one row at a time
+        for cells in (3 * len(A), 1):
+            monkeypatch.setattr(set_algebra, "PAIR_BLOCK_CELLS", cells)
+            assert list(sum_representation_counts(A)) == naive_pair_counts(spec, A, A, "sum")
+            assert additive_energy(A) == naive_additive_energy(spec, list(A))
     assert all(exact_energy(*args) is not None for args in fallbacks)
     if backend == "transform" and spec.m == 1:
-        assert served == []
+        assert served == [] and groups == []
     else:  # the counts, then the energy (planned once more for its counts, off the transform)
-        assert served == ["sum"] * (2 if backend == "transform" else 3) * len(sets)
-        assert len(fallbacks) == (len(sets) if backend == "transform" else 0)
+        assert served == ["sum"] * (2 if backend == "transform" else 3) * 2 * len(sets)
+        assert len(fallbacks) == (2 * len(sets) if backend == "transform" else 0)
+        assert (max(groups, default=0) > 1) == (backend == "transform")
+
+
+def _spy_on_energy_groups(monkeypatch) -> list[int]:
+    """The number of row groups each ``_transform_energy`` call transformed,
+    appended as the calls return."""
+    groups, energy, half = [], set_algebra._transform_energy, set_algebra._half_transform
+    calls = []
+
+    def spy_half(*args, **kwargs):
+        calls.append(1)
+        return half(*args, **kwargs)
+
+    def spy_energy(A):
+        calls.clear()
+        value = energy(A)
+        groups.append(len(calls))
+        return value
+    monkeypatch.setattr(set_algebra, "_half_transform", spy_half)
+    monkeypatch.setattr(set_algebra, "_transform_energy", spy_energy)
+    return groups
 
 
 def _perturbed_energies(value, size):
@@ -433,18 +471,24 @@ def test_energy_by_parseval_falls_back_to_the_counts_when_its_value_is_off(desc,
     spec = parse_descriptor(desc)
     rng = np.random.default_rng([83, spec.q])
     sets = [draw_set(rng, spec, k) for k in (1, 3, 9, 20)]
+    groups = _spy_on_energy_groups(monkeypatch)
     transform_energy = set_algebra._transform_energy
     served = force_backend(monkeypatch, "transform")
+    default = set_algebra.PAIR_BLOCK_CELLS
     for A in sets:
         exact = naive_additive_energy(spec, list(A))
-        value = transform_energy(A)
-        assert set_algebra._exact_energy(value, len(A), spec.p) == exact
-        for bad in _perturbed_energies(exact, len(A)):
-            monkeypatch.setattr(set_algebra, "_transform_energy", lambda A: bad)
-            assert set_algebra._exact_energy(bad, len(A), spec.p) is None
-            assert additive_energy(A) == exact
+        for cells in (default, 1):  # then one row of the transform at a time
+            monkeypatch.setattr(set_algebra, "PAIR_BLOCK_CELLS", cells)
+            value = transform_energy(A)
+            assert set_algebra._exact_energy(value, len(A), spec.p) == exact
+            for bad in _perturbed_energies(exact, len(A)):
+                monkeypatch.setattr(set_algebra, "_transform_energy", lambda A: bad)
+                assert set_algebra._exact_energy(bad, len(A), spec.p) is None
+                assert additive_energy(A) == exact
     # each perturbed energy, then its counts
-    assert served == ["sum"] * 2 * len(sets) * len(_perturbed_energies(0, 1))
+    assert served == ["sum"] * 2 * 2 * len(sets) * len(_perturbed_energies(0, 1))
+    h = set_algebra._chunk_matrices(spec)[0]
+    assert groups == [1, h] * len(sets)
 
 
 def test_energy_by_parseval_falls_back_under_python_O():
@@ -489,13 +533,14 @@ def test_first_pass_on_occupied_columns_matches_naive_oracle(desc, monkeypatch):
     spec = parse_descriptor(desc)
     served = force_backend(monkeypatch, "transform")
     occupied = []  # the columns each occupied-column pass multiplied
-    times = set_algebra._times
+    columns = set_algebra._columns
 
-    def spy(x, W, out=None):
-        if x.dtype == bool:
-            occupied.append(len(x))
-        return times(x, W, out)
-    monkeypatch.setattr(set_algebra, "_times", spy)
+    def spy(spec, members):
+        cols, marks = columns(spec, members)
+        if cols is not None:
+            occupied.append(len(marks))
+        return cols, marks
+    monkeypatch.setattr(set_algebra, "_columns", spy)
     sets = _column_sets(spec)
     for A in sets:
         for B in (A, sets[0], sets[3], sets[-1]):

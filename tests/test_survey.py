@@ -440,6 +440,15 @@ def test_a_negative_seed_is_an_invalid_config(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("empty", ["fields", "sizes", "samplers"])
+def test_an_empty_list_is_an_invalid_config(tmp_path, empty):
+    out = tmp_path / "s.csv"
+    cfg = dict(fields=("7",), sizes=(3,), samplers=("uniform",), out=str(out))
+    with pytest.raises(InvalidSurveyConfig, match=empty):
+        run_survey(SurveyConfig(**{**cfg, empty: ()}))
+    assert not out.exists()
+
+
 def test_a_survey_that_stops_part_way_keeps_its_rows_and_writes_no_summary(monkeypatch,
                                                                            tmp_path):
     made = []
