@@ -34,8 +34,8 @@ from .finite_field import ECHO_CHARS, _clip, parse_descriptor
 from .lemma_oracles import (
     EXACT_PASS, FAIL, LEMMA_IDS, LEMMAS, MEASURED, WITNESS_FOUND, batch_verify, random_set,
     run_lemma)
-from .set_algebra import FqSet, additive_energy, multiplicative_energy, set_op
-from .survey import KINDS, SurveyConfig, run_survey
+from .set_algebra import SET_OPS, FqSet, additive_energy, multiplicative_energy, set_op
+from .survey import ALPHA_POLICIES, KINDS, SAMPLERS, SurveyConfig, run_survey
 
 TRACE_FIELDS = ("7^1", "2^3", "3^2", "11^1", "13^1", "2^4", "5^2")
 TRACE_MIN_SIZE = 4  # a trace batch draws 4..10 nonzero elements
@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common(p_field)
 
     p_setop = sub.add_parser("setop", help="pairwise sum/diff/prod/ratio set")
-    p_setop.add_argument("kind", choices=("sum", "diff", "prod", "ratio"))
+    p_setop.add_argument("kind", choices=SET_OPS)
     p_setop.add_argument("--field", required=True)
     p_setop.add_argument("--a", required=True, help='set literal, e.g. "1,2,4"')
     p_setop.add_argument("--b", required=True)
@@ -96,11 +96,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_survey.add_argument("--fields", required=True, help="comma-separated descriptors")
     p_survey.add_argument("--sizes", required=True, help="comma-separated sizes")
     p_survey.add_argument("--samplers", default="uniform",
-                          help="comma-separated: uniform,ap,gp,coset")
+                          help="comma-separated: " + ",".join(SAMPLERS))
     p_survey.add_argument("--trials", type=positive_int, default=1)
     p_survey.add_argument("--seed", type=nonnegative_int, default=0)
-    p_survey.add_argument("--alpha-policy", default="fixed1",
-                          choices=("fixed1", "sweep", "random"))
+    p_survey.add_argument("--alpha-policy", default="fixed1", choices=ALPHA_POLICIES)
     p_survey.add_argument("--kind", default="expander", choices=tuple(KINDS))
     p_survey.add_argument("--out", required=True, help="CSV output path")
 

@@ -31,8 +31,8 @@ from .errors import (
 )
 from .finite_field import _scalar, proper_subfields
 from .set_algebra import (
-    PAIR_BLOCK_CELLS,
     FqSet,
+    _batches,
     _blocks,
     _pair_counts,
     _require_same_field,
@@ -230,8 +230,8 @@ def popular_points(sl: DyadicSlice) -> PopularPoints:
     popular rows; slopes count `line` over the pairs in popular rows and
     columns.  With `lines` the 0/1 (line, x) incidence and `points` the 0/1
     (x, popular y) incidence, the double sum over x_popular × y_popular is
-    the sum over blocks of about PAIR_BLOCK_CELLS cells of `lines` (grouped
-    by one stable argsort of `line`, ascending x within a line) of
+    the sum over ``_batches`` of lines, |X| cells a line (grouped by one
+    stable argsort of `line`, ascending x within a line), of
     lines[:, popular columns].T @ (lines @ points).  Its first row-major
     maximum is the smallest (x0, y0) on ties; the float64 products are
     exact, as an entry counts at most |X||Y| pairs.  The last step counts,
@@ -270,12 +270,10 @@ def popular_points(sl: DyadicSlice) -> PopularPoints:
     points[col, row] = 1
     points = points[:, rows]
     sums = np.zeros((cols.size, rows.size))
-    step = max(1, PAIR_BLOCK_CELLS // nx)
-    for lo in range(0, sl.L, step):
-        hi = min(lo + step, sl.L)
-        block = by_line[start[lo]:start[hi]]
-        lines = np.zeros((hi - lo, nx))
-        lines[line[block] - lo, col[block]] = 1
+    for batch in _batches(sl.L, nx):
+        block = by_line[start[batch.start]:start[batch.stop]]
+        lines = np.zeros((len(batch), nx))
+        lines[line[block] - batch.start, col[block]] = 1
         sums += lines[:, cols].T @ (lines @ points)
     sums = sums.astype(np.int64)
     i, j = np.unravel_index(int(np.argmax(sums)), sums.shape)
@@ -536,18 +534,17 @@ def _min_subsets(grid: np.ndarray, k: int, limit: int, square: bool = False):
     """(m, rows): the fewest distinct values m that k rows of a value grid
     hold (with ``square``, in their own k columns only), and the first
     ``limit`` k-subsets of rows that hold m, in combinations order, as an
-    array of row indices.  The subsets are scored in blocks of about
-    PAIR_BLOCK_CELLS gathered cells, one sort a block.  Both subset searches
-    take this path at or below EXACT_SEARCH_LIMIT elements (their greedy
-    removal, above it, bounds it above); survey's exhaustive minimum always."""
+    array of row indices.  The math.comb(n, k) subsets of the n rows are
+    scored in ``_batches`` of their gathered cells, one sort a batch.  Both
+    subset searches take this path at or below EXACT_SEARCH_LIMIT elements
+    (their greedy removal, above it, bounds it above); survey's exhaustive
+    minimum always."""
     cells = k * (k if square else grid.shape[1])
     combos = combinations(range(grid.shape[0]), k)
     best, found = None, None
-    while True:
-        rows = np.fromiter(chain.from_iterable(islice(combos, max(1, PAIR_BLOCK_CELLS // cells))),
+    for batch in _batches(math.comb(grid.shape[0], k), cells):
+        rows = np.fromiter(chain.from_iterable(islice(combos, len(batch))),
                            dtype=np.int64).reshape(-1, k)
-        if not len(rows):
-            return best, found
         values = grid[rows[:, :, None], rows[:, None, :]] if square else grid[rows]
         values = np.sort(values.reshape(len(rows), cells), axis=1)
         sizes = 1 + np.count_nonzero(values[:, 1:] != values[:, :-1], axis=1)
@@ -556,6 +553,7 @@ def _min_subsets(grid: np.ndarray, k: int, limit: int, square: bool = False):
             best, found = low, rows[:0]
         if low == best:
             found = np.concatenate([found, rows[sizes == low]])[:limit]
+    return best, found
 
 
 def shift_stage(A: FqSet, alpha: int) -> tuple[FqSet, int, Fraction]:

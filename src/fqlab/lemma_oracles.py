@@ -39,9 +39,9 @@ from .decompositions import (
 )
 from .finite_field import FieldSpec, _clip, enumerate_subfields, parse_descriptor
 from .set_algebra import (
-    PAIR_BLOCK_CELLS,
     SET_OPS,
     FqSet,
+    _batches,
     _require_same_field,
     _sum_of_squares,
     additive_energy,
@@ -220,18 +220,18 @@ def _generated_subfield(S: FqSet) -> np.ndarray:
 
 
 def _dilated_sumset_sizes(X: FqSet, Y: FqSet, cs: np.ndarray) -> np.ndarray:
-    """|X + c*Y| for every c in cs.  A block of candidates is scored at once:
-    each candidate's |X||Y| sums are sorted along its row and the changes
-    counted, so the cost is O(|X||Y| log) per candidate, not O(q)."""
+    """|X + c*Y| for every c in cs.  The candidates are scored in
+    ``_batches`` of |X||Y| cells each: each candidate's sums are sorted
+    along its row and the changes counted, so the cost is O(|X||Y| log) per
+    candidate, not O(q)."""
     spec = X.spec
     sizes = np.empty(cs.size, dtype=np.int64)
-    step = max(1, PAIR_BLOCK_CELLS // (len(X) * len(Y)))
-    for i in range(0, cs.size, step):
-        c = cs[i: i + step]
+    for batch in _batches(cs.size, len(X) * len(Y)):
+        c = cs[batch.start:batch.stop]
         dilates = spec.mul_arr(c[:, None], Y.members[None, :])
         sums = spec.add_arr(X.members[None, :, None], dilates[:, None, :]).reshape(c.size, -1)
         sums.sort(axis=1)
-        sizes[i: i + step] = 1 + np.count_nonzero(np.diff(sums, axis=1), axis=1)
+        sizes[batch.start:batch.stop] = 1 + np.count_nonzero(np.diff(sums, axis=1), axis=1)
     return sizes
 
 
@@ -506,9 +506,13 @@ def generate_instance(lemma_id: str, seed: int, index: int):
     lemma's checker in LEMMAS (or None when the draw is inapplicable)."""
     rng = _rng_for(lemma_id, seed, index)
     spec = _field_for(index)
+
+    def draw(lo=2, hi=12, nonzero=False):
+        return random_set(rng, spec, _rand_size(rng, spec, lo, hi), nonzero)
+
     if lemma_id == "rbcard":
         for _ in range(8):
-            X = random_set(rng, spec, _rand_size(rng, spec, 2, 8))
+            X = draw(2, 8)
             R = quotient_set(X)
             outside = np.flatnonzero(~R.bitmask[1:]) + 1
             if outside.size:
@@ -525,45 +529,35 @@ def generate_instance(lemma_id: str, seed: int, index: int):
         size = int(rng.integers(root + 1, hi + 1))
         return {"X": random_set(rng, spec, size)}
     if lemma_id == "energy_identities":
-        return {"X": random_set(rng, spec, _rand_size(rng, spec), nonzero=True),
-                "Y": random_set(rng, spec, _rand_size(rng, spec))}
+        return {"X": draw(nonzero=True), "Y": draw()}
     if lemma_id == "energy_cs":
-        return {"X": random_set(rng, spec, _rand_size(rng, spec)),
-                "Y": random_set(rng, spec, _rand_size(rng, spec))}
+        return {"X": draw(), "Y": draw()}
     if lemma_id == "ruzsa_triangle":
-        return {"X": random_set(rng, spec, _rand_size(rng, spec, 2, 10)),
-                "B1": random_set(rng, spec, _rand_size(rng, spec, 2, 10)),
-                "B2": random_set(rng, spec, _rand_size(rng, spec, 2, 10))}
+        return {"X": draw(2, 10), "B1": draw(2, 10), "B2": draw(2, 10)}
     if lemma_id == "plunnecke":
         k = int(rng.integers(2, 5))
-        return {"X": random_set(rng, spec, _rand_size(rng, spec, 2, 8)),
-                "Bs": [random_set(rng, spec, _rand_size(rng, spec, 2, 8))
-                       for _ in range(k)]}
+        return {"X": draw(2, 8), "Bs": [draw(2, 8) for _ in range(k)]}
     if lemma_id == "ratio_to_shift":
-        return {"A": random_set(rng, spec, _rand_size(rng, spec, 2, 10), nonzero=True)}
+        return {"A": draw(2, 10, nonzero=True)}
     if lemma_id == "dyadic_energy" or lemma_id == "rudnev":
-        X = random_set(rng, spec, _rand_size(rng, spec, 2, 12), nonzero=True)
+        X = draw(nonzero=True)
         Y = random_set(rng, spec, min(_rand_size(rng, spec, 2, 12), len(X)))
         return {"X": X, "Y": Y}
     if lemma_id == "bou_glib_pivot":
-        return {"X1": random_set(rng, spec, _rand_size(rng, spec, 1, 8)),
-                "X2": random_set(rng, spec, _rand_size(rng, spec, 1, 8))}
+        return {"X1": draw(1, 8), "X2": draw(1, 8)}
     if lemma_id == "popularity":
-        domain = random_set(rng, spec, _rand_size(rng, spec, 2, 10))
+        domain = draw(2, 10)
         f = {int(v): int(rng.integers(1, 9)) for v in domain}
         total = sum(f.values())
         K = int(rng.integers(1, total + 1))
         return {"domain": domain, "f": f, "K": K, "M_cap": max(f.values())}
     if lemma_id == "plunnecke_refined":
         k = int(rng.integers(1, 4))
-        return {"X": random_set(rng, spec, _rand_size(rng, spec, 2, 10)),
-                "Bs": [random_set(rng, spec, _rand_size(rng, spec, 2, 6))
-                       for _ in range(k)],
-                "eps": Fraction(1, 4)}
+        return {"X": draw(2, 10), "Bs": [draw(2, 6) for _ in range(k)], "eps": Fraction(1, 4)}
     if lemma_id == "basic_shift_bound":
-        return {"A": random_set(rng, spec, _rand_size(rng, spec, 2, 10), nonzero=True)}
+        return {"A": draw(2, 10, nonzero=True)}
     if lemma_id == "covering_by_shifts":
-        Z = random_set(rng, spec, _rand_size(rng, spec, 2, 10), nonzero=True)
+        Z = draw(2, 10, nonzero=True)
         x = int(rng.integers(1, spec.q))
         y = int(rng.integers(0, spec.q))
         frame = translate(dilate(Z, x), y)
@@ -578,10 +572,10 @@ def generate_instance(lemma_id: str, seed: int, index: int):
         h = subs[int(rng.integers(0, len(subs)))]
         if rng.integers(0, 2) and h.size < spec.q:
             return {"X": h.elements}
-        return {"X": random_set(rng, spec, _rand_size(rng, spec, 2, 6))}
+        return {"X": draw(2, 6)}
     if lemma_id == "pivot":
         for _ in range(8):
-            X = random_set(rng, spec, _rand_size(rng, spec, 2, 5), nonzero=True)
+            X = draw(2, 5, nonzero=True)
             if len(quotient_set(X)) >= Fraction(1, 2) * len(X) ** 2:
                 return {"X": X}
         return None

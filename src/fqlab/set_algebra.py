@@ -28,7 +28,7 @@ that can serve it:
   occupied columns of a smaller one (``_columns``).  Counts that fail their
   check (``_exact_counts``) fall back to the grid.  ``additive_energy``
   stops after the forward transform and sums |F|^4 (Parseval), a few
-  first-chunk rows at a time (``_energy_rows``), so it never holds the
+  first-chunk rows at a time (``_batches``), so it never holds the
   whole half transform, under its own error bound and check
   (``_energy_error_bound``, ``_exact_energy``); a value that fails falls
   back to the squares of the counts.
@@ -60,7 +60,7 @@ from .finite_field import FieldSpec, _clip, _scalar, proper_subfields, same_fiel
 SET_OPS = ("sum", "diff", "prod", "ratio")
 # grid cells per block of a pairwise count: bounds its memory, and keeps the int64
 # temporaries of an odd-p block (DigitPacking's packed sums and gathered chunks) in cache;
-# also the entries of a group of rows of the energy's transform (``_energy_rows``)
+# read only by ``_blocks`` and ``_batches``, whose batches every other blocked loop takes
 PAIR_BLOCK_CELLS = 1 << 16
 # cost model: one q-length transform costs about as much as this many grid cells per element
 # (measured 1-2.4 on 2^12-2^20, 3^7-3^12, 5^8 and 7^7, single-threaded BLAS)
@@ -254,6 +254,17 @@ def _blocks(a: np.ndarray, b: np.ndarray, op, triangle: bool = False) -> Iterato
             rows = min(rows, math.isqrt(a.size))
         yield op(a[i: i + rows, None], b[None, j:])
         i += rows
+
+
+def _batches(count: int, cells: int) -> Iterator[range]:
+    """Consecutive ranges that cover range(count), for items of ``cells``
+    >= 1 cells each: as many items a range as fit in PAIR_BLOCK_CELLS cells,
+    and at least one.  The one batching rule of every blocked loop but
+    ``_blocks``' grid rows: the energy's transform rows, popular points'
+    lines, the exhaustive subset scorer's subsets and the pivot lemma's
+    candidates."""
+    step = max(1, PAIR_BLOCK_CELLS // cells)
+    return (range(i, min(count, i + step)) for i in range(0, count, step))
 
 
 def _rotate_support(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -575,37 +586,30 @@ def _squared_moduli(f: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple:
     return np.add(parts[:, 0::2], parts[:, 1::2], out=np.ndarray(f.shape, float, y)), y, x
 
 
-def _energy_rows(spec: FieldSpec) -> int:
-    """g, the first-chunk rows of H that ``_transform_energy`` transforms at
-    a time: as many q/L-entry rows as fit in PAIR_BLOCK_CELLS, at least 1
-    and at most h."""
-    h, first, _, _ = _chunk_matrices(spec)
-    return max(1, min(h, PAIR_BLOCK_CELLS // (spec.q // len(first))))
-
-
 def _transform_energy(A: FqSet) -> float:
     """Unrounded E+(A) from the forward ``_half_transform`` alone, by
     Parseval: E+(A) = (1/q) sum_u |F_A(u)|^4 over the q characters.  The
     kept rows stand for all of them as in ``_chunk_matrices``' ``final``:
     F(-u) = conj F(u), so a representative u of the first chunk weighs w_u,
     and the one u = -u of odd p is u = 0, the first row.  Each row transforms
-    on its own, so the h rows go g = ``_energy_rows`` at a time through two
-    buffers of g q/L entries, reused, after one search of the set's
-    ``_columns``.  A group's |F|^2 goes into the free buffer
+    on its own, so the h rows of q/L entries go in ``_batches`` of g rows
+    through two buffers of g q/L entries, reused, after one search of the
+    set's ``_columns``.  A group's |F|^2 goes into the free buffer
     (``_squared_moduli``) and is squared in place, and its weighted sum,
     numpy's pairwise one, is added to the total as it is formed: the peak is
     the two group buffers and the columns, not the two h q/L buffers of a
     count."""
     spec, members = A.spec, A.members
-    h, g = _chunk_matrices(spec)[0], _energy_rows(spec)
-    columns = _columns(spec, members) if g < h else None  # one group finds and drops them
+    h, first, _, _ = _chunk_matrices(spec)
+    groups = list(_batches(h, spec.q // len(first)))
+    columns = _columns(spec, members) if len(groups) > 1 else None  # one group finds and drops them
     total, x, y = 0.0, None, None
-    for start in range(0, h, g):
-        f, x, y = _half_transform(spec, members, range(start, min(h, start + g)), x, y, columns)
+    for rows in groups:
+        f, x, y = _half_transform(spec, members, rows, x, y, columns)
         f, x, y = _squared_moduli(f, x, y)
         part = float(np.square(f, out=f).sum())
         if spec.p > 2:
-            part = 2 * part - (float(f[0].sum()) if start == 0 else 0.0)
+            part = 2 * part - (float(f[0].sum()) if rows.start == 0 else 0.0)
         total += part
     return total / spec.q
 
@@ -659,7 +663,8 @@ def _energy_error_bound(spec: FieldSpec, size: int) -> float:
     at most 3u q E, in all G 3u |A|^3 after the 1/q.  While the total stays
     below 1/4, |A|^3 < 2^53 and every energy below it is a float64
     integer."""
-    groups = -(-_chunk_matrices(spec)[0] // _energy_rows(spec))
+    h, first, _, _ = _chunk_matrices(spec)
+    groups = sum(1 for _ in _batches(h, spec.q // len(first)))
     rounding = (2 * (math.log2(spec.q) + 18) + 1.5 * groups) * math.ulp(1.0)
     return 4 / 3 * _transform_error_bound(spec, size**3) + rounding * size**3
 

@@ -3,12 +3,14 @@ the images of a set under a translation, a dilation, the Frobenius map
 x -> x^p and the reflection x -> -alpha - x have other encodings, so their
 grid blocks, packed words and transform columns all differ from the
 original's, while the quantities below must not.  Each backend meets its
-own image as well as another backend's."""
+own image as well as another backend's.  The proof trace on a Frobenius
+image passes every check that it passes on the set itself."""
 
 import numpy as np
 import pytest
 
 from fqlab import set_algebra
+from fqlab.decompositions import run_proof_trace
 from fqlab.finite_field import parse_descriptor
 from fqlab.set_algebra import (
     SET_OPS,
@@ -21,7 +23,7 @@ from fqlab.set_algebra import (
     sum_representation_counts,
     translate,
 )
-from pools import force_backend
+from pools import force_backend, verify_trace_case
 
 TARGET_FIELDS = ("2^20", "3^12", "7^7")
 
@@ -91,9 +93,10 @@ def _sizes_on(backend: str | None, X: FqSet, kinds=SET_OPS, Y: FqSet | None = No
 # rotation, so the triangle takes the images' sums and products, and only
 # the cheap backends run (the whole grid scores 9e6 cells an op there)
 IMAGE_BACKENDS = {300: {"frobenius": "grid", "dilation": "rotation", "translation": "transform",
-                        "reflection": "grid"},
+                        "reflection": "grid", "dilated_shift": "rotation"},
                   3000: {"frobenius": "triangle", "dilation": "triangle",
-                         "translation": "triangle", "reflection": "rotation"}}
+                         "translation": "triangle", "reflection": "rotation",
+                         "dilated_shift": "grid"}}
 
 
 @pytest.mark.parametrize("size", sorted(IMAGE_BACKENDS))
@@ -101,7 +104,8 @@ IMAGE_BACKENDS = {300: {"frobenius": "grid", "dilation": "rotation", "translatio
 def test_set_sizes_are_invariant_under_automorphisms_and_shifts(desc, size):
     # x -> x^p is an automorphism, so it keeps all four sizes; a dilation keeps
     # |cA cA| = |AA| and |cA / cA| = |A/A|, a translation |A + A| and |A - A|;
-    # and B = -alpha - A has B(B + alpha) = (A + alpha)A
+    # B = -alpha - A has B(B + alpha) = (A + alpha)A, and cA(cA + c alpha) is
+    # c^2 A(A + alpha)
     spec = parse_descriptor(desc)
     rng = np.random.default_rng([93, spec.q, size])
     A = FqSet.from_iterable(spec, rng.choice(np.arange(1, spec.q), size, replace=False))
@@ -113,8 +117,12 @@ def test_set_sizes_are_invariant_under_automorphisms_and_shifts(desc, size):
     assert _sizes_on(backends["translation"], shifted, ("sum", "diff")) == sizes[:2]
     alpha = int(rng.integers(1, spec.q))
     reflected = FqSet.from_iterable(spec, spec.sub_arr(spec.neg_arr(A.members), np.int64(alpha)))
+    shifted_product = _sizes_on(None, A, ("prod",), translate(A, alpha))
     assert (_sizes_on(backends["reflection"], reflected, ("prod",), translate(reflected, alpha))
-            == _sizes_on(None, A, ("prod",), translate(A, alpha)))
+            == shifted_product)
+    c = int(rng.integers(2, spec.q))
+    assert (_sizes_on(backends["dilated_shift"], dilate(A, c), ("prod",),
+                      translate(dilate(A, c), spec.mul(c, alpha))) == shifted_product)
 
 
 @pytest.mark.parametrize("desc", TARGET_FIELDS)
@@ -129,3 +137,37 @@ def test_shift_counts_by_transform_follow_the_frobenius_map(desc):
         counts, image = intersection_shift_counts(A), intersection_shift_counts(frobenius)
     assert served == ["diff", "diff"] and int(counts.sum()) == len(A) ** 2
     assert np.array_equal(image[spec.pow_arr(np.arange(spec.q), spec.p)], counts)
+
+
+# every bool of a trace's certificates that must hold; the case-4 flags
+# (full_field, sqrt_condition, ...) describe the branch and are left out
+PASSING_CERTIFICATES = {"level_band", "energy_ok", "mass_strict", "all", "ok", "not_in_quotient"}
+
+
+def _failed_certificates(certificates: dict) -> list[str]:
+    failed = []
+    for key, value in certificates.items():
+        if isinstance(value, dict):
+            failed += [f"{key}.{name}" for name in _failed_certificates(value)]
+        elif key in PASSING_CERTIFICATES and value is not True:
+            failed.append(key)
+    return failed
+
+
+@pytest.mark.parametrize("desc, size", [("2^12", 96), ("3^7", 96), ("2^16", 160), ("3^12", 160)])
+def test_proof_trace_holds_on_the_frobenius_image(desc, size):
+    # phi(A(A + alpha)) = phi A (phi A + phi alpha); the two traces' sets need
+    # not correspond, as ties break toward smaller encodings, but both must
+    # pass every certificate and their case predicates
+    spec = parse_descriptor(desc)
+    rng = np.random.default_rng([95, spec.q])
+    A = FqSet.from_iterable(spec, rng.choice(np.arange(1, spec.q), size, replace=False))
+    alpha = int(rng.integers(1, spec.q))
+    image = FqSet.from_iterable(spec, spec.pow_arr(A.members, spec.p))
+    image_alpha = int(spec.pow_arr(np.int64(alpha), spec.p))
+    assert (set_op_size(image, translate(image, image_alpha), "prod")
+            == set_op_size(A, translate(A, alpha), "prod"))
+    for X, shift in ((A, alpha), (image, image_alpha)):
+        trace = run_proof_trace(X, shift)
+        assert not _failed_certificates(trace.certificates), (desc, X is image)
+        verify_trace_case(trace, spec)

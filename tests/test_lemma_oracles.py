@@ -10,7 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from fqlab import decompositions, lemma_oracles
+from fqlab import decompositions, lemma_oracles, set_algebra
 from fqlab.decompositions import _min_diffset_subset, _min_sumset_subset
 from fqlab.errors import (
     EmptySet,
@@ -330,7 +330,7 @@ def test_exhaustive_subset_search_matches_naive(block_cells, monkeypatch):
     # small, the blocks split a search many times over, and a tie with the
     # minimum in a later block must not displace the first one
     if block_cells is not None:
-        monkeypatch.setattr(decompositions, "PAIR_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(set_algebra, "PAIR_BLOCK_CELLS", block_cells)
     for i, descriptor in enumerate(POOL_DESCRIPTORS):
         spec = parse_descriptor(descriptor)
         rng = np.random.default_rng([37, i])
@@ -344,6 +344,37 @@ def test_exhaustive_subset_search_matches_naive(block_cells, monkeypatch):
             sub, size = on_path(EXACT, _min_diffset_subset, X, floor)
             assert ([int(v) for v in sub], size) == naive_exhaustive_min_subset(
                 spec, members, floor)
+
+
+def test_one_block_size_batches_every_blocked_loop(monkeypatch):
+    # set_algebra.PAIR_BLOCK_CELLS, patched small, splits the subset scorer's
+    # subsets, popular points' lines and the pivot lemma's candidates into
+    # several batches each, with the results of the default size
+    spec = parse_descriptor("3^4")
+    rng = np.random.default_rng(33)
+    X, Y = draw_set(rng, spec, 16, nonzero=True), draw_set(rng, spec, 6, nonzero=True)
+    grid = spec.sub_arr(X.members[:, None], X.members[None, :])
+    sl = decompositions.dyadic_energy_slice(X, Y)
+
+    def results():
+        best, rows = decompositions._min_subsets(grid, 4, 50, square=True)
+        pts = decompositions.popular_points(sl)
+        return (best, rows.tolist(), pts.x0, pts.y0, list(pts.A_tilde),
+                {z: list(S) for z, S in pts.S.items()}, pts.constants,
+                lemma_oracles._dilated_sumset_sizes(X, Y, np.arange(1, spec.q)).tolist())
+
+    want, batches, batched = results(), [], set_algebra._batches
+
+    def counted(count, cells):
+        batches.append(len(list(batched(count, cells))))
+        return batched(count, cells)
+    for module in (decompositions, lemma_oracles):
+        monkeypatch.setattr(module, "_batches", counted)
+    assert results() == want and batches == [1, 1, 1]
+    monkeypatch.setattr(set_algebra, "PAIR_BLOCK_CELLS", 64)
+    batches.clear()
+    assert results() == want
+    assert len(batches) == 3 and min(batches) > 1, batches
 
 
 @pytest.mark.parametrize("descriptor", ["2^6", "7^2", "3^4", "5^3", "2^8"])

@@ -16,7 +16,7 @@ from fqlab.errors import (
     SizeInfeasible,
     ZeroShift,
 )
-from fqlab import decompositions, set_algebra, survey
+from fqlab import set_algebra, survey
 from fqlab.finite_field import (
     build_field,
     coset_representatives,
@@ -271,7 +271,7 @@ def test_exhaustive_minimizers_match_the_listing(monkeypatch):
     for spec, k, alpha, nonzero in cases:
         want = naive_min_expander(spec, k, alpha, nonzero)
         for block_cells in (set_algebra.PAIR_BLOCK_CELLS, 50):
-            monkeypatch.setattr(decompositions, "PAIR_BLOCK_CELLS", block_cells)
+            monkeypatch.setattr(set_algebra, "PAIR_BLOCK_CELLS", block_cells)
             got = exhaustive_min_expander(spec, k, alpha, nonzero_only=nonzero)
             assert got == want, (spec.descriptor, k, alpha, nonzero, block_cells)
     best, minimizers = want
