@@ -34,8 +34,10 @@ from .set_algebra import (
     FqSet,
     _batches,
     _blocks,
+    _grid,
     _pair_counts,
     _require_same_field,
+    _restriction,
     _sum_of_squares,
     coset_intersection_counts,
     dilate,
@@ -451,11 +453,12 @@ def _min_sumset_subset(X: FqSet, S: FqSet, floor: int):
 
     Row x + S of the grid X + S holds distinct values, so removing x loses the
     values its row holds once.  The greedy search counts by ``_pair_counts``
-    and scores every row once in ``_blocks``, O(|X||S|), never holding the
-    grid.  Removing x* then changes the loss of another row only through the
-    values of x* + S whose count falls to 1: each such v is charged to its
-    one remaining owner x, the x with v - x in S.  That is one |V| x |X'|
-    membership check per step, V the values that fell; no rescan.
+    and scores every row once in the ``_blocks`` of the sum ``_grid``,
+    O(|X||S|), never holding the grid.  Removing x* then changes the loss of
+    another row only through the values of x* + S whose count falls to 1:
+    each such v is charged to its one remaining owner x, the x with v - x in
+    S.  That is one |V| x |X'| membership check per step, V the values that
+    fell; no rescan.
 
     A removal lowers each count by at most 1.  So when every positive count
     is at least removals + 1, a count can reach 1 only at the last removal,
@@ -472,8 +475,8 @@ def _min_sumset_subset(X: FqSet, S: FqSet, floor: int):
     held = counts[counts > 0]
     if held.min() >= removals + 1:
         return X.members[removals:], int(held.size)
-    lost = np.concatenate([(counts[values] == 1).sum(axis=1)
-                           for values in _blocks(X.members, S.members, spec.add_arr)])
+    a, b, op, _, _ = _grid(X, S, "sum")
+    lost = np.concatenate([(counts[values] == 1).sum(axis=1) for values in _blocks(a, b, op)])
     alive = np.ones(len(X), dtype=bool)
     for _ in range(removals):
         best = int(np.argmax(np.where(alive, lost, -1)))  # first maximum = smallest encoding
@@ -644,13 +647,14 @@ def _jsonable(obj):
 def _first_ratio_quadruple(S: FqSet, r: int):
     """Lexicographically first (a, b, c, d) in S^4 with (a-b)/(c-d) = r, for
     r != 0, or None when r is not in R(S).  (a, b) is the first row-major
-    cell of the difference grid, scanned in ``_blocks``, whose nonzero
+    cell of the difference ``_grid``, scanned in ``_blocks``, whose nonzero
     quotient (a-b)/r lies in S - S (the bitmask of ``set_op``).  Each c
     fixes d = c - (a-b)/r, so c is the first member with that d in S."""
     spec, s = S.spec, S.members
     diffs = set_op(S, S, "diff").bitmask
+    a, b, op, _, _ = _grid(S, S, "diff")
     row = 0
-    for block in _blocks(s, s, spec.sub_arr):
+    for block in _blocks(a, b, op):
         quotients = spec.div_arr(block, np.int64(r))
         hit = np.flatnonzero((block != 0) & diffs[quotients])
         if hit.size:
@@ -787,13 +791,12 @@ def _classify(A_input: FqSet, pts: PopularPoints, kappa: int):
         raise InvariantViolated("closure held but the quotient set is not a subfield")
     counts = coset_intersection_counts(A_input, G0)
     max_size = int(counts.max())
-    sqrt_ok = max_size**2 <= kappa**2 * G0.size
-    if sqrt_ok:
+    if _restriction(max_size, G0.size, 25, 26, len(A_input), kappa)[0]:
         return "4.2", {"subfield_degree": G0.d, "max_coset_intersection": max_size}, {
             "case4": {"full_field": False, "sqrt_condition": True, "kappa": kappa}}
     # x0 != 0 (-alpha was removed from A''), so x0*G0 is the coset at log x0
     inter = int(counts[spec.log_table[pts.x0] % counts.size])
-    cond = inter**26 <= kappa**26 * len(A_input) ** 25
+    cond = _restriction(inter, G0.size, 25, 26, len(A_input), kappa)[1]
     return "4.3", {"subfield_degree": G0.d, "x0_coset_intersection": inter}, {
         "case4": {"full_field": False, "sqrt_condition": False,
                   "exponent_condition": cond, "kappa": kappa}}

@@ -504,6 +504,8 @@ def _rand_size(rng, spec, lo=2, hi=12):
 def generate_instance(lemma_id: str, seed: int, index: int):
     """Deterministic instance for one lemma check; returns kwargs for the
     lemma's checker in LEMMAS (or None when the draw is inapplicable)."""
+    if lemma_id not in LEMMA_IDS:
+        raise ValueError(f"unknown lemma id {lemma_id!r}")
     rng = _rng_for(lemma_id, seed, index)
     spec = _field_for(index)
 
@@ -579,7 +581,6 @@ def generate_instance(lemma_id: str, seed: int, index: int):
             if len(quotient_set(X)) >= Fraction(1, 2) * len(X) ** 2:
                 return {"X": X}
         return None
-    raise ValueError(f"unknown lemma id {lemma_id!r}")
 
 
 # lemma id -> (checker, the checker parameters that `verify --sets X;Y;...`

@@ -10,12 +10,12 @@ sets are marked on the log residues Z/(q-1), sum and diff sets on the
 encodings.  ``set_op_size`` counts a set's size on those marks, the
 rotation's still packed 8 to a byte, and ``set_op`` is the only place that
 maps residues to encodings (``_pair_support``, a q-length bitmask).
-``_plan`` alone chooses the backend of each op, among the ``_backends``
-that can serve it:
+``_plan`` alone chooses the backend of each op, among the three
+``_backends`` that can serve it:
 
-- the grid scores the |A||B| pairs block by block in ``_blocks``, and
-  serves every op; its triangle, one half, the sum or product set or counts
-  of a set with itself, each pair of a count scored once and added twice;
+- the grid scores the |A||B| pairs block by block in ``_blocks`` and
+  serves every op; of a set's sum or product with itself it scores one
+  triangle (``_grid``), each pair of a count scored once and added twice;
 - the rotation (``_rotate_support``) marks a support on a cycle Z/n as the
   union of the larger side's packed bitmask rotated by each residue of the
   smaller side: 64 pairs per word op, and it stops once every residue is
@@ -27,11 +27,10 @@ that can serve it:
   multiplies every column of a set of at least q/L members, and only the
   occupied columns of a smaller one (``_columns``).  Counts that fail their
   check (``_exact_counts``) fall back to the grid.  ``additive_energy``
-  stops after the forward transform and sums |F|^4 (Parseval), a few
-  first-chunk rows at a time (``_batches``), so it never holds the
-  whole half transform, under its own error bound and check
-  (``_energy_error_bound``, ``_exact_energy``); a value that fails falls
-  back to the squares of the counts.
+  stops after the forward transform and sums |F|^4 (Parseval) a few
+  first-chunk rows at a time (``_batches``), never holding the whole half
+  transform, under its own error bound and check (``_energy_error_bound``,
+  ``_exact_energy``), and falls back to the squares of the counts.
 
 FqSet values are immutable and all operations are pure.
 """
@@ -208,44 +207,47 @@ def dilate(A: FqSet, c: int) -> FqSet:
 
 
 def _grid(A: FqSet, B: FqSet, kind: str):
-    """(a, b, op, size): the grid op(a[i], b[j]) names the value of each pair
-    of A x B as an index below size.
+    """(a, b, op, size, triangle): the grid op(a[i], b[j]) names the value of
+    each pair of A x B as an index below size; ``triangle``, that it is the
+    symmetric sum or product grid of a set with itself (B is A).
 
     Sum and diff combine encodings by add_arr/sub_arr (size q), except over
     an odd-p extension field: there a and b are packed once
     (``DigitPacking``), b as fill - pack(b) for diff, and op is
-    ``add_packed``, so no block packs them again.  Prod and
-    ratio combine the logs of the nonzero parts, int32 as the log table holds
-    them, by np.add, ratio with q-1 - log b, so the values lie below 2(q-1)
-    < 2^25 and a value and its reduction mod q-1 name the same element: no
+    ``add_packed``, so no block packs them again.  Prod and ratio combine
+    the logs of the nonzero parts, int32 as the log table holds them, by
+    np.add, ratio with q-1 - log b, so the values lie below 2(q-1) < 2^25
+    and a value and its reduction mod q-1 name the same element: no
     % (q-1) per cell.  The rotation reads the same a and b as residues: for
     ratio b is reduced mod q-1 (the q-1 of log 1 = 0 becomes 0), and for a
     prime field's diff it is negated mod p."""
     spec, packing = A.spec, A.spec.packing
+    triangle = B is A and kind in ("sum", "prod")
     if kind in ("sum", "diff"):
         if packing is None:
-            return A.members, B.members, spec.add_arr if kind == "sum" else spec.sub_arr, spec.q
+            op = spec.add_arr if kind == "sum" else spec.sub_arr
+            return A.members, B.members, op, spec.q, triangle
         a, b = packing.pack(A.members), packing.pack(B.members)
-        return a, b if kind == "sum" else packing.fill - b, packing.add_packed, spec.q
+        return a, b if kind == "sum" else packing.fill - b, packing.add_packed, spec.q, triangle
     if kind == "ratio" and 0 in B:
         raise ZeroDivisorInRatio("ratio set needs 0 not in B")
     n = spec.q - 1
     a = spec.log_table[A.members[A.members != 0]]
     b = spec.log_table[B.members[B.members != 0]]
-    return a, (n - b if kind == "ratio" else b), np.add, 2 * n
+    return a, (n - b if kind == "ratio" else b), np.add, 2 * n, triangle
 
 
 def _blocks(a: np.ndarray, b: np.ndarray, op, triangle: bool = False) -> Iterator[np.ndarray]:
-    """The grid op(a[i], b[j]) in blocks of rows of about PAIR_BLOCK_CELLS
-    cells each, so it is never held whole.  With ``triangle`` (a equal to b
-    and op symmetric) a block skips the columns before its first row: a pair
-    of rows of different blocks appears once, in one order, and a pair of
-    rows of one block in both orders, in the block's leading square (its
-    first as many columns as rows).  Its blocks also hold at most
-    sqrt(|a|) rows: about sqrt(|a|) blocks then score about |a|^1.5 / 2
-    cells left of the diagonal, a 1/(2 sqrt(|a|)) share of the grid.  A
-    consumer drops each block before it asks for the next, or two blocks
-    are alive at once."""
+    """The grid op(a[i], b[j]) of ``_grid``'s operands, for every scan of a
+    pair grid, in blocks of rows of about PAIR_BLOCK_CELLS cells each, so
+    it is never held whole.  With ``triangle`` (as ``_grid`` reports it: a equal to b and op
+    symmetric) a block skips the columns before its first row: a pair of
+    rows of different blocks appears once, in one order, and a pair of rows
+    of one block in both orders, in the block's leading square (its first as
+    many columns as rows).  Its blocks also hold at most sqrt(|a|) rows:
+    about sqrt(|a|) blocks then score about |a|^1.5 / 2 cells left of the
+    diagonal, a 1/(2 sqrt(|a|)) share of the grid.  A consumer drops each
+    block before it asks for the next, or two blocks are alive at once."""
     i = 0
     while i < a.size:
         j = i if triangle else 0
@@ -318,13 +320,11 @@ def _by_encoding(spec: FieldSpec, by_log: np.ndarray, zero) -> np.ndarray:
 
 
 def _backends(A: FqSet, B: FqSet, kind: str, support: bool) -> tuple[str, ...]:
-    """The backends that can serve a pair op: the grid; the triangle
-    (``_blocks``) for the sum or product of a set with itself; for a
-    support, the rotation where it applies; the transform for sum and diff
-    over GF(p^m), m > 1, within its error bound."""
+    """The backends that can serve a pair op, of the three: the grid, always
+    (its triangle where ``_grid`` reports one); for a support, the rotation
+    where it applies; the transform for sum and diff over GF(p^m), m > 1,
+    within its error bound."""
     spec, names = A.spec, ["grid"]
-    if B is A and kind in ("sum", "prod"):
-        names.append("triangle")
     if support and (kind in ("prod", "ratio") or spec.m == 1):
         names.append("rotation")
     if kind in ("sum", "diff") and spec.m > 1 and _transform_error_bound(spec, len(A) * len(B)) < 0.25:
@@ -338,20 +338,18 @@ def _plan(A: FqSet, B: FqSet, kind: str, support: bool) -> str:
     transform when |A||B| exceeds TRANSFORM_CELLS * q cells per transform
     (two when B is A, three otherwise); else the rotation when its rows, one
     per residue of the shorter side of the ``_grid`` plus 64 for its set-up
-    (measured 37-100), cost less than the grid's cells (half for the
-    triangle); else the triangle, else the grid."""
+    (measured 37-100), cost less than the grid's cells (half for a
+    triangle); else the grid."""
     spec, names = A.spec, _backends(A, B, kind, support)
     if "transform" in names and len(A) * len(B) > TRANSFORM_CELLS * (2 if B is A else 3) * spec.q:
         return "transform"
-    triangle = "triangle" in names
     if "rotation" in names:
-        logs = kind in ("prod", "ratio")
-        rows, cols = (len(A) - (0 in A), len(B) - (0 in B)) if logs else (len(A), len(B))
-        n = spec.q - 1 if logs else spec.q
-        cells = rows * cols / (2 if triangle else 1)
-        if cells > (min(rows, cols) + 64) * (ROTATION_ROW_CELLS + n / ROTATION_RESIDUES_PER_CELL):
+        a, b, _, _, triangle = _grid(A, B, kind)
+        n = spec.q - 1 if kind in ("prod", "ratio") else spec.q
+        row = ROTATION_ROW_CELLS + n / ROTATION_RESIDUES_PER_CELL
+        if a.size * b.size / (2 if triangle else 1) > (min(a.size, b.size) + 64) * row:
             return "rotation"
-    return "triangle" if triangle else "grid"
+    return "grid"
 
 
 def _pair_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
@@ -362,19 +360,17 @@ def _pair_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
     accumulate (``np.add.at``, no q-length array per block) over the
     ``_blocks`` of the ``_grid``; for prod and ratio the log sums are folded
     mod q-1 once, mapped to encodings by one gather, and 0 gets the closed
-    form |A||B| - |A*||B*|.  The triangle scores half the grid: it adds each
-    cell of a block twice, for both orders of its pair, and its leading
-    square once less, whose pairs the block holds in both orders already
-    and whose diagonal is one pair."""
+    form |A||B| - |A*||B*|.  A triangle (``_grid``) scores half the grid:
+    it adds each cell of a block twice, for both orders of its pair, and its
+    leading square once less, whose pairs the block holds in both orders
+    already and whose diagonal is one pair."""
     cells = len(A) * len(B)
-    backend = _plan(A, B, kind, False)
-    if backend == "transform":
+    if _plan(A, B, kind, False) == "transform":
         counts = _exact_counts(_transform_counts(A, B, kind), cells)
         if counts is not None:
             return counts
-    a, b, op, size = _grid(A, B, kind)
+    a, b, op, size, triangle = _grid(A, B, kind)
     counts = np.zeros(size, dtype=np.int64)
-    triangle = backend == "triangle"
     for values in _blocks(a, b, op, triangle):
         np.add.at(counts, values.ravel(), 2 if triangle else 1)
         if triangle:
@@ -402,13 +398,13 @@ def _pair_marks(A: FqSet, B: FqSet, kind: str) -> tuple[np.ndarray, int]:
         counts = _exact_counts(_transform_counts(A, B, kind), len(A) * len(B))
         if counts is not None:
             return counts > 0, A.spec.q
-    a, b, op, size = _grid(A, B, kind)
+    a, b, op, size, triangle = _grid(A, B, kind)
     logs = kind in ("prod", "ratio")
     n = A.spec.q - 1 if logs else A.spec.q
     if backend == "rotation":
         return _rotate_support(a, -b % n if kind == "diff" else b % n, n), n
     seen = np.zeros(size, dtype=bool)
-    for values in _blocks(a, b, op, triangle=backend == "triangle"):
+    for values in _blocks(a, b, op, triangle):
         seen[values] = True
         del values
     if logs:
@@ -851,6 +847,13 @@ def coset_intersection_counts(A: FqSet, G) -> np.ndarray:
     return np.bincount(logs % n, minlength=n) + int(0 in A)
 
 
+def _restriction(t: int, g: int, num: int, den: int, ref: int, kappa: int) -> tuple[bool, bool]:
+    """(t^2 <= kappa^2 g, t^den <= kappa^den ref^num), exact in integers: the
+    two sides of the structural bound kappa * max(g^(1/2), ref^(num/den)) on
+    a count t on a coset of a g-element subfield, which holds iff either does."""
+    return t**2 <= kappa**2 * g, t**den <= kappa**den * ref**num
+
+
 def coset_profile(A: FqSet, exponent_num: int, exponent_den: int, reference: FqSet | int,
                   kappa: int = 1) -> bool:
     """The structural condition: |A ∩ cG| <= kappa * max(|G|^(1/2),
@@ -858,9 +861,8 @@ def coset_profile(A: FqSet, exponent_num: int, exponent_den: int, reference: FqS
     reference is a set or its size.
 
     The bound grows with the count, so each subfield's largest count t
-    decides all of its cosets: one exact comparison per subfield, by
-    big-integer cross-powering, so the verdict is bit-reproducible.  No
-    count exceeds |G| (cG has |G| elements), so a subfield whose comparison
+    decides all of its cosets, by one ``_restriction`` a subfield.  No
+    count exceeds |G| (cG has |G| elements), so a subfield whose bound
     already holds at t = |G| passes whatever A is, and its cosets are not
     counted: on 2^20 that spares the q-1 cosets of F_2 and keeps the check
     off q-length arrays unless a large subfield can break the bound.  kappa,
@@ -872,9 +874,7 @@ def coset_profile(A: FqSet, exponent_num: int, exponent_den: int, reference: FqS
     ref = reference if isinstance(reference, int) else len(reference)
     if ref == 0:
         raise EmptySet("reference set must be nonempty")
-
-    def holds(t: int, g: int) -> bool:
-        return t**2 <= kappa**2 * g or t**exponent_den <= kappa**exponent_den * ref**exponent_num
-
-    return all(holds(G.size, G.size) or holds(int(coset_intersection_counts(A, G).max()), G.size)
+    bound = (exponent_num, exponent_den, ref, kappa)
+    return all(any(_restriction(G.size, G.size, *bound))
+               or any(_restriction(int(coset_intersection_counts(A, G).max()), G.size, *bound))
                for G in proper_subfields(A.spec))

@@ -69,14 +69,21 @@ _plan = set_algebra._plan
 def force_backend(monkeypatch, name: str) -> list[str]:
     """Replace ``set_algebra._plan`` so that the backend ``name`` serves every
     pair op that ``set_algebra._backends`` says it can serve, and the real
-    plan serves the rest.  Returns the list of the kinds of the ops ``name``
-    served, appended as they run."""
+    plan serves the rest.  ``name`` may also be "triangle": the grid, on the
+    ops whose ``set_algebra._grid`` it reports as a triangle (the sum or
+    product of a set with itself) and no other.  Returns the list of the
+    kinds of the ops ``name`` served, appended as they run."""
     served = []
 
+    def serves(A, B, kind, support):
+        if name == "triangle":
+            return set_algebra._grid(A, B, kind)[-1]
+        return name in set_algebra._backends(A, B, kind, support)
+
     def forced(A, B, kind, support):
-        if name in set_algebra._backends(A, B, kind, support):
+        if serves(A, B, kind, support):
             served.append(kind)
-            return name
+            return "grid" if name == "triangle" else name
         return _plan(A, B, kind, support)
     monkeypatch.setattr(set_algebra, "_plan", forced)
     return served

@@ -20,6 +20,7 @@ from fqlab.decompositions import (
     points_certificates,
     popular_points,
     popularity_subset,
+    refine_stage,
     run_proof_trace,
     slice_certificates,
 )
@@ -30,10 +31,17 @@ from fqlab.errors import (
     MixedFields,
     SumBelowK,
     TraceDegenerate,
+    ZeroInDenominatorSet,
     ZeroInSet,
     ZeroShift,
 )
-from fqlab.finite_field import build_field, enumerate_subfields, parse_descriptor
+from fqlab.finite_field import (
+    DigitPacking,
+    FieldSpec,
+    build_field,
+    enumerate_subfields,
+    parse_descriptor,
+)
 from fqlab.set_algebra import (
     FqSet,
     dilate,
@@ -102,6 +110,16 @@ def test_popularity_guarantees_randomized():
 def test_popularity_sum_below_k():
     with pytest.raises(SumBelowK):
         popularity_subset(fqset(F7, 1, 2), {1: 1, 2: 1}, 5)
+
+
+def test_decompositions_refuse_inputs_outside_their_domain():
+    with pytest.raises(ValueError, match="f > 0"):
+        popularity_subset(fqset(F7, 1, 2), {1: 3, 2: 0}, 2)
+    with pytest.raises(ZeroInDenominatorSet):
+        dyadic_energy_slice(fqset(F7, 0, 1, 2), fqset(F7, 1, 2))
+    X = fqset(F7, 1, 2, 3)
+    with pytest.raises(EmptySet):
+        refine_stage(X, [X, fqset(F7)], Fraction(1, 4))
 
 
 # -- dyadic slice ------------------------------------------------------------
@@ -481,6 +499,59 @@ def test_ratio_quadruple_holds_no_grid_of_the_set():
     r = int(np.flatnonzero(~G.elements.bitmask)[0])
     peak, quad = peak_bytes(lambda: decompositions._first_ratio_quadruple(S, r))
     assert quad is None and peak < 16_000_000
+
+
+def test_blocked_scans_pack_their_operands_once_a_pass(monkeypatch):
+    # the sumset search's loss scoring and the quadruple's scan take their
+    # operands from set_algebra._grid, packed once a pass on an odd-p
+    # extension field: blocks of one row pack no more than one block of all
+    spec = parse_descriptor("3^7")
+    rng = np.random.default_rng(35)
+    X, S, T = draw_set(rng, spec, 40), draw_set(rng, spec, 30), draw_set(rng, spec, 6)
+    R = quotient_set(T)
+    outside = int(np.flatnonzero(~R.bitmask)[0])  # r outside R(T): every row is scanned
+    packs, pack = [], DigitPacking.pack
+    monkeypatch.setattr(DigitPacking, "pack",
+                        lambda self, x, j=0: packs.append(j) or pack(self, x, j))
+    blocks, scan = [], decompositions._blocks
+    monkeypatch.setattr(decompositions, "_blocks",
+                        lambda *args: (blocks.append(1) or values for values in scan(*args)))
+
+    def run():
+        packs.clear()
+        blocks.clear()
+        sub, size = on_path(GREEDY, _min_sumset_subset, X, S, 30)
+        quads = [decompositions._first_ratio_quadruple(T, r) for r in (int(R.members[-1]), outside)]
+        assert quads[1] is None
+        return (sub.tolist(), size, quads, packs.count(0)), len(blocks)
+
+    default, default_blocks = run()
+    monkeypatch.setattr(set_algebra, "PAIR_BLOCK_CELLS", 1)
+    one_row, one_row_blocks = run()
+    assert one_row == default and one_row_blocks > default_blocks + 40
+
+
+def test_only_set_algebra_hands_a_field_op_to_the_pair_grid_blocks():
+    # every other scan of a pair grid takes its operands and op from
+    # set_algebra._grid, which packs an odd-p operand once, not once a block
+    methods = {name for cls in (FieldSpec, DigitPacking) for name in vars(cls)
+               if not name.startswith("__") and callable(getattr(cls, name))}
+    root = os.path.dirname(fqlab.__file__)
+    found = []
+    for name in sorted(os.listdir(root)):
+        if not name.endswith(".py") or name == "set_algebra.py":
+            continue
+        with open(os.path.join(root, name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            callee = getattr(node, "func", None)
+            if getattr(callee, "id", getattr(callee, "attr", None)) != "_blocks":
+                continue
+            for arg in (*node.args, *(keyword.value for keyword in node.keywords)):
+                if any(isinstance(sub, ast.Attribute) and sub.attr in methods
+                       for sub in ast.walk(arg)):
+                    found.append(f"{name}:{node.lineno}")
+    assert not found, found
 
 
 # -- refinement stages --------------------------------------------------------

@@ -313,6 +313,21 @@ def test_scalar_arith_examples():
             arith(f7, "pow", *bad)
     with pytest.raises(ElementOutOfRange):
         arith(f7, "mul", 3, 7)
+    with pytest.raises(ValueError, match="unknown op"):
+        arith(f7, "mod", 3, 2)
+    with pytest.raises(ValueError, match="second operand"):
+        arith(f7, "add", 3)
+
+
+@pytest.mark.parametrize("desc", ("7", "2^4", "3^3"))
+def test_zero_has_no_inverse_and_no_negative_power(desc):
+    spec = parse_descriptor(desc)
+    with pytest.raises(DivisionByZero):
+        spec.pow(0, -1)
+    with pytest.raises(DivisionByZero):
+        spec.inv_arr(np.array([1, 0]))
+    with pytest.raises(DivisionByZero):
+        spec.div_arr(np.array([1, 2]), np.array([1, 0]))
 
 
 def test_exp_log_tables_roundtrip():

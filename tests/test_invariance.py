@@ -4,7 +4,8 @@ x -> x^p and the reflection x -> -alpha - x have other encodings, so their
 grid blocks, packed words and transform columns all differ from the
 original's, while the quantities below must not.  Each backend meets its
 own image as well as another backend's.  The proof trace on a Frobenius
-image passes every check that it passes on the set itself."""
+image, and over a prime field on a dilation image, passes every check that
+it passes on the set itself."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fqlab.finite_field import parse_descriptor
 from fqlab.set_algebra import (
     SET_OPS,
     FqSet,
+    _pair_counts,
     _sum_of_squares,
     additive_energy,
     dilate,
@@ -46,17 +48,21 @@ def _energy_on(backend: str, X: FqSet) -> int:
 
 @pytest.mark.parametrize("desc", TARGET_FIELDS)
 def test_additive_energy_is_invariant_across_backends_at_3000(desc):
-    # A on every backend; each image on one: the triangle meets A + t, the
-    # whole grid cA, and the transform's Parseval sum the Frobenius image
+    # A on both backends; each image on one: the grid's triangle meets A + t,
+    # the whole grid cA (through an equal copy), and the transform's Parseval
+    # sum the Frobenius image
     spec = parse_descriptor(desc)
     rng = np.random.default_rng([91, spec.q])
     A = FqSet.from_iterable(spec, rng.choice(spec.q, 3000, replace=False))
     assert set_algebra._plan(A, A, "sum", False) == "transform"
     energy = additive_energy(A)
-    assert {_energy_on(backend, A) for backend in ("grid", "triangle", "transform")} == {energy}
+    assert {_energy_on(backend, A) for backend in ("grid", "transform")} == {energy}
     shifted, dilated, frobenius = _images(A, rng)
-    assert _energy_on("triangle", shifted) == energy
-    assert _energy_on("grid", dilated) == energy
+    assert _energy_on("grid", shifted) == energy
+    with pytest.MonkeyPatch.context() as patch:
+        served = force_backend(patch, "grid")
+        counts = _pair_counts(dilated, FqSet.from_iterable(spec, dilated.members), "sum")
+    assert served == ["sum"] and _sum_of_squares(counts) == energy
     assert _energy_on("transform", frobenius) == energy
 
 
@@ -90,17 +96,21 @@ def _sizes_on(backend: str | None, X: FqSet, kinds=SET_OPS, Y: FqSet | None = No
 
 # the backend each image is forced onto, A's own sizes taken on the plan: at
 # 3000 the plan serves sum and diff by the transform and prod and ratio by the
-# rotation, so the triangle takes the images' sums and products, and only
-# the cheap backends run (the whole grid scores 9e6 cells an op there)
+# rotation, so the grid's triangle takes the images' sums and products (the
+# "triangle" of ``force_backend``), and only the cheap backends run (the
+# whole grid scores 9e6 cells an op there).  Over F_p the plan serves A by
+# the grid at 300 and by the rotation at 3000, and each image goes to the
+# other; Frobenius is the identity there
 IMAGE_BACKENDS = {300: {"frobenius": "grid", "dilation": "rotation", "translation": "transform",
                         "reflection": "grid", "dilated_shift": "rotation"},
                   3000: {"frobenius": "triangle", "dilation": "triangle",
                          "translation": "triangle", "reflection": "rotation",
                          "dilated_shift": "grid"}}
+PRIME_IMAGE_BACKENDS = {300: "rotation", 3000: "grid"}
 
 
 @pytest.mark.parametrize("size", sorted(IMAGE_BACKENDS))
-@pytest.mark.parametrize("desc", TARGET_FIELDS)
+@pytest.mark.parametrize("desc", TARGET_FIELDS + ("1048573^1",))
 def test_set_sizes_are_invariant_under_automorphisms_and_shifts(desc, size):
     # x -> x^p is an automorphism, so it keeps all four sizes; a dilation keeps
     # |cA cA| = |AA| and |cA / cA| = |A/A|, a translation |A + A| and |A - A|;
@@ -112,7 +122,13 @@ def test_set_sizes_are_invariant_under_automorphisms_and_shifts(desc, size):
     shifted, dilated, frobenius = _images(A, rng)
     backends = IMAGE_BACKENDS[size]
     sizes = _sizes_on(None, A)
-    assert _sizes_on(backends["frobenius"], frobenius) == sizes
+    if spec.m == 1:
+        other = PRIME_IMAGE_BACKENDS[size]
+        backends = dict.fromkeys(backends, other)
+        assert other not in {set_algebra._plan(A, A, kind, True) for kind in SET_OPS}
+        assert frobenius == A
+    else:
+        assert _sizes_on(backends["frobenius"], frobenius) == sizes
     assert _sizes_on(backends["dilation"], dilated, ("prod", "ratio")) == sizes[2:]
     assert _sizes_on(backends["translation"], shifted, ("sum", "diff")) == sizes[:2]
     alpha = int(rng.integers(1, spec.q))
@@ -137,6 +153,10 @@ def test_shift_counts_by_transform_follow_the_frobenius_map(desc):
         counts, image = intersection_shift_counts(A), intersection_shift_counts(frobenius)
     assert served == ["diff", "diff"] and int(counts.sum()) == len(A) ** 2
     assert np.array_equal(image[spec.pow_arr(np.arange(spec.q), spec.p)], counts)
+    # phi fixes 0 and 1, so a unit moved between the counts there keeps the
+    # map; c(0) = |A| and c(-v) = c(v) do not
+    assert counts[0] == len(A)
+    assert np.array_equal(counts[spec.neg_arr(np.arange(spec.q))], counts)
 
 
 # every bool of a trace's certificates that must hold; the case-4 flags
@@ -154,20 +174,35 @@ def _failed_certificates(certificates: dict) -> list[str]:
     return failed
 
 
-@pytest.mark.parametrize("desc, size", [("2^12", 96), ("3^7", 96), ("2^16", 160), ("3^12", 160)])
-def test_proof_trace_holds_on_the_frobenius_image(desc, size):
-    # phi(A(A + alpha)) = phi A (phi A + phi alpha); the two traces' sets need
-    # not correspond, as ties break toward smaller encodings, but both must
-    # pass every certificate and their case predicates
-    spec = parse_descriptor(desc)
-    rng = np.random.default_rng([95, spec.q])
-    A = FqSet.from_iterable(spec, rng.choice(np.arange(1, spec.q), size, replace=False))
-    alpha = int(rng.integers(1, spec.q))
-    image = FqSet.from_iterable(spec, spec.pow_arr(A.members, spec.p))
-    image_alpha = int(spec.pow_arr(np.int64(alpha), spec.p))
+def _check_traces(A: FqSet, alpha: int, image: FqSet, image_alpha: int) -> None:
+    """The proof trace on (A, alpha) and on its image: the two traces' sets
+    need not correspond, as ties break toward smaller encodings, but both
+    must pass every certificate and their case predicates, and the image's
+    shifted product must have A's size."""
     assert (set_op_size(image, translate(image, image_alpha), "prod")
             == set_op_size(A, translate(A, alpha), "prod"))
     for X, shift in ((A, alpha), (image, image_alpha)):
         trace = run_proof_trace(X, shift)
-        assert not _failed_certificates(trace.certificates), (desc, X is image)
-        verify_trace_case(trace, spec)
+        assert not _failed_certificates(trace.certificates), (A.spec.descriptor, X is image)
+        verify_trace_case(trace, A.spec)
+
+
+@pytest.mark.parametrize("desc, size", [("2^12", 96), ("3^7", 96), ("2^16", 160), ("3^12", 160)])
+def test_proof_trace_holds_on_the_frobenius_image(desc, size):
+    # phi(A(A + alpha)) = phi A (phi A + phi alpha)
+    spec = parse_descriptor(desc)
+    rng = np.random.default_rng([95, spec.q])
+    A = FqSet.from_iterable(spec, rng.choice(np.arange(1, spec.q), size, replace=False))
+    alpha = int(rng.integers(1, spec.q))
+    _check_traces(A, alpha, FqSet.from_iterable(spec, spec.pow_arr(A.members, spec.p)),
+                  int(spec.pow_arr(np.int64(alpha), spec.p)))
+
+
+@pytest.mark.parametrize("desc", ("65521^1", "1048573^1"))
+def test_proof_trace_holds_on_a_dilation_image_over_a_prime_field(desc):
+    # Frobenius is the identity on F_p; cA(cA + c alpha) = c^2 A(A + alpha)
+    spec = parse_descriptor(desc)
+    rng = np.random.default_rng([96, spec.q])
+    A = FqSet.from_iterable(spec, rng.choice(np.arange(1, spec.q), 96, replace=False))
+    alpha, c = (int(v) for v in rng.integers(2, spec.q, 2))
+    _check_traces(A, alpha, dilate(A, c), spec.mul(c, alpha))

@@ -18,6 +18,8 @@ from fqlab.errors import (
     MixedFields,
     NotApplicable,
     NotSubsets,
+    SetTooSmall,
+    ZeroElement,
     ZeroInSet,
 )
 from fqlab.finite_field import build_field, enumerate_subfields, parse_descriptor
@@ -119,6 +121,46 @@ def test_rbcard_singletons_trivial():
 def test_rbcard_not_subsets():
     with pytest.raises(NotSubsets):
         check_rbcard(fqset(F7, 0, 1), 3, fqset(F7, 5), fqset(F7, 0))
+
+
+def test_rbcard_passes_a_quotient_r_when_no_difference_repeats():
+    # r in R(X) allows a repeat in X1 - r*X2 but does not force one: singletons
+    # give one value; with X1 = X2 = X the pairs behind r collide
+    X = fqset(F7, 0, 1, 3)
+    r = 2  # (3 - 1) / (1 - 0)
+    assert r in quotient_set(X)
+    rep = check_rbcard(X, r, fqset(F7, 0), fqset(F7, 3))
+    assert rep.verdict == "ExactPass"
+    assert rep.witness == {"size": 1, "product": 1, "r_in_quotient": True}
+    rep = check_rbcard(X, r, X, X)
+    assert rep.verdict == "WitnessFound"
+    assert rep.witness["size"] < rep.witness["product"] == 9
+    assert rep.witness["collision"] == naive_first_collision(F7, [0, 1, 3], [0, 1, 3], r)
+
+
+def test_lemma_checks_refuse_inputs_outside_their_domain():
+    one, empty = fqset(F7, 3), fqset(F7)
+    X = fqset(F7, 1, 2, 4)
+    for check in (check_rbfq, check_quotient_subfield, find_pivot_r):
+        with pytest.raises(SetTooSmall):
+            check(one)
+    refusals = [
+        (EmptySet, lambda: find_pivot_xi(empty, X)),
+        (EmptySet, lambda: check_ruzsa_triangle(X, empty, X)),
+        (EmptySet, lambda: check_ratio_to_shift(empty)),
+        (EmptySet, lambda: basic_shift_subset(empty)),
+        (ZeroInSet, lambda: basic_shift_subset(fqset(F7, 0, 1))),
+        (ZeroInSet, lambda: check_covering_by_shifts(fqset(F7, 0, 1), 1, 0, one, one)),
+        (ZeroElement, lambda: check_covering_by_shifts(X, 7, 0, one, one)),
+        (NotSubsets, lambda: check_covering_by_shifts(X, 1, 0, fqset(F7, 5), one)),
+        (NotSubsets, lambda: check_covering_by_shifts(X, 1, 0, empty, one)),
+    ]
+    for error, call in refusals:
+        with pytest.raises(error):
+            call()
+    for call in (lambda: batch_verify("ramsey", 1), lambda: generate_instance("ramsey", 0, 0)):
+        with pytest.raises(ValueError, match="unknown lemma id 'ramsey'"):
+            call()
 
 
 def test_rbfq_branches():

@@ -226,15 +226,45 @@ def test_set_op_of_a_set_with_itself_matches_naive_oracle(desc, monkeypatch):
     rng = np.random.default_rng([75, spec.q])
     sets = [draw_set(rng, spec, k, nonzero=True) for k in (1, 3, 12, 64)]
     sets += [A.union(FqSet.from_iterable(spec, [0])) for A in sets]
-    # the cost model, then the whole grid, then its triangle for sum and prod
-    for backend in (None, "grid", "triangle"):
+    # the cost model, then the grid: its triangle for the sum and product of a
+    # set with itself, and the whole grid for an equal copy
+    for backend in (None, "grid"):
         with monkeypatch.context() as patch:
             if backend is not None:
                 force_backend(patch, backend)
             for A in sets:
                 for kind in SET_OPS:
                     X = A.nonzero() if kind == "ratio" else A
-                    assert list(set_op(X, X, kind)) == naive_set_op(spec, list(X), list(X), kind)
+                    naive = naive_set_op(spec, list(X), list(X), kind)
+                    assert list(set_op(X, X, kind)) == naive
+                    assert list(set_op(X, FqSet.from_iterable(spec, X.members), kind)) == naive
+
+
+@pytest.mark.parametrize("desc", ("13^1", "2^6", "3^4"))
+def test_the_grid_scores_a_triangle_for_a_set_with_itself_and_the_whole_grid_for_a_copy(
+        desc, monkeypatch):
+    spec = parse_descriptor(desc)
+    A = draw_set(np.random.default_rng([73, spec.q]), spec, 12, nonzero=True)
+    copy = FqSet.from_iterable(spec, A.members)
+    assert copy == A and copy is not A
+    scored, blocks = [], set_algebra._blocks
+
+    def counted(a, b, op, triangle=False):
+        for values in blocks(a, b, op, triangle):
+            scored[-1][1] += values.size
+            yield values
+    monkeypatch.setattr(set_algebra, "_blocks", counted)
+    served = force_backend(monkeypatch, "grid")
+    n, half = len(A), len(A) * (len(A) + 1) // 2  # the triangle holds its diagonal
+    for kind in ("sum", "prod"):
+        for B, cells in ((A, range(half, n * n)), (copy, range(n * n, n * n + 1))):
+            naive = naive_pair_counts(spec, A, B, kind)
+            support = [v for v, c in enumerate(naive) if c]
+            for op, expected in ((_pair_counts, naive), (set_op, support)):
+                scored.append([(B is A, kind), 0])
+                assert list(op(A, B, kind)) == expected
+                assert scored[-1][1] in cells, scored[-1]
+    assert served == ["sum"] * 4 + ["prod"] * 4
 
 
 def test_pair_counts_stay_well_below_one_grid_of_memory(monkeypatch):
@@ -244,9 +274,10 @@ def test_pair_counts_stay_well_below_one_grid_of_memory(monkeypatch):
     counts = (lambda: sum_representation_counts(A), lambda: intersection_shift_counts(A),
               lambda: additive_energy(A), lambda: set_op(A, A, "prod"), lambda: set_op(A, A, "sum"),
               lambda: set_op(A, A, "diff"), lambda: set_op(A, A.nonzero(), "ratio"))
-    # every op on the grid; then the triangle or the transform where it can
-    # serve, and the cost model's choice (the rotation for prod and ratio) elsewhere
-    for backend in ("grid", "triangle", "transform"):
+    # every op on the grid (the sum and product of A with itself on its
+    # triangle); then the transform where it can serve, and the cost model's
+    # choice (the rotation for prod and ratio) elsewhere
+    for backend in ("grid", "transform"):
         with monkeypatch.context() as patch:
             served = force_backend(patch, backend)
             for count in counts:
@@ -628,21 +659,22 @@ def _star_sample(desc, size):
 
 
 @pytest.mark.parametrize("desc, size, kind, plan", [
-    ("2^12", 100, "prod", "triangle"),  # AA
+    ("2^12", 100, "prod", "grid"),  # AA, its triangle
     ("2^12", 1500, "prod", "rotation"),
     ("2^12", 1500, "sum", "transform"),  # A + A, by the transform before the rotation
-    ("7^1", 6, "sum", "triangle"),  # the whole of F_7^*
+    ("7^1", 6, "sum", "grid"),  # the whole of F_7^*, its triangle
     ("65521^1", 2000, "sum", "rotation"),
 ])
 def test_cost_model_sends_only_large_grids_to_the_rotation(desc, size, kind, plan):
     A, _ = _star_sample(desc, size)
     assert set_algebra._plan(A, A, kind, True) == plan
+    assert set_algebra._grid(A, A, kind)[-1]  # a set with itself: the grid is a triangle
 
 
 # today's choices on the benchmark's shapes, so that moving code moves no decision
 @pytest.mark.parametrize("desc, size, operands, kind, support, plan", [
     ("3^12", 1000, "AA", "diff", False, "grid"),  # A - A counts
-    ("3^12", 1000, "AA", "prod", True, "triangle"),  # AA
+    ("3^12", 1000, "AA", "prod", True, "grid"),  # AA, its triangle
     ("3^12", 1000, "AB", "prod", True, "rotation"),  # A(A+1)
     ("3^12", 3000, "AA", "diff", False, "transform"),
     ("3^12", 3000, "AB", "sum", False, "transform"),  # A + B counts
@@ -655,15 +687,19 @@ def test_cost_model_sends_only_large_grids_to_the_rotation(desc, size, kind, pla
 ])
 def test_plan_keeps_the_benchmark_choices(desc, size, operands, kind, support, plan):
     A, B = _star_sample(desc, size)
-    assert set_algebra._plan(A, A if operands == "AA" else B, kind, support) == plan
+    B = A if operands == "AA" else B
+    assert set_algebra._plan(A, B, kind, support) == plan
+    assert set_algebra._grid(A, B, kind)[-1] == (B is A and kind == "prod")  # AA's triangle
 
 
 def test_plan_keeps_small_sets_on_the_grid():
     A, B = _star_sample("2^12", 96)
-    plans = {set_algebra._plan(A, Y, kind, support)
-             for Y in (A, B) for kind in SET_OPS for support in (False, True)
-             if not (kind == "ratio" and 0 in Y)}
-    assert plans == {"grid", "triangle"}
+    ops = [(Y, kind) for Y in (A, B) for kind in SET_OPS if not (kind == "ratio" and 0 in Y)]
+    plans = {set_algebra._plan(A, Y, kind, support) for Y, kind in ops for support in (False, True)}
+    assert plans == {"grid"}
+    # of which A + A and AA score one triangle
+    assert [(Y is A, kind) for Y, kind in ops if set_algebra._grid(A, Y, kind)[-1]] == [
+        (True, "sum"), (True, "prod")]
 
 
 # the ops each backend can serve: B is A, the kind, a support (or counts), m
@@ -1018,6 +1054,12 @@ def test_coset_profile_kappa_below_1_is_a_value_error(kappa):
     # kappa is squared, so -3 would act as 3 and 0 would fail every set
     with pytest.raises(ValueError, match="kappa must be"):
         coset_profile(fqset(F16, 1, 2, 3), 25, 26, 3, kappa=kappa)
+
+
+def test_coset_profile_needs_a_nonempty_reference():
+    for reference in (fqset(F16), 0):
+        with pytest.raises(EmptySet, match="reference"):
+            coset_profile(fqset(F16, 1, 2, 3), 25, 26, reference)
 
 
 def test_coset_profile_exact_integer_comparisons():

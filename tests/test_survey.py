@@ -13,6 +13,7 @@ from fqlab.errors import (
     IoFailure,
     MalformedLiteral,
     NoProperSubfield,
+    SetTooSmall,
     SizeInfeasible,
     ZeroShift,
 )
@@ -447,6 +448,29 @@ def test_an_empty_list_is_an_invalid_config(tmp_path, empty):
     with pytest.raises(InvalidSurveyConfig, match=empty):
         run_survey(SurveyConfig(**{**cfg, empty: ()}))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("trials", 0), ("alpha_policy", "sweep2"),
+                                          ("kind", "trace")])
+def test_a_bad_count_or_name_is_an_invalid_config(field, value):
+    cfg = SurveyConfig(fields=("7",), sizes=(3,), **{field: value})
+    with pytest.raises(InvalidSurveyConfig, match=field.split("_")[-1]):
+        cfg.validate()
+
+
+def test_survey_functions_refuse_inputs_outside_their_domain():
+    F7, F9 = build_field(7, 1), build_field(3, 2)
+    with pytest.raises(ValueError, match="sampler"):
+        sample_set(F7, "normal", 3, 0)
+    with pytest.raises(SizeInfeasible):
+        sample_set(F9, "coset", 10, 0)
+    one = FqSet.from_iterable(F7, [3])
+    for record in (expander_record, corollary_record):
+        with pytest.raises(SetTooSmall):
+            record(one, 1)
+    for nonzero_only, k in ((False, 8), (True, 7)):
+        with pytest.raises(SizeInfeasible):
+            exhaustive_min_expander(F7, k, nonzero_only=nonzero_only)
 
 
 def test_a_survey_that_stops_part_way_keeps_its_rows_and_writes_no_summary(monkeypatch,
