@@ -138,10 +138,11 @@ def dyadic_energy_slice(X: FqSet, Y: FqSet) -> DyadicSlice:
     """Bucket the ratio counts by powers of two and keep the level with the
     largest squared mass (smallest level on ties).
 
-    The counts are one bincount of the |X| x |Y| ratio grid, which also
-    gives the slice's pairs.  A count's level is its place among the powers
-    of two, and the masses add up in int64, exactly: each is at most the
-    energy, below (|X||Y|)^(3/2).  A perfectly flat spectrum at a power of
+    The counts are an int32 spectrum of length q, accumulated over the
+    |X| x |Y| ratio grid, which also gives the slice's pairs.  A count's
+    level is its place among the powers of two, and the masses (the squares
+    of the counts, widened first) add up in int64, exactly: each is at most
+    the energy, below (|X||Y|)^(3/2).  A perfectly flat spectrum at a power of
     two would make L*N equal |X||Y| exactly; in that case the largest-encoded
     slope is dropped, which keeps every certificate valid.
     """
@@ -151,8 +152,9 @@ def dyadic_energy_slice(X: FqSet, Y: FqSet) -> DyadicSlice:
     if 0 in X:
         raise ZeroInDenominatorSet("denominator set must avoid 0")
     ratios = X.spec.div_arr(Y.members[None, :], X.members[:, None])
-    spectrum = np.bincount(ratios.ravel(), minlength=X.spec.q)
-    counts = spectrum[spectrum > 0]
+    spectrum = np.zeros(X.spec.q, dtype=np.int32)
+    np.add.at(spectrum, ratios.ravel(), np.int32(1))
+    counts = spectrum[spectrum > 0].astype(np.int64)
     if not counts.size:
         raise EmptySpectrum("no ratio pairs between X and Y")
     powers = 1 << np.arange(int(counts.max()).bit_length(), dtype=np.int64)
@@ -351,10 +353,11 @@ def _greedy_cover(target: FqSet, tile: FqSet, counts: np.ndarray):
     """Greedy cover of target by translates t + tile, the first (= smallest)
     t of largest gain each step.  The gain of t starts at counts[t] =
     |(t + tile) ∩ target|, the pair counts of target - tile, and counts is
-    lowered in place: a newly covered element e takes one gain from each
-    shift e - s, s in tile.  A step scans the gains of the candidates (the
-    shifts whose translate meets the target), and the whole run makes
-    |target| |tile| decrements: O(steps |candidates| + |target| |tile|)."""
+    lowered in place, by decrements of its own dtype: a newly covered
+    element e takes one gain from each shift e - s, s in tile.  A step scans
+    the gains of the candidates (the shifts whose translate meets the
+    target), and the whole run makes |target| |tile| decrements:
+    O(steps |candidates| + |target| |tile|)."""
     spec = target.spec
     candidates = np.flatnonzero(counts)
     uncovered = target.bitmask.copy()
@@ -367,7 +370,8 @@ def _greedy_cover(target: FqSet, tile: FqSet, counts: np.ndarray):
         covered = hit[uncovered[hit]]
         uncovered[covered] = False
         remaining -= covered.size
-        np.subtract.at(counts, spec.sub_arr(covered[:, None], tile.members[None, :]), 1)
+        np.subtract.at(counts, spec.sub_arr(covered[:, None], tile.members[None, :]),
+                       counts.dtype.type(1))
         shifts.append(best)
     return len(shifts), shifts
 
@@ -512,8 +516,15 @@ def _min_diffset_subset(A: FqSet, floor: int):
         size, rows = _min_subsets(diffs, floor, 1, square=True)
         return A.members[rows[0]], size
     # flat grids, gathered per step; each difference is labelled by its rank
-    # among the distinct ones, so the counts span the grid, not the field
-    labels = (np.cumsum(np.bincount(diffs.ravel(), minlength=spec.q) > 0) - 1)[diffs.ravel()]
+    # among the distinct ones, so the counts span the grid, not the field: the
+    # ranks are a q-length int32 mark summed in place (a bool mark summed to
+    # int32 is cast whole first), and the labels intp, as every step gathers
+    # through them
+    rank = np.zeros(spec.q, dtype=np.int32)
+    rank[diffs.ravel()] = 1
+    labels = np.cumsum(rank, out=rank)[diffs.ravel()].astype(np.intp)
+    labels -= 1
+    del rank
     reflected = spec.sub_arr(spec.add_arr(A.members, A.members)[:, None],
                              A.members[None, :]).ravel()
     counts = np.bincount(labels)
@@ -526,8 +537,8 @@ def _min_diffset_subset(A: FqSet, floor: int):
         m = member[reflected[flat]]
         lost = (held == 1 + m).sum(axis=1) + ((held == 1) & ~m).sum(axis=1)
         best = int(np.argmax(lost))  # first maximum = smallest encoding
-        np.subtract.at(counts, cells[best], 1)
-        np.subtract.at(counts, cells[:, best], 1)
+        np.subtract.at(counts, cells[best], np.intp(1))
+        np.subtract.at(counts, cells[:, best], np.intp(1))
         counts[cells[best, best]] += 1  # the diagonal cell is in both
         member[A.members[rows[best]]] = False
     return A.members[member[A.members]], int(np.count_nonzero(counts))

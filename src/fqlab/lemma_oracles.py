@@ -504,8 +504,7 @@ def _rand_size(rng, spec, lo=2, hi=12):
 def generate_instance(lemma_id: str, seed: int, index: int):
     """Deterministic instance for one lemma check; returns kwargs for the
     lemma's checker in LEMMAS (or None when the draw is inapplicable)."""
-    if lemma_id not in LEMMA_IDS:
-        raise ValueError(f"unknown lemma id {lemma_id!r}")
+    _lemma(lemma_id)
     rng = _rng_for(lemma_id, seed, index)
     spec = _field_for(index)
 
@@ -607,16 +606,23 @@ LEMMAS = {
 LEMMA_IDS = tuple(LEMMAS)
 
 
+def _lemma(lemma_id: str) -> tuple:
+    """LEMMAS[lemma_id], or the one ValueError of every entry point for an
+    unknown id."""
+    if lemma_id not in LEMMAS:
+        raise ValueError(f"unknown lemma id {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
+    return LEMMAS[lemma_id]
+
+
 def run_lemma(lemma_id: str, **kwargs) -> LemmaReport:
     """Run one lemma's checker on keyword arguments."""
-    checker, _ = LEMMAS[lemma_id]
+    checker, _ = _lemma(lemma_id)
     return checker(**kwargs)
 
 
 def batch_verify(lemma_id: str, trials: int, seed: int = 0) -> list[LemmaReport]:
     """Run `trials` seeded instances of one lemma check, deterministically."""
-    if lemma_id not in LEMMAS:
-        raise ValueError(f"unknown lemma id {lemma_id!r}; known: {', '.join(LEMMA_IDS)}")
+    _lemma(lemma_id)
     reports = []
     index = 0
     while len(reports) < trials:

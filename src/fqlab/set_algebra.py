@@ -5,11 +5,14 @@ structural growth condition, decided from each proper subfield's largest
 coset-intersection count.
 
 Pairwise sets are marked (``_pair_marks``) and pairwise counts are counted
-(``_pair_counts``); both take their operands from ``_grid``.  Prod and ratio
-sets are marked on the log residues Z/(q-1), sum and diff sets on the
-encodings.  ``set_op_size`` counts a set's size on those marks, the
-rotation's still packed 8 to a byte, and ``set_op`` is the only place that
-maps residues to encodings (``_pair_support``, a q-length bitmask).
+(``_pair_counts``); both take their operands from ``_grid``.  Every pairwise
+count array is int32 on every backend, 4 bytes an entry: no count exceeds
+2q <= 2^25, and whatever squares or adds them up widens to int64 first
+(``_sum_of_squares``).  Prod and ratio sets are marked on the log residues
+Z/(q-1), sum and diff sets on the encodings.  ``set_op_size`` counts a set's
+size on those marks, the rotation's still packed 8 to a byte, and ``set_op``
+is the only place that maps residues to encodings (``_pair_support``, a
+q-length bitmask).
 ``_plan`` alone chooses the backend of each op, among the three
 ``_backends`` that can serve it:
 
@@ -353,28 +356,32 @@ def _plan(A: FqSet, B: FqSet, kind: str, support: bool) -> str:
 
 
 def _pair_counts(A: FqSet, B: FqSet, kind: str) -> np.ndarray:
-    """counts[v] = #{(a, b) in A x B : a ∘ b = v} for ∘ = kind, length q.
+    """counts[v] = #{(a, b) in A x B : a ∘ b = v} for ∘ = kind, an int32
+    array of length q on every backend.
 
     Counts that ``_plan`` sends to the transform must pass
     ``_exact_counts``, or the grid recounts them.  On the grid they
-    accumulate (``np.add.at``, no q-length array per block) over the
-    ``_blocks`` of the ``_grid``; for prod and ratio the log sums are folded
-    mod q-1 once, mapped to encodings by one gather, and 0 gets the closed
-    form |A||B| - |A*||B*|.  A triangle (``_grid``) scores half the grid:
-    it adds each cell of a block twice, for both orders of its pair, and its
-    leading square once less, whose pairs the block holds in both orders
-    already and whose diagonal is one pair."""
+    accumulate into int32 (``np.add.at`` with an int32 operand, numpy's fast
+    path: a Python int there costs some 25-30x the time an element; no
+    q-length array per block) over the ``_blocks`` of the ``_grid``; for
+    prod and ratio the int32 log sums are folded mod q-1 once, mapped to
+    encodings by one gather, and 0 gets the closed form |A||B| - |A*||B*|.
+    A triangle (``_grid``) scores half the grid: it adds each cell of a
+    block twice, for both orders of its pair, and its leading square once
+    less, whose pairs the block holds in both orders already and whose
+    diagonal is one pair.  No count, nor a triangle's partial sum, exceeds
+    2q <= 2^25."""
     cells = len(A) * len(B)
     if _plan(A, B, kind, False) == "transform":
         counts = _exact_counts(_transform_counts(A, B, kind), cells)
         if counts is not None:
             return counts
     a, b, op, size, triangle = _grid(A, B, kind)
-    counts = np.zeros(size, dtype=np.int64)
+    counts = np.zeros(size, dtype=np.int32)
     for values in _blocks(a, b, op, triangle):
-        np.add.at(counts, values.ravel(), 2 if triangle else 1)
+        np.add.at(counts, values.ravel(), np.int32(2 if triangle else 1))
         if triangle:
-            np.subtract.at(counts, values[:, : len(values)].ravel(), 1)
+            np.subtract.at(counts, values[:, : len(values)].ravel(), np.int32(1))
         del values
     if kind in ("sum", "diff"):
         return counts
@@ -683,10 +690,12 @@ def _exact_energy(value: float, size: int, p: int) -> int | None:
 
 
 def _exact_counts(values: np.ndarray, total: int) -> np.ndarray | None:
-    """values rounded to int64 counts written over values (their rint is the
-    one q-length temporary), or None unless every value lies within 1/4 of
-    its integer, none is negative and they add up to total."""
-    counts, ints = np.rint(values), values.view(np.int64)
+    """values rounded to int32 counts written over the front half of values'
+    own buffer (their rint is the one q-length temporary), or None unless
+    every value lies within 1/4 of its integer, none is negative and they add
+    up to total.  The counts are a view that keeps the float buffer alive,
+    as the values were."""
+    counts, ints = np.rint(values), values.view(np.int32)[: values.size]
     values -= counts
     if np.abs(values, out=values).max() < 0.25 and counts.min() >= 0 and int(counts.sum()) == total:
         ints[:] = counts
@@ -761,10 +770,10 @@ def quotient_closure_failure(R: FqSet, rows: np.ndarray) -> tuple[int | None, in
 
 
 def representation_spectrum(X: FqSet, Y: FqSet) -> np.ndarray:
-    """counts[xi] = r(xi) = #{(x, y) in X x Y : y/x = xi}, length q: the ratio
-    representation counts.  They add up to |X||Y| (first moment) and their
-    ``_sum_of_squares`` is the multiplicative energy between X and Y (second
-    moment)."""
+    """counts[xi] = r(xi) = #{(x, y) in X x Y : y/x = xi}, an int32 array of
+    length q: the ratio representation counts.  They add up to |X||Y| (first
+    moment) and their ``_sum_of_squares`` is the multiplicative energy
+    between X and Y (second moment)."""
     _require_same_field(X, Y)
     if 0 in X:
         raise ZeroInDenominatorSet("denominator set must avoid 0")
@@ -772,22 +781,25 @@ def representation_spectrum(X: FqSet, Y: FqSet) -> np.ndarray:
 
 
 def _sum_of_squares(counts: np.ndarray) -> int:
-    """sum(c^2) over a nonnegative int64 count array, exactly.
+    """sum(c^2) over a nonnegative int32 or int64 count array, exactly.
 
-    The sum is at most sum(c) * max(c) (|A||B| times the largest count for
-    pair counts, |A|^3 for an energy), which passes 2^63 once q nears the
-    2^24 cap; from there it is summed in Python integers."""
+    The squares are accumulated in int64 (a plain int32 ``np.dot`` would
+    overflow once a count passes 46,340); einsum widens the int32 counts in
+    its own small buffers, with no q-length int64 copy.  The sum is at most
+    sum(c) * max(c) (|A||B| times the largest count for pair counts, |A|^3
+    for an energy), which passes 2^63 once q nears the 2^24 cap; from there
+    it is summed in Python integers."""
     if counts.size == 0:
         return 0
     if int(counts.sum()) * int(counts.max()) < 1 << 63:
-        return int(np.dot(counts, counts))
+        return int(np.einsum("i,i->", counts, counts, dtype=np.int64))
     return sum(c * c for c in counts.tolist())
 
 
 def sum_representation_counts(A: FqSet) -> np.ndarray:
-    """counts[s] = #{(a1, a2) in A^2 : a1 + a2 = s}, length q, on the grid's
-    triangle or by the transform.  From the transform it is a view that
-    keeps the transform's (L+1)/L q floats."""
+    """counts[s] = #{(a1, a2) in A^2 : a1 + a2 = s}, an int32 array of length
+    q, on the grid's triangle or by the transform.  From the transform it is
+    a view that keeps the transform's (L+1)/L q floats."""
     return _pair_counts(A, A, "sum")
 
 
@@ -824,7 +836,7 @@ def multiplicative_energy(X: FqSet, Y: FqSet) -> int:
 
 
 def intersection_shift_counts(A: FqSet) -> np.ndarray:
-    """counts[alpha] = |A ∩ (A - alpha)|, length q.
+    """counts[alpha] = |A ∩ (A - alpha)|, an int32 array of length q.
 
     Summed over the difference set this gives |A|^2, and the sum of squares
     gives the additive energy.  From the transform it is a view that keeps

@@ -614,8 +614,8 @@ def test_every_module_imports_only_the_layers_below_it():
                 assert node.module in allowed, (name, node.module)
 
 
-def _len_calls(takes):
-    """module:line of every len(x) call in fqlab whose argument node x ``takes`` accepts."""
+def _calls(matches):
+    """module:line of every call node in fqlab that ``matches`` accepts."""
     root = os.path.dirname(decompositions.__file__)
     found = []
     for name in sorted(os.listdir(root)):
@@ -623,11 +623,15 @@ def _len_calls(takes):
             continue
         with open(os.path.join(root, name)) as fh:
             tree = ast.parse(fh.read())
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == "len" and node.args and takes(node.args[0])):
-                found.append(f"{name}:{node.lineno}")
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and matches(node)]
     return found
+
+
+def _len_calls(takes):
+    """module:line of every len(x) call in fqlab whose argument node x ``takes`` accepts."""
+    return _calls(lambda node: isinstance(node.func, ast.Name) and node.func.id == "len"
+                  and bool(node.args) and takes(node.args[0]))
 
 
 def test_no_module_takes_the_length_of_a_built_set():
@@ -639,6 +643,45 @@ def test_no_module_takes_the_length_of_a_built_set():
         return (callee.id if isinstance(callee, ast.Name)
                 else getattr(callee, "attr", "")) in ("set_op", "shifted_product")
     found = _len_calls(built)
+    assert not found, found
+
+
+def _ufunc_at(node) -> bool:
+    """The call is np.add.at or np.subtract.at."""
+    func = node.func
+    return (isinstance(func, ast.Attribute) and func.attr == "at"
+            and isinstance(func.value, ast.Attribute) and func.value.attr in ("add", "subtract")
+            and isinstance(func.value.value, ast.Name) and func.value.value.id == "np")
+
+
+def _int_literal(node) -> bool:
+    """The expression is built of integer literals alone, so numpy sees a Python int."""
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int
+    if isinstance(node, ast.UnaryOp):
+        return _int_literal(node.operand)
+    if isinstance(node, ast.BinOp):
+        return _int_literal(node.left) and _int_literal(node.right)
+    if isinstance(node, ast.IfExp):
+        return _int_literal(node.body) and _int_literal(node.orelse)
+    return False
+
+
+def _literal_operand(node) -> bool:
+    return _ufunc_at(node) and len(node.args) > 2 and _int_literal(node.args[2])
+
+
+def test_no_ufunc_at_call_takes_a_bare_integer_operand():
+    # a Python int operand sends np.add.at on an int32 count array down numpy's
+    # slow path, some 25-30x the time an element of a matching np.int32 operand
+    flagged = [ast.parse(src).body[0].value for src in (
+        "np.add.at(c, i, 1)", "np.subtract.at(c, i, -1)", "np.add.at(c, i, 2 if t else 1)")]
+    passed = [ast.parse(src).body[0].value for src in (
+        "np.add.at(c, i, np.int32(1))", "np.subtract.at(c, i, c.dtype.type(1))",
+        "np.add.at(m, i, c * c)", "np.add(c, 1)")]
+    assert all(map(_literal_operand, flagged)) and not any(map(_literal_operand, passed))
+    assert len(_calls(_ufunc_at)) >= 5  # the check has calls to read
+    found = _calls(_literal_operand)
     assert not found, found
 
 

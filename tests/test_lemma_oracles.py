@@ -63,6 +63,7 @@ from pools import (
     naive_quotient_set,
     naive_set_op,
     on_path,
+    peak_bytes,
     pool_field,
 )
 
@@ -161,6 +162,17 @@ def test_lemma_checks_refuse_inputs_outside_their_domain():
     for call in (lambda: batch_verify("ramsey", 1), lambda: generate_instance("ramsey", 0, 0)):
         with pytest.raises(ValueError, match="unknown lemma id 'ramsey'"):
             call()
+
+
+def test_an_unknown_lemma_id_is_the_same_value_error_at_every_entry_point():
+    # run_lemma raised a bare KeyError: 'ramsey' where the other two raised this
+    messages = []
+    for call in (lambda: run_lemma("ramsey", X=fqset(F5, 1)), lambda: batch_verify("ramsey", 1),
+                 lambda: generate_instance("ramsey", 0, 0)):
+        with pytest.raises(ValueError, match="unknown lemma id 'ramsey'") as caught:
+            call()
+        messages.append(str(caught.value))
+    assert len(set(messages)) == 1 and "known: rbcard, rbfq" in messages[0]
 
 
 def test_rbfq_branches():
@@ -475,6 +487,20 @@ def test_greedy_subset_searches_are_frozen(descriptor, n):
     dsub, dsize = on_path(GREEDY, _min_diffset_subset, X, math.ceil(n / 2))
     found = json.dumps([sub.tolist(), size, dsub.tolist(), dsize])
     assert hashlib.sha256(found.encode()).hexdigest() == FROZEN_SEARCHES[descriptor, n]
+
+
+def test_greedy_difference_search_labels_on_one_int32_rank():
+    # the distinct differences of 40 elements of 2^20 are ranked by one
+    # q-length int32 mark summed in place (4.2 MB); an int64 bincount, its
+    # marks and their int64 cumsum peaked at 17.8 MB
+    spec = build_field(2, 20)
+    X = FqSet.from_iterable(spec, np.random.default_rng(3).choice(np.arange(1, spec.q), 40,
+                                                                 replace=False))
+    X.bitmask  # the set's own bitmask is not part of the search's peak
+    peak, (sub, size) = peak_bytes(lambda: on_path(GREEDY, _min_diffset_subset, X, 20))
+    assert ([int(v) for v in sub], size) == naive_greedy_min_subset(
+        spec, X.members.tolist(), 20)
+    assert peak < 6 * spec.q
 
 
 def test_basic_shift_subset_small():

@@ -286,6 +286,20 @@ def test_pair_counts_stay_well_below_one_grid_of_memory(monkeypatch):
             assert served
 
 
+def test_grid_ratio_counts_peak_at_int32_log_sums(monkeypatch):
+    # the 2(q-1) log sums and the q counts gathered from them, int32: 16.2
+    # bytes an element of 3^12 (8.6 MB); int64 sums and counts took 32.2
+    spec = build_field(3, 12)
+    rng = np.random.default_rng(78)
+    A, B = (FqSet.from_iterable(spec, rng.choice(np.arange(1, spec.q), 3000, replace=False))
+            for _ in "AB")
+    served = force_backend(monkeypatch, "grid")
+    peak, counts = peak_bytes(lambda: _pair_counts(A, B, "ratio"))
+    assert served == ["ratio"] and counts.dtype == np.int32
+    assert int(counts.sum()) == len(A) * len(B)
+    assert peak < 20 * spec.q
+
+
 def test_half_spectrum_transform_matches_the_grid_at_survey_size(monkeypatch):
     # the survey's size on 3^12: four chunks of 27, 14 representatives each
     spec = build_field(3, 12)
@@ -371,7 +385,7 @@ def test_exact_counts_peak_near_two_q_length_arrays():
     values = set_algebra._transform_counts(A, A, "diff")
     peak, counts = peak_bytes(lambda: set_algebra._exact_counts(values, len(A) ** 2))
     assert counts is not None and int(counts.sum()) == len(A) ** 2
-    assert np.shares_memory(counts, values)
+    assert counts.dtype == np.int32 and np.shares_memory(counts, values)
     assert peak <= 1.1 * spec.q * 8
 
 
@@ -734,13 +748,18 @@ def test_every_backend_matches_the_naive_oracles(desc, monkeypatch):
                     expected += [kind] * serves(X is Y, kind, True, spec.m)
                     continue
                 support = [v for v, c in enumerate(counts) if c]
-                assert list(_pair_counts(X, Y, kind)) == counts
+                got = _pair_counts(X, Y, kind)
+                assert got.dtype == np.int32 and got.tolist() == counts
                 assert list(set_op(X, Y, kind)) == support
                 assert set_op_size(X, Y, kind) == len(support)
                 expected += [kind] * (serves(X is Y, kind, False, spec.m)
                                       + 2 * serves(X is Y, kind, True, spec.m))
             assert served == expected
             assert served or (backend == "transform" and spec.m == 1)
+            # the public wrappers hand the same int32 counts on
+            wrapped = (sum_representation_counts(A), intersection_shift_counts(A),
+                       representation_spectrum(A, B), representation_spectrum(B, A.union(zero)))
+            assert [c.dtype for c in wrapped] == [np.dtype(np.int32)] * 4
 
 
 def test_rotated_support_stays_small():
@@ -817,6 +836,16 @@ def test_set_op_size_errors_and_empty_operands_follow_set_op():
     for kind in SET_OPS:
         assert set_op_size(fqset(F7, 1), empty, kind) == 0
         assert set_op_size(empty, fqset(F7, 1), kind) == 0
+
+
+def test_sum_of_squares_widens_int32_counts_before_it_squares_them():
+    # squares past 2^31: a plain int32 dot wraps them
+    counts = np.array([50_000, 0, 3, 46_341], dtype=np.int32)
+    exact = 50_000**2 + 9 + 46_341**2
+    assert int(np.dot(counts, counts)) != exact
+    assert _sum_of_squares(counts) == exact
+    big = np.full(1 << 16, 1 << 15, dtype=np.int32)  # 2^16 squares of 2^30: the sum is 2^46
+    assert _sum_of_squares(big) == 1 << 46
 
 
 def test_sum_of_squares_is_exact_past_int64():
