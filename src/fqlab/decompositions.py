@@ -26,7 +26,6 @@ from .errors import (
     SecondSetLarger,
     SumBelowK,
     TraceDegenerate,
-    ZeroInDenominatorSet,
     ZeroInSet,
 )
 from .finite_field import _scalar, proper_subfields
@@ -43,6 +42,7 @@ from .set_algebra import (
     dilate,
     quotient_closure_failure,
     quotient_set,
+    representation_spectrum,
     set_op,
     set_op_size,
     translate,
@@ -138,22 +138,20 @@ def dyadic_energy_slice(X: FqSet, Y: FqSet) -> DyadicSlice:
     """Bucket the ratio counts by powers of two and keep the level with the
     largest squared mass (smallest level on ties).
 
-    The counts are an int32 spectrum of length q, accumulated over the
-    |X| x |Y| ratio grid, which also gives the slice's pairs.  A count's
-    level is its place among the powers of two, and the masses (the squares
-    of the counts, widened first) add up in int64, exactly: each is at most
-    the energy, below (|X||Y|)^(3/2).  A perfectly flat spectrum at a power of
+    The counts are ``representation_spectrum``'s.  A count's level is its
+    place among the powers of two, and the masses (the squares of the
+    counts, widened first) add up in int64, exactly: each is at most the
+    energy, below (|X||Y|)^(3/2).  A perfectly flat spectrum at a power of
     two would make L*N equal |X||Y| exactly; in that case the largest-encoded
-    slope is dropped, which keeps every certificate valid.
+    slope is dropped, which keeps every certificate valid.  The slice's
+    pairs, sum of r(xi) over D, are then listed by ``_batches`` of X's rows,
+    each pair's line read through a q-length rank of D, so nothing of size
+    |X||Y| is held but the pairs themselves.
     """
     _require_same_field(X, Y)
     if len(Y) > len(X):
         raise SecondSetLarger("need |Y| <= |X|")
-    if 0 in X:
-        raise ZeroInDenominatorSet("denominator set must avoid 0")
-    ratios = X.spec.div_arr(Y.members[None, :], X.members[:, None])
-    spectrum = np.zeros(X.spec.q, dtype=np.int32)
-    np.add.at(spectrum, ratios.ravel(), np.int32(1))
+    spectrum = representation_spectrum(X, Y)
     counts = spectrum[spectrum > 0].astype(np.int64)
     if not counts.size:
         raise EmptySpectrum("no ratio pairs between X and Y")
@@ -165,11 +163,30 @@ def dyadic_energy_slice(X: FqSet, Y: FqSet) -> DyadicSlice:
     if slopes.size * N == len(X) * len(Y) and slopes.size >= 2:
         slopes = slopes[:-1]
     D = FqSet._from_sorted(X.spec, slopes)
-    xi, yi = np.nonzero(D.bitmask[ratios])
-    pairs = np.column_stack([X.members[xi], Y.members[yi]])  # row-major: (x, y) sorted
+    k = int(spectrum[slopes].sum(dtype=np.int64))
+    energy = _sum_of_squares(spectrum)
+    del spectrum, counts
+    rank = np.cumsum(D.bitmask, dtype=np.int32)
+    rank -= 1  # rank[xi] is the position of xi in D, for xi in D
+    pairs = np.empty((k, 2), dtype=np.int64)  # row-major: (x, y) sorted
+    line = np.empty(k, dtype=np.int64)
+    done = 0
+    for rows in _batches(len(X), len(Y)):
+        x = X.members[rows.start:rows.stop]
+        ratios = X.spec.div_arr(Y.members[None, :], x[:, None])
+        xi, yi = np.nonzero(D.bitmask[ratios])
+        end = done + xi.size
+        if end <= k:
+            pairs[done:end, 0] = x[xi]
+            pairs[done:end, 1] = Y.members[yi]
+            line[done:end] = rank[ratios[xi, yi]]
+        done = end
+        del ratios, xi, yi
+    if done != k:
+        raise InvariantViolated(f"the slice holds {done} pairs, its spectrum {k}")
     L = len(D)
-    return DyadicSlice(X=X, Y=Y, D=D, N=N, L=L, M=L * N * N, energy=_sum_of_squares(spectrum),
-                       pairs=pairs, line=np.searchsorted(D.members, ratios[xi, yi]))
+    return DyadicSlice(X=X, Y=Y, D=D, N=N, L=L, M=L * N * N, energy=energy,
+                       pairs=pairs, line=line)
 
 
 def slice_certificates(sl: DyadicSlice) -> dict:
@@ -524,7 +541,7 @@ def _min_diffset_subset(A: FqSet, floor: int):
     rank[diffs.ravel()] = 1
     labels = np.cumsum(rank, out=rank)[diffs.ravel()].astype(np.intp)
     labels -= 1
-    del rank
+    del rank, diffs
     reflected = spec.sub_arr(spec.add_arr(A.members, A.members)[:, None],
                              A.members[None, :]).ravel()
     counts = np.bincount(labels)

@@ -197,7 +197,6 @@ def corollary_record(A: FqSet, alpha: int, sampler: str = "explicit",
         raise InvariantViolated(f"energy {energy} exceeds |A|^3 = {len(A) ** 3}")
 
     S = A.intersect(translate(A, spec.neg(alpha)))
-    chain_pass = True
     if len(S):
         S_shift = translate(S, alpha)
         if not (S.is_subset(A) and S_shift.is_subset(A)):
@@ -209,7 +208,7 @@ def corollary_record(A: FqSet, alpha: int, sampler: str = "explicit",
         field=spec.descriptor, p=spec.p, m=spec.m, size=len(A), alpha=alpha,
         sampler=sampler, seed=int(seed), intersection=len(S), prod_size=prod,
         energy=energy, corollary_curve=intersection_curve(prod, spec.q),
-        chain_pass=chain_pass, structural_pass=coset_profile(A, 50, 53, prod),
+        chain_pass=True, structural_pass=coset_profile(A, 50, 53, prod),
     )
 
 

@@ -186,7 +186,7 @@ def test_slice_certificates_randomized():
 
 
 @pytest.mark.parametrize("descriptor", POOL_DESCRIPTORS + ("2^10",))
-def test_slice_matches_naive_oracle(descriptor):
+def test_slice_matches_naive_oracle(descriptor, monkeypatch):
     spec = parse_descriptor(descriptor)
     instances = []
     for draw in range(6):
@@ -199,16 +199,36 @@ def test_slice_matches_naive_oracle(descriptor):
     if spec.q > 4:  # four distinct ratios 1, g^2, 1/g, g: flat at N = 1, one slope dropped
         g = spec.generator
         instances.append((fqset(spec, 1, g), fqset(spec, 1, spec.mul(g, g))))
+    default, spanned = set_algebra.PAIR_BLOCK_CELLS, 0
     for X, Y in instances:
-        sl = dyadic_energy_slice(X, Y)
         want = naive_dyadic_slice(spec, list(X), list(Y))
-        assert (sl.N, list(sl.D), sl.pairs.tolist()) == (
-            want["N"], want["D"], [list(p) for p in want["pairs"]]), (X, Y)
-        assert (sl.L, sl.M) == (len(want["D"]), len(want["D"]) * want["N"] ** 2)
         slopes = [spec.div(y, x) for x, y in want["pairs"]]
-        assert sl.line.tolist() == [want["D"].index(xi) for xi in slopes]
+        # the default batches, then one row of X a batch: the pairs span len(X) batches
+        for cells in (default, len(Y)):
+            monkeypatch.setattr(set_algebra, "PAIR_BLOCK_CELLS", cells)
+            sl = dyadic_energy_slice(X, Y)
+            assert (sl.N, list(sl.D), sl.pairs.tolist()) == (
+                want["N"], want["D"], [list(p) for p in want["pairs"]]), (X, Y, cells)
+            assert (sl.L, sl.M) == (len(want["D"]), len(want["D"]) * want["N"] ** 2)
+            assert sl.line.tolist() == [want["D"].index(xi) for xi in slopes]
+        spanned += len({x for x, _ in want["pairs"]}) > 1
     if spec.q > 4:
         assert sl.L == 3 and sl.N == 1
+        assert spanned >= 4  # instances whose pairs lie in more than one batch
+
+
+def test_slice_lists_its_pairs_without_the_ratio_grid():
+    # |X| = |Y| = 1000 on 2^20: the whole int64 ratio grid and its
+    # temporaries, kept to find the pairs, peaked at 46.4 MB; listed by
+    # batches of X's rows, the slice holds the spectrum, a rank of D and the
+    # pairs (21.7 MB)
+    spec = build_field(2, 20)
+    rng = np.random.default_rng(1000)
+    X, Y = (draw_set(rng, spec, 1000, nonzero=True) for _ in range(2))
+    X.bitmask, Y.bitmask  # the sets' own bitmasks are not part of the slice's peak
+    peak, sl = peak_bytes(lambda: dyadic_energy_slice(X, Y))
+    assert slice_certificates(sl)["level_band"]
+    assert peak < 30_000_000
 
 
 def test_slice_errors():
@@ -580,6 +600,19 @@ def test_sumset_search_stays_well_below_one_grid_of_memory():
     peak, (sub, _) = peak_bytes(lambda: _min_sumset_subset(X, S, math.ceil(3 * len(X) / 4)))
     assert len(sub) == 113
     assert peak < 40_000_000 < grid
+
+
+def test_difference_search_frees_its_grid_once_labelled():
+    # n = 600 on 2^20: the int64 difference grid is read only to label the
+    # cells; held through the greedy steps it lifted the peak from 20.4 to
+    # 23.3 MB
+    spec = build_field(2, 20)
+    A = draw_set(np.random.default_rng(600), spec, 600, nonzero=True)
+    A.bitmask  # the set's own bitmask is not part of the search's peak
+    peak, (sub, size) = peak_bytes(lambda: decompositions._min_diffset_subset(A, 300))
+    S = FqSet.from_iterable(spec, sub)
+    assert len(S) == 300 and size == len(set_op(S, S, "diff"))
+    assert peak < 22_000_000
 
 
 def test_decompositions_imports_no_higher_layer():
