@@ -22,13 +22,14 @@ from .errors import (
     DegenerateSlice,
     EmptySet,
     EmptySpectrum,
+    EpsilonOutOfRange,
     InvariantViolated,
     SecondSetLarger,
     SumBelowK,
     TraceDegenerate,
     ZeroInSet,
 )
-from .finite_field import _scalar, proper_subfields
+from .finite_field import _clip, _scalar, proper_subfields
 from .set_algebra import (
     FqSet,
     _batches,
@@ -37,6 +38,7 @@ from .set_algebra import (
     _pair_counts,
     _require_same_field,
     _restriction,
+    _row_sizes,
     _sum_of_squares,
     coset_intersection_counts,
     dilate,
@@ -56,51 +58,45 @@ EXACT_SEARCH_LIMIT = 12  # subset/cover searches go exhaustive at or below this 
 # ---------------------------------------------------------------------------
 
 
-def _popularity(keys, counts, K, M_cap=None):
-    """Core of the popularity pigeonhole: keep the keys whose count f reaches
-    K/(2|domain|), compared exactly as 2*|domain|*f >= K.
+def _popularity(counts: np.ndarray, K: int, M_cap: int | None = None):
+    """The popularity pigeonhole over the positions of a dense count array
+    whose count f is positive: keep those where f reaches K/(2|domain|),
+    compared exactly as 2*|domain|*f >= K.
 
-    keys is the domain in ascending order and counts holds f on it.  Returns
-    (kept keys, threshold, kept mass).  The kept mass is always at least K/2,
-    and when f <= M_cap the number of kept keys is at least K/(2*M_cap); both
-    guarantees are exact integer facts, checked here (an f above M_cap breaks
-    the second and raises InvariantViolated).
+    Returns (kept positions, threshold, kept mass, domain size).  The kept
+    mass is always at least K/2, and when f <= M_cap the number of kept
+    positions is at least K/(2*M_cap); both guarantees are exact integer
+    facts, checked here (an f above M_cap breaks the second and raises
+    InvariantViolated).
     """
-    keys, counts = np.asarray(keys), np.asarray(counts)
-    if (counts <= 0).any():
-        raise ValueError("popularity requires f > 0 on the domain")
-    total = int(counts.sum())
+    hit = np.flatnonzero(counts)
+    f = np.asarray(counts)[hit]
+    total = int(f.sum())
     if total < K:
         raise SumBelowK(f"sum of f is {total} < K = {K}")
-    keep = 2 * len(keys) * counts >= K
-    mass = int(counts[keep].sum())
+    keep = 2 * hit.size * f >= K
+    mass = int(f[keep].sum())
     if 2 * mass < K:
         raise InvariantViolated(f"kept mass {mass} is below K/2 = {K}/2")
-    if M_cap is not None:
-        if (counts > M_cap).any():
-            raise InvariantViolated(f"f exceeds M_cap = {M_cap}")
-        if 2 * M_cap * int(keep.sum()) < K:
-            raise InvariantViolated(f"{int(keep.sum())} kept elements are below K/(2*M_cap)")
-    return keys[keep], Fraction(K, 2 * len(keys)), mass
+    if M_cap is not None and ((f > M_cap).any() or 2 * M_cap * int(keep.sum()) < K):
+        raise InvariantViolated(f"f exceeds M_cap = {M_cap}, or fewer than K/(2*M_cap) kept")
+    return hit[keep], Fraction(K, 2 * hit.size), mass, hit.size
 
 
 def popularity_subset(domain: FqSet, f: dict[int, int], K: int,
                       M_cap: int | None = None) -> FqSet:
     """Subset of elements whose f-value reaches K/(2|domain|); keeps at least
-    half the total mass.  Threshold comparison is exact."""
-    counts = [f[x] for x in domain]
-    kept, _, _ = _popularity(domain.members, counts, K, M_cap)
-    return FqSet.from_iterable(domain.spec, kept)
-
-
-def _pigeonhole(counts: np.ndarray, K: int, capped: bool = False):
-    """One pigeonhole step over the positions with a positive count.  Returns
-    (kept positions, threshold, kept mass, domain size, cap), the cap being the
-    largest count when `capped` (else None)."""
-    hit = np.flatnonzero(counts)
-    cap = int(counts.max()) if capped else None
-    kept, threshold, mass = _popularity(hit, counts[hit], K, M_cap=cap)
-    return kept, threshold, mass, len(hit), cap
+    half the total mass.  ``_popularity`` over f laid out on the domain's
+    positions: f, K and M_cap are integers (MalformedLiteral otherwise), K is
+    at least 1 and f positive on the whole domain (ValueError otherwise)."""
+    K, M_cap = _scalar(K, "K"), None if M_cap is None else _scalar(M_cap, "M_cap")
+    if K < 1:
+        raise ValueError(f"K must be at least 1, got {K}")
+    counts = np.array([_scalar(f.get(x, 0), "f") for x in domain], dtype=np.int64)
+    if (counts <= 0).any():
+        raise ValueError("popularity requires f > 0 on the domain")
+    kept, _, _, _ = _popularity(counts, K, M_cap)
+    return FqSet._from_sorted(domain.spec, domain.members[kept])
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +262,21 @@ def popular_points(sl: DyadicSlice) -> PopularPoints:
     row = np.searchsorted(sl.Y.members, ys)
 
     # rows: keep ordinates whose pair count reaches half the average
-    rows, t_rows, mass_rows, row_domain, _ = _pigeonhole(
+    rows, t_rows, mass_rows, row_domain = _popularity(
         np.bincount(row, minlength=len(sl.Y)), len(xs))
     y_popular = FqSet._from_sorted(spec, sl.Y.members[rows])
     in_rows = y_popular.bitmask[ys]
 
     # columns: restrict to the kept rows, then pigeonhole abscissas
-    cols, t_cols, mass_cols, col_domain, _ = _pigeonhole(
+    cols, t_cols, mass_cols, col_domain = _popularity(
         np.bincount(col[in_rows], minlength=nx), mass_rows)
     x_popular = FqSet._from_sorted(spec, sl.X.members[cols])
     in_cols = x_popular.bitmask[xs]
 
     # slopes: pigeonhole the doubly-restricted point set by its lines
     slope_counts = np.bincount(line[in_rows & in_cols], minlength=sl.L)
-    mass_dd = int(slope_counts.sum())
-    slopes, t_slopes, _, slope_domain, slope_cap = _pigeonhole(
-        slope_counts, mass_dd, capped=True)
+    mass_dd, slope_cap = int(slope_counts.sum()), int(slope_counts.max())
+    slopes, t_slopes, _, slope_domain = _popularity(slope_counts, mass_dd, slope_cap)
     d_popular = FqSet._from_sorted(spec, sl.D.members[slopes])
 
     # the double sum over blocks of lines, and its exact maximizing cell
@@ -308,8 +303,9 @@ def popular_points(sl: DyadicSlice) -> PopularPoints:
     # final pigeonhole: ordinates over x0 whose slice set inside B_y0 is popular
     on_B = B_y0.bitmask[xs]
     z_lines = line[over_x0]
-    tilde, t_z, _, z_domain, z_cap = _pigeonhole(
-        np.bincount(line[on_B], minlength=sl.L)[z_lines], inner_max, capped=True)
+    z_counts = np.bincount(line[on_B], minlength=sl.L)[z_lines]
+    z_cap = int(z_counts.max())
+    tilde, t_z, _, z_domain = _popularity(z_counts, inner_max, z_cap)
     A_tilde = FqSet._from_sorted(spec, ys[over_x0][tilde])
     on_lines = (by_line[start[l]:start[l + 1]] for l in z_lines[tilde])
     S = {int(z): FqSet._from_sorted(spec, xs[ks[on_B[ks]]])
@@ -577,8 +573,7 @@ def _min_subsets(grid: np.ndarray, k: int, limit: int, square: bool = False):
         rows = np.fromiter(chain.from_iterable(islice(combos, len(batch))),
                            dtype=np.int64).reshape(-1, k)
         values = grid[rows[:, :, None], rows[:, None, :]] if square else grid[rows]
-        values = np.sort(values.reshape(len(rows), cells), axis=1)
-        sizes = 1 + np.count_nonzero(values[:, 1:] != values[:, :-1], axis=1)
+        sizes = _row_sizes(values.reshape(len(rows), cells))
         low = int(sizes.min())
         if best is None or low < best:
             best, found = low, rows[:0]
@@ -598,10 +593,14 @@ def shift_stage(A: FqSet, alpha: int) -> tuple[FqSet, int, Fraction]:
 
 
 def refine_stage(X: FqSet, Bs: list[FqSet], eps: Fraction) -> tuple[FqSet, int, Fraction]:
-    """The second refinement, for 0 < eps < 1: X' of max(1, ceil((1-eps)|X|))
-    elements minimizing |X' + S|, S = B1 + ... + Bk.  Returns (X', |X' + S|,
-    the ratio |X' + S| |X|^(k-1) / (|X + B1| ... |X + Bk|), of a constant
-    that depends on eps in an unspecified way)."""
+    """The second refinement, for 0 < eps < 1 (EpsilonOutOfRange otherwise),
+    taken exactly as Fraction(eps): X' of max(1, ceil((1-eps)|X|)) elements
+    minimizing |X' + S|, S = B1 + ... + Bk.  Returns (X', |X' + S|, the
+    ratio |X' + S| |X|^(k-1) / (|X + B1| ... |X + Bk|), of a constant that
+    depends on eps in an unspecified way)."""
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise EpsilonOutOfRange(f"eps must be in (0, 1), got {_clip(str(eps))}")
     total, denom = _plunnecke_terms(X, Bs)
     members, size = _min_sumset_subset(X, total, max(1, math.ceil((1 - eps) * len(X))))
     return (FqSet._from_sorted(X.spec, members), size,

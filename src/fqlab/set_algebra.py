@@ -272,6 +272,15 @@ def _batches(count: int, cells: int) -> Iterator[range]:
     return (range(i, min(count, i + step)) for i in range(0, count, step))
 
 
+def _row_sizes(values: np.ndarray) -> np.ndarray:
+    """The number of distinct values in each row of the 2-D array values,
+    whose rows must be nonempty.  It sorts values in place along its rows and
+    counts the changes: the one distinct-value count of the exhaustive subset
+    scorer and the pivot lemma's candidates."""
+    values.sort(axis=1)
+    return 1 + np.count_nonzero(values[:, 1:] != values[:, :-1], axis=1)
+
+
 def _rotate_support(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """The set {x + y mod n : x in a, y in b}, for residues below n, as its
     packed length-n mask with the pad bits past n set: the union over x of
@@ -883,14 +892,21 @@ def coset_profile(A: FqSet, exponent_num: int, exponent_den: int, reference: FqS
     counted: on 2^20 that spares the q-1 cosets of F_2 and keeps the check
     off q-length arrays unless a large subfield can break the bound.  kappa,
     an integer >= 1 (ValueError otherwise), models the unknowable implied
-    constant.  A prime field has no proper subfield and passes vacuously.
+    constant.  The exponents are integers, num >= 0 and den >= 1, and the
+    reference a set or an integer size: a float or bool is MalformedLiteral
+    and a value out of range ValueError, so every comparison is exact.  A
+    prime field has no proper subfield and passes vacuously.
     """
     if _scalar(kappa, "kappa") < 1:
         raise ValueError(f"kappa must be at least 1, got {kappa!r}")
-    ref = reference if isinstance(reference, int) else len(reference)
+    num, den = _scalar(exponent_num, "exponent_num"), _scalar(exponent_den, "exponent_den")
+    ref = len(reference) if isinstance(reference, FqSet) else _scalar(reference, "reference")
+    if num < 0 or den < 1 or ref < 0:
+        raise ValueError(f"need exponent_num >= 0, exponent_den >= 1 and a reference size"
+                         f" >= 0, got {num}, {den} and {ref}")
     if ref == 0:
         raise EmptySet("reference set must be nonempty")
-    bound = (exponent_num, exponent_den, ref, kappa)
+    bound = (num, den, ref, kappa)
     return all(any(_restriction(G.size, G.size, *bound))
                or any(_restriction(int(coset_intersection_counts(A, G).max()), G.size, *bound))
                for G in proper_subfields(A.spec))

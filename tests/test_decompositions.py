@@ -28,6 +28,7 @@ from fqlab.errors import (
     DegenerateSlice,
     EmptySet,
     EmptySpectrum,
+    InvariantViolated,
     MixedFields,
     SumBelowK,
     TraceDegenerate,
@@ -54,6 +55,7 @@ from pools import (
     EXACT,
     GREEDY,
     POOL_DESCRIPTORS,
+    _naive_popularity,
     draw_set,
     naive_cover_min,
     naive_dyadic_slice,
@@ -110,6 +112,33 @@ def test_popularity_guarantees_randomized():
 def test_popularity_sum_below_k():
     with pytest.raises(SumBelowK):
         popularity_subset(fqset(F7, 1, 2), {1: 1, 2: 1}, 5)
+
+
+def test_popularity_core_matches_the_naive_pigeonhole():
+    # _popularity reads the positions of a dense count array whose count is
+    # positive; the naive pigeonhole reads the same counts as a dict
+    rng = np.random.default_rng(37)
+    for _ in range(400):
+        n = int(rng.integers(1, 25))
+        counts = np.where(rng.random(n) < 0.4, 0, rng.integers(1, 12, size=n))
+        counts[rng.integers(n)] = rng.integers(1, 12)  # at least one position is hit
+        f = {i: int(c) for i, c in enumerate(counts) if c}
+        K = int(rng.integers(1, sum(f.values()) + 1))
+        naive = _naive_popularity(f, K)
+        for cap in (None, max(f.values()), max(f.values()) + int(rng.integers(1, 5))):
+            kept, threshold, mass, size = decompositions._popularity(counts, K, cap)
+            assert (kept.tolist(), threshold, mass, size) == (*naive, len(f))
+
+
+def test_popularity_core_raises_on_each_broken_guarantee():
+    popularity = decompositions._popularity
+    with pytest.raises(SumBelowK):
+        popularity(np.array([0, 2, 0, 1]), 4)
+    with pytest.raises(InvariantViolated, match="M_cap"):  # f = 4 is above the cap
+        popularity(np.array([0, 4, 1, 0, 1]), 6, M_cap=2)
+    # 2 * |domain| * f wraps past int64 here, so no position reads as kept
+    with pytest.raises(InvariantViolated, match="kept mass 0"):
+        popularity(np.array([0, 1 << 61, 1]), 1 << 61)
 
 
 def test_decompositions_refuse_inputs_outside_their_domain():
@@ -647,8 +676,8 @@ def test_every_module_imports_only_the_layers_below_it():
                 assert node.module in allowed, (name, node.module)
 
 
-def _calls(matches):
-    """module:line of every call node in fqlab that ``matches`` accepts."""
+def _nodes(matches):
+    """module:line of every AST node in fqlab that ``matches`` accepts."""
     root = os.path.dirname(decompositions.__file__)
     found = []
     for name in sorted(os.listdir(root)):
@@ -656,9 +685,13 @@ def _calls(matches):
             continue
         with open(os.path.join(root, name)) as fh:
             tree = ast.parse(fh.read())
-        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and matches(node)]
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree) if matches(node)]
     return found
+
+
+def _calls(matches):
+    """module:line of every call node in fqlab that ``matches`` accepts."""
+    return _nodes(lambda node: isinstance(node, ast.Call) and matches(node))
 
 
 def _len_calls(takes):
@@ -715,6 +748,13 @@ def test_no_ufunc_at_call_takes_a_bare_integer_operand():
     assert all(map(_literal_operand, flagged)) and not any(map(_literal_operand, passed))
     assert len(_calls(_ufunc_at)) >= 5  # the check has calls to read
     found = _calls(_literal_operand)
+    assert not found, found
+
+
+def test_no_module_has_an_assert_statement():
+    # python -O strips every assert: an invariant raises InvariantViolated instead
+    assert len(_nodes(lambda node: isinstance(node, ast.Raise))) >= 5  # the check reads code
+    found = _nodes(lambda node: isinstance(node, ast.Assert))
     assert not found, found
 
 
@@ -865,7 +905,7 @@ def test_popularity_invariant_survives_python_O():
     script = ("from fqlab.decompositions import _popularity\n"
               "from fqlab.errors import InvariantViolated\n"
               "try:\n"
-              "    _popularity([1, 2, 3], [4, 1, 1], 6, M_cap=2)\n"
+              "    _popularity([4, 1, 1], 6, M_cap=2)\n"
               "except InvariantViolated as exc:\n"
               "    print(type(exc).__name__, __debug__)\n")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fqlab.__file__)))

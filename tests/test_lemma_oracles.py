@@ -15,6 +15,7 @@ from fqlab.decompositions import _min_diffset_subset, _min_sumset_subset
 from fqlab.errors import (
     EmptySet,
     EpsilonOutOfRange,
+    MalformedLiteral,
     MixedFields,
     NotApplicable,
     NotSubsets,
@@ -318,6 +319,23 @@ def test_ratio_to_shift_example():
         check_ratio_to_shift(fqset(F7, 0, 1))
 
 
+def test_refine_stage_takes_eps_exactly_and_refuses_it_out_of_range():
+    # the stage itself once took a float eps in float arithmetic (7 kept where
+    # the lemma wrapper kept 8), asked for 20 of 10 elements at eps = -1, and
+    # kept one element at eps = 2
+    spec = build_field(2, 6)
+    X, B = FqSet.from_iterable(spec, range(1, 11)), fqset(spec, 1, 2, 4)
+    kept, size, _ = decompositions.refine_stage(X, [B], 0.3)
+    assert len(kept) == math.ceil((1 - Fraction(0.3)) * 10) == 8  # the float 0.3 < 3/10
+    rep = refined_plunnecke_subset(X, [B], 0.3)
+    assert rep.witness == {"subset": kept.members.tolist(), "sumset_size": size, "floor": 8}
+    for eps in (-1, 0, 1, 2, Fraction(3, 2), 1.5):
+        with pytest.raises(EpsilonOutOfRange):
+            decompositions.refine_stage(X, [B], eps)
+        with pytest.raises(EpsilonOutOfRange):  # before the wrapper checks anything else
+            refined_plunnecke_subset(fqset(spec), [B], eps)
+
+
 def test_refined_plunnecke_singleton_translates():
     X = fqset(F7, 0, 1, 3)
     rep = refined_plunnecke_subset(X, [fqset(F7, 2)], Fraction(1, 4))
@@ -517,6 +535,23 @@ def test_popularity_report():
     dom = fqset(F7, 1, 2, 3)
     rep = check_popularity(dom, {1: 4, 2: 1, 3: 1}, 6, M_cap=4)
     assert rep.verdict == "ExactPass"
+
+
+def test_popularity_report_takes_integer_f_and_k_on_the_whole_domain():
+    # a missing element was a raw KeyError, f = 1.5 was summed in floating
+    # point, and K = 2.5 reached Fraction as a raw TypeError
+    dom = fqset(F7, 1, 2, 3)
+    with pytest.raises(ValueError, match="f > 0"):
+        check_popularity(dom, {1: 4, 2: 1}, 6)
+    for K in (0, -3):  # K = 0 on an empty domain was a raw ZeroDivisionError
+        with pytest.raises(ValueError, match="K must be at least 1"):
+            check_popularity(fqset(F7), {}, K)
+    for f, K, M_cap in (({1: 4, 2: 1.5, 3: 1}, 6, None), ({1: 4, 2: 1, 3: True}, 6, None),
+                        ({1: 4, 2: 1, 3: 1}, 2.5, None), ({1: 4, 2: 1, 3: 1}, 6, 4.0)):
+        with pytest.raises(MalformedLiteral):
+            check_popularity(dom, f, K, M_cap)
+    f = {np.int64(1): np.int64(4), 2: 1, 3: 1}
+    assert check_popularity(dom, f, np.int64(6), M_cap=4).witness == {"kept": 3, "mass": 6}
 
 
 def test_energy_identities_report():

@@ -28,6 +28,7 @@ from fqlab.set_algebra import (
     SET_OPS,
     FqSet,
     _pair_counts,
+    _row_sizes,
     _sum_of_squares,
     additive_energy,
     coset_intersection_counts,
@@ -1113,6 +1114,35 @@ def test_coset_profile_exact_integer_comparisons():
                             for k in (1, 2, 4)]
         # verdicts are monotone in kappa
         assert verdicts == sorted(verdicts)
+
+
+def test_coset_profile_takes_integer_exponents_and_reference():
+    # 25.5/26 once gave a verdict compared in floating point, and a float
+    # reference a raw TypeError from len()
+    A = fqset(F16, 1, 2, 3, 5, 7)
+    for num, den, ref in ((25.5, 26, A), (25, 26.0, A), (True, 26, A), (25, np.float64(26), A),
+                          (25, 26, 5.0), (25, 26, True), (25, 26, "5"), (25, 26, [1, 2])):
+        with pytest.raises(MalformedLiteral):
+            coset_profile(A, num, den, ref)
+    for num, den, ref in ((-1, 26, A), (25, 0, A), (25, -26, A), (25, 26, -5)):
+        with pytest.raises(ValueError, match="exponent_num >= 0, exponent_den >= 1"):
+            coset_profile(A, num, den, ref)
+    verdict = coset_profile(A, 25, 26, A)
+    assert coset_profile(A, np.int64(25), np.int64(26), np.int64(len(A))) == verdict
+    assert coset_profile(A, 0, 1, A) == coset_profile(A, 0, 1, 1)  # ref^0 = 1
+
+
+def test_row_sizes_count_the_distinct_values_of_each_row():
+    rng = np.random.default_rng(37)
+    info = np.iinfo(np.int64)
+    for shape in ((40, 9), (25, 1), (1, 30), (300, 64)):
+        pool = rng.integers(info.min, info.max, size=12, dtype=np.int64, endpoint=True)
+        values = rng.choice(pool, size=shape)  # repeats in most rows
+        expected = [len(set(row)) for row in values.tolist()]
+        assert _row_sizes(values).tolist() == expected
+        assert (values[:, 1:] >= values[:, :-1]).all()  # sorted in place
+    for fill in (info.min, -7, 0, info.max):
+        assert _row_sizes(np.full((6, 11), fill, dtype=np.int64)).tolist() == [1] * 6
 
 
 def _spied_coset_counts(monkeypatch):
